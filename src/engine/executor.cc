@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -41,6 +42,112 @@ void BuildCcPredicate(const Schema& schema, const Query& query,
   }
 }
 
+// The probe chain of one query: the plan every root morsel runs, read-only
+// while the morsels are in flight.
+struct ProbeChain {
+  // Join j probes indexes[j + 1] with the key column `probe_col` of an
+  // already-joined table: a root attribute, or a column of that table's
+  // block.
+  struct Step {
+    int probe_table = 0;
+    int probe_col = 0;
+  };
+
+  const TableSource* source = nullptr;
+  int root_relation = -1;
+  int root_width = 0;
+  kernels::BlockPredicate root_filter;
+  std::vector<Step> steps;  // steps[j] joins table j + 1
+  // last_probe[t]: the last step probing with table t's rows (-1: none). A
+  // step writes out the row ids of only the tables a later step probes.
+  std::vector<int> last_probe;
+  // Per table, indexed like query.tables; [0] unused (the root is read
+  // from the morsel's own block).
+  const RowBlock* blocks = nullptr;
+  const JoinIndex* indexes = nullptr;
+
+  // Fills root ranks [begin, end), selects them through the root filter,
+  // and probes steps 0..J-1 in order, carrying row ids rather than values.
+  // counts[0] = rows passing the root filter, counts[1 + j] = rows after
+  // join j.
+  void Run(int64_t begin, int64_t end, uint64_t* counts) const;
+};
+
+void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
+  // Per-worker scratch, reused across morsels and queries. ids[t] holds,
+  // per row of the partial join, its row in table t (root: in `root`).
+  thread_local RowBlock root;
+  thread_local SelVector sel;
+  thread_local std::vector<std::vector<uint32_t>> ids, next_ids;
+  thread_local std::vector<Value> keys;
+  thread_local std::vector<JoinIndex::Span> spans;
+  thread_local std::vector<uint32_t> from;  // output row -> input row
+
+  const size_t num_tables = steps.size() + 1;
+  if (ids.size() < num_tables) {
+    ids.resize(num_tables);
+    next_ids.resize(num_tables);
+  }
+  root.Reset(root_width);
+  source->FillBlockRange(root_relation, begin, end, &root);
+  std::vector<uint32_t>& root_ids = ids[0];
+  if (root_filter.is_true()) {
+    root_ids.resize(static_cast<size_t>(root.num_rows()));
+    std::iota(root_ids.begin(), root_ids.end(), 0u);
+  } else {
+    root_filter.Select(root, &sel);
+    root_ids.assign(sel.begin(), sel.end());
+  }
+  int64_t n = static_cast<int64_t>(root_ids.size());
+  counts[0] = static_cast<uint64_t>(n);
+
+  const int num_steps = static_cast<int>(steps.size());
+  for (int j = 0; j < num_steps && n > 0; ++j) {
+    const Step& step = steps[j];
+    const RowBlock* probe_block =
+        step.probe_table == 0 ? &root : &blocks[step.probe_table];
+    const Value* key_col = probe_block->Column(step.probe_col);
+    const uint32_t* probe_rows = ids[step.probe_table].data();
+    keys.resize(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) keys[i] = key_col[probe_rows[i]];
+    spans.resize(static_cast<size_t>(n));
+    const JoinIndex& index = indexes[j + 1];
+    index.Probe(keys.data(), n, spans.data());
+    int64_t out_n = 0;
+    for (int64_t i = 0; i < n; ++i) out_n += spans[i].len;
+    counts[1 + j] = static_cast<uint64_t>(out_n);
+    if (j + 1 == num_steps) break;  // the last join only counts
+
+    // Expand: output row o joins input row from[o] with the new table's
+    // build row; spans longer than one (an FK-side join) repeat the input.
+    const int new_table = j + 1;
+    const bool keep_new = last_probe[new_table] > j;
+    from.resize(static_cast<size_t>(out_n));
+    std::vector<uint32_t>& new_ids = next_ids[new_table];
+    if (keep_new) new_ids.resize(static_cast<size_t>(out_n));
+    const uint32_t* row_ids = index.row_ids();
+    int64_t o = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      const JoinIndex::Span span = spans[i];
+      for (uint32_t e = 0; e < span.len; ++e, ++o) {
+        from[o] = static_cast<uint32_t>(i);
+        if (keep_new) new_ids[o] = row_ids[span.begin + e];
+      }
+    }
+    for (int t = 0; t <= new_table; ++t) {
+      if (last_probe[t] <= j) continue;
+      if (t != new_table) {
+        std::vector<uint32_t>& out = next_ids[t];
+        out.resize(static_cast<size_t>(out_n));
+        const uint32_t* in = ids[t].data();
+        for (int64_t r = 0; r < out_n; ++r) out[r] = in[from[r]];
+      }
+      std::swap(ids[t], next_ids[t]);
+    }
+    n = out_n;
+  }
+}
+
 }  // namespace
 
 StatusOr<AnnotatedQueryPlan> Executor::Execute(
@@ -56,87 +163,37 @@ StatusOr<AnnotatedQueryPlan> Executor::Execute(
     }
   }
 
-  AnnotatedQueryPlan aqp;
-  aqp.query_name = query.name;
-
   const int num_tables = static_cast<int>(query.tables.size());
+  const int num_joins = num_tables - 1;  // Validate: one join per table
 
-  // Scan + filter each participating relation once, through the morsel-
-  // driven operator pipeline: the leaf fans out over ScanRange partitions
-  // and evaluates the pushed-down filter inside the morsel workers, and the
-  // blocks arrive in rank order, so the filtered table is identical to a
-  // sequential scan at any thread count.
-  // Per-query intermediates are thread_local so their buffers survive
-  // across Execute calls: a workload loop otherwise re-allocates (and
-  // first-touches) megabytes of fresh column storage for every query.
-  thread_local std::vector<RowBlock> filtered;
-  thread_local RowBlock drain;
-  if (static_cast<int>(filtered.size()) < num_tables) {
-    filtered.resize(num_tables);
-  }
-  for (int t = 0; t < num_tables; ++t) {
-    // Stage boundary: a tripped CancelScope unwinds here (and after each
-    // join below) within one morsel of the signal — the pipelines stop
-    // emitting, so the partial tables are simply dropped.
-    HYDRA_RETURN_IF_ERROR(ctx()->CheckCancel());
-    const QueryTable& qt = query.tables[t];
-    const Relation& rel = schema_.relation(qt.relation);
-    RowBlock& ft = filtered[t];
-    ft.Reset(rel.num_attributes());
-    {
-      SourceScanOp scan(&source, qt.relation, rel.num_attributes(),
-                        qt.filter, ctx());
-      scan.Open();
-      while (scan.NextBatch(&drain)) ft.AppendBlock(drain);
-    }
-    if (!qt.filter.IsTrue()) {
-      AqpStep step;
-      step.label = query.name + "/filter(" + rel.name() + ")";
-      step.relations = {qt.relation};
-      BuildCcPredicate(schema_, query, {t}, &step.columns, &step.predicate);
-      step.cardinality = ft.num_rows();
-      aqp.steps.push_back(std::move(step));
-    }
-  }
-
-  // Left-deep join phase, entirely in the operator layer: every step is one
-  // HashJoinOp — the accumulated result probes, the new relation builds —
-  // so the parallel partitioned build + shared read-only probe is the
-  // production join path. For a PK-side new table the acc row's FK value
-  // probes the (unique) PK build keys; for an FK-side new table the acc
-  // row's PK value probes the FK build keys, expanding per duplicate.
-  //
-  // Intermediates stay narrow: both the build side and the join output are
-  // projected down to the probe-key columns later steps still need (AQP
-  // annotation only wants cardinalities), so an accumulated row carries a
-  // handful of key values, not every joined attribute.
-  struct AttrCol {
-    int table;  // index into query.tables
-    int attr;
-    bool operator==(const AttrCol& o) const {
-      return table == o.table && attr == o.attr;
-    }
-  };
-  const int num_joins = static_cast<int>(query.joins.size());
-  std::vector<AttrCol> acc_key(num_joins);   // join key column within acc
-  std::vector<int> new_key(num_joins);       // join key attr on the new table
-  std::vector<bool> new_is_fk(num_joins);
+  ProbeChain chain;
+  chain.source = &source;
+  chain.root_relation = query.tables[0].relation;
+  chain.root_width = schema_.relation(chain.root_relation).num_attributes();
+  chain.root_filter = kernels::BlockPredicate(query.tables[0].filter);
+  chain.steps.resize(num_joins);
+  chain.last_probe.assign(num_tables, -1);
+  // Join k adds table k + 1. A PK-side new table is probed with the FK
+  // value of an already-joined table (each row matches <= 1 new row); an
+  // FK-side new table is probed with an already-joined table's PK value
+  // (may expand per duplicate). block_attrs[t] lists the attributes table
+  // t's block keeps: its build key first, then those later steps probe.
+  std::vector<std::vector<int>> block_attrs(num_tables);
   for (int k = 0; k < num_joins; ++k) {
     const JoinEdge& edge = query.joins[k];
     const int new_t = k + 1;
-    new_is_fk[k] = edge.fk_table == new_t;
+    int probe_t = -1;
+    int probe_attr = -1;
     if (edge.pk_table == new_t) {
-      // New table is the PK side: each accumulated row matches <= 1 new row.
       const int pk_attr =
           schema_.relation(query.tables[new_t].relation).PrimaryKeyIndex();
       HYDRA_CHECK(pk_attr >= 0);
       HYDRA_CHECK_MSG(edge.fk_table <= k, "join references un-joined table "
                                               << edge.fk_table);
-      acc_key[k] = {edge.fk_table, edge.fk_attr};
-      new_key[k] = pk_attr;
+      probe_t = edge.fk_table;
+      probe_attr = edge.fk_attr;
+      block_attrs[new_t] = {pk_attr};
     } else {
-      // New table is the FK side: accumulated PK values match any number of
-      // new FK rows (may expand).
       HYDRA_CHECK(edge.fk_table == new_t);
       HYDRA_CHECK_MSG(edge.pk_table <= k, "join references un-joined table "
                                               << edge.pk_table);
@@ -144,119 +201,104 @@ StatusOr<AnnotatedQueryPlan> Executor::Execute(
           schema_.relation(query.tables[edge.pk_table].relation)
               .PrimaryKeyIndex();
       HYDRA_CHECK(pk_attr >= 0);
-      acc_key[k] = {edge.pk_table, pk_attr};
-      new_key[k] = edge.fk_attr;
+      probe_t = edge.pk_table;
+      probe_attr = pk_attr;
+      block_attrs[new_t] = {edge.fk_attr};
     }
-  }
-  // The acc-side key columns still needed by steps > j, deduped in step
-  // order.
-  const auto needed_after = [&](int j) {
-    std::vector<AttrCol> out;
-    for (int k = j + 1; k < num_joins; ++k) {
-      if (std::find(out.begin(), out.end(), acc_key[k]) == out.end()) {
-        out.push_back(acc_key[k]);
-      }
+    // The root is probed through its morsel's full-width block, any other
+    // table through the column its block keeps for the key.
+    int probe_col = probe_attr;
+    if (probe_t > 0) {
+      std::vector<int>& attrs = block_attrs[probe_t];
+      const auto it = std::find(attrs.begin(), attrs.end(), probe_attr);
+      probe_col = static_cast<int>(it - attrs.begin());
+      if (it == attrs.end()) attrs.push_back(probe_attr);
     }
-    return out;
-  };
-  const auto col_index = [](const std::vector<AttrCol>& cols,
-                            const AttrCol& c) {
-    const auto it = std::find(cols.begin(), cols.end(), c);
-    HYDRA_CHECK(it != cols.end());
-    return static_cast<int>(it - cols.begin());
-  };
-
-  // acc holds exactly the still-needed key columns of the joined tables,
-  // laid out as described by acc_cols; seed it with the root's key columns.
-  std::vector<AttrCol> acc_cols;
-  for (const AttrCol& c : needed_after(-1)) {
-    if (c.table == 0) acc_cols.push_back(c);
-  }
-  thread_local RowBlock acc;
-  acc.Reset(static_cast<int>(acc_cols.size()));
-  if (num_joins > 0) {
-    std::vector<int> root_attrs;
-    root_attrs.reserve(acc_cols.size());
-    for (const AttrCol& c : acc_cols) root_attrs.push_back(c.attr);
-    ProjectOp project(std::make_unique<RowBlockScanOp>(&filtered[0], ctx()),
-                      std::move(root_attrs));
-    project.Open();
-    while (project.NextBatch(&drain)) acc.AppendBlock(drain);
+    chain.steps[k].probe_table = probe_t;
+    chain.steps[k].probe_col = probe_col;
+    chain.last_probe[probe_t] = k;
   }
 
-  std::vector<int> joined_tables = {0};  // indices into query.tables
-
-  for (int j = 0; j < num_joins; ++j) {
+  // Scan + filter each non-root table once through the morsel-driven
+  // SourceScanOp, keep only block_attrs, and index its build key. Buffers
+  // are thread_local so a workload loop reuses them across queries instead
+  // of first-touching fresh storage per query.
+  thread_local std::vector<RowBlock> blocks;
+  thread_local std::vector<JoinIndex> indexes;
+  thread_local RowBlock drain;
+  if (static_cast<int>(blocks.size()) < num_tables) {
+    blocks.resize(num_tables);
+    indexes.resize(num_tables);
+  }
+  chain.blocks = blocks.data();
+  chain.indexes = indexes.data();
+  std::vector<uint64_t> filtered_rows(num_tables);
+  for (int t = 1; t < num_tables; ++t) {
+    // Stage boundary: a tripped CancelScope unwinds here (and within one
+    // morsel of the chain below) — the partial blocks are simply dropped.
     HYDRA_RETURN_IF_ERROR(ctx()->CheckCancel());
-    const int new_t = j + 1;
-
-    // The new relation projected to its key column (first) plus any of its
-    // attributes later steps probe with.
-    std::vector<int> new_attrs = {new_key[j]};
-    const std::vector<AttrCol> needed = needed_after(j);
-    for (const AttrCol& c : needed) {
-      if (c.table == new_t && c.attr != new_key[j]) {
-        new_attrs.push_back(c.attr);
+    const QueryTable& qt = query.tables[t];
+    const Relation& rel = schema_.relation(qt.relation);
+    const std::vector<int>& attrs = block_attrs[t];
+    const int width = static_cast<int>(attrs.size());
+    RowBlock& block = blocks[t];
+    block.Reset(width);
+    SourceScanOp scan(&source, qt.relation, rel.num_attributes(), qt.filter,
+                      ctx());
+    scan.Open();
+    while (scan.NextBatch(&drain)) {
+      const int64_t base = block.num_rows();
+      const int64_t rows = drain.num_rows();
+      block.ResizeUninitialized(base + rows);
+      for (int c = 0; c < width; ++c) {
+        const Value* src = drain.Column(attrs[c]);
+        std::copy(src, src + rows, block.MutableColumn(c) + base);
       }
     }
-    auto new_scan = std::make_unique<ProjectOp>(
-        std::make_unique<RowBlockScanOp>(&filtered[new_t], ctx()),
-        new_attrs);
-    const int acc_key_col = col_index(acc_cols, acc_key[j]);
+    filtered_rows[t] = static_cast<uint64_t>(block.num_rows());
+    const int64_t scanned = static_cast<int64_t>(source.RowCount(qt.relation));
+    indexes[t].Build(block.Column(0), block.num_rows(), scanned, ctx());
+  }
+  HYDRA_RETURN_IF_ERROR(ctx()->CheckCancel());
 
-    // Orientation: always hash-build over the smaller, join-result-bounded
-    // side. A PK-side new table is a dimension (unique keys) — build on it,
-    // probe with acc. An FK-side new table is fact-sized — build on acc and
-    // let the fact scan be the morsel-parallel probe.
-    std::unique_ptr<HashJoinOp> join;
-    std::vector<AttrCol> out_cols;
-    if (new_is_fk[j]) {
-      for (int a : new_attrs) out_cols.push_back({new_t, a});
-      out_cols.insert(out_cols.end(), acc_cols.begin(), acc_cols.end());
-      join = std::make_unique<HashJoinOp>(std::move(new_scan),
-                                          /*probe_col=*/0, &acc, acc_key_col,
-                                          ctx());
-    } else {
-      out_cols = acc_cols;
-      for (int a : new_attrs) out_cols.push_back({new_t, a});
-      join = std::make_unique<HashJoinOp>(
-          std::make_unique<RowBlockScanOp>(&acc, ctx()), acc_key_col,
-          std::move(new_scan), /*build_col=*/0, ctx());
+  // The root is never copied: each of its morsels runs the whole chain in
+  // its own task and writes its counts to its own slot; the slots are
+  // summed in morsel order.
+  const int64_t root_rows =
+      static_cast<int64_t>(source.RowCount(chain.root_relation));
+  const int64_t num_morsels = NumMorsels(ctx(), root_rows);
+  const int num_counts = 1 + num_joins;
+  std::vector<uint64_t> morsel_counts(num_morsels * num_counts, 0);
+  ForEachMorsel(ctx(), root_rows, [&](int64_t m, int64_t begin, int64_t end) {
+    chain.Run(begin, end, morsel_counts.data() + m * num_counts);
+  });
+  // A cancellation that tripped inside the chain left morsels unrun;
+  // report it rather than returning a silently-partial plan.
+  HYDRA_RETURN_IF_ERROR(ctx()->CheckCancel());
+  std::vector<uint64_t> counts(num_counts, 0);
+  for (int64_t m = 0; m < num_morsels; ++m) {
+    for (int s = 0; s < num_counts; ++s) {
+      counts[s] += morsel_counts[m * num_counts + s];
     }
+  }
+  filtered_rows[0] = counts[0];
 
-    // Keys of not-yet-joined tables enter acc only once their table joins
-    // (via build_attrs above); until then they are carried by `needed` but
-    // cannot be projected.
-    std::vector<AttrCol> keep_cols;
-    for (const AttrCol& c : needed) {
-      if (c.table <= new_t) keep_cols.push_back(c);
-    }
-
-    uint64_t cardinality = 0;
-    if (keep_cols.empty()) {
-      // Final step: only the cardinality is wanted.
-      cardinality = CountRows(join.get());
-      acc.Reset(0);
-      acc_cols.clear();
-    } else {
-      std::vector<int> keep;
-      keep.reserve(keep_cols.size());
-      for (const AttrCol& c : keep_cols) {
-        keep.push_back(col_index(out_cols, c));
-      }
-      // Swap (not move) so the displaced acc buffers become next's scratch
-      // on the following join step instead of being freed.
-      thread_local RowBlock next;
-      next.Reset(static_cast<int>(keep_cols.size()));
-      ProjectOp project(std::move(join), std::move(keep));
-      project.Open();
-      while (project.NextBatch(&drain)) next.AppendBlock(drain);
-      cardinality = static_cast<uint64_t>(next.num_rows());
-      std::swap(acc, next);
-      acc_cols = std::move(keep_cols);
-    }
-    joined_tables.push_back(new_t);
-
+  AnnotatedQueryPlan aqp;
+  aqp.query_name = query.name;
+  for (int t = 0; t < num_tables; ++t) {
+    const QueryTable& qt = query.tables[t];
+    if (qt.filter.IsTrue()) continue;
+    AqpStep step;
+    step.label =
+        query.name + "/filter(" + schema_.relation(qt.relation).name() + ")";
+    step.relations = {qt.relation};
+    BuildCcPredicate(schema_, query, {t}, &step.columns, &step.predicate);
+    step.cardinality = filtered_rows[t];
+    aqp.steps.push_back(std::move(step));
+  }
+  std::vector<int> joined_tables = {0};  // indices into query.tables
+  for (int j = 0; j < num_joins; ++j) {
+    joined_tables.push_back(j + 1);
     AqpStep step;
     step.label = query.name + "/join" + std::to_string(j);
     std::vector<int> sorted_tables = joined_tables;
@@ -274,13 +316,9 @@ StatusOr<AnnotatedQueryPlan> Executor::Execute(
     }
     BuildCcPredicate(schema_, query, sorted_tables, &step.columns,
                      &step.predicate);
-    step.cardinality = cardinality;
+    step.cardinality = counts[1 + j];
     aqp.steps.push_back(std::move(step));
   }
-
-  // A cancellation that tripped inside the last stage produced truncated
-  // streams above; report it rather than returning a silently-partial plan.
-  HYDRA_RETURN_IF_ERROR(ctx()->CheckCancel());
   return aqp;
 }
 

@@ -43,9 +43,11 @@ struct AnnotatedQueryPlan {
 class Executor {
  public:
   // The executor owns one ExecContext (thread pool + morsel knobs) reused
-  // across every Execute call; per-relation scan+filter runs through the
-  // morsel-parallel operator pipeline. Results are byte-identical at any
-  // num_threads (docs/engine.md).
+  // across every Execute call. Non-root relations are scanned and filtered
+  // by the morsel-parallel SourceScanOp and indexed on their join keys; the
+  // joins then run as a probe chain inside the root relation's morsel tasks
+  // (docs/engine.md "The executor's probe chain"). Results are
+  // byte-identical at any num_threads.
   explicit Executor(const Schema& schema, ExecOptions options = {})
       : schema_(schema), owned_ctx_(std::make_unique<ExecContext>(options)) {}
 

@@ -5,10 +5,20 @@
 #include <mutex>
 
 #include "common/logging.h"
+#include "common/metrics.h"
 
 namespace hydra {
 
 namespace {
+
+HYDRA_METRIC_COUNTER(g_join_index_dense, "engine/join_index_dense");
+HYDRA_METRIC_COUNTER(g_join_index_hashed, "engine/join_index_hashed");
+
+// Rows per morsel under `ctx` (ExecOptions' default without one).
+int64_t MorselRows(const ExecContext* ctx) {
+  return std::max<int64_t>(
+      1, ctx == nullptr ? ExecOptions{}.morsel_rows : ctx->morsel_rows());
+}
 
 // Runs fn(i) for i in [0, count) on the context's pool and blocks until all
 // complete. Completion is tracked by a private WaitGroup (not via
@@ -54,9 +64,8 @@ class MorselPipeline {
         total_rows_(total_rows),
         num_columns_(num_columns),
         fill_(std::move(fill)) {
-    morsel_rows_ = std::max<int64_t>(
-        1, ctx_ == nullptr ? ExecOptions{}.morsel_rows : ctx_->morsel_rows());
-    num_morsels_ = (total_rows_ + morsel_rows_ - 1) / morsel_rows_;
+    morsel_rows_ = MorselRows(ctx_);
+    num_morsels_ = NumMorsels(ctx_, total_rows_);
     if (ctx_ != nullptr && ctx_->parallelism() > 1 && num_morsels_ > 1) {
       slots_.resize(static_cast<size_t>(
           std::min<int64_t>(num_morsels_, 2 * ctx_->parallelism())));
@@ -235,6 +244,25 @@ ExecContext::ExecContext(ExecOptions options, ThreadPool* shared_pool,
   }
 }
 
+int64_t NumMorsels(const ExecContext* ctx, int64_t total_rows) {
+  const int64_t rows = MorselRows(ctx);
+  return (total_rows + rows - 1) / rows;
+}
+
+void ForEachMorsel(ExecContext* ctx, int64_t total_rows,
+                   const MorselTask& task) {
+  const int64_t morsel_rows = MorselRows(ctx);
+  internal::MorselPipeline morsels(
+      ctx, total_rows, /*num_columns=*/0,
+      [&task, morsel_rows](int64_t begin, int64_t end, RowBlock*) {
+        task(begin / morsel_rows, begin, end);
+      });
+  // The tasks leave their blocks empty, so one Next call paces the window
+  // through every morsel (or stops at a cancel) and returns false.
+  RowBlock none;
+  morsels.Next(&none);
+}
+
 // --- Operator base -------------------------------------------------------
 
 Operator::~Operator() = default;
@@ -310,21 +338,6 @@ void TableScanOp::OpenImpl() {
 
 bool TableScanOp::NextBatch(RowBlock* out) { return morsels_->Next(out); }
 
-RowBlockScanOp::RowBlockScanOp(const RowBlock* block, ExecContext* ctx)
-    : block_(block), ctx_(ctx) {}
-
-RowBlockScanOp::~RowBlockScanOp() = default;
-
-void RowBlockScanOp::OpenImpl() {
-  morsels_ = std::make_unique<internal::MorselPipeline>(
-      ctx_, block_->num_rows(), block_->num_columns(),
-      [this](int64_t begin, int64_t end, RowBlock* out) {
-        out->AppendRange(*block_, begin, end - begin);
-      });
-}
-
-bool RowBlockScanOp::NextBatch(RowBlock* out) { return morsels_->Next(out); }
-
 GeneratorScanOp::GeneratorScanOp(const TupleGenerator* generator, int relation,
                                  int num_columns, ExecContext* ctx)
     : generator_(generator),
@@ -395,17 +408,28 @@ bool LimitOp::NextBatch(RowBlock* out) {
   return true;
 }
 
-// --- HashJoinOp ----------------------------------------------------------
+// --- JoinIndex -----------------------------------------------------------
 
-void HashJoinOp::KeyMap::Init(int64_t rows) {
+JoinIndex::Layout JoinIndex::ChooseLayout(uint64_t key_distance,
+                                          int64_t build_rows,
+                                          int64_t scanned_rows) {
+  const int64_t limit = std::max<int64_t>(
+      8 * build_rows, std::min(scanned_rows, kScanRangeCap));
+  // range = key_distance + 1 <= limit, without forming the (possibly
+  // wrapping) range itself.
+  if (key_distance < static_cast<uint64_t>(limit)) return Layout::kDense;
+  return Layout::kHashed;
+}
+
+void JoinIndex::KeyMap::Init(int64_t rows) {
   uint64_t cap = 8;
   while (cap < static_cast<uint64_t>(rows) * 2) cap <<= 1;
   slots.assign(cap, {});
   mask = static_cast<uint32_t>(cap - 1);
 }
 
-HashJoinOp::KeySlot* HashJoinOp::KeyMap::FindOrInsert(Value key,
-                                                      uint64_t hash) {
+JoinIndex::KeySlot* JoinIndex::KeyMap::FindOrInsert(Value key,
+                                                    uint64_t hash) {
   uint32_t i = static_cast<uint32_t>(hash >> 32) & mask;
   while (slots[i].len != 0) {
     if (slots[i].key == key) return &slots[i];
@@ -415,89 +439,106 @@ HashJoinOp::KeySlot* HashJoinOp::KeyMap::FindOrInsert(Value key,
   return &slots[i];
 }
 
-HashJoinOp::HashJoinOp(std::unique_ptr<Operator> probe, int probe_col,
-                       std::unique_ptr<Operator> build, int build_col,
-                       ExecContext* ctx)
-    : probe_(std::move(probe)),
-      build_(std::move(build)),
-      probe_col_(probe_col),
-      build_col_(build_col),
-      ctx_(ctx) {}
-
-HashJoinOp::HashJoinOp(std::unique_ptr<Operator> probe, int probe_col,
-                       const RowBlock* build_block, int build_col,
-                       ExecContext* ctx)
-    : probe_(std::move(probe)),
-      build_block_(build_block),
-      probe_col_(probe_col),
-      build_col_(build_col),
-      ctx_(ctx) {}
-
-HashJoinOp::~HashJoinOp() = default;
-
-void HashJoinOp::OpenImpl() {
-  probe_mapper_.reset();
-  if (build_ != nullptr) {
-    build_->Open();
-    build_rows_.Reset(build_->num_columns());
-    RowBlock b;
-    while (build_->NextBatch(&b)) build_rows_.AppendBlock(b);
-  }
-  const RowBlock& built = build_rows();
-  build_num_rows_ = built.num_rows();
-  const int64_t n = build_num_rows_;
+void JoinIndex::Build(const Value* keys, int64_t n, int64_t scanned_rows,
+                      ExecContext* ctx) {
   HYDRA_CHECK_MSG(n < INT64_C(0xffffffff),
                   "build side too large for uint32 row ids");
-  // One kernel pass hashes the whole build key column; partition index and
+  Value min = 0;
+  Value max = 0;
+  if (n > 0) {
+    const auto [lo, hi] = std::minmax_element(keys, keys + n);
+    min = *lo;
+    max = *hi;
+  }
+  const uint64_t distance =
+      static_cast<uint64_t>(max) - static_cast<uint64_t>(min);
+  // An empty build has no key range; dense is then a two-entry array.
+  layout_ = n == 0 ? Layout::kDense : ChooseLayout(distance, n, scanned_rows);
+  row_ids_.resize(static_cast<size_t>(n));
+  if (layout_ == Layout::kDense) {
+    g_join_index_dense.Inc();
+    BuildDense(keys, n, min, n == 0 ? 0 : distance + 1);
+  } else {
+    g_join_index_hashed.Inc();
+    BuildHashed(keys, n, ctx);
+  }
+}
+
+void JoinIndex::BuildDense(const Value* keys, int64_t n, Value min,
+                           uint64_t range) {
+  partitions_.clear();
+  min_ = min;
+  range_ = range;
+  // Count pass, inclusive prefix sum (each entry becomes its key's span
+  // end), then a reverse-order placement pass that walks every entry down
+  // to its span begin — the CSR fill of the hashed layout, with the slot
+  // found by subtraction instead of a probe. The two trailing entries stay
+  // at n: key k - min_ == range_ then reads the empty span [n, n).
+  offsets_.assign(range + 2, 0);
+  uint32_t* const off = offsets_.data();
+  const uint64_t base = static_cast<uint64_t>(min);
+  for (int64_t r = 0; r < n; ++r) ++off[static_cast<uint64_t>(keys[r]) - base];
+  uint32_t end = 0;
+  for (uint64_t k = 0; k < range; ++k) {
+    end += off[k];
+    off[k] = end;
+  }
+  off[range] = off[range + 1] = static_cast<uint32_t>(n);
+  for (int64_t r = n - 1; r >= 0; --r) {
+    const uint64_t k = static_cast<uint64_t>(keys[r]) - base;
+    row_ids_[--off[k]] = static_cast<uint32_t>(r);
+  }
+}
+
+void JoinIndex::BuildHashed(const Value* keys, int64_t n, ExecContext* ctx) {
+  offsets_.clear();
+  // One kernel pass hashes the whole key column; partition index and
   // bucket index both come from the precomputed hash (low bits pick the
   // partition, high bits the bucket — see KeyMap).
-  const Value* keys = built.Column(build_col_);
-  std::vector<uint64_t> hashes(n);
+  std::vector<uint64_t> hashes(static_cast<size_t>(n));
   kernels::HashKeys(keys, n, hashes.data());
 
   // Hash-partitioned CSR build. Each partition runs a count pass (span
-  // lengths per key), assigns span *end* offsets, then a reverse-order fill
-  // pass that places row ids back to front — after which every span's begin
-  // has walked down to its start and the ids sit in build-stream order.
-  // Two passes over a flat open-addressing map cost less than a node
-  // allocation per distinct key, and the flat layout probes cache-friendly.
-  const bool parallel =
-      ctx_ != nullptr && ctx_->parallelism() > 1 && n >= 1024;
-  const int num_parts =
-      parallel ? std::min(ctx_->parallelism(), 64) : 1;
+  // lengths per key), assigns span *end* offsets within its region of
+  // row_ids_, then a reverse-order fill pass that places row ids back to
+  // front — after which every span's begin has walked down to its start
+  // and the ids sit in build-stream order. Two passes over a flat
+  // open-addressing map cost less than a node allocation per distinct key,
+  // and the flat layout probes cache-friendly.
+  const bool parallel = ctx != nullptr && ctx->parallelism() > 1 && n >= 1024;
+  const int num_parts = parallel ? std::min(ctx->parallelism(), 64) : 1;
   partitions_.assign(num_parts, {});
-  partition_rows_.assign(num_parts, {});
-  // Builds partition `p` from forward/reverse walks of its row ids (both in
-  // build-stream order / reversed build-stream order respectively). The
-  // walkers are generic callables so every per-row call inlines — a
-  // std::function here costs an indirect call per build row per pass.
-  // Pass 1 records each row's slot so the fill pass never re-probes.
+  // Builds partition `p`, whose rows fill row_ids_[base[p], base[p + 1]),
+  // from forward/reverse walks of its row ids (both in build-stream order /
+  // reversed build-stream order respectively). The walkers are generic
+  // callables so every per-row call inlines — a std::function here costs an
+  // indirect call per build row per pass. Pass 1 records each row's slot so
+  // the fill pass never re-probes.
   std::vector<uint32_t> slot_of_row(static_cast<size_t>(n));
+  std::vector<int64_t> base = {0, n};
   const auto build_partition =
-      [&](int p, int64_t row_count, const auto& forward, const auto& reverse) {
+      [&](int p, const auto& forward, const auto& reverse) {
         KeyMap& part = partitions_[p];
-        part.Init(row_count);
-        KeySlot* const base = part.slots.data();
+        part.Init(base[p + 1] - base[p]);
+        KeySlot* const slots = part.slots.data();
         forward([&](uint32_t r) {
           KeySlot* slot = part.FindOrInsert(keys[r], hashes[r]);
           ++slot->len;
-          slot_of_row[r] = static_cast<uint32_t>(slot - base);
+          slot_of_row[r] = static_cast<uint32_t>(slot - slots);
         });
-        uint32_t offset = 0;
+        uint32_t offset = static_cast<uint32_t>(base[p]);
         for (KeySlot& slot : part.slots) {
           if (slot.len == 0) continue;
           offset += slot.len;
           slot.begin = offset;  // one past the span end; fill walks it down
         }
-        auto& rows = partition_rows_[p];
-        rows.resize(offset);
         reverse([&](uint32_t r) {
-          rows[--base[slot_of_row[r]].begin] = r;
+          row_ids_[--slots[slot_of_row[r]].begin] = r;
         });
       };
   if (num_parts == 1) {
     build_partition(
-        0, n,
+        0,
         [n](const auto& fn) {
           for (int64_t r = 0; r < n; ++r) fn(static_cast<uint32_t>(r));
         },
@@ -513,7 +554,7 @@ void HashJoinOp::OpenImpl() {
     std::vector<std::vector<std::vector<uint32_t>>> buckets(
         num_chunks, std::vector<std::vector<uint32_t>>(num_parts));
     const int64_t chunk_rows = (n + num_chunks - 1) / num_chunks;
-    RunTasks(ctx_, num_chunks, [&](int c) {
+    RunTasks(ctx, num_chunks, [&](int c) {
       auto& mine = buckets[c];
       const int64_t begin = c * chunk_rows;
       const int64_t end = std::min(n, begin + chunk_rows);
@@ -522,13 +563,16 @@ void HashJoinOp::OpenImpl() {
             static_cast<uint32_t>(r));
       }
     });
-    RunTasks(ctx_, num_parts, [&](int p) {
-      int64_t row_count = 0;
+    base.assign(num_parts + 1, 0);
+    for (int p = 0; p < num_parts; ++p) {
+      base[p + 1] = base[p];
       for (int c = 0; c < num_chunks; ++c) {
-        row_count += static_cast<int64_t>(buckets[c][p].size());
+        base[p + 1] += static_cast<int64_t>(buckets[c][p].size());
       }
+    }
+    RunTasks(ctx, num_parts, [&](int p) {
       build_partition(
-          p, row_count,
+          p,
           [&buckets, num_chunks, p](const auto& fn) {
             for (int c = 0; c < num_chunks; ++c) {
               for (const uint32_t r : buckets[c][p]) fn(r);
@@ -542,11 +586,73 @@ void HashJoinOp::OpenImpl() {
           });
     });
   }
+}
+
+void JoinIndex::Probe(const Value* keys, int64_t n, Span* spans) const {
+  if (layout_ == Layout::kDense) {
+    // Out-of-range keys clamp onto the trailing empty span: no branch.
+    const uint32_t* const off = offsets_.data();
+    const uint64_t lo = static_cast<uint64_t>(min_);
+    for (int64_t i = 0; i < n; ++i) {
+      const uint64_t k = std::min(static_cast<uint64_t>(keys[i]) - lo, range_);
+      spans[i] = {off[k], off[k + 1] - off[k]};
+    }
+    return;
+  }
+  // The whole key column is hashed in one kernel pass; the per-key loop
+  // only partitions and probes. thread_local scratch: probes run
+  // concurrently from morsel workers.
+  thread_local std::vector<uint64_t> hashes;
+  hashes.resize(static_cast<size_t>(n));
+  kernels::HashKeys(keys, n, hashes.data());
+  const uint64_t num_parts = partitions_.size();
+  // The slot array exceeds cache for large build sides, so each probe's
+  // first bucket touch is a miss; prefetching a fixed distance ahead hides
+  // it behind the current key's work.
+  constexpr int64_t kPrefetchAhead = 16;
+  for (int64_t i = 0; i < n; ++i) {
+#if defined(__GNUC__) || defined(__clang__)
+    if (i + kPrefetchAhead < n) {
+      const uint64_t ha = hashes[i + kPrefetchAhead];
+      const KeyMap& pa = partitions_[num_parts == 1 ? 0 : ha % num_parts];
+      __builtin_prefetch(&pa.slots[static_cast<uint32_t>(ha >> 32) & pa.mask]);
+    }
+#endif
+    const uint64_t h = hashes[i];
+    const KeySlot* slot =
+        partitions_[num_parts == 1 ? 0 : h % num_parts].Find(keys[i], h);
+    spans[i] = slot == nullptr ? Span{} : Span{slot->begin, slot->len};
+  }
+}
+
+// --- HashJoinOp ----------------------------------------------------------
+
+HashJoinOp::HashJoinOp(std::unique_ptr<Operator> probe, int probe_col,
+                       std::unique_ptr<Operator> build, int build_col,
+                       ExecContext* ctx)
+    : probe_(std::move(probe)),
+      build_(std::move(build)),
+      probe_col_(probe_col),
+      build_col_(build_col),
+      ctx_(ctx) {}
+
+HashJoinOp::~HashJoinOp() = default;
+
+void HashJoinOp::OpenImpl() {
+  probe_mapper_.reset();
+  build_->Open();
+  build_rows_.Reset(build_->num_columns());
+  RowBlock b;
+  while (build_->NextBatch(&b)) build_rows_.AppendBlock(b);
+  // The build stream is all the operator sees of its relation, so it also
+  // stands in for the scanned row count of the layout rule.
+  const int64_t n = build_rows_.num_rows();
+  index_.Build(build_rows_.Column(build_col_), n, n, ctx_);
 
   probe_->Open();
   if (ctx_ != nullptr && ctx_->parallelism() > 1) {
-    // The partitions are read-only from here on: probe batches may be
-    // joined concurrently and are emitted in probe order.
+    // The index is read-only from here on: probe batches may be joined
+    // concurrently and are emitted in probe order.
     probe_mapper_ = std::make_unique<internal::OrderedBatchMapper>(
         ctx_, probe_.get(),
         [this](const RowBlock& in, RowBlock* out) { JoinBatch(in, out); });
@@ -556,53 +662,16 @@ void HashJoinOp::OpenImpl() {
 void HashJoinOp::JoinBatch(const RowBlock& in, RowBlock* out) const {
   out->Reset(num_columns());
   const int probe_cols = in.num_columns();
-  const int build_cols = build_width_();
-  const int num_parts = static_cast<int>(partitions_.size());
   const int64_t probe_n = in.num_rows();
-  const Value* keys = in.Column(probe_col_);
-  // The whole probe key column is hashed in one kernel pass per batch; the
-  // per-row loop only partitions and probes. thread_local scratch: probe
-  // batches are joined concurrently by the OrderedBatchMapper's workers.
-  thread_local std::vector<uint64_t> hashes;
-  hashes.resize(static_cast<size_t>(probe_n));
-  kernels::HashKeys(keys, probe_n, hashes.data());
   // Pass 1: resolve each probe row's span so the output can be sized in
   // one allocation (per-output-row growth dominated the join otherwise).
-  struct Match {
-    int64_t probe_row;
-    const uint32_t* row_ids;
-    uint32_t len;
-  };
-  thread_local std::vector<Match> matches;
-  matches.clear();
-  matches.reserve(static_cast<size_t>(probe_n));
+  // thread_local scratch: probe batches are joined concurrently by the
+  // OrderedBatchMapper's workers.
+  thread_local std::vector<JoinIndex::Span> spans;
+  spans.resize(static_cast<size_t>(probe_n));
+  index_.Probe(in.Column(probe_col_), probe_n, spans.data());
   int64_t total_rows = 0;
-  // The slot array exceeds cache for large build sides, so each probe's
-  // first bucket touch is a miss; prefetching a fixed distance ahead hides
-  // it behind the current row's work.
-  constexpr int64_t kPrefetchAhead = 16;
-  for (int64_t r = 0; r < probe_n; ++r) {
-#if defined(__GNUC__) || defined(__clang__)
-    if (r + kPrefetchAhead < probe_n) {
-      const uint64_t ha = hashes[r + kPrefetchAhead];
-      const KeyMap& pa =
-          partitions_[num_parts == 1
-                          ? 0
-                          : static_cast<int>(
-                                ha % static_cast<uint64_t>(num_parts))];
-      __builtin_prefetch(&pa.slots[static_cast<uint32_t>(ha >> 32) & pa.mask]);
-    }
-#endif
-    const uint64_t h = hashes[r];
-    const int p = num_parts == 1
-                      ? 0
-                      : static_cast<int>(h % static_cast<uint64_t>(num_parts));
-    const KeySlot* slot = partitions_[p].Find(keys[r], h);
-    if (slot == nullptr) continue;
-    matches.push_back(
-        {r, partition_rows_[p].data() + slot->begin, slot->len});
-    total_rows += slot->len;
-  }
+  for (const JoinIndex::Span& s : spans) total_rows += s.len;
   // Flatten the match spans into per-output-row source indices once, so
   // the per-column fill is a straight-line gather rather than a nested
   // match-span walk repeated for every column.
@@ -610,11 +679,12 @@ void HashJoinOp::JoinBatch(const RowBlock& in, RowBlock* out) const {
   thread_local std::vector<uint32_t> build_idx;
   probe_idx.resize(static_cast<size_t>(total_rows));
   build_idx.resize(static_cast<size_t>(total_rows));
+  const uint32_t* const row_ids = index_.row_ids();
   int64_t pos = 0;
-  for (const Match& m : matches) {
-    for (uint32_t i = 0; i < m.len; ++i) {
-      probe_idx[pos] = static_cast<int32_t>(m.probe_row);
-      build_idx[pos] = m.row_ids[i];
+  for (int64_t r = 0; r < probe_n; ++r) {
+    for (uint32_t i = 0; i < spans[r].len; ++i) {
+      probe_idx[pos] = static_cast<int32_t>(r);
+      build_idx[pos] = row_ids[spans[r].begin + i];
       ++pos;
     }
   }
@@ -625,9 +695,8 @@ void HashJoinOp::JoinBatch(const RowBlock& in, RowBlock* out) const {
     kernels::Gather(in.Column(c), probe_idx.data(), total_rows,
                     out->MutableColumn(c));
   }
-  const RowBlock& built = build_rows();
-  for (int c = 0; c < build_cols; ++c) {
-    const Value* src = built.Column(c);
+  for (int c = 0; c < build_rows_.num_columns(); ++c) {
+    const Value* src = build_rows_.Column(c);
     Value* dst = out->MutableColumn(probe_cols + c);
     for (int64_t i = 0; i < total_rows; ++i) dst[i] = src[build_idx[i]];
   }

@@ -19,6 +19,7 @@
 #ifndef HYDRA_ENGINE_OPERATORS_H_
 #define HYDRA_ENGINE_OPERATORS_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -101,6 +102,22 @@ class ExecContext {
   const CancelScope* cancel_ = nullptr;
 };
 
+// The number of morsel_rows-sized rank ranges [0, total_rows) splits into
+// under `ctx` (ExecOptions' default morsel size without one): the morsels
+// ForEachMorsel and the scan leaves run.
+int64_t NumMorsels(const ExecContext* ctx, int64_t total_rows);
+
+// Runs task(morsel, begin, end) once per morsel of [0, total_rows) through
+// the leaves' dispatch: at most 2 × parallelism morsels in flight on the
+// context's pool, and a cancel check before each one, so a tripped scope
+// stops it within one morsel (the caller reports that through
+// CheckCancel). Morsel m covers [m × morsel_rows, ...), and m runs over
+// [0, NumMorsels(ctx, total_rows)). Tasks run concurrently and must write
+// only state private to their morsel; all have finished when this returns.
+using MorselTask = std::function<void(int64_t, int64_t, int64_t)>;
+void ForEachMorsel(ExecContext* ctx, int64_t total_rows,
+                   const MorselTask& task);
+
 namespace internal {
 class MorselPipeline;
 class OrderedBatchMapper;
@@ -182,25 +199,6 @@ class TableScanOp : public Operator {
   std::unique_ptr<internal::MorselPipeline> morsels_;
 };
 
-// Leaf: scans an already-columnar RowBlock (the executor's intermediate
-// results); morsel workers copy their rank range column by column.
-class RowBlockScanOp : public Operator {
- public:
-  explicit RowBlockScanOp(const RowBlock* block, ExecContext* ctx = nullptr);
-  ~RowBlockScanOp() override;
-
-  bool NextBatch(RowBlock* out) override;
-  int num_columns() const override { return block_->num_columns(); }
-
- protected:
-  void OpenImpl() override;
-
- private:
-  const RowBlock* block_;
-  ExecContext* ctx_;
-  std::unique_ptr<internal::MorselPipeline> morsels_;
-};
-
 // Leaf: generates tuples on demand from a database summary (dynamic
 // regeneration; no storage touched). Morsel workers generate disjoint rank
 // ranges concurrently via FillBlockRange — per-column constant splats and
@@ -271,38 +269,58 @@ class ProjectOp : public Operator {
   RowBlock in_;
 };
 
-// ⋈: hash join; the build side is materialized at Open(). Output rows are
-// probe columns followed by build columns. Handles duplicate keys on both
-// sides. With a parallel context the build is hash-partitioned across the
-// pool and probe batches are joined concurrently against the then-read-only
-// table, emitted in probe order. Probe batches hash their whole key column
-// in one kernel pass before touching the hash table.
-class HashJoinOp : public Operator {
+// Join-key index: maps a key to the contiguous span of build row ids holding
+// it, in build order — the table behind HashJoinOp and the executor's probe
+// chain. Two layouts share one probe interface; Build picks one from the
+// observed key range (docs/engine.md "Join index"):
+//  * dense — an offsets array over [min, max]: key k's span is
+//    row_ids[off[k - min], off[k - min + 1]). Taken when
+//    max - min + 1 <= max(8 × build rows, min(scanned rows, kScanRangeCap)).
+//    The first arm keeps the array no larger than the hashed layout's >= 2
+//    16-byte slots per row. The second admits selective filters over key
+//    ranks (PK and FK values are implicit ranks, the TableSource contract):
+//    filling the array costs no more than the scan that fed the build, and
+//    the cap holds it to 512 KiB however large the relation.
+//  * hashed — CSR over flat open-addressing {key, begin, len} slots,
+//    hash-partitioned across the pool for large builds.
+// Every build counts in the metric registry as engine/join_index_dense or
+// engine/join_index_hashed.
+class JoinIndex {
  public:
-  HashJoinOp(std::unique_ptr<Operator> probe, int probe_col,
-             std::unique_ptr<Operator> build, int build_col,
-             ExecContext* ctx = nullptr);
-  // Build side given as an already-materialized columnar block (the
-  // executor's intermediate layout): hashed in place instead of streaming
-  // through an operator. `build_block` must outlive the op.
-  HashJoinOp(std::unique_ptr<Operator> probe, int probe_col,
-             const RowBlock* build_block, int build_col,
-             ExecContext* ctx = nullptr);
-  ~HashJoinOp() override;
+  enum class Layout { kDense, kHashed };
 
-  bool NextBatch(RowBlock* out) override;
-  int num_columns() const override {
-    return probe_->num_columns() + build_width_();
-  }
+  // A key's build rows: row_ids()[begin, begin + len); len == 0 = no match.
+  struct Span {
+    uint32_t begin = 0;
+    uint32_t len = 0;
+  };
 
- protected:
-  void OpenImpl() override;
+  // The largest key range the scanned-rows arm of the layout rule admits.
+  static constexpr int64_t kScanRangeCap = int64_t{1} << 17;
+
+  // The layout rule: dense iff the key range max - min + 1 (passed as the
+  // unsigned distance max - min, so INT64_MIN..INT64_MAX cannot overflow)
+  // is at most max(8 × build_rows, min(scanned_rows, kScanRangeCap)).
+  static Layout ChooseLayout(uint64_t key_distance, int64_t build_rows,
+                             int64_t scanned_rows);
+
+  // Indexes keys[0, n). `scanned_rows` is the row count of the relation the
+  // keys were scanned from, before any filter. A parallel `ctx` partitions
+  // a large hashed build across its pool.
+  void Build(const Value* keys, int64_t n, int64_t scanned_rows,
+             ExecContext* ctx = nullptr);
+
+  Layout layout() const { return layout_; }
+  const uint32_t* row_ids() const { return row_ids_.data(); }
+
+  // spans[i] = keys[i]'s span. Read-only, so concurrent probes are safe.
+  void Probe(const Value* keys, int64_t n, Span* spans) const;
 
  private:
-  // Open-addressing key -> row-span map with power-of-two capacity and
-  // linear probing; len == 0 marks an empty slot (every present key spans
-  // >= 1 row). The bucket comes from the *high* hash bits — the partition
-  // index consumed the low bits — which keeps probe chains short.
+  // Open-addressing key -> span map with power-of-two capacity and linear
+  // probing; len == 0 marks an empty slot (every present key spans >= 1
+  // row). The bucket comes from the *high* hash bits — the partition index
+  // consumed the low bits — which keeps probe chains short.
   struct KeySlot {
     Value key = 0;
     uint32_t begin = 0;
@@ -324,34 +342,55 @@ class HashJoinOp : public Operator {
     }
   };
 
-  // Joins one probe batch against the (read-only) build table. Safe to call
+  void BuildDense(const Value* keys, int64_t n, Value min, uint64_t range);
+  void BuildHashed(const Value* keys, int64_t n, ExecContext* ctx);
+
+  Layout layout_ = Layout::kDense;
+  // Dense: key k's span starts at offsets_[k - min_]; one trailing pair of
+  // entries equal to the row count gives out-of-range keys an empty span.
+  Value min_ = 0;
+  uint64_t range_ = 0;
+  std::vector<uint32_t> offsets_;
+  // Hashed: a key's slot lives in exactly one partition; slot begins index
+  // the shared row_ids_ array.
+  std::vector<KeyMap> partitions_;
+  // Build row ids grouped by key, in build order within each key.
+  std::vector<uint32_t> row_ids_;
+};
+
+// ⋈: hash join; the build side is materialized and indexed (JoinIndex) at
+// Open(). Output rows are probe columns followed by build columns. Handles
+// duplicate keys on both sides. With a parallel context a hashed build is
+// partitioned across the pool and probe batches are joined concurrently
+// against the then-read-only index, emitted in probe order.
+class HashJoinOp : public Operator {
+ public:
+  HashJoinOp(std::unique_ptr<Operator> probe, int probe_col,
+             std::unique_ptr<Operator> build, int build_col,
+             ExecContext* ctx = nullptr);
+  ~HashJoinOp() override;
+
+  bool NextBatch(RowBlock* out) override;
+  int num_columns() const override {
+    return probe_->num_columns() + build_->num_columns();
+  }
+
+ protected:
+  void OpenImpl() override;
+
+ private:
+  // Joins one probe batch against the (read-only) index. Safe to call
   // concurrently from morsel workers.
   void JoinBatch(const RowBlock& in, RowBlock* out) const;
 
-  int build_width_() const {
-    return build_block_ != nullptr ? build_block_->num_columns()
-                                   : build_->num_columns();
-  }
-  const RowBlock& build_rows() const {
-    return build_block_ != nullptr ? *build_block_ : build_rows_;
-  }
-
   std::unique_ptr<Operator> probe_;
-  std::unique_ptr<Operator> build_;           // null in block-build mode
-  const RowBlock* build_block_ = nullptr;     // null in operator-build mode
+  std::unique_ptr<Operator> build_;
   int probe_col_;
   int build_col_;
   ExecContext* ctx_;
-  // All build rows, columnar, in build-stream order (operator-build mode
-  // drains the child here; block-build mode points straight at the block).
+  // All build rows, columnar, in build-stream order.
   RowBlock build_rows_;
-  int64_t build_num_rows_ = 0;
-  // CSR hash table: partition p maps key -> a span of partition_rows_[p]
-  // holding that key's build row indices in build-stream order. A key's
-  // rows live in exactly one partition; the flat per-partition row array
-  // avoids a heap allocation per distinct key.
-  std::vector<KeyMap> partitions_;
-  std::vector<std::vector<uint32_t>> partition_rows_;
+  JoinIndex index_;
   std::unique_ptr<internal::OrderedBatchMapper> probe_mapper_;
   RowBlock probe_in_;
 };

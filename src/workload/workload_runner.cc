@@ -62,6 +62,11 @@ int SimilarityReport::CountNegative() const {
 StatusOr<SimilarityReport> MeasureVolumetricSimilarity(
     const ClientSite& client, const TableSource& vendor,
     const ExecOptions& exec) {
+  if (client.aqps.size() != client.queries.size()) {
+    return Status::InvalidArgument(
+        "client site has " + std::to_string(client.aqps.size()) +
+        " AQPs for " + std::to_string(client.queries.size()) + " queries");
+  }
   SimilarityReport report;
 
   auto add_entry = [&](const std::string& label, uint64_t want,

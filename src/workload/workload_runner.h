@@ -61,7 +61,8 @@ struct SimilarityReport {
 // Re-executes the client's queries against `vendor` (a materialized database
 // or a Hydra TupleGenerator) and compares every annotated edge, plus the
 // per-relation size CCs. `exec` parallelizes the vendor-side re-execution;
-// the report is identical at any num_threads.
+// the report is identical at any num_threads. kInvalidArgument when the
+// client holds a different number of AQPs than queries.
 StatusOr<SimilarityReport> MeasureVolumetricSimilarity(
     const ClientSite& client, const TableSource& vendor,
     const ExecOptions& exec = {});

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "engine/executor.h"
 #include "engine/table.h"
@@ -257,9 +259,113 @@ TEST(ExecutorTest, FkSideExpansionJoin) {
   EXPECT_EQ(aqp->steps.back().cardinality, expected);
 }
 
-// Property sweep: executing the toy query on databases generated with many
-// seeds always produces join cardinalities that match a brute-force join.
-class ExecutorPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+// A snowflake for shapes the TPC-DS generator never produces: F references
+// D1 and D3, D1 references D2.
+struct SnowflakeEnvironment {
+  Schema schema;
+  int f, d1, d2, d3;    // relations
+  int f_d1, f_d3, f_x;  // F attributes
+  int d1_d2, d1_y;      // D1 attributes
+  int d2_z, d3_w;       // D2 / D3 attributes
+};
+
+SnowflakeEnvironment MakeSnowflake() {
+  SnowflakeEnvironment env;
+  Relation d2("D2", 30);
+  d2.AddPrimaryKey("D2_pk");
+  env.d2_z = d2.AddDataAttribute("Z", Interval(0, 10));
+  env.d2 = env.schema.AddRelation(std::move(d2));
+  Relation d1("D1", 60);
+  d1.AddPrimaryKey("D1_pk");
+  env.d1_d2 = d1.AddForeignKey("D2_fk", env.d2);
+  env.d1_y = d1.AddDataAttribute("Y", Interval(0, 20));
+  env.d1 = env.schema.AddRelation(std::move(d1));
+  Relation d3("D3", 25);
+  d3.AddPrimaryKey("D3_pk");
+  env.d3_w = d3.AddDataAttribute("W", Interval(0, 8));
+  env.d3 = env.schema.AddRelation(std::move(d3));
+  Relation f("F", 400);
+  f.AddPrimaryKey("F_pk");
+  env.f_d1 = f.AddForeignKey("D1_fk", env.d1);
+  env.f_d3 = f.AddForeignKey("D3_fk", env.d3);
+  env.f_x = f.AddDataAttribute("X", Interval(0, 50));
+  env.f = env.schema.AddRelation(std::move(f));
+  return env;
+}
+
+// Brute-force AQP cardinalities: one per filtered table in table order, then
+// one per join prefix, counted by enumerating every joined tuple of
+// filtered rows.
+std::vector<uint64_t> OracleCardinalities(const Schema& schema,
+                                          const Database& db,
+                                          const Query& query) {
+  const int num_tables = static_cast<int>(query.tables.size());
+  std::vector<std::vector<Row>> rows(num_tables);
+  std::vector<uint64_t> out;
+  for (int t = 0; t < num_tables; ++t) {
+    const QueryTable& qt = query.tables[t];
+    db.Scan(qt.relation, [&](const Row& row) {
+      if (qt.filter.Eval(row)) rows[t].push_back(row);
+    });
+    if (!qt.filter.IsTrue()) out.push_back(rows[t].size());
+  }
+  std::vector<std::vector<size_t>> tuples;  // a row index per joined table
+  for (size_t r = 0; r < rows[0].size(); ++r) tuples.push_back({r});
+  for (int j = 0; j + 1 < num_tables; ++j) {
+    const JoinEdge& e = query.joins[j];
+    const int new_t = j + 1;
+    const int pk_attr =
+        schema.relation(query.tables[e.pk_table].relation).PrimaryKeyIndex();
+    std::vector<std::vector<size_t>> next;
+    for (const std::vector<size_t>& tuple : tuples) {
+      for (size_t r = 0; r < rows[new_t].size(); ++r) {
+        const auto row_of = [&](int t) -> const Row& {
+          return t == new_t ? rows[t][r] : rows[t][tuple[t]];
+        };
+        if (row_of(e.fk_table)[e.fk_attr] == row_of(e.pk_table)[pk_attr]) {
+          next.push_back(tuple);
+          next.back().push_back(r);
+        }
+      }
+    }
+    tuples = std::move(next);
+    out.push_back(tuples.size());
+  }
+  return out;
+}
+
+// Executes `query` at {1, 2, 8} threads × {1, 3, 4096}-row morsels and
+// checks every step against the oracle.
+void ExpectMatchesOracle(const Schema& schema, const Database& db,
+                         const Query& query) {
+  const std::vector<uint64_t> want = OracleCardinalities(schema, db, query);
+  for (const int threads : {1, 2, 8}) {
+    for (const int64_t morsel_rows : {1, 3, 4096}) {
+      Executor ex(schema, ExecOptions{threads, morsel_rows});
+      auto aqp = ex.Execute(query, db);
+      ASSERT_TRUE(aqp.ok()) << aqp.status().ToString();
+      std::vector<uint64_t> got;
+      for (const AqpStep& step : aqp->steps) got.push_back(step.cardinality);
+      EXPECT_EQ(got, want) << threads << " threads, " << morsel_rows;
+    }
+  }
+}
+
+// Property sweep: executing the toy query and the snowflake shapes on
+// databases generated with many seeds always produces join cardinalities
+// that match a brute-force join.
+class ExecutorPropertyTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  // The snowflake's client database for this test's seed.
+  Database SnowflakeDatabase() const {
+    const DataGenOptions options{.seed = GetParam()};
+    auto db = GenerateClientDatabase(snowflake_.schema, options);
+    HYDRA_CHECK(db.ok());
+    return std::move(*db);
+  }
+
+  const SnowflakeEnvironment snowflake_ = MakeSnowflake();
+};
 
 TEST_P(ExecutorPropertyTest, ThreeWayJoinMatchesBruteForce) {
   ToyEnvironment env = MakeToyEnvironment();
@@ -298,8 +404,118 @@ TEST_P(ExecutorPropertyTest, ThreeWayJoinMatchesBruteForce) {
   EXPECT_EQ(aqp->steps.back().cardinality, expected);
 }
 
+TEST_P(ExecutorPropertyTest, FkSideJoinThenPkSideJoinKeyedOnIt) {
+  // D1 ⋈ F expands (F is the FK side); D3 is then probed with F.D3_fk, a
+  // key carried by the expanded rows; D2 with the root's D2_fk.
+  const SnowflakeEnvironment& e = snowflake_;
+  Query q;
+  q.name = "expand_then_pk";
+  q.tables.push_back(QueryTable{e.d1, PredicateOf(AtomLess(e.d1_y, 12))});
+  q.tables.push_back(QueryTable{e.f, PredicateOf(AtomLess(e.f_x, 35))});
+  q.tables.push_back(QueryTable{e.d3, PredicateOf(AtomLess(e.d3_w, 5))});
+  q.tables.push_back(QueryTable{e.d2, DnfPredicate::True()});
+  q.joins.push_back(JoinEdge{1, e.f_d1, 0});
+  q.joins.push_back(JoinEdge{1, e.f_d3, 2});
+  q.joins.push_back(JoinEdge{0, e.d1_d2, 3});
+  ExpectMatchesOracle(e.schema, SnowflakeDatabase(), q);
+}
+
+TEST_P(ExecutorPropertyTest, ChainedFkSideJoins) {
+  // D2 ⋈ D1 ⋈ F: two expanding joins, the second probed with a non-root
+  // PK, then a PK-side join keyed on the last expanded table.
+  const SnowflakeEnvironment& e = snowflake_;
+  Query q;
+  q.name = "double_expand";
+  q.tables.push_back(QueryTable{e.d2, PredicateOf(AtomLess(e.d2_z, 6))});
+  q.tables.push_back(QueryTable{e.d1, DnfPredicate::True()});
+  q.tables.push_back(QueryTable{e.f, PredicateOf(AtomLess(e.f_x, 40))});
+  q.tables.push_back(QueryTable{e.d3, DnfPredicate::True()});
+  q.joins.push_back(JoinEdge{1, e.d1_d2, 0});
+  q.joins.push_back(JoinEdge{2, e.f_d1, 1});
+  q.joins.push_back(JoinEdge{2, e.f_d3, 3});
+  ExpectMatchesOracle(e.schema, SnowflakeDatabase(), q);
+}
+
+TEST_P(ExecutorPropertyTest, SnowflakeProbeKeyOnNonRootTable) {
+  // F ⋈ D1 ⋈ D2: D2 is probed with D1.D2_fk; D3 then needs the root's
+  // row ids carried past both.
+  const SnowflakeEnvironment& e = snowflake_;
+  Query q;
+  q.name = "snowflake";
+  q.tables.push_back(QueryTable{e.f, PredicateOf(AtomLess(e.f_x, 30))});
+  q.tables.push_back(QueryTable{e.d1, PredicateOf(AtomLess(e.d1_y, 15))});
+  q.tables.push_back(QueryTable{e.d2, PredicateOf(AtomLess(e.d2_z, 7))});
+  q.tables.push_back(QueryTable{e.d3, DnfPredicate::True()});
+  q.joins.push_back(JoinEdge{0, e.f_d1, 1});
+  q.joins.push_back(JoinEdge{1, e.d1_d2, 2});
+  q.joins.push_back(JoinEdge{0, e.f_d3, 3});
+  ExpectMatchesOracle(e.schema, SnowflakeDatabase(), q);
+}
+
+TEST_P(ExecutorPropertyTest, FilteredDimensionKeepsNoRows) {
+  const SnowflakeEnvironment& e = snowflake_;
+  Query q;
+  q.name = "empty_dimension";
+  q.tables.push_back(QueryTable{e.f, PredicateOf(AtomLess(e.f_x, 30))});
+  q.tables.push_back(
+      QueryTable{e.d1, PredicateOf(AtomRange(e.d1_y, 100, 200))});
+  q.tables.push_back(QueryTable{e.d3, DnfPredicate::True()});
+  q.joins.push_back(JoinEdge{0, e.f_d1, 1});
+  q.joins.push_back(JoinEdge{0, e.f_d3, 2});
+  ExpectMatchesOracle(e.schema, SnowflakeDatabase(), q);
+}
+
+TEST_P(ExecutorPropertyTest, RootFilterKeepsNoRows) {
+  const SnowflakeEnvironment& e = snowflake_;
+  Query q;
+  q.name = "empty_root";
+  q.tables.push_back(
+      QueryTable{e.f, PredicateOf(AtomRange(e.f_x, 1000, 2000))});
+  q.tables.push_back(QueryTable{e.d1, PredicateOf(AtomLess(e.d1_y, 15))});
+  q.tables.push_back(QueryTable{e.d2, DnfPredicate::True()});
+  q.joins.push_back(JoinEdge{0, e.f_d1, 1});
+  q.joins.push_back(JoinEdge{1, e.d1_d2, 2});
+  ExpectMatchesOracle(e.schema, SnowflakeDatabase(), q);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorPropertyTest,
                          ::testing::Range<uint64_t>(0, 12));
+
+TEST(ExecutorTest, CountsJoinIndexLayouts) {
+  // S keys are ranks (dense); T's two keys lie 10^6 apart, wider than
+  // max(8 × 2 rows, 2 scanned rows) (hashed).
+  ToyEnvironment env = MakeToyEnvironment();
+  Database db(env.schema);
+  const int r = env.schema.RelationIndex("R");
+  const int s = env.schema.RelationIndex("S");
+  const int t = env.schema.RelationIndex("T");
+  const int sfk = env.schema.relation(r).AttrIndex("S_fk");
+  const int tfk = env.schema.relation(r).AttrIndex("T_fk");
+  for (Value k = 0; k < 10; ++k) db.table(s).AppendRow({k, k, k});
+  db.table(t).AppendRow({0, 1});
+  db.table(t).AppendRow({1000000, 2});
+  for (Value k = 0; k < 20; ++k) {
+    db.table(r).AppendRow({k, k % 10, k % 2 == 0 ? 0 : 1000000});
+  }
+  Query q;
+  q.name = "layouts";
+  q.tables = {QueryTable{r}, QueryTable{s}, QueryTable{t}};
+  q.joins = {JoinEdge{0, sfk, 1}, JoinEdge{0, tfk, 2}};
+
+  const Counter* dense = MetricRegistry::FindCounter("engine/join_index_dense");
+  const Counter* hashed =
+      MetricRegistry::FindCounter("engine/join_index_hashed");
+  ASSERT_NE(dense, nullptr);
+  ASSERT_NE(hashed, nullptr);
+  const uint64_t dense_before = dense->value();
+  const uint64_t hashed_before = hashed->value();
+  Executor ex(env.schema);
+  auto aqp = ex.Execute(q, db);
+  ASSERT_TRUE(aqp.ok()) << aqp.status().ToString();
+  EXPECT_EQ(aqp->steps.back().cardinality, 20u);
+  EXPECT_EQ(dense->value() - dense_before, 1u);
+  EXPECT_EQ(hashed->value() - hashed_before, 1u);
+}
 
 }  // namespace
 }  // namespace hydra

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "engine/operators.h"
 #include "hydra/regenerator.h"
 #include "workload/toy.h"
@@ -83,6 +86,122 @@ TEST(HashJoinOpTest, EmptyBuildSideYieldsNothing) {
   HashJoinOp join(std::make_unique<TableScanOp>(&probe), 0,
                   std::make_unique<TableScanOp>(&build), 0);
   EXPECT_EQ(CountRows(&join), 0u);
+}
+
+// --- JoinIndex -------------------------------------------------------------
+
+using Layout = JoinIndex::Layout;
+
+// The build row ids `index` holds for `key`, in span order.
+std::vector<uint32_t> RowsOf(const JoinIndex& index, Value key) {
+  JoinIndex::Span span;
+  index.Probe(&key, 1, &span);
+  const uint32_t* ids = index.row_ids() + span.begin;
+  return std::vector<uint32_t>(ids, ids + span.len);
+}
+
+// Builds an index over `keys` and checks its layout, and that every probe
+// returns exactly the rows holding that key, in build order.
+void ExpectIndex(const std::vector<Value>& keys, int64_t scanned_rows,
+                 ExecContext* ctx, Layout layout,
+                 const std::vector<Value>& probes) {
+  const int64_t n = static_cast<int64_t>(keys.size());
+  JoinIndex index;
+  index.Build(keys.data(), n, scanned_rows, ctx);
+  EXPECT_EQ(index.layout(), layout);
+  for (const Value probe : probes) {
+    std::vector<uint32_t> want;
+    for (int64_t r = 0; r < n; ++r) {
+      if (keys[r] == probe) want.push_back(static_cast<uint32_t>(r));
+    }
+    EXPECT_EQ(RowsOf(index, probe), want) << "key " << probe;
+  }
+}
+
+// Moves a small value 2^33 times further from zero: spread keys keep their
+// duplicates, signs and build order, but their range exceeds every dense
+// limit. Values beyond ±2^29 (INT64_MIN/MAX probes) stay put.
+Value Spread(Value v) {
+  constexpr Value kSmall = Value{1} << 29;
+  return v > -kSmall && v < kSmall ? v * (Value{1} << 33) : v;
+}
+
+// Checks the dense layout over `keys` (scanned rows = their range), then
+// the hashed layout — sequential and partitioned across a pool — over the
+// same keys spread apart.
+void ExpectLayoutsAgree(const std::vector<Value>& keys,
+                        const std::vector<Value>& probes) {
+  ASSERT_FALSE(keys.empty());
+  const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+  ExpectIndex(keys, *hi - *lo + 1, nullptr, Layout::kDense, probes);
+  std::vector<Value> spread_keys(keys.size());
+  std::vector<Value> spread_probes(probes.size());
+  std::transform(keys.begin(), keys.end(), spread_keys.begin(), Spread);
+  std::transform(probes.begin(), probes.end(), spread_probes.begin(), Spread);
+  const int64_t n = static_cast<int64_t>(keys.size());
+  ExecContext pool(ExecOptions{4, 4096});
+  ExpectIndex(spread_keys, n, nullptr, Layout::kHashed, spread_probes);
+  ExpectIndex(spread_keys, n, &pool, Layout::kHashed, spread_probes);
+}
+
+TEST(JoinIndexTest, LayoutsAgreeOnDuplicateAndNegativeKeys) {
+  const std::vector<Value> keys = {5, -3, 5, 0, -3, 7, 5, -10, 0, 5};
+  ExpectLayoutsAgree(keys, {5, -3, 0, 7, -10, -11, -4, 8, INT64_MIN});
+  ExpectLayoutsAgree(keys, {1, 6, 100, INT64_MAX});
+}
+
+TEST(JoinIndexTest, LayoutsAgreeOnLargeBuild) {
+  // Large enough for the hashed build to partition across the pool.
+  std::vector<Value> keys;
+  for (int64_t i = 0; i < 5000; ++i) keys.push_back((i * 7919) % 1301 - 650);
+  std::vector<Value> probes;
+  for (Value k = -660; k <= 660; ++k) probes.push_back(k);
+  ExpectLayoutsAgree(keys, probes);
+}
+
+TEST(JoinIndexTest, EmptyBuildMatchesNothing) {
+  // No key range: an empty build always takes the (two-entry) dense layout.
+  ExpectIndex({}, 0, nullptr, Layout::kDense, {0, 1, -1, INT64_MIN, INT64_MAX});
+}
+
+TEST(JoinIndexTest, DenseUpToTheThresholdExactly) {
+  // Two build rows: the limit is max(8 × 2, min(scanned rows, cap)).
+  constexpr int64_t kCap = JoinIndex::kScanRangeCap;
+  EXPECT_EQ(JoinIndex::ChooseLayout(15, 2, 0), Layout::kDense);
+  EXPECT_EQ(JoinIndex::ChooseLayout(16, 2, 0), Layout::kHashed);
+  EXPECT_EQ(JoinIndex::ChooseLayout(99, 2, 100), Layout::kDense);
+  EXPECT_EQ(JoinIndex::ChooseLayout(100, 2, 100), Layout::kHashed);
+  EXPECT_EQ(JoinIndex::ChooseLayout(kCap - 1, 2, 4 * kCap), Layout::kDense);
+  EXPECT_EQ(JoinIndex::ChooseLayout(kCap, 2, 4 * kCap), Layout::kHashed);
+  // Past the cap the build-rows arm still applies.
+  EXPECT_EQ(JoinIndex::ChooseLayout(8 * kCap - 1, kCap, 4 * kCap),
+            Layout::kDense);
+
+  for (const int64_t scanned : {int64_t{0}, int64_t{100}}) {
+    const Value limit = std::max<Value>(16, scanned);
+    for (const Value hi : {limit - 1, limit}) {
+      const std::vector<Value> keys = {-3, hi - 3};  // range = hi + 1
+      JoinIndex index;
+      index.Build(keys.data(), 2, scanned);
+      const Layout want = hi < limit ? Layout::kDense : Layout::kHashed;
+      EXPECT_EQ(index.layout(), want) << "range " << hi + 1;
+      ExpectLayoutsAgree(keys, {-4, -3, -2, hi - 4, hi - 3, hi - 2});
+    }
+  }
+}
+
+TEST(JoinIndexTest, FullInt64RangeTakesHashedLayout) {
+  // max - min + 1 = 2^64 overflows int64; the rule must still see a huge
+  // range rather than wrap to a small one.
+  const std::vector<Value> keys = {INT64_MAX, 0, INT64_MIN, INT64_MAX};
+  JoinIndex index;
+  index.Build(keys.data(), 4, 4);
+  EXPECT_EQ(index.layout(), Layout::kHashed);
+  EXPECT_EQ(RowsOf(index, INT64_MAX), (std::vector<uint32_t>{0, 3}));
+  EXPECT_EQ(RowsOf(index, INT64_MIN), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(RowsOf(index, 0), (std::vector<uint32_t>{1}));
+  EXPECT_TRUE(RowsOf(index, 1).empty());
+  EXPECT_TRUE(RowsOf(index, INT64_MAX - 1).empty());
 }
 
 TEST(HashAggregateOpTest, GroupedCountsAndSums) {

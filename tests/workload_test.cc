@@ -187,6 +187,21 @@ TEST(SimilarityTest, DetectsDeviations) {
   EXPECT_GT(report->CountNegative(), 0);
 }
 
+TEST(SimilarityTest, RejectsSiteWithMissingAqps) {
+  ToyEnvironment env = MakeToyEnvironment();
+  env.schema.mutable_relation(0).set_row_count(100);
+  env.schema.mutable_relation(1).set_row_count(100);
+  env.schema.mutable_relation(2).set_row_count(1000);
+  Query second = env.query;
+  second.name = "toy_q2";
+  auto site = BuildClientSite(env.schema, DataGenOptions{.seed = 6},
+                              {env.query, second});
+  ASSERT_TRUE(site.ok());
+  site->aqps.pop_back();  // one AQP short of the two queries
+  auto report = MeasureVolumetricSimilarity(*site, site->database);
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ToyTest, EnvironmentMatchesPaperFigures) {
   ToyEnvironment env = MakeToyEnvironment();
   ASSERT_EQ(env.ccs.size(), 7u);
