@@ -42,15 +42,12 @@ int main(int argc, char** argv) {
   };
 
   auto hydra_measure = [&json](const ClientSite& site,
-                               const std::string& record_name,
-                               SimplexPricing pricing =
-                                   SimplexPricing::kDevex) {
+                               const std::string& record_name) {
     // Solve views sequentially: the figure (and the JSON perf trajectory)
     // tracks LP time itself, and summed per-view durations measured under
     // concurrent execution would fold scheduler contention into the metric.
     HydraOptions options;
     options.num_threads = 1;
-    options.simplex.pricing = pricing;
     HydraRegenerator hydra(site.schema, options);
     auto result = hydra.Regenerate(site.ccs);
     HYDRA_CHECK_MSG(result.ok(), result.status().ToString());
@@ -89,9 +86,6 @@ int main(int argc, char** argv) {
 
   const Measurement hydra_wlc = hydra_measure(wlc, "hydra_lp_wlc");
   const Measurement hydra_wls = hydra_measure(wls, "hydra_lp_wls");
-  // A/B record for the perf trajectory: same LPs under rotating partial
-  // pricing (SimplexOptions::pricing) instead of the default Devex.
-  hydra_measure(wlc, "hydra_lp_wlc_partial", SimplexPricing::kPartial);
   const Measurement ds_wlc = datasynth_measure(wlc);
   const Measurement ds_wls = datasynth_measure(wls);
 

@@ -79,7 +79,9 @@ void BM_GridCellCount(benchmark::State& state) {
 }
 BENCHMARK(BM_GridCellCount)->Args({16, 4})->Args({24, 6});
 
-// Args: {vars, rows, pricing (0 = Devex, 1 = partial)}.
+// Args: {vars, rows}. The wide, shallow {100000, 50} and {400000, 30}
+// instances are the DataSynth grid regime, where the candidate-list refill
+// scan dominates.
 void BM_SimplexFeasibility(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int m = static_cast<int>(state.range(1));
@@ -100,65 +102,19 @@ void BM_SimplexFeasibility(benchmark::State& state) {
     c.rhs = static_cast<double>(rhs);
     p.AddConstraint(std::move(c));
   }
-  SimplexOptions options;
-  options.pricing = state.range(2) == 0 ? SimplexPricing::kDevex
-                                        : SimplexPricing::kPartial;
   for (auto _ : state) {
-    auto sol = SolveFeasibility(p, options);
+    auto sol = SolveFeasibility(p);
     benchmark::DoNotOptimize(sol);
   }
   state.counters["vars"] = n;
   state.counters["rows"] = m;
 }
 BENCHMARK(BM_SimplexFeasibility)
-    ->Args({100, 20, 0})
-    ->Args({1000, 50, 0})
-    ->Args({10000, 100, 0})
-    ->Args({10000, 100, 1})
-    ->Args({100000, 50, 0})
-    ->Args({100000, 50, 1});
-
-// A/B for the striped candidate-list refill (SimplexOptions::
-// pricing_threads): the same wide, shallow LP — the DataSynth grid regime
-// where the fresh-block scan dominates — solved with a sequential scan and
-// with the block striped over 2/4 workers. The pivot path is bit-identical
-// at every setting (the stripes merge in column order), so any delta is
-// pure scan throughput. Args: {vars, rows, pricing_threads}.
-void BM_SimplexParallelPricing(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int m = static_cast<int>(state.range(1));
-  Rng rng(3);
-  std::vector<int64_t> witness(n);
-  for (int j = 0; j < n; ++j) witness[j] = rng.NextInt(0, 1000000);
-  LpProblem p;
-  p.AddVariables(n);
-  for (int i = 0; i < m; ++i) {
-    LpConstraint c;
-    int64_t rhs = 0;
-    for (int j = 0; j < n; ++j) {
-      if (rng.NextBool(0.3)) {
-        c.AddTerm(j, 1.0);
-        rhs += witness[j];
-      }
-    }
-    c.rhs = static_cast<double>(rhs);
-    p.AddConstraint(std::move(c));
-  }
-  SimplexOptions options;
-  options.pricing_threads = static_cast<int>(state.range(2));
-  for (auto _ : state) {
-    auto sol = SolveFeasibility(p, options);
-    benchmark::DoNotOptimize(sol);
-  }
-  state.counters["vars"] = n;
-  state.counters["threads"] = options.pricing_threads;
-}
-BENCHMARK(BM_SimplexParallelPricing)
-    ->Args({100000, 50, 1})
-    ->Args({100000, 50, 2})
-    ->Args({100000, 50, 4})
-    ->Args({400000, 30, 1})
-    ->Args({400000, 30, 4});
+    ->Args({100, 20})
+    ->Args({1000, 50})
+    ->Args({10000, 100})
+    ->Args({100000, 50})
+    ->Args({400000, 30});
 
 // Re-solving an LP seeded with its own exported basis vs solving it cold
 // — the warm-start chain case in src/hydra/regenerator.cc, where
@@ -284,7 +240,7 @@ BENCHMARK(BM_TupleGenerationThroughput);
 
 void BM_ExecutorAqp(benchmark::State& state) {
   // Full AQP collection over the toy query: morsel-parallel scan+filter
-  // through the operator pipeline, then the join cardinality annotations.
+  // through SourceScanOp, then the probe chain's join cardinalities.
   ToyEnvironment env = MakeToyEnvironment();
   HydraRegenerator hydra(env.schema);
   auto result = hydra.Regenerate(env.ccs);

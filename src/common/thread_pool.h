@@ -83,11 +83,6 @@ class WaitGroup {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return pending_ == 0; });
   }
-  // Blocks until fewer than `limit` tasks are in flight (bounded dispatch).
-  void WaitUntilBelow(int limit) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this, limit] { return pending_ < limit; });
-  }
 
  private:
   std::mutex mu_;

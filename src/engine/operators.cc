@@ -74,7 +74,8 @@ class MorselPipeline {
   }
 
   // Waits out in-flight morsels: tasks capture `this` and the fill state,
-  // so an early-terminated scan (e.g. under a LimitOp) must drain.
+  // so a scan destroyed mid-stream (a consumer that stops early, or a
+  // cancel) must drain.
   ~MorselPipeline() { wg_.Wait(); }
 
   bool Next(RowBlock* out) {
@@ -152,76 +153,6 @@ class MorselPipeline {
   WaitGroup wg_;
 };
 
-// Pulls batches from `child` on the consumer thread, maps up to 2*threads of
-// them concurrently through `fn` on the pool, and yields the mapped outputs
-// in input order — the parallel probe machinery of HashJoinOp.
-class OrderedBatchMapper {
- public:
-  using MapFn = std::function<void(const RowBlock&, RowBlock*)>;
-
-  OrderedBatchMapper(ExecContext* ctx, Operator* child, MapFn fn)
-      : ctx_(ctx),
-        child_(child),
-        fn_(std::move(fn)),
-        slots_(2 * ctx->parallelism()) {}
-
-  ~OrderedBatchMapper() { wg_.Wait(); }
-
-  bool Next(RowBlock* out) {
-    for (;;) {
-      // Keep the window full: pull child batches into free slots and hand
-      // them to the pool. Pulling happens only on this (consumer) thread.
-      while (!child_eof_ &&
-             next_fill_ - next_emit_ < static_cast<int64_t>(slots_.size())) {
-        Slot* slot = &slots_[next_fill_ % slots_.size()];
-        if (!child_->NextBatch(&slot->in)) {
-          child_eof_ = true;
-          break;
-        }
-        ++next_fill_;
-        wg_.Add();
-        ctx_->pool()->Submit([this, slot] {
-          fn_(slot->in, &slot->out);
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            slot->done = true;
-            cv_.notify_all();
-          }
-          wg_.Done();
-        });
-      }
-      if (next_emit_ == next_fill_) return false;  // drained at child EOF
-      Slot& slot = slots_[next_emit_ % slots_.size()];
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&slot] { return slot.done; });
-        std::swap(*out, slot.out);
-        slot.done = false;
-      }
-      ++next_emit_;
-      if (!out->empty()) return true;
-    }
-  }
-
- private:
-  struct Slot {
-    RowBlock in;
-    RowBlock out;
-    bool done = false;
-  };
-
-  ExecContext* ctx_;
-  Operator* child_;
-  MapFn fn_;
-  std::vector<Slot> slots_;
-  bool child_eof_ = false;
-  int64_t next_fill_ = 0;
-  int64_t next_emit_ = 0;
-  std::mutex mu_;  // guards the slots' done flags
-  std::condition_variable cv_;
-  WaitGroup wg_;
-};
-
 }  // namespace internal
 
 // --- ExecContext ---------------------------------------------------------
@@ -263,31 +194,7 @@ void ForEachMorsel(ExecContext* ctx, int64_t total_rows,
   morsels.Next(&none);
 }
 
-// --- Operator base -------------------------------------------------------
-
-Operator::~Operator() = default;
-
-void Operator::Open() {
-  shim_.Reset(0);
-  shim_pos_ = 0;
-  shim_eof_ = false;
-  OpenImpl();
-}
-
-bool Operator::Next(Row* out) {
-  while (shim_pos_ >= shim_.num_rows()) {
-    if (shim_eof_ || !NextBatch(&shim_)) {
-      shim_eof_ = true;
-      return false;
-    }
-    shim_pos_ = 0;
-  }
-  out->resize(shim_.num_columns());
-  shim_.CopyRowTo(shim_pos_++, out->data());
-  return true;
-}
-
-// --- Leaves --------------------------------------------------------------
+// --- SourceScanOp --------------------------------------------------------
 
 SourceScanOp::SourceScanOp(const TableSource* source, int relation,
                            int num_columns, DnfPredicate filter,
@@ -301,7 +208,7 @@ SourceScanOp::SourceScanOp(const TableSource* source, int relation,
 
 SourceScanOp::~SourceScanOp() = default;
 
-void SourceScanOp::OpenImpl() {
+void SourceScanOp::Open() {
   morsels_ = std::make_unique<internal::MorselPipeline>(
       ctx_, static_cast<int64_t>(source_->RowCount(relation_)), num_columns_,
       [this](int64_t begin, int64_t end, RowBlock* out) {
@@ -322,91 +229,6 @@ void SourceScanOp::OpenImpl() {
 }
 
 bool SourceScanOp::NextBatch(RowBlock* out) { return morsels_->Next(out); }
-
-TableScanOp::TableScanOp(const Table* table, ExecContext* ctx)
-    : table_(table), ctx_(ctx) {}
-
-TableScanOp::~TableScanOp() = default;
-
-void TableScanOp::OpenImpl() {
-  morsels_ = std::make_unique<internal::MorselPipeline>(
-      ctx_, static_cast<int64_t>(table_->num_rows()), table_->num_columns(),
-      [this](int64_t begin, int64_t end, RowBlock* out) {
-        out->AppendRowMajor(table_->RowPtr(begin), end - begin);
-      });
-}
-
-bool TableScanOp::NextBatch(RowBlock* out) { return morsels_->Next(out); }
-
-GeneratorScanOp::GeneratorScanOp(const TupleGenerator* generator, int relation,
-                                 int num_columns, ExecContext* ctx)
-    : generator_(generator),
-      relation_(relation),
-      num_columns_(num_columns),
-      ctx_(ctx) {}
-
-GeneratorScanOp::~GeneratorScanOp() = default;
-
-void GeneratorScanOp::OpenImpl() {
-  morsels_ = std::make_unique<internal::MorselPipeline>(
-      ctx_, static_cast<int64_t>(generator_->RowCount(relation_)),
-      num_columns_, [this](int64_t begin, int64_t end, RowBlock* out) {
-        generator_->FillBlockRange(relation_, begin, end, out);
-      });
-}
-
-bool GeneratorScanOp::NextBatch(RowBlock* out) { return morsels_->Next(out); }
-
-// --- Filter / Project / Limit --------------------------------------------
-
-bool FilterOp::NextBatch(RowBlock* out) {
-  out->Reset(child_->num_columns());
-  while (child_->NextBatch(&in_)) {
-    predicate_.Select(in_, &sel_);
-    const int64_t kept = static_cast<int64_t>(sel_.size());
-    if (kept == 0) continue;
-    out->ResizeUninitialized(kept);
-    for (int c = 0; c < in_.num_columns(); ++c) {
-      kernels::Gather(in_.Column(c), sel_.data(), kept, out->MutableColumn(c));
-    }
-    return true;
-  }
-  return false;
-}
-
-bool ProjectOp::NextBatch(RowBlock* out) {
-  const int num_cols = static_cast<int>(columns_.size());
-  out->Reset(num_cols);
-  if (!child_->NextBatch(&in_)) return false;
-  const int64_t rows = in_.num_rows();
-  // Column moves: swap each projected buffer out of the owned input block;
-  // the output's previous buffer swaps back in, so both blocks keep their
-  // capacity. A source column projected twice copies on re-use.
-  std::vector<int> moved_to(in_.num_columns(), -1);
-  for (int c = 0; c < num_cols; ++c) {
-    const int src = columns_[c];
-    if (moved_to[src] < 0) {
-      std::swap(out->MutableColumnBuffer(c), in_.MutableColumnBuffer(src));
-      moved_to[src] = c;
-    } else {
-      const ValueBuffer& first = out->MutableColumnBuffer(moved_to[src]);
-      out->MutableColumnBuffer(c).assign(first.begin(), first.end());
-    }
-  }
-  out->SetNumRows(rows);
-  return true;
-}
-
-bool LimitOp::NextBatch(RowBlock* out) {
-  if (emitted_ >= limit_) return false;
-  if (!child_->NextBatch(out)) return false;
-  const uint64_t remaining = limit_ - emitted_;
-  if (static_cast<uint64_t>(out->num_rows()) > remaining) {
-    out->Truncate(static_cast<int64_t>(remaining));
-  }
-  emitted_ += out->num_rows();
-  return true;
-}
 
 // --- JoinIndex -----------------------------------------------------------
 
@@ -623,248 +445,6 @@ void JoinIndex::Probe(const Value* keys, int64_t n, Span* spans) const {
         partitions_[num_parts == 1 ? 0 : h % num_parts].Find(keys[i], h);
     spans[i] = slot == nullptr ? Span{} : Span{slot->begin, slot->len};
   }
-}
-
-// --- HashJoinOp ----------------------------------------------------------
-
-HashJoinOp::HashJoinOp(std::unique_ptr<Operator> probe, int probe_col,
-                       std::unique_ptr<Operator> build, int build_col,
-                       ExecContext* ctx)
-    : probe_(std::move(probe)),
-      build_(std::move(build)),
-      probe_col_(probe_col),
-      build_col_(build_col),
-      ctx_(ctx) {}
-
-HashJoinOp::~HashJoinOp() = default;
-
-void HashJoinOp::OpenImpl() {
-  probe_mapper_.reset();
-  build_->Open();
-  build_rows_.Reset(build_->num_columns());
-  RowBlock b;
-  while (build_->NextBatch(&b)) build_rows_.AppendBlock(b);
-  // The build stream is all the operator sees of its relation, so it also
-  // stands in for the scanned row count of the layout rule.
-  const int64_t n = build_rows_.num_rows();
-  index_.Build(build_rows_.Column(build_col_), n, n, ctx_);
-
-  probe_->Open();
-  if (ctx_ != nullptr && ctx_->parallelism() > 1) {
-    // The index is read-only from here on: probe batches may be joined
-    // concurrently and are emitted in probe order.
-    probe_mapper_ = std::make_unique<internal::OrderedBatchMapper>(
-        ctx_, probe_.get(),
-        [this](const RowBlock& in, RowBlock* out) { JoinBatch(in, out); });
-  }
-}
-
-void HashJoinOp::JoinBatch(const RowBlock& in, RowBlock* out) const {
-  out->Reset(num_columns());
-  const int probe_cols = in.num_columns();
-  const int64_t probe_n = in.num_rows();
-  // Pass 1: resolve each probe row's span so the output can be sized in
-  // one allocation (per-output-row growth dominated the join otherwise).
-  // thread_local scratch: probe batches are joined concurrently by the
-  // OrderedBatchMapper's workers.
-  thread_local std::vector<JoinIndex::Span> spans;
-  spans.resize(static_cast<size_t>(probe_n));
-  index_.Probe(in.Column(probe_col_), probe_n, spans.data());
-  int64_t total_rows = 0;
-  for (const JoinIndex::Span& s : spans) total_rows += s.len;
-  // Flatten the match spans into per-output-row source indices once, so
-  // the per-column fill is a straight-line gather rather than a nested
-  // match-span walk repeated for every column.
-  thread_local std::vector<int32_t> probe_idx;
-  thread_local std::vector<uint32_t> build_idx;
-  probe_idx.resize(static_cast<size_t>(total_rows));
-  build_idx.resize(static_cast<size_t>(total_rows));
-  const uint32_t* const row_ids = index_.row_ids();
-  int64_t pos = 0;
-  for (int64_t r = 0; r < probe_n; ++r) {
-    for (uint32_t i = 0; i < spans[r].len; ++i) {
-      probe_idx[pos] = static_cast<int32_t>(r);
-      build_idx[pos] = row_ids[spans[r].begin + i];
-      ++pos;
-    }
-  }
-  // Pass 2: fill column by column — probe values splat across their match
-  // runs, build values gather through the span row ids.
-  out->ResizeUninitialized(total_rows);
-  for (int c = 0; c < probe_cols; ++c) {
-    kernels::Gather(in.Column(c), probe_idx.data(), total_rows,
-                    out->MutableColumn(c));
-  }
-  for (int c = 0; c < build_rows_.num_columns(); ++c) {
-    const Value* src = build_rows_.Column(c);
-    Value* dst = out->MutableColumn(probe_cols + c);
-    for (int64_t i = 0; i < total_rows; ++i) dst[i] = src[build_idx[i]];
-  }
-}
-
-bool HashJoinOp::NextBatch(RowBlock* out) {
-  if (probe_mapper_ != nullptr) return probe_mapper_->Next(out);
-  while (probe_->NextBatch(&probe_in_)) {
-    JoinBatch(probe_in_, out);
-    if (!out->empty()) return true;
-  }
-  return false;
-}
-
-// --- HashAggregateOp -----------------------------------------------------
-
-void HashAggregateOp::AccumulateBatch(const RowBlock& in,
-                                      GroupMap* groups) const {
-  // Hoist the column base pointers; the per-row loop then indexes straight
-  // into the contiguous buffers.
-  thread_local std::vector<const Value*> group_cols;
-  thread_local std::vector<const Value*> agg_cols;
-  group_cols.clear();
-  for (int c : group_by_) group_cols.push_back(in.Column(c));
-  agg_cols.clear();
-  for (const Aggregate& agg : aggregates_) {
-    agg_cols.push_back(agg.column >= 0 ? in.Column(agg.column) : nullptr);
-  }
-  Row key;
-  for (int64_t r = 0; r < in.num_rows(); ++r) {
-    key.clear();
-    for (const Value* col : group_cols) key.push_back(col[r]);
-    auto [it, inserted] = groups->try_emplace(key);
-    if (inserted) {
-      it->second.reserve(aggregates_.size());
-      for (const Aggregate& agg : aggregates_) {
-        switch (agg.kind) {
-          case AggregateKind::kCount:
-          case AggregateKind::kSum:
-            it->second.push_back(0);
-            break;
-          case AggregateKind::kMin:
-            it->second.push_back(INT64_MAX);
-            break;
-          case AggregateKind::kMax:
-            it->second.push_back(INT64_MIN);
-            break;
-        }
-      }
-    }
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      int64_t& state = it->second[a];
-      switch (aggregates_[a].kind) {
-        case AggregateKind::kCount:
-          ++state;
-          break;
-        case AggregateKind::kSum:
-          state += agg_cols[a][r];
-          break;
-        case AggregateKind::kMin:
-          state = std::min(state, agg_cols[a][r]);
-          break;
-        case AggregateKind::kMax:
-          state = std::max(state, agg_cols[a][r]);
-          break;
-      }
-    }
-  }
-}
-
-void HashAggregateOp::OpenImpl() {
-  child_->Open();
-  next_result_ = 0;
-
-  GroupMap merged;
-  const int num_workers = ctx_ == nullptr ? 1 : ctx_->parallelism();
-  if (num_workers <= 1) {
-    RowBlock in;
-    while (child_->NextBatch(&in)) AccumulateBatch(in, &merged);
-  } else {
-    // Child batches fold into per-worker partial states; dispatch is
-    // bounded to 2 batches per worker. count/sum/min/max over int64 are
-    // commutative and associative, so neither the batch-to-slot assignment
-    // nor execution order can change the merged result.
-    struct Partial {
-      std::mutex mu;
-      GroupMap groups;
-    };
-    std::vector<std::unique_ptr<Partial>> partials;
-    partials.reserve(num_workers);
-    for (int k = 0; k < num_workers; ++k) {
-      partials.push_back(std::make_unique<Partial>());
-    }
-    WaitGroup wg;
-    const int window = 2 * num_workers;
-    int64_t batch_index = 0;
-    RowBlock in;
-    while (child_->NextBatch(&in)) {
-      auto block = std::make_shared<RowBlock>(std::move(in));
-      Partial* slot = partials[batch_index++ % num_workers].get();
-      wg.WaitUntilBelow(window);
-      wg.Add();
-      ctx_->pool()->Submit([this, block, slot, &wg] {
-        {
-          std::lock_guard<std::mutex> part_lock(slot->mu);
-          AccumulateBatch(*block, &slot->groups);
-        }
-        wg.Done();
-      });
-    }
-    wg.Wait();
-    for (auto& partial : partials) {
-      for (auto& [key, values] : partial->groups) {
-        auto [it, inserted] = merged.try_emplace(key, std::move(values));
-        if (inserted) continue;
-        for (size_t a = 0; a < aggregates_.size(); ++a) {
-          switch (aggregates_[a].kind) {
-            case AggregateKind::kCount:
-            case AggregateKind::kSum:
-              it->second[a] += values[a];
-              break;
-            case AggregateKind::kMin:
-              it->second[a] = std::min(it->second[a], values[a]);
-              break;
-            case AggregateKind::kMax:
-              it->second[a] = std::max(it->second[a], values[a]);
-              break;
-          }
-        }
-      }
-    }
-  }
-
-  results_.Reset(num_columns());
-  results_.ResizeUninitialized(static_cast<int64_t>(merged.size()));
-  const int num_groups = static_cast<int>(group_by_.size());
-  int64_t r = 0;
-  for (const auto& [key, values] : merged) {
-    for (int c = 0; c < num_groups; ++c) {
-      results_.MutableColumn(c)[r] = key[c];
-    }
-    for (size_t a = 0; a < values.size(); ++a) {
-      results_.MutableColumn(num_groups + static_cast<int>(a))[r] = values[a];
-    }
-    ++r;
-  }
-}
-
-bool HashAggregateOp::NextBatch(RowBlock* out) {
-  const int64_t total = results_.num_rows();
-  if (next_result_ >= total) return false;
-  const int64_t batch_rows = std::max<int64_t>(
-      1, ctx_ == nullptr ? ExecOptions{}.morsel_rows : ctx_->morsel_rows());
-  const int64_t chunk = std::min(total - next_result_, batch_rows);
-  out->Reset(num_columns());
-  out->AppendRange(results_, next_result_, chunk);
-  next_result_ += chunk;
-  return true;
-}
-
-// --- CountRows -----------------------------------------------------------
-
-uint64_t CountRows(Operator* op) {
-  op->Open();
-  RowBlock block;
-  uint64_t count = 0;
-  while (op->NextBatch(&block)) count += block.num_rows();
-  return count;
 }
 
 }  // namespace hydra

@@ -1,26 +1,25 @@
-// Batch-vectorized, morsel-driven execution engine. Section 6's `datagen`
-// feature is realized by swapping the leaf: TableScanOp reads materialized
-// storage, GeneratorScanOp pulls tuples straight out of the database summary,
-// SourceScanOp scans any TableSource — every operator above is oblivious to
-// where the rows come from.
+// Morsel-driven scan layer of the execution engine. Section 6's `datagen`
+// feature is realized by swapping the source: SourceScanOp scans any
+// TableSource — a materialized Database, or a TupleGenerator pulling tuples
+// straight out of the database summary — and the executor above it is
+// oblivious to where the rows come from.
 //
-// Operators exchange columnar RowBlock batches (NextBatch); the hot loops —
-// predicate evaluation, join-key hashing, generator fills, projection — run
-// as per-column kernels (engine/kernels.h) over the blocks' contiguous
-// column buffers, with filters communicating through selection vectors.
-// The row-at-a-time Next() shim on the base class exists only for root
-// consumers and tests. Leaves fan morsels (fixed-size rank ranges of
-// ScanRange/FillBlockRange) out over an ExecContext's thread pool and emit
-// the filled blocks in rank order, so the concatenated row stream — and
-// therefore every cardinality, aggregate value, and root row order — is
-// byte-identical at any thread count and at either kernel dispatch path
-// (docs/engine.md).
+// Scans emit columnar RowBlock batches; the hot loops — predicate
+// evaluation, join-key hashing, generator fills — run as per-column kernels
+// (engine/kernels.h) over the blocks' contiguous column buffers, with
+// filters communicating through selection vectors. A scan fans morsels
+// (fixed-size rank ranges of FillBlockRange) out over an ExecContext's
+// thread pool and emits the filled blocks in rank order, so the
+// concatenated row stream — and therefore every cardinality — is
+// byte-identical at any thread count and at either kernel dispatch path.
+// ForEachMorsel runs the same dispatch for work that emits no rows (the
+// executor's probe chain), and JoinIndex is the key index that chain
+// probes (docs/engine.md).
 
 #ifndef HYDRA_ENGINE_OPERATORS_H_
 #define HYDRA_ENGINE_OPERATORS_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -29,7 +28,6 @@
 #include "engine/kernels.h"
 #include "engine/row_block.h"
 #include "engine/table.h"
-#include "hydra/tuple_generator.h"
 #include "query/predicate.h"
 
 namespace hydra {
@@ -40,8 +38,8 @@ struct ExecOptions {
   // Worker threads for morsel fan-out. 0 = one per hardware thread;
   // 1 = fully sequential (no pool, no handoff machinery).
   int num_threads = 1;
-  // Rows per morsel: the unit of leaf parallel work and the target batch
-  // size flowing between operators.
+  // Rows per morsel: the unit of scan parallel work and the batch size a
+  // scan emits before its filter.
   int64_t morsel_rows = 4096;
 
   int ResolvedThreads() const {
@@ -50,9 +48,9 @@ struct ExecOptions {
   }
 };
 
-// Shared execution state for one operator tree (reused across the queries of
-// a workload): the options plus the pool morsel work fans out on. Operators
-// given no context — or a 1-thread context — run fully sequentially.
+// Shared execution state for one executor (reused across the queries of a
+// workload): the options plus the pool morsel work fans out on. Scans given
+// no context — or a 1-thread context — run fully sequentially.
 //
 // Two ownership modes:
 //  * owning (the classic constructor): the context spawns its own pool of
@@ -61,7 +59,7 @@ struct ExecOptions {
 //    its fan-out at `slot_parallelism` — the serving layer's "scheduler
 //    slot", letting many concurrent pipelines share one pool with bounded
 //    per-pipeline width. Tasks submitted through a slot must never block on
-//    other pool tasks (the engine's leaf tasks never do), so slots cannot
+//    other pool tasks (the engine's morsel tasks never do), so slots cannot
 //    deadlock a shared pool.
 class ExecContext {
  public:
@@ -104,11 +102,11 @@ class ExecContext {
 
 // The number of morsel_rows-sized rank ranges [0, total_rows) splits into
 // under `ctx` (ExecOptions' default morsel size without one): the morsels
-// ForEachMorsel and the scan leaves run.
+// ForEachMorsel and SourceScanOp run.
 int64_t NumMorsels(const ExecContext* ctx, int64_t total_rows);
 
 // Runs task(morsel, begin, end) once per morsel of [0, total_rows) through
-// the leaves' dispatch: at most 2 × parallelism morsels in flight on the
+// the scans' dispatch: at most 2 × parallelism morsels in flight on the
 // context's pool, and a cancel check before each one, so a tripped scope
 // stops it within one morsel (the caller reports that through
 // CheckCancel). Morsel m covers [m × morsel_rows, ...), and m runs over
@@ -120,55 +118,35 @@ void ForEachMorsel(ExecContext* ctx, int64_t total_rows,
 
 namespace internal {
 class MorselPipeline;
-class OrderedBatchMapper;
 }  // namespace internal
 
-// Batch iterator: Open() once, then NextBatch() until it returns false.
-class Operator {
- public:
-  virtual ~Operator();
-
-  // Prepares for a (re-)scan and resets the row shim.
-  void Open();
-
-  // Fills `out` with the next non-empty batch and returns true, or returns
-  // false at end of stream. The callee Resets `out`; batch boundaries are an
-  // implementation detail — only the concatenated row stream is contractual,
-  // and it is identical at any thread count.
-  virtual bool NextBatch(RowBlock* out) = 0;
-
-  virtual int num_columns() const = 0;
-
-  // Row-at-a-time shim over NextBatch, kept for root consumers and tests.
-  bool Next(Row* out);
-
- protected:
-  virtual void OpenImpl() = 0;
-
- private:
-  RowBlock shim_;
-  int64_t shim_pos_ = 0;
-  bool shim_eof_ = false;
-};
-
-// Leaf: morsel-driven scan over any TableSource (a materialized Database or
-// a TupleGenerator), with an optional pushed-down filter evaluated inside
-// the morsel workers — the executor's scan+filter unit of parallelism. The
+// Morsel-driven scan over any TableSource (a materialized Database or a
+// TupleGenerator), with an optional pushed-down filter evaluated inside the
+// morsel workers — the executor's scan+filter unit of parallelism. The
 // workers fill their morsel columnar (FillBlockRange), run the compiled
 // predicate over the columns, and compact in place through the selection
-// vector.
-class SourceScanOp : public Operator {
+// vector. Destroying a scan mid-stream waits out its in-flight morsels,
+// whose tasks hold its address, so a scan is neither copied nor moved.
+class SourceScanOp {
  public:
   SourceScanOp(const TableSource* source, int relation, int num_columns,
                DnfPredicate filter = DnfPredicate::True(),
                ExecContext* ctx = nullptr);
-  ~SourceScanOp() override;
+  ~SourceScanOp();
+  SourceScanOp(const SourceScanOp&) = delete;
+  SourceScanOp& operator=(const SourceScanOp&) = delete;
 
-  bool NextBatch(RowBlock* out) override;
-  int num_columns() const override { return num_columns_; }
+  // Starts a scan from rank 0; call again to rescan.
+  void Open();
 
- protected:
-  void OpenImpl() override;
+  // Fills `out` with the next non-empty batch and returns true, or returns
+  // false at end of stream (or once the context's cancel scope trips). The
+  // callee Resets `out`; batch boundaries are an implementation detail —
+  // only the concatenated row stream is contractual, and it is identical
+  // at any thread count.
+  bool NextBatch(RowBlock* out);
+
+  int num_columns() const { return num_columns_; }
 
  private:
   const TableSource* source_;
@@ -180,99 +158,10 @@ class SourceScanOp : public Operator {
   std::unique_ptr<internal::MorselPipeline> morsels_;
 };
 
-// Leaf: scans an in-memory row-major table (morsel workers transpose their
-// rank range into the block's columns).
-class TableScanOp : public Operator {
- public:
-  explicit TableScanOp(const Table* table, ExecContext* ctx = nullptr);
-  ~TableScanOp() override;
-
-  bool NextBatch(RowBlock* out) override;
-  int num_columns() const override { return table_->num_columns(); }
-
- protected:
-  void OpenImpl() override;
-
- private:
-  const Table* table_;
-  ExecContext* ctx_;
-  std::unique_ptr<internal::MorselPipeline> morsels_;
-};
-
-// Leaf: generates tuples on demand from a database summary (dynamic
-// regeneration; no storage touched). Morsel workers generate disjoint rank
-// ranges concurrently via FillBlockRange — per-column constant splats and
-// PK iota runs.
-class GeneratorScanOp : public Operator {
- public:
-  GeneratorScanOp(const TupleGenerator* generator, int relation,
-                  int num_columns, ExecContext* ctx = nullptr);
-  ~GeneratorScanOp() override;
-
-  bool NextBatch(RowBlock* out) override;
-  int num_columns() const override { return num_columns_; }
-
- protected:
-  void OpenImpl() override;
-
- private:
-  const TupleGenerator* generator_;
-  int relation_;
-  int num_columns_;
-  ExecContext* ctx_;
-  std::unique_ptr<internal::MorselPipeline> morsels_;
-};
-
-// σ: keeps rows satisfying a DNF predicate. The predicate is compiled to
-// column kernels once at construction; each batch is masked column-wise and
-// gathered through the selection vector. The input block and the selection
-// vector are owned by the operator and keep their capacity across
-// NextBatch calls.
-class FilterOp : public Operator {
- public:
-  FilterOp(std::unique_ptr<Operator> child, DnfPredicate predicate)
-      : child_(std::move(child)), predicate_(predicate) {}
-
-  bool NextBatch(RowBlock* out) override;
-  int num_columns() const override { return child_->num_columns(); }
-
- protected:
-  void OpenImpl() override { child_->Open(); }
-
- private:
-  std::unique_ptr<Operator> child_;
-  kernels::BlockPredicate predicate_;
-  RowBlock in_;
-  SelVector sel_;
-};
-
-// π: emits a subset/permutation of the child's columns. Columnar layout
-// makes this a column *move*: each projected column's buffer is swapped out
-// of the owned input block (the output's previous buffer swaps back in, so
-// both blocks reuse their capacity); only duplicated source columns copy.
-class ProjectOp : public Operator {
- public:
-  ProjectOp(std::unique_ptr<Operator> child, std::vector<int> columns)
-      : child_(std::move(child)), columns_(std::move(columns)) {}
-
-  bool NextBatch(RowBlock* out) override;
-  int num_columns() const override {
-    return static_cast<int>(columns_.size());
-  }
-
- protected:
-  void OpenImpl() override { child_->Open(); }
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<int> columns_;
-  RowBlock in_;
-};
-
 // Join-key index: maps a key to the contiguous span of build row ids holding
-// it, in build order — the table behind HashJoinOp and the executor's probe
-// chain. Two layouts share one probe interface; Build picks one from the
-// observed key range (docs/engine.md "Join index"):
+// it, in build order — the table behind the executor's probe chain. Two
+// layouts share one probe interface; Build picks one from the observed key
+// range (docs/engine.md "Join index"):
 //  * dense — an offsets array over [min, max]: key k's span is
 //    row_ids[off[k - min], off[k - min + 1]). Taken when
 //    max - min + 1 <= max(8 × build rows, min(scanned rows, kScanRangeCap)).
@@ -357,110 +246,6 @@ class JoinIndex {
   // Build row ids grouped by key, in build order within each key.
   std::vector<uint32_t> row_ids_;
 };
-
-// ⋈: hash join; the build side is materialized and indexed (JoinIndex) at
-// Open(). Output rows are probe columns followed by build columns. Handles
-// duplicate keys on both sides. With a parallel context a hashed build is
-// partitioned across the pool and probe batches are joined concurrently
-// against the then-read-only index, emitted in probe order.
-class HashJoinOp : public Operator {
- public:
-  HashJoinOp(std::unique_ptr<Operator> probe, int probe_col,
-             std::unique_ptr<Operator> build, int build_col,
-             ExecContext* ctx = nullptr);
-  ~HashJoinOp() override;
-
-  bool NextBatch(RowBlock* out) override;
-  int num_columns() const override {
-    return probe_->num_columns() + build_->num_columns();
-  }
-
- protected:
-  void OpenImpl() override;
-
- private:
-  // Joins one probe batch against the (read-only) index. Safe to call
-  // concurrently from morsel workers.
-  void JoinBatch(const RowBlock& in, RowBlock* out) const;
-
-  std::unique_ptr<Operator> probe_;
-  std::unique_ptr<Operator> build_;
-  int probe_col_;
-  int build_col_;
-  ExecContext* ctx_;
-  // All build rows, columnar, in build-stream order.
-  RowBlock build_rows_;
-  JoinIndex index_;
-  std::unique_ptr<internal::OrderedBatchMapper> probe_mapper_;
-  RowBlock probe_in_;
-};
-
-enum class AggregateKind { kCount, kSum, kMin, kMax };
-
-// γ: grouped aggregation; fully materializes at Open(). Output row layout:
-// group columns then one value per aggregate, in group-key order. With a
-// parallel context, child batches are folded into per-worker partial states
-// whose merge is commutative, so the (sorted) result is thread-count
-// independent.
-class HashAggregateOp : public Operator {
- public:
-  struct Aggregate {
-    AggregateKind kind;
-    int column = -1;  // ignored for kCount
-  };
-
-  HashAggregateOp(std::unique_ptr<Operator> child, std::vector<int> group_by,
-                  std::vector<Aggregate> aggregates,
-                  ExecContext* ctx = nullptr)
-      : child_(std::move(child)),
-        group_by_(std::move(group_by)),
-        aggregates_(std::move(aggregates)),
-        ctx_(ctx) {}
-
-  bool NextBatch(RowBlock* out) override;
-  int num_columns() const override {
-    return static_cast<int>(group_by_.size() + aggregates_.size());
-  }
-
- protected:
-  void OpenImpl() override;
-
- private:
-  // One group's running aggregate values, ordered like aggregates_.
-  using GroupMap = std::map<Row, std::vector<int64_t>>;
-  void AccumulateBatch(const RowBlock& in, GroupMap* groups) const;
-
-  std::unique_ptr<Operator> child_;
-  std::vector<int> group_by_;
-  std::vector<Aggregate> aggregates_;
-  ExecContext* ctx_;
-  RowBlock results_;
-  int64_t next_result_ = 0;
-};
-
-// Stops after `limit` rows.
-class LimitOp : public Operator {
- public:
-  LimitOp(std::unique_ptr<Operator> child, uint64_t limit)
-      : child_(std::move(child)), limit_(limit) {}
-
-  bool NextBatch(RowBlock* out) override;
-  int num_columns() const override { return child_->num_columns(); }
-
- protected:
-  void OpenImpl() override {
-    child_->Open();
-    emitted_ = 0;
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  uint64_t limit_;
-  uint64_t emitted_ = 0;
-};
-
-// Drains `op` and returns the number of rows produced.
-uint64_t CountRows(Operator* op);
 
 }  // namespace hydra
 

@@ -1,4 +1,5 @@
-// Columnar batch storage: the unit of data flow between operators.
+// Columnar batch storage: the unit of data flow from the engine's scans to
+// their consumers.
 //
 // A RowBlock holds up to a few thousand rows in column-major vectors — one
 // contiguous Value array per column — so the hot loops (predicate masks,
@@ -69,8 +70,8 @@ class RowBlock {
 
   // Re-types the block and drops its rows. Column buffers keep their
   // capacity — including buffers beyond the new width, which stay pooled
-  // for a later wider Reset — so a block cycled through operators of
-  // varying widths allocates each column once and reuses it from then on.
+  // for a later wider Reset — so a block cycled through scans of varying
+  // widths allocates each column once and reuses it from then on.
   void Reset(int num_columns) {
     if (static_cast<size_t>(num_columns) > cols_.size()) {
       cols_.resize(num_columns);

@@ -29,6 +29,13 @@ double SecondsSince(
       .count();
 }
 
+// A per-view failure, prefixed with the view's relation name so the caller
+// can tell which view's constraints are at fault; the code is kept.
+Status ViewError(const Schema& schema, const View& view, const Status& error) {
+  const std::string& name = schema.relation(view.relation).name();
+  return Status(error.code(), "view " + name + ": " + error.message());
+}
+
 }  // namespace
 
 uint64_t RegenerationResult::TotalLpVariables() const {
@@ -82,7 +89,7 @@ StatusOr<RegenerationResult> HydraRegenerator::Regenerate(
     const auto tf = std::chrono::steady_clock::now();
     auto lp_or = FormulateViewLp(views[v], view_constraints[v]);
     if (!lp_or.ok()) {
-      statuses[v] = lp_or.status();
+      statuses[v] = ViewError(schema_, views[v], lp_or.status());
       any_failed.store(true, std::memory_order_relaxed);
       return;
     }
@@ -138,7 +145,7 @@ StatusOr<RegenerationResult> HydraRegenerator::Regenerate(
       }
       auto lp_solution = SolveFeasibility(lp.problem, simplex);
       if (!lp_solution.ok()) {
-        statuses[v] = lp_solution.status();
+        statuses[v] = ViewError(schema_, views[v], lp_solution.status());
         any_failed.store(true, std::memory_order_relaxed);
         return;
       }
@@ -154,7 +161,7 @@ StatusOr<RegenerationResult> HydraRegenerator::Regenerate(
       auto summary_or =
           generator.BuildViewSummary(views[v], lp, integers.values);
       if (!summary_or.ok()) {
-        statuses[v] = summary_or.status();
+        statuses[v] = ViewError(schema_, views[v], summary_or.status());
         any_failed.store(true, std::memory_order_relaxed);
         return;
       }

@@ -28,6 +28,8 @@
 namespace hydra {
 
 struct HydraOptions {
+  // Options of every view's LP solve (lp/simplex.h). With warm_start on,
+  // the chains below set each view's basis import and export.
   SimplexOptions simplex;
   // Seed each view's phase I from the final basis of the previous view
   // with the same LP signature (rows, variables, nonzeros) — consecutive
@@ -37,7 +39,7 @@ struct HydraOptions {
   // cold start inside the solver. Summaries are byte-identical at any
   // num_threads either way (chains are static and solved in view order);
   // set simplex.canonicalize for summaries that are also identical across
-  // warm/cold and pricing configurations.
+  // warm and cold starts.
   bool warm_start = true;
   // Extra repair passes for LP integerization.
   int integerize_passes = 8;

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "lp/basis_lu.h"
 
 namespace hydra {
@@ -21,12 +19,16 @@ HYDRA_METRIC_HISTOGRAM(g_refactorize_us, "lp/refactorize_us");
 
 namespace {
 
+// Feasibility tolerance (scaled by the largest |b_i| for the phase-I
+// objective and the ratio test) and the pricing/pivot-entry threshold.
+constexpr double kTolerance = 1e-7;
+
 // Compressed-sparse-column copy of the constraint matrix (rows with b < 0
 // negated so that b >= 0, as phase-I requires). Built in two passes —
 // count, prefix-sum, scatter — so the whole matrix lives in three flat
 // arrays instead of one heap allocation per column. Devex pricing also
 // needs the transpose (compressed sparse rows) to push pivot-row weight
-// updates through the matrix sparsely; it is built on demand.
+// updates through the matrix sparsely.
 struct ColumnMatrix {
   int m = 0;
   int n = 0;
@@ -34,7 +36,7 @@ struct ColumnMatrix {
   std::vector<int> row_idx;   // nnz
   std::vector<double> val;    // nnz
   std::vector<double> b;
-  // CSR mirror (empty unless BuildRows ran).
+  // CSR mirror (filled by BuildRows).
   std::vector<int> row_ptr;   // m + 1
   std::vector<int> col_idx;   // nnz
   std::vector<double> rval;   // nnz
@@ -103,10 +105,10 @@ double CanonicalWeight(int j) {
 // Forrest-Tomlin updates (lp/basis_lu.h). Phase I minimizes the artificial
 // mass to find a feasible point; the optional canonicalization phase then
 // minimizes a fixed generic objective so the reported solution does not
-// depend on pricing, warm starts, or refactorization timing. Pricing is
-// Devex by default, with rotating partial pricing selectable for A/B runs;
-// both work a bounded candidate list so wide problems never pay full
-// n-column scans per pivot. See docs/solver.md.
+// depend on warm starts or refactorization timing. Phase I prices Devex,
+// the canonicalization phase plain most-negative reduced cost; both work a
+// bounded candidate list so wide problems never pay full n-column scans
+// per pivot. See docs/solver.md.
 class RevisedSimplex {
  public:
   RevisedSimplex(ColumnMatrix cm, const SimplexOptions& options)
@@ -118,7 +120,7 @@ class RevisedSimplex {
     candidate_flag_.assign(n_, 0);
     double bmax = 1.0;
     for (double v : cm_.b) bmax = std::max(bmax, std::fabs(v));
-    tol_ = options_.tolerance * bmax;
+    tol_ = kTolerance * bmax;
     // When canonicalizing, phase I pivots until the artificial mass is
     // zero at the working precision (a few ulps of the b scale), not
     // merely under tol_: the leftover mass is exactly the solution's
@@ -128,21 +130,15 @@ class RevisedSimplex {
     // decides feasible-vs-infeasible when pricing runs out of improving
     // columns first.
     feas_zero_ = options_.canonicalize ? 1e-14 * bmax : tol_;
-    price_tol_ = options_.tolerance;
     work_.assign(m_, 0.0);
     rho_.assign(m_, 0.0);
     y_.assign(m_, 0.0);
     refactor_interval_ =
         options_.refactor_interval > 0 ? options_.refactor_interval : 256;
     base_growth_nnz_ = 16 * static_cast<uint64_t>(m_) + 1024;
-    if (options_.pricing == SimplexPricing::kDevex) {
-      cm_.BuildRows();
-      devex_.assign(n_, 1.0);
-      alpha_.assign(n_, 0.0);
-    }
-    if (options_.pricing_threads > 1) {
-      price_pool_ = std::make_unique<ThreadPool>(options_.pricing_threads);
-    }
+    cm_.BuildRows();
+    devex_.assign(n_, 1.0);
+    alpha_.assign(n_, 0.0);
     // Unit artificial columns as slices of one shared identity: the column
     // of artificial r is the length-1 slice {art_rows_[r], art_vals_[r]}.
     art_rows_.resize(m_);
@@ -151,8 +147,7 @@ class RevisedSimplex {
   }
 
   StatusOr<LpSolution> Solve() {
-    max_iters_ = options_.max_iterations > 0 ? options_.max_iterations
-                                             : 80 * m_ + 10000;
+    max_iters_ = 80 * m_ + 10000;  // pivot budget across both phases
     const bool warm = TryWarmStart();
     HYDRA_RETURN_IF_ERROR(RunPhase(/*phase=*/1));
     const int phase1 = iter_;
@@ -176,13 +171,12 @@ class RevisedSimplex {
     return StructuralCost(var);
   }
 
-  // The canonicalization phase always prices with the candidate-list
-  // partial rule: its endpoint is the unique canonical vertex whichever
-  // rule walks there, so the Devex weight maintenance (whose pivot-row
-  // pass grows expensive on the denser phase-II bases) buys nothing.
-  bool UseDevex() const {
-    return phase_ == 1 && options_.pricing == SimplexPricing::kDevex;
-  }
+  // Phase I prices Devex. The canonicalization phase prices plain
+  // most-negative reduced cost: its endpoint is the unique canonical vertex
+  // whichever rule walks there, so the Devex weight maintenance (whose
+  // pivot-row pass grows expensive on the denser phase-II bases) buys
+  // nothing — and Devex there measured more pivots (docs/solver.md).
+  bool UseDevex() const { return phase_ == 1; }
 
   // Phase-I objective: total value of artificial basis variables.
   double Objective() const {
@@ -265,12 +259,12 @@ class RevisedSimplex {
     }
   }
 
-  // Partial pricing over a rotating candidate list (multiple pricing):
+  // Candidate-list pricing over rotating column blocks (multiple pricing):
   // re-price the cached candidates first and enter the best; only when the
   // list runs dry (or has gone stale), scan structural columns in rotating
   // blocks from the cursor, refilling the list with every improving column
   // of the first block that has one. The per-column merit is Devex
-  // (d^2 / gamma) or plain most-negative (partial), per options. Under
+  // (d^2 / gamma) in phase I and plain most-negative in phase II. Under
   // Bland's rule, scan everything in index order and take the first
   // improving column. Returns -1 if no column prices out.
   int PickEntering(bool bland, double* d_entering, double* gamma_entering) {
@@ -279,7 +273,7 @@ class RevisedSimplex {
       for (int j = 0; j < n_; ++j) {
         if (in_basis_[j]) continue;
         const double d = ReducedCost(j);
-        if (d < -price_tol_) {
+        if (d < -kTolerance) {
           *d_entering = d;
           *gamma_entering = devex ? devex_[j] : 1.0;
           return j;
@@ -301,7 +295,7 @@ class RevisedSimplex {
         continue;
       }
       const double d = ReducedCost(j);
-      if (d >= -price_tol_) {  // stale candidate: drop
+      if (d >= -kTolerance) {  // stale candidate: drop
         candidate_flag_[j] = 0;
         continue;
       }
@@ -343,8 +337,7 @@ class RevisedSimplex {
     return -1;
   }
 
-  // The per-column pricing merit, shared by the sequential and striped
-  // scans so both paths evaluate the bit-identical expression.
+  // The per-column pricing merit.
   double Merit(bool devex, int j, double d) const {
     return devex ? d * d / devex_[j] : -d;
   }
@@ -352,88 +345,24 @@ class RevisedSimplex {
   // Scans the rotating block [begin, begin + len) (mod n_) for improving
   // columns: appends them to candidates_ (dedup + cap) and folds the best
   // merit into (*best, *best_d, *best_score) with the strict-> first-best
-  // rule. With pricing_threads > 1 and a block long enough to amortize the
-  // fork, the block is striped across the pool: every stripe collects its
-  // improving columns in index order plus its own first-best, and the
-  // merge walks stripes in order — stripe concatenation IS block order —
-  // so the candidate-list contents, the kMaxCandidates cutoff, and every
-  // tie-break replay the sequential scan exactly. The shared state the
-  // stripes read (y_, cm_, devex_, in_basis_, candidate_flag_) is
-  // read-only during the scan; candidate_flag_ only mutates in the
-  // single-threaded merge.
+  // rule.
   void ScanPricingBlock(int begin, int len, bool devex, int* best,
                         double* best_d, double* best_score) {
-    constexpr int kMinStripeLen = 2048;
-    const int threads =
-        price_pool_ == nullptr
-            ? 1
-            : std::min(price_pool_->num_threads(),
-                       std::max(1, len / kMinStripeLen));
-    if (threads <= 1) {
-      for (int t = 0; t < len; ++t) {
-        int j = begin + t;
-        if (j >= n_) j -= n_;
-        if (in_basis_[j]) continue;
-        const double d = ReducedCost(j);
-        if (d >= -price_tol_) continue;
-        if (!candidate_flag_[j] && candidates_.size() < kMaxCandidates) {
-          candidate_flag_[j] = 1;
-          candidates_.push_back(j);
-        }
-        const double s = Merit(devex, j, d);
-        if (*best < 0 || s > *best_score) {
-          *best_score = s;
-          *best_d = d;
-          *best = j;
-        }
+    for (int t = 0; t < len; ++t) {
+      int j = begin + t;
+      if (j >= n_) j -= n_;
+      if (in_basis_[j]) continue;
+      const double d = ReducedCost(j);
+      if (d >= -kTolerance) continue;
+      if (!candidate_flag_[j] && candidates_.size() < kMaxCandidates) {
+        candidate_flag_[j] = 1;
+        candidates_.push_back(j);
       }
-      return;
-    }
-    if (static_cast<int>(stripes_.size()) < threads) stripes_.resize(threads);
-    ParallelFor(*price_pool_, threads, [&, begin, len, threads](int s) {
-      PricingStripe& stripe = stripes_[s];
-      stripe.improving.clear();
-      stripe.best = -1;
-      stripe.best_d = 0;
-      stripe.best_score = 0;
-      const int64_t wide_len = len;
-      const int lo = static_cast<int>(wide_len * s / threads);
-      const int hi = static_cast<int>(wide_len * (s + 1) / threads);
-      for (int t = lo; t < hi; ++t) {
-        int j = begin + t;
-        if (j >= n_) j -= n_;
-        if (in_basis_[j]) continue;
-        const double d = ReducedCost(j);
-        if (d >= -price_tol_) continue;
-        // Store only what the merge could append: unflagged columns, at
-        // most the global cap's worth per stripe. Flagged ones still shape
-        // the stripe best below, exactly as the sequential scan's merit
-        // update runs for every improving column.
-        if (!candidate_flag_[j] &&
-            stripe.improving.size() < kMaxCandidates) {
-          stripe.improving.push_back(j);
-        }
-        const double score = Merit(devex, j, d);
-        if (stripe.best < 0 || score > stripe.best_score) {
-          stripe.best_score = score;
-          stripe.best_d = d;
-          stripe.best = j;
-        }
-      }
-    });
-    for (int s = 0; s < threads; ++s) {
-      const PricingStripe& stripe = stripes_[s];
-      for (const int j : stripe.improving) {
-        if (!candidate_flag_[j] && candidates_.size() < kMaxCandidates) {
-          candidate_flag_[j] = 1;
-          candidates_.push_back(j);
-        }
-      }
-      if (stripe.best >= 0 &&
-          (*best < 0 || stripe.best_score > *best_score)) {
-        *best_score = stripe.best_score;
-        *best_d = stripe.best_d;
-        *best = stripe.best;
+      const double s = Merit(devex, j, d);
+      if (*best < 0 || s > *best_score) {
+        *best_score = s;
+        *best_d = d;
+        *best = j;
       }
     }
   }
@@ -466,10 +395,10 @@ class RevisedSimplex {
         // mass was folded into b when the phase started): any significant
         // pivot-column entry in their row caps the step at zero, and the
         // tied ratio test then kicks the artificial out of the basis.
-        if (std::fabs(work_[k]) <= price_tol_) continue;
+        if (std::fabs(work_[k]) <= kTolerance) continue;
         theta = 0.0;
       } else {
-        if (work_[k] <= price_tol_) continue;
+        if (work_[k] <= kTolerance) continue;
         theta = xb_[k] / work_[k];
       }
       if (leaving < 0 || theta < best_theta - 1e-12 ||
@@ -708,7 +637,7 @@ class RevisedSimplex {
         xb_[k] = 0.0;
       }
     }
-    // New objective: exact duals, fresh pricing state, new Devex framework.
+    // New objective: exact duals and a fresh candidate list.
     ComputeDuals();
     for (int j : candidates_) candidate_flag_[j] = 0;
     candidates_.clear();
@@ -798,28 +727,16 @@ class RevisedSimplex {
   std::vector<bool> in_basis_;
   std::vector<int> art_rows_;    // identity slices for artificial columns
   std::vector<double> art_vals_;
-  std::vector<double> devex_;    // Devex weights (devex pricing only)
+  std::vector<double> devex_;    // phase-I Devex weights
   std::vector<double> alpha_;    // sparse pivot-row accumulator, size n
   std::vector<int> alpha_touched_;
-  int cursor_ = 0;            // rotating partial-pricing position
+  int cursor_ = 0;            // rotating block-scan position
   static constexpr size_t kMaxCandidates = 32;
   std::vector<int> candidates_;  // improving columns to re-price first
   std::vector<char> candidate_flag_;  // j is in candidates_ (dedup)
   double refill_best_score_ = 0;  // best merit at the last refilling scan
-  // Parallel pricing (SimplexOptions::pricing_threads > 1): a private pool
-  // plus per-stripe scratch, reused across blocks so the steady state
-  // allocates nothing.
-  std::unique_ptr<ThreadPool> price_pool_;
-  struct PricingStripe {
-    std::vector<int> improving;  // unflagged improving columns, scan order
-    int best = -1;
-    double best_d = 0;
-    double best_score = 0;
-  };
-  std::vector<PricingStripe> stripes_;
-  double tol_ = 1e-7;
+  double tol_ = kTolerance;
   double feas_zero_ = 1e-21;
-  double price_tol_ = 1e-7;
 };
 
 }  // namespace

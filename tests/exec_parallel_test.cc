@@ -1,16 +1,19 @@
 // Parallel-vs-sequential identity of the morsel-driven execution engine:
-// AQP cardinalities, similarity reports, and root row order must be
-// byte-identical at any {num_threads, morsel_rows} setting, over both
-// materialized (TableScanOp/SourceScanOp-on-Database) and dynamically
-// generated (GeneratorScanOp/SourceScanOp-on-TupleGenerator) leaves.
-// Also covers the morsel edge cases: empty relation, relation smaller than
-// one morsel, and morsel boundaries falling mid-join-probe.
+// AQP cardinalities, similarity reports, and SourceScanOp row streams must
+// be byte-identical at any {num_threads, morsel_rows} setting and at either
+// kernel dispatch path, over both materialized (Database) and dynamically
+// generated (TupleGenerator) sources. Also covers the morsel edge cases:
+// empty relation, relation smaller than one morsel, 1-row morsels, pushed
+// filters that keep nothing, everything or every other row, and a scan
+// destroyed mid-stream.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "engine/executor.h"
 #include "engine/operators.h"
 #include "hydra/regenerator.h"
 #include "hydra/tuple_generator.h"
@@ -21,20 +24,72 @@
 namespace hydra {
 namespace {
 
-// Flattens an operator's whole output into (num_columns, row-major values):
-// order-sensitive, so equality means identical root row order.
-std::pair<int, std::vector<Value>> Drain(Operator* op) {
-  op->Open();
+// The scan's whole output as row-major values: order-sensitive, so equality
+// means an identical row stream.
+std::vector<Value> Drain(SourceScanOp* scan) {
+  scan->Open();
   std::vector<Value> values;
   RowBlock block;
-  while (op->NextBatch(&block)) {
+  while (scan->NextBatch(&block)) {
+    EXPECT_GT(block.num_rows(), 0) << "NextBatch must not emit empty batches";
     for (int64_t r = 0; r < block.num_rows(); ++r) {
       const size_t base = values.size();
       values.resize(base + block.num_columns());
       block.CopyRowTo(r, values.data() + base);
     }
   }
-  return {op->num_columns(), std::move(values)};
+  return values;
+}
+
+// FNV-1a over a drained stream: compact to compare and to print.
+uint64_t StreamHash(const std::vector<Value>& values) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const Value v : values) {
+    h = (h ^ static_cast<uint64_t>(v)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+// A one-relation summary of T(id, a): the generated stream is (rank, a)
+// rows whose `a` runs through `value_runs` as (value, count) pairs.
+DatabaseSummary RunSummary(
+    const std::vector<std::pair<Value, int64_t>>& value_runs) {
+  RelationSummary rs;
+  rs.relation = 0;
+  rs.attr_indices = {1};
+  int64_t rows = 0;
+  for (const auto& [value, count] : value_runs) {
+    rs.rows.push_back({{value}, count});
+    rows += count;
+  }
+  rs.Finalize();
+  Relation t("T", static_cast<uint64_t>(rows));
+  t.AddPrimaryKey("id");
+  t.AddDataAttribute("a", Interval(0, 1000));
+  DatabaseSummary summary;
+  summary.schema.AddRelation(std::move(t));
+  summary.relations.push_back(std::move(rs));
+  summary.extra_tuples = {0};
+  return summary;
+}
+
+// A generator over `summary` and the database materialized from it, which
+// serve the same row streams.
+struct Sources {
+  explicit Sources(DatabaseSummary s) : summary(std::move(s)), gen(summary) {
+    auto materialized = MaterializeDatabase(summary);
+    EXPECT_TRUE(materialized.ok()) << materialized.status().ToString();
+    db = std::make_unique<Database>(std::move(materialized).value());
+  }
+  std::vector<const TableSource*> all() const { return {db.get(), &gen}; }
+
+  DatabaseSummary summary;  // outlives `gen`, which reads it
+  TupleGenerator gen;
+  std::unique_ptr<Database> db;
+};
+
+const char* SourceName(const Sources& sources, const TableSource* source) {
+  return source == &sources.gen ? "generator" : "database";
 }
 
 std::vector<std::pair<std::string, uint64_t>> AqpSignature(
@@ -122,40 +177,7 @@ TEST(ParallelExecutorTest, SimilarityReportIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelOperatorsTest, JoinPipelineRowOrderIdentical) {
-  // σ(S) ⋈ R over materialized toy data: the root row order — not just the
-  // count — must match the sequential plan at any thread/morsel setting.
-  ToyEnvironment env = MakeToyEnvironment();
-  HydraRegenerator hydra(env.schema);
-  auto result = hydra.Regenerate(env.ccs);
-  ASSERT_TRUE(result.ok());
-  auto db = MaterializeDatabase(result->summary);
-  ASSERT_TRUE(db.ok());
-  const Schema& schema = env.schema;
-  const int s = schema.RelationIndex("S");
-  const int r = schema.RelationIndex("R");
-  const int a = schema.relation(s).AttrIndex("A");
-  const int sfk = schema.relation(r).AttrIndex("S_fk");
-  const int spk = schema.relation(s).PrimaryKeyIndex();
-
-  const auto run = [&](ExecContext* ctx) {
-    auto s_scan = std::make_unique<TableScanOp>(&db->table(s), ctx);
-    auto s_filtered = std::make_unique<FilterOp>(
-        std::move(s_scan), PredicateOf(AtomRange(a, 20, 60)));
-    HashJoinOp join(std::make_unique<TableScanOp>(&db->table(r), ctx), sfk,
-                    std::move(s_filtered), spk, ctx);
-    return Drain(&join);
-  };
-
-  const auto sequential = run(nullptr);
-  EXPECT_EQ(sequential.second.size() / sequential.first, 50000u);
-  for (int threads : {2, 8}) {
-    ExecContext ctx(ExecOptions{threads, 333});
-    EXPECT_EQ(run(&ctx), sequential) << threads << " threads";
-  }
-}
-
-TEST(ParallelOperatorsTest, GeneratorLeafRowOrderIdentical) {
+TEST(ParallelScanTest, GeneratorSourceRowOrderIdentical) {
   ToyEnvironment env = MakeToyEnvironment();
   HydraRegenerator hydra(env.schema);
   auto result = hydra.Regenerate(env.ccs);
@@ -164,181 +186,163 @@ TEST(ParallelOperatorsTest, GeneratorLeafRowOrderIdentical) {
   const int s = env.schema.RelationIndex("S");
   const int cols = env.schema.relation(s).num_attributes();
 
-  GeneratorScanOp sequential(&gen, s, cols);
-  const auto base = Drain(&sequential);
-  for (int threads : {2, 8}) {
+  SourceScanOp sequential(&gen, s, cols);
+  const std::vector<Value> base = Drain(&sequential);
+  ASSERT_EQ(base.size(), gen.RowCount(s) * cols);
+  for (int threads : {1, 2, 8}) {
     ExecContext ctx(ExecOptions{threads, 13});
-    GeneratorScanOp scan(&gen, s, cols, &ctx);
+    SourceScanOp scan(&gen, s, cols, DnfPredicate::True(), &ctx);
     EXPECT_EQ(Drain(&scan), base) << threads << " threads";
   }
 }
 
-TEST(ParallelOperatorsTest, AggregateIdenticalAcrossThreadCounts) {
-  Table t(2);
-  for (int64_t i = 0; i < 10000; ++i) {
-    t.AppendRow({i % 37, i});
-  }
-  const auto run = [&](ExecContext* ctx) {
-    HashAggregateOp agg(
-        std::make_unique<TableScanOp>(&t, ctx), {0},
-        {{AggregateKind::kCount, -1},
-         {AggregateKind::kSum, 1},
-         {AggregateKind::kMin, 1},
-         {AggregateKind::kMax, 1}},
-        ctx);
-    return Drain(&agg);
-  };
-  const auto sequential = run(nullptr);
-  EXPECT_EQ(sequential.second.size() / sequential.first, 37u);
-  for (int threads : {2, 8}) {
-    ExecContext ctx(ExecOptions{threads, 7});
-    EXPECT_EQ(run(&ctx), sequential) << threads << " threads";
-  }
-}
-
 TEST(MorselEdgeCaseTest, EmptyRelation) {
-  Table t(3);
+  const Sources sources(RunSummary({}));
   ExecContext ctx(ExecOptions{8, 16});
-  TableScanOp scan(&t, &ctx);
-  scan.Open();
-  RowBlock block;
-  EXPECT_FALSE(scan.NextBatch(&block));
-  EXPECT_EQ(CountRows(&scan), 0u);
+  for (const TableSource* source : sources.all()) {
+    SourceScanOp scan(source, 0, 2, DnfPredicate::True(), &ctx);
+    scan.Open();
+    RowBlock block;
+    EXPECT_FALSE(scan.NextBatch(&block)) << SourceName(sources, source);
+    EXPECT_TRUE(Drain(&scan).empty()) << SourceName(sources, source);
+  }
 }
 
 TEST(MorselEdgeCaseTest, RelationSmallerThanOneMorsel) {
-  Table t(1);
-  for (int64_t i = 0; i < 5; ++i) t.AppendRow({i});
+  const Sources sources(RunSummary({{7, 2}, {9, 3}}));
   ExecContext ctx(ExecOptions{8, 1 << 20});
-  TableScanOp scan(&t, &ctx);
-  const auto got = Drain(&scan);
-  EXPECT_EQ(got.second, (std::vector<Value>{0, 1, 2, 3, 4}));
+  for (const TableSource* source : sources.all()) {
+    SourceScanOp scan(source, 0, 2, DnfPredicate::True(), &ctx);
+    EXPECT_EQ(Drain(&scan), (std::vector<Value>{0, 7, 1, 7, 2, 9, 3, 9, 4, 9}))
+        << SourceName(sources, source);
+  }
 }
 
 TEST(MorselEdgeCaseTest, SingleRowMorsels) {
-  Table t(1);
-  for (int64_t i = 0; i < 17; ++i) t.AppendRow({i});
+  const Sources sources(RunSummary({{5, 6}, {6, 11}}));
+  std::vector<Value> want;
+  for (int64_t i = 0; i < 17; ++i) {
+    want.push_back(i);
+    want.push_back(i < 6 ? 5 : 6);
+  }
   ExecContext ctx(ExecOptions{4, 1});
-  TableScanOp scan(&t, &ctx);
-  const auto got = Drain(&scan);
-  ASSERT_EQ(got.second.size(), 17u);
-  for (int64_t i = 0; i < 17; ++i) EXPECT_EQ(got.second[i], i);
-}
-
-TEST(MorselEdgeCaseTest, MorselBoundaryMidJoinProbe) {
-  // Duplicate probe keys straddle every 2-row morsel boundary; duplicate
-  // build keys multiply matches. The joined stream must equal the
-  // sequential one row for row.
-  Table probe(2);
-  for (int64_t i = 0; i < 101; ++i) probe.AppendRow({i / 3, i});
-  Table build(2);
-  for (int64_t i = 0; i < 40; ++i) build.AppendRow({i % 20, 1000 + i});
-
-  const auto run = [&](ExecContext* ctx) {
-    HashJoinOp join(std::make_unique<TableScanOp>(&probe, ctx), 0,
-                    std::make_unique<TableScanOp>(&build, ctx), 0, ctx);
-    return Drain(&join);
-  };
-  const auto sequential = run(nullptr);
-  ASSERT_GT(sequential.second.size(), 0u);
-  for (int threads : {2, 8}) {
-    ExecContext ctx(ExecOptions{threads, 2});
-    EXPECT_EQ(run(&ctx), sequential) << threads << " threads";
+  for (const TableSource* source : sources.all()) {
+    SourceScanOp scan(source, 0, 2, DnfPredicate::True(), &ctx);
+    EXPECT_EQ(Drain(&scan), want) << SourceName(sources, source);
   }
 }
 
-TEST(SelectionVectorTest, FilterEdgeCases) {
-  // The selection-vector path through FilterOp: empty input, all-pass,
-  // all-fail, and batches of exactly one row (morsel_rows = 1) must all
-  // produce the sequential stream.
-  Table empty(2);
-  Table t(2);
-  for (int64_t i = 0; i < 23; ++i) t.AppendRow({i, 100 + i});
-  const auto filter_drain = [](const Table* table, DnfPredicate pred,
-                               ExecContext* ctx) {
-    FilterOp op(std::make_unique<TableScanOp>(table, ctx), std::move(pred));
-    return Drain(&op).second;
-  };
+TEST(SelectionVectorTest, PushedFilterEdgeCases) {
+  // The selection-vector path through SourceScanOp's pushed filter: empty
+  // input, no row passes, all pass, and every other row, sequentially and
+  // over 1- and 3-row morsels on a pool.
+  std::vector<std::pair<Value, int64_t>> alternating;
+  for (int64_t i = 0; i < 23; ++i) alternating.push_back({i % 2, 1});
+  const Sources empty(RunSummary({}));
+  const Sources sources(RunSummary(alternating));
   std::vector<Value> all_rows;
+  std::vector<Value> odd_rows;
   for (int64_t i = 0; i < 23; ++i) {
-    all_rows.push_back(i);
-    all_rows.push_back(100 + i);
+    all_rows.insert(all_rows.end(), {i, i % 2});
+    if (i % 2 == 1) odd_rows.insert(odd_rows.end(), {i, 1});
   }
-  std::vector<Value> some_rows;
-  for (int64_t i = 5; i < 9; ++i) {
-    some_rows.push_back(i);
-    some_rows.push_back(100 + i);
-  }
+  const auto filtered = [](const TableSource* source, DnfPredicate pred,
+                           ExecContext* ctx) {
+    SourceScanOp scan(source, 0, 2, std::move(pred), ctx);
+    return Drain(&scan);
+  };
   ExecContext single_row_morsels(ExecOptions{4, 1});
-  for (ExecContext* ctx :
-       std::initializer_list<ExecContext*>{nullptr, &single_row_morsels}) {
-    EXPECT_TRUE(
-        filter_drain(&empty, PredicateOf(AtomRange(0, 0, 100)), ctx).empty());
-    // All-pass: every row survives, in order.
-    EXPECT_EQ(filter_drain(&t, PredicateOf(AtomRange(0, 0, 100)), ctx),
-              all_rows);
-    // All-fail: nothing survives.
-    EXPECT_TRUE(
-        filter_drain(&t, PredicateOf(AtomRange(0, 500, 600)), ctx).empty());
-    // Partial: a contiguous band in the middle.
-    EXPECT_EQ(filter_drain(&t, PredicateOf(AtomRange(0, 5, 9)), ctx),
-              some_rows);
+  ExecContext three_row_morsels(ExecOptions{4, 3});
+  ExecContext* const contexts[] = {nullptr, &single_row_morsels,
+                                   &three_row_morsels};
+  for (ExecContext* ctx : contexts) {
+    for (const TableSource* source : empty.all()) {
+      EXPECT_TRUE(
+          filtered(source, PredicateOf(AtomRange(1, 0, 100)), ctx).empty());
+    }
+    for (const TableSource* source : sources.all()) {
+      SCOPED_TRACE(SourceName(sources, source));
+      // No row passes.
+      EXPECT_TRUE(
+          filtered(source, PredicateOf(AtomRange(1, 500, 600)), ctx).empty());
+      // All pass: every row survives, in order.
+      EXPECT_EQ(filtered(source, PredicateOf(AtomRange(1, 0, 100)), ctx),
+                all_rows);
+      // Alternating: every other row survives.
+      EXPECT_EQ(filtered(source, PredicateOf(AtomRange(1, 1, 2)), ctx),
+                odd_rows);
+    }
   }
 }
 
 TEST(CrossLayoutIdentityTest, ScalarVsSimdAcrossThreadsAndMorsels) {
-  // The dispatch contract: the filter+join pipeline's row stream is
-  // byte-identical between the scalar and SIMD kernel paths, at every
-  // {num_threads, morsel_rows} combination.
+  // The dispatch contract: the executor's AQP cardinalities and the pushed-
+  // filter scan's row stream are byte-identical between the scalar and SIMD
+  // kernel paths, at every {num_threads, morsel_rows} combination, over
+  // both sources.
   ToyEnvironment env = MakeToyEnvironment();
   HydraRegenerator hydra(env.schema);
   auto result = hydra.Regenerate(env.ccs);
   ASSERT_TRUE(result.ok());
-  auto db = MaterializeDatabase(result->summary);
-  ASSERT_TRUE(db.ok());
-  const Schema& schema = env.schema;
-  const int s = schema.RelationIndex("S");
-  const int r = schema.RelationIndex("R");
-  const int a = schema.relation(s).AttrIndex("A");
-  const int sfk = schema.relation(r).AttrIndex("S_fk");
-  const int spk = schema.relation(s).PrimaryKeyIndex();
+  const Sources sources(result->summary);
+  const int s = env.schema.RelationIndex("S");
+  const int cols = env.schema.relation(s).num_attributes();
+  const int a = env.schema.relation(s).AttrIndex("A");
+  const DnfPredicate pred = PredicateOf(AtomRange(a, 20, 60));
 
-  const auto run = [&](ExecContext* ctx) {
-    auto s_scan = std::make_unique<TableScanOp>(&db->table(s), ctx);
-    auto s_filtered = std::make_unique<FilterOp>(
-        std::move(s_scan), PredicateOf(AtomRange(a, 20, 60)));
-    HashJoinOp join(std::make_unique<TableScanOp>(&db->table(r), ctx), sfk,
-                    std::move(s_filtered), spk, ctx);
-    return Drain(&join);
+  // Per source: the AQP signature and the σ(S) stream hash.
+  using Signature =
+      std::pair<std::vector<std::pair<std::string, uint64_t>>, uint64_t>;
+  const auto run = [&](const TableSource* source, int threads,
+                       int64_t morsel_rows) {
+    ExecContext ctx(ExecOptions{threads, morsel_rows});
+    auto aqp = Executor(env.schema, &ctx).Execute(env.query, *source);
+    EXPECT_TRUE(aqp.ok()) << aqp.status().ToString();
+    SourceScanOp scan(source, s, cols, pred, &ctx);
+    return Signature{AqpSignature(*aqp), StreamHash(Drain(&scan))};
   };
 
   kernels::SetSimdEnabled(true);
-  const auto baseline = run(nullptr);
-  ASSERT_GT(baseline.second.size(), 0u);
-  for (const bool simd : {false, true}) {
-    kernels::SetSimdEnabled(simd);
-    for (const int threads : {1, 2, 8}) {
-      for (const int64_t morsel : {311, 4096}) {
-        ExecContext ctx(ExecOptions{threads, morsel});
-        EXPECT_EQ(run(&ctx), baseline)
-            << (simd ? kernels::SimdLevelName() : "scalar") << " x " << threads
-            << " threads x morsel " << morsel;
+  for (const TableSource* source : sources.all()) {
+    const Signature baseline = run(source, 1, 4096);
+    ASSERT_FALSE(baseline.first.empty());
+    for (const bool simd : {false, true}) {
+      kernels::SetSimdEnabled(simd);
+      for (const int threads : {1, 2, 8}) {
+        for (const int64_t morsel : {311, 4096}) {
+          EXPECT_EQ(run(source, threads, morsel), baseline)
+              << SourceName(sources, source) << " x "
+              << (simd ? kernels::SimdLevelName() : "scalar") << " x "
+              << threads << " threads x morsel " << morsel;
+        }
       }
     }
+    kernels::SetSimdEnabled(true);
   }
-  kernels::SetSimdEnabled(true);
 }
 
-TEST(MorselEdgeCaseTest, LimitStopsEarlyOverParallelLeaf) {
-  // Early termination leaves in-flight morsels behind; the leaf must drain
-  // them cleanly on destruction and still emit the correct prefix.
-  Table t(1);
-  for (int64_t i = 0; i < 1000; ++i) t.AppendRow({i});
+TEST(MorselEdgeCaseTest, DestroyMidStreamDrainsInFlightMorsels) {
+  // A consumer that stops early leaves morsels in flight; the scan must
+  // drain them cleanly on destruction after emitting the correct prefix.
+  const Sources sources(RunSummary({{3, 1000}}));
   ExecContext ctx(ExecOptions{8, 3});
-  LimitOp limit(std::make_unique<TableScanOp>(&t, &ctx), 10);
-  const auto got = Drain(&limit);
-  ASSERT_EQ(got.second.size(), 10u);
-  for (int64_t i = 0; i < 10; ++i) EXPECT_EQ(got.second[i], i);
+  for (const TableSource* source : sources.all()) {
+    SourceScanOp scan(source, 0, 2, DnfPredicate::True(), &ctx);
+    scan.Open();
+    std::vector<Value> prefix;
+    RowBlock block;
+    while (prefix.size() < 2 * 10 && scan.NextBatch(&block)) {
+      for (int64_t r = 0; r < block.num_rows(); ++r) {
+        prefix.push_back(block.Column(0)[r]);
+        prefix.push_back(block.Column(1)[r]);
+      }
+    }
+    ASSERT_GE(prefix.size(), 2u * 10);
+    for (int64_t i = 0; i < 10; ++i) {
+      EXPECT_EQ(prefix[2 * i], i) << SourceName(sources, source);
+      EXPECT_EQ(prefix[2 * i + 1], 3) << SourceName(sources, source);
+    }
+  }
 }
 
 }  // namespace

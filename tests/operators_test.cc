@@ -1,91 +1,110 @@
-// Tests for engine/operators: batch-vectorized operators over materialized
-// and dynamically generated sources, including the row-at-a-time Next()
-// shim kept at the root.
+// Tests for engine/operators: SourceScanOp over materialized and
+// dynamically generated sources, and the JoinIndex layouts behind the
+// executor's probe chain.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "engine/operators.h"
 #include "hydra/regenerator.h"
+#include "hydra/tuple_generator.h"
 #include "workload/toy.h"
 
 namespace hydra {
 namespace {
 
-Table MakeTable(std::vector<Row> rows, int cols) {
-  Table t(cols);
-  for (const Row& r : rows) t.AppendRow(r);
-  return t;
+// The scan's whole output as row-major values: order-sensitive, so equality
+// means an identical row stream.
+std::vector<Value> Drain(SourceScanOp* scan) {
+  scan->Open();
+  std::vector<Value> values;
+  RowBlock block;
+  while (scan->NextBatch(&block)) {
+    EXPECT_GT(block.num_rows(), 0) << "NextBatch must not emit empty batches";
+    for (int64_t r = 0; r < block.num_rows(); ++r) {
+      const size_t base = values.size();
+      values.resize(base + block.num_columns());
+      block.CopyRowTo(r, values.data() + base);
+    }
+  }
+  return values;
 }
 
-TEST(TableScanOpTest, EmitsAllRowsInOrder) {
-  Table t = MakeTable({{1, 2}, {3, 4}, {5, 6}}, 2);
-  TableScanOp scan(&t);
-  scan.Open();
-  Row row;
-  ASSERT_TRUE(scan.Next(&row));
-  EXPECT_EQ(row, (Row{1, 2}));
-  ASSERT_TRUE(scan.Next(&row));
-  ASSERT_TRUE(scan.Next(&row));
-  EXPECT_EQ(row, (Row{5, 6}));
-  EXPECT_FALSE(scan.Next(&row));
+class SourceScanOpTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    env_ = MakeToyEnvironment();
+    auto result = HydraRegenerator(env_.schema).Regenerate(env_.ccs);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    summary_ = std::move(result->summary);
+    auto db = MaterializeDatabase(summary_);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    db_ = std::make_unique<Database>(std::move(db).value());
+    gen_ = std::make_unique<TupleGenerator>(summary_);
+    s_ = env_.schema.RelationIndex("S");
+    cols_ = env_.schema.relation(s_).num_attributes();
+  }
+
+  // The materialized database and the generator over the same summary.
+  std::vector<const TableSource*> Sources() const {
+    return {db_.get(), gen_.get()};
+  }
+
+  ToyEnvironment env_;
+  DatabaseSummary summary_;
+  std::unique_ptr<Database> db_;
+  std::unique_ptr<TupleGenerator> gen_;
+  int s_ = -1;
+  int cols_ = 0;
+};
+
+TEST_F(SourceScanOpTest, EmitsEveryRowOfEitherSource) {
+  for (const TableSource* source : Sources()) {
+    SourceScanOp scan(source, s_, cols_);
+    const std::vector<Value> got = Drain(&scan);
+    ASSERT_EQ(got.size(), source->RowCount(s_) * cols_);
+    std::vector<Value> want;
+    source->Scan(s_, [&](const Row& row) {
+      want.insert(want.end(), row.begin(), row.end());
+    });
+    EXPECT_EQ(got, want);
+  }
+  // Both sources serve the same summary, so the same stream.
+  SourceScanOp from_db(db_.get(), s_, cols_);
+  SourceScanOp from_gen(gen_.get(), s_, cols_);
+  EXPECT_EQ(Drain(&from_db), Drain(&from_gen));
 }
 
-TEST(TableScanOpTest, ReopenRestarts) {
-  Table t = MakeTable({{7}}, 1);
-  TableScanOp scan(&t);
-  EXPECT_EQ(CountRows(&scan), 1u);
-  EXPECT_EQ(CountRows(&scan), 1u);
+TEST_F(SourceScanOpTest, ReopenRestarts) {
+  SourceScanOp scan(db_.get(), s_, cols_);
+  const std::vector<Value> first = Drain(&scan);
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(Drain(&scan), first);
 }
 
-TEST(FilterOpTest, KeepsMatchingRows) {
-  Table t = MakeTable({{1}, {5}, {9}, {3}}, 1);
-  FilterOp filter(std::make_unique<TableScanOp>(&t),
-                  PredicateOf(AtomGreaterEqual(0, 4)));
-  filter.Open();
-  Row row;
-  ASSERT_TRUE(filter.Next(&row));
-  EXPECT_EQ(row[0], 5);
-  ASSERT_TRUE(filter.Next(&row));
-  EXPECT_EQ(row[0], 9);
-  EXPECT_FALSE(filter.Next(&row));
-}
-
-TEST(ProjectOpTest, ReordersColumns) {
-  Table t = MakeTable({{1, 2, 3}}, 3);
-  ProjectOp project(std::make_unique<TableScanOp>(&t), {2, 0});
-  project.Open();
-  Row row;
-  ASSERT_TRUE(project.Next(&row));
-  EXPECT_EQ(row, (Row{3, 1}));
-  EXPECT_EQ(project.num_columns(), 2);
-}
-
-TEST(HashJoinOpTest, JoinsOnKeysWithDuplicates) {
-  // probe(key, x) ⋈ build(key, y).
-  Table probe = MakeTable({{1, 10}, {2, 20}, {1, 30}, {9, 90}}, 2);
-  Table build = MakeTable({{1, 100}, {2, 200}, {1, 101}}, 2);
-  HashJoinOp join(std::make_unique<TableScanOp>(&probe), 0,
-                  std::make_unique<TableScanOp>(&build), 0);
-  join.Open();
-  Row row;
-  std::multiset<std::vector<Value>> results;
-  while (join.Next(&row)) results.insert(row);
-  // probe key 1 matches two build rows, twice; key 2 once; key 9 none.
-  EXPECT_EQ(results.size(), 5u);
-  EXPECT_TRUE(results.count(Row{1, 10, 1, 100}));
-  EXPECT_TRUE(results.count(Row{1, 30, 1, 101}));
-  EXPECT_TRUE(results.count(Row{2, 20, 2, 200}));
-}
-
-TEST(HashJoinOpTest, EmptyBuildSideYieldsNothing) {
-  Table probe = MakeTable({{1}}, 1);
-  Table build(1);
-  HashJoinOp join(std::make_unique<TableScanOp>(&probe), 0,
-                  std::make_unique<TableScanOp>(&build), 0);
-  EXPECT_EQ(CountRows(&join), 0u);
+TEST_F(SourceScanOpTest, PushedFilterMatchesRowWiseEval) {
+  // The pushed filter runs the BlockPredicate + in-place Gather kernels; the
+  // oracle is DnfPredicate::Eval applied row by row to the unfiltered scan.
+  const int a = env_.schema.relation(s_).AttrIndex("A");
+  const DnfPredicate pred = PredicateOf(AtomRange(a, 20, 60));
+  for (const TableSource* source : Sources()) {
+    SourceScanOp unfiltered(source, s_, cols_);
+    const std::vector<Value> all = Drain(&unfiltered);
+    std::vector<Value> want;
+    for (size_t r = 0; r < all.size(); r += cols_) {
+      if (pred.Eval(all.data() + r)) {
+        want.insert(want.end(), all.begin() + r, all.begin() + r + cols_);
+      }
+    }
+    SourceScanOp pushed(source, s_, cols_, pred);
+    EXPECT_EQ(Drain(&pushed), want);
+    // |σ_{A∈[20,60)}(S)| = 400 (the Figure 1d constraint).
+    EXPECT_EQ(want.size() / cols_, 400u);
+  }
 }
 
 // --- JoinIndex -------------------------------------------------------------
@@ -202,151 +221,6 @@ TEST(JoinIndexTest, FullInt64RangeTakesHashedLayout) {
   EXPECT_EQ(RowsOf(index, 0), (std::vector<uint32_t>{1}));
   EXPECT_TRUE(RowsOf(index, 1).empty());
   EXPECT_TRUE(RowsOf(index, INT64_MAX - 1).empty());
-}
-
-TEST(HashAggregateOpTest, GroupedCountsAndSums) {
-  Table t = MakeTable({{1, 10}, {2, 20}, {1, 5}, {1, 1}}, 2);
-  HashAggregateOp agg(
-      std::make_unique<TableScanOp>(&t), {0},
-      {{AggregateKind::kCount, -1}, {AggregateKind::kSum, 1},
-       {AggregateKind::kMin, 1}, {AggregateKind::kMax, 1}});
-  agg.Open();
-  Row row;
-  ASSERT_TRUE(agg.Next(&row));  // group 1 (std::map order)
-  EXPECT_EQ(row, (Row{1, 3, 16, 1, 10}));
-  ASSERT_TRUE(agg.Next(&row));  // group 2
-  EXPECT_EQ(row, (Row{2, 1, 20, 20, 20}));
-  EXPECT_FALSE(agg.Next(&row));
-}
-
-TEST(HashAggregateOpTest, GlobalAggregateSingleRow) {
-  Table t = MakeTable({{4}, {6}}, 1);
-  HashAggregateOp agg(std::make_unique<TableScanOp>(&t), {},
-                      {{AggregateKind::kSum, 0}});
-  agg.Open();
-  Row row;
-  ASSERT_TRUE(agg.Next(&row));
-  EXPECT_EQ(row, (Row{10}));
-  EXPECT_FALSE(agg.Next(&row));
-}
-
-TEST(LimitOpTest, StopsEarly) {
-  Table t = MakeTable({{1}, {2}, {3}}, 1);
-  LimitOp limit(std::make_unique<TableScanOp>(&t), 2);
-  EXPECT_EQ(CountRows(&limit), 2u);
-}
-
-TEST(GeneratorScanOpTest, MatchesDynamicSummaryScan) {
-  ToyEnvironment env = MakeToyEnvironment();
-  HydraRegenerator hydra(env.schema);
-  auto result = hydra.Regenerate(env.ccs);
-  ASSERT_TRUE(result.ok());
-  TupleGenerator gen(result->summary);
-  const int s = env.schema.RelationIndex("S");
-  GeneratorScanOp scan(&gen, s,
-                       env.schema.relation(s).num_attributes());
-  EXPECT_EQ(CountRows(&scan), gen.RowCount(s));
-}
-
-TEST(OperatorPipelineTest, FilterAggregateOverGeneratedTuples) {
-  // The full "engine under test" path: σ then γ over dynamically generated
-  // data, no storage anywhere.
-  ToyEnvironment env = MakeToyEnvironment();
-  HydraRegenerator hydra(env.schema);
-  auto result = hydra.Regenerate(env.ccs);
-  ASSERT_TRUE(result.ok());
-  TupleGenerator gen(result->summary);
-  const int s = env.schema.RelationIndex("S");
-  const int a = env.schema.relation(s).AttrIndex("A");
-
-  auto scan = std::make_unique<GeneratorScanOp>(
-      &gen, s, env.schema.relation(s).num_attributes());
-  auto filter = std::make_unique<FilterOp>(
-      std::move(scan), PredicateOf(AtomRange(a, 20, 60)));
-  HashAggregateOp agg(std::move(filter), {},
-                      {{AggregateKind::kCount, -1}});
-  agg.Open();
-  Row row;
-  ASSERT_TRUE(agg.Next(&row));
-  // |σ_{A∈[20,60)}(S)| = 400 (the Figure 1d constraint).
-  EXPECT_EQ(row[0], 400);
-}
-
-TEST(BatchContractTest, NextShimMatchesNextBatchConcatenation) {
-  Table t = MakeTable({{1, 2}, {3, 4}, {5, 6}, {7, 8}}, 2);
-  TableScanOp scan(&t);
-
-  scan.Open();
-  std::vector<Value> batched;
-  RowBlock block;
-  while (scan.NextBatch(&block)) {
-    EXPECT_GT(block.num_rows(), 0) << "NextBatch must not emit empty batches";
-    for (int64_t r = 0; r < block.num_rows(); ++r) {
-      const size_t base = batched.size();
-      batched.resize(base + block.num_columns());
-      block.CopyRowTo(r, batched.data() + base);
-    }
-  }
-
-  scan.Open();
-  std::vector<Value> rowwise;
-  Row row;
-  while (scan.Next(&row)) rowwise.insert(rowwise.end(), row.begin(), row.end());
-
-  EXPECT_EQ(batched, rowwise);
-  EXPECT_EQ(batched, t.data());
-}
-
-TEST(SourceScanOpTest, PushedFilterMatchesFilterOpOverScan) {
-  ToyEnvironment env = MakeToyEnvironment();
-  HydraRegenerator hydra(env.schema);
-  auto result = hydra.Regenerate(env.ccs);
-  ASSERT_TRUE(result.ok());
-  auto db = MaterializeDatabase(result->summary);
-  ASSERT_TRUE(db.ok());
-  const int s = env.schema.RelationIndex("S");
-  const int cols = env.schema.relation(s).num_attributes();
-  const int a = env.schema.relation(s).AttrIndex("A");
-  const DnfPredicate pred = PredicateOf(AtomRange(a, 20, 60));
-
-  SourceScanOp pushed(&*db, s, cols, pred);
-  FilterOp unpushed(std::make_unique<SourceScanOp>(&*db, s, cols), pred);
-  EXPECT_EQ(CountRows(&pushed), CountRows(&unpushed));
-  EXPECT_EQ(CountRows(&pushed), 400u);
-}
-
-TEST(SourceScanOpTest, ScansGeneratorSource) {
-  ToyEnvironment env = MakeToyEnvironment();
-  HydraRegenerator hydra(env.schema);
-  auto result = hydra.Regenerate(env.ccs);
-  ASSERT_TRUE(result.ok());
-  TupleGenerator gen(result->summary);
-  const int s = env.schema.RelationIndex("S");
-  SourceScanOp scan(&gen, s, env.schema.relation(s).num_attributes());
-  EXPECT_EQ(CountRows(&scan), gen.RowCount(s));
-}
-
-TEST(OperatorPipelineTest, JoinPipelineReproducesCardinality) {
-  ToyEnvironment env = MakeToyEnvironment();
-  HydraRegenerator hydra(env.schema);
-  auto result = hydra.Regenerate(env.ccs);
-  ASSERT_TRUE(result.ok());
-  auto db = MaterializeDatabase(result->summary);
-  ASSERT_TRUE(db.ok());
-  const Schema& schema = env.schema;
-  const int s = schema.RelationIndex("S");
-  const int r = schema.RelationIndex("R");
-  const int a = schema.relation(s).AttrIndex("A");
-  const int sfk = schema.relation(r).AttrIndex("S_fk");
-  const int spk = schema.relation(s).PrimaryKeyIndex();
-
-  auto s_scan = std::make_unique<TableScanOp>(&db->table(s));
-  auto s_filtered = std::make_unique<FilterOp>(
-      std::move(s_scan), PredicateOf(AtomRange(a, 20, 60)));
-  HashJoinOp join(std::make_unique<TableScanOp>(&db->table(r)), sfk,
-                  std::move(s_filtered), spk);
-  // |σ_A(R ⋈ S)| = 50000.
-  EXPECT_EQ(CountRows(&join), 50000u);
 }
 
 }  // namespace

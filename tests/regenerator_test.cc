@@ -98,7 +98,11 @@ TEST(RegeneratorTest, InfeasibleCcsReportError) {
   ccs.push_back(bad);
   HydraRegenerator hydra(env.schema);
   auto result = hydra.Regenerate(ccs);
-  EXPECT_FALSE(result.ok());
+  ASSERT_FALSE(result.ok());
+  // The per-view error keeps the solver's code and names the view at fault.
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(result.status().message().rfind("view S: ", 0), 0u)
+      << result.status().ToString();
 }
 
 TEST(RegeneratorTest, PositiveOnlyErrors) {

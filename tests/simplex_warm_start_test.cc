@@ -3,8 +3,8 @@
 //
 // The identity tests pin the canonicalization contract: with
 // SimplexOptions::canonicalize on, the reported solution is a function of
-// the problem alone — byte-identical across pricing rules, warm vs cold
-// starts, and refactorization schedules.
+// the problem alone — byte-identical across warm vs cold starts and
+// refactorization schedules.
 
 #include <cmath>
 #include <filesystem>
@@ -70,21 +70,6 @@ LpProblem RandomFeasible(int n, int m, double density, uint64_t seed,
 }
 
 // ---- cross-configuration identity ----------------------------------------
-
-TEST(SimplexCanonicalTest, SolutionsIdenticalAcrossPricingRules) {
-  for (uint64_t seed = 0; seed < 10; ++seed) {
-    LpProblem p = RandomFeasible(120, 25, 0.3, seed * 17 + 3);
-    SimplexOptions devex;
-    devex.canonicalize = true;
-    devex.pricing = SimplexPricing::kDevex;
-    SimplexOptions partial = devex;
-    partial.pricing = SimplexPricing::kPartial;
-    auto a = SolveFeasibility(p, devex);
-    auto b = SolveFeasibility(p, partial);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a->values, b->values) << "seed " << seed;
-  }
-}
 
 TEST(SimplexCanonicalTest, SolutionsIdenticalAcrossRefactorSchedules) {
   LpProblem p = RandomFeasible(200, 40, 0.25, 99);
@@ -226,9 +211,7 @@ TEST(SimplexDevexTest, DegenerateZeroRhsChainTerminates) {
   for (int i = 0; i + 1 < n; ++i) {
     p.AddConstraint(MakeConstraint({i, i + 1}, 0));
   }
-  SimplexOptions options;
-  options.pricing = SimplexPricing::kDevex;
-  auto sol = SolveFeasibility(p, options);
+  auto sol = SolveFeasibility(p);
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
   for (double v : sol->values) EXPECT_NEAR(v, 0.0, 1e-9);
 }
@@ -242,13 +225,9 @@ TEST(SimplexDevexTest, HeavyDuplicationStaysFeasible) {
     p.AddConstraint(MakeConstraint({4, 5, 6}, 20));
   }
   p.AddConstraint(MakeConstraint({0, 1, 2, 3, 4, 5, 6, 7}, 120));
-  for (auto pricing : {SimplexPricing::kDevex, SimplexPricing::kPartial}) {
-    SimplexOptions options;
-    options.pricing = pricing;
-    auto sol = SolveFeasibility(p, options);
-    ASSERT_TRUE(sol.ok()) << sol.status().ToString();
-    EXPECT_LT(p.MaxViolation(sol->values), 1e-6);
-  }
+  auto sol = SolveFeasibility(p);
+  ASSERT_TRUE(sol.ok()) << sol.status().ToString();
+  EXPECT_LT(p.MaxViolation(sol->values), 1e-6);
 }
 
 // ---- LU refactorization recovery -----------------------------------------
@@ -297,20 +276,6 @@ TEST(HydraWarmStartTest, SummariesIdenticalWarmVsColdWithCanonicalSolver) {
   auto b = HydraRegenerator(env.schema, cold).Regenerate(env.ccs);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(SummaryBytes(a->summary, "warm"), SummaryBytes(b->summary, "cold"));
-}
-
-TEST(HydraWarmStartTest, SummariesIdenticalAcrossPricingWithCanonicalSolver) {
-  ToyEnvironment env = MakeToyEnvironment();
-  HydraOptions devex;
-  devex.simplex.canonicalize = true;
-  devex.simplex.pricing = SimplexPricing::kDevex;
-  HydraOptions partial = devex;
-  partial.simplex.pricing = SimplexPricing::kPartial;
-  auto a = HydraRegenerator(env.schema, devex).Regenerate(env.ccs);
-  auto b = HydraRegenerator(env.schema, partial).Regenerate(env.ccs);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(SummaryBytes(a->summary, "devex"),
-            SummaryBytes(b->summary, "partial"));
 }
 
 }  // namespace
