@@ -48,23 +48,24 @@ int main() {
   }
   std::printf(")\n\n");
 
-  // Execute the entire workload against the dynamic source.
-  Executor executor(site->schema);
+  // Execute the entire workload against the dynamic source, as one batch.
+  const Executor executor(site->schema);
+  auto aqps = executor.ExecuteAll(site->queries, generator);
+  if (!aqps.ok()) {
+    std::printf("query failed: %s\n", aqps.status().ToString().c_str());
+    return 1;
+  }
   TextTable table({"query", "edges", "max |rel.err| vs client"});
   for (size_t qi = 0; qi < site->queries.size(); ++qi) {
-    auto aqp = executor.Execute(site->queries[qi], generator);
-    if (!aqp.ok()) {
-      std::printf("query failed: %s\n", aqp.status().ToString().c_str());
-      return 1;
-    }
+    const AnnotatedQueryPlan& aqp = (*aqps)[qi];
     double max_err = 0;
-    for (size_t s = 0; s < aqp->steps.size(); ++s) {
+    for (size_t s = 0; s < aqp.steps.size(); ++s) {
       const double want =
           static_cast<double>(site->aqps[qi].steps[s].cardinality);
-      const double got = static_cast<double>(aqp->steps[s].cardinality);
+      const double got = static_cast<double>(aqp.steps[s].cardinality);
       max_err = std::max(max_err, std::abs(got - want) / std::max(1.0, want));
     }
-    table.AddRow({site->queries[qi].name, std::to_string(aqp->steps.size()),
+    table.AddRow({site->queries[qi].name, std::to_string(aqp.steps.size()),
                   TextTable::Cell(max_err, 4)});
   }
   std::printf("%s", table.Render().c_str());

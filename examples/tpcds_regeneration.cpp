@@ -63,8 +63,8 @@ int main() {
 
   // --- Fidelity check -------------------------------------------------------
   // The similarity evaluation re-runs the whole workload on the vendor
-  // side; ExecOptions fans the scans out over morsels, and the report is
-  // identical at any thread count.
+  // side; ExecOptions spreads its queries over the workers, and the report
+  // is identical at any thread count.
   auto db = MaterializeDatabase(result->summary);
   if (!db.ok()) return 1;
   const auto measure = [&](ExecOptions exec, double* seconds) {

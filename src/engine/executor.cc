@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <unordered_set>
 
@@ -150,19 +151,73 @@ void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
 
 }  // namespace
 
-StatusOr<AnnotatedQueryPlan> Executor::Execute(
-    const Query& query, const TableSource& source) const {
+Status Executor::Prepare(const Query& query,
+                         const TableSource& source) const {
   HYDRA_RETURN_IF_ERROR(query.Validate(schema_));
-  {
-    std::unordered_set<int> rels;
-    for (const QueryTable& qt : query.tables) {
-      if (!rels.insert(qt.relation).second) {
-        return Status::Unimplemented("self-joins are not supported (query " +
-                                     query.name + ")");
-      }
+  std::unordered_set<int> rels;
+  for (const QueryTable& qt : query.tables) {
+    if (!rels.insert(qt.relation).second) {
+      return Status::Unimplemented("self-joins are not supported (query " +
+                                   query.name + ")");
     }
   }
+  for (const QueryTable& qt : query.tables) source.PrepareScan(qt.relation);
+  return Status::OK();
+}
 
+StatusOr<AnnotatedQueryPlan> Executor::Execute(
+    const Query& query, const TableSource& source) const {
+  HYDRA_RETURN_IF_ERROR(Prepare(query, source));
+  return Run(query, source, ctx());
+}
+
+StatusOr<std::vector<AnnotatedQueryPlan>> Executor::ExecuteAll(
+    const std::vector<Query>& queries, const TableSource& source) const {
+  for (const Query& query : queries) {
+    HYDRA_RETURN_IF_ERROR(Prepare(query, source));
+  }
+  ExecContext* const ctx = this->ctx();
+  const int n = static_cast<int>(queries.size());
+  std::vector<AnnotatedQueryPlan> plans(n);
+  const int workers = std::min(ctx->parallelism(), n);
+  if (workers <= 1) {
+    for (int i = 0; i < n; ++i) {
+      HYDRA_ASSIGN_OR_RETURN(plans[i], Run(queries[i], source, ctx));
+    }
+    return plans;
+  }
+
+  // Each worker claims the next unclaimed query until none is left or the
+  // cancel scope trips. A query's morsels run sequentially on a private
+  // context that shares the cancel scope, so no task ever waits on another
+  // pool task.
+  std::vector<Status> statuses(n);
+  std::atomic<int> next{0};
+  WaitGroup wg;
+  wg.Add(workers);
+  for (int w = 0; w < workers; ++w) {
+    ctx->pool()->Submit([&] {
+      ExecContext sequential(ExecOptions{1, ctx->morsel_rows()});
+      sequential.set_cancel(ctx->cancel());
+      for (int i = next++; i < n && !ctx->cancelled(); i = next++) {
+        StatusOr<AnnotatedQueryPlan> plan =
+            Run(queries[i], source, &sequential);
+        statuses[i] = plan.status();
+        if (plan.ok()) plans[i] = std::move(plan).value();
+      }
+      wg.Done();
+    });
+  }
+  wg.Wait();
+  // A tripped scope may have left queries unclaimed.
+  HYDRA_RETURN_IF_ERROR(ctx->CheckCancel());
+  for (const Status& status : statuses) HYDRA_RETURN_IF_ERROR(status);
+  return plans;
+}
+
+StatusOr<AnnotatedQueryPlan> Executor::Run(const Query& query,
+                                           const TableSource& source,
+                                           ExecContext* ctx) const {
   const int num_tables = static_cast<int>(query.tables.size());
   const int num_joins = num_tables - 1;  // Validate: one join per table
 
@@ -236,7 +291,7 @@ StatusOr<AnnotatedQueryPlan> Executor::Execute(
   for (int t = 1; t < num_tables; ++t) {
     // Stage boundary: a tripped CancelScope unwinds here (and within one
     // morsel of the chain below) — the partial blocks are simply dropped.
-    HYDRA_RETURN_IF_ERROR(ctx()->CheckCancel());
+    HYDRA_RETURN_IF_ERROR(ctx->CheckCancel());
     const QueryTable& qt = query.tables[t];
     const Relation& rel = schema_.relation(qt.relation);
     const std::vector<int>& attrs = block_attrs[t];
@@ -244,7 +299,7 @@ StatusOr<AnnotatedQueryPlan> Executor::Execute(
     RowBlock& block = blocks[t];
     block.Reset(width);
     SourceScanOp scan(&source, qt.relation, rel.num_attributes(), qt.filter,
-                      ctx());
+                      ctx);
     scan.Open();
     while (scan.NextBatch(&drain)) {
       const int64_t base = block.num_rows();
@@ -257,24 +312,24 @@ StatusOr<AnnotatedQueryPlan> Executor::Execute(
     }
     filtered_rows[t] = static_cast<uint64_t>(block.num_rows());
     const int64_t scanned = static_cast<int64_t>(source.RowCount(qt.relation));
-    indexes[t].Build(block.Column(0), block.num_rows(), scanned, ctx());
+    indexes[t].Build(block.Column(0), block.num_rows(), scanned, ctx);
   }
-  HYDRA_RETURN_IF_ERROR(ctx()->CheckCancel());
+  HYDRA_RETURN_IF_ERROR(ctx->CheckCancel());
 
   // The root is never copied: each of its morsels runs the whole chain in
   // its own task and writes its counts to its own slot; the slots are
   // summed in morsel order.
   const int64_t root_rows =
       static_cast<int64_t>(source.RowCount(chain.root_relation));
-  const int64_t num_morsels = NumMorsels(ctx(), root_rows);
+  const int64_t num_morsels = NumMorsels(ctx, root_rows);
   const int num_counts = 1 + num_joins;
   std::vector<uint64_t> morsel_counts(num_morsels * num_counts, 0);
-  ForEachMorsel(ctx(), root_rows, [&](int64_t m, int64_t begin, int64_t end) {
+  ForEachMorsel(ctx, root_rows, [&](int64_t m, int64_t begin, int64_t end) {
     chain.Run(begin, end, morsel_counts.data() + m * num_counts);
   });
   // A cancellation that tripped inside the chain left morsels unrun;
   // report it rather than returning a silently-partial plan.
-  HYDRA_RETURN_IF_ERROR(ctx()->CheckCancel());
+  HYDRA_RETURN_IF_ERROR(ctx->CheckCancel());
   std::vector<uint64_t> counts(num_counts, 0);
   for (int64_t m = 0; m < num_morsels; ++m) {
     for (int s = 0; s < num_counts; ++s) {

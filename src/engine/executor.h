@@ -43,11 +43,11 @@ struct AnnotatedQueryPlan {
 class Executor {
  public:
   // The executor owns one ExecContext (thread pool + morsel knobs) reused
-  // across every Execute call. Non-root relations are scanned and filtered
-  // by the morsel-parallel SourceScanOp and indexed on their join keys; the
-  // joins then run as a probe chain inside the root relation's morsel tasks
-  // (docs/engine.md "The executor's probe chain"). Results are
-  // byte-identical at any num_threads.
+  // across every Execute and ExecuteAll call. Non-root relations are
+  // scanned and filtered by the morsel-parallel SourceScanOp and indexed on
+  // their join keys; the joins then run as a probe chain inside the root
+  // relation's morsel tasks (docs/engine.md "The executor's probe chain").
+  // Results are byte-identical at any num_threads.
   explicit Executor(const Schema& schema, ExecOptions options = {})
       : schema_(schema), owned_ctx_(std::make_unique<ExecContext>(options)) {}
 
@@ -62,12 +62,33 @@ class Executor {
   StatusOr<AnnotatedQueryPlan> Execute(const Query& query,
                                        const TableSource& source) const;
 
+  // Executes a batch of queries against `source`: one whole query per task
+  // on the context's workers, each running its morsels sequentially inside
+  // its task (docs/engine.md "Query batches"). A batch of one query, or a
+  // sequential context, runs its queries in turn through Execute's
+  // dispatch. Returns the plans in query order, each identical to a lone
+  // Execute of its query. Every query is checked before any runs, so an
+  // invalid batch fails with the first invalid query's status in query
+  // order; a tripped cancel scope fails it with the scope's status. Must
+  // not be called from a task of the context's own pool.
+  StatusOr<std::vector<AnnotatedQueryPlan>> ExecuteAll(
+      const std::vector<Query>& queries, const TableSource& source) const;
+
   const ExecOptions& options() const { return ctx()->options(); }
 
  private:
   ExecContext* ctx() const {
     return external_ctx_ != nullptr ? external_ctx_ : owned_ctx_.get();
   }
+
+  // OK, or why `query` cannot run: invalid for the schema, or a self-join.
+  // On OK, the source's shared scan state for the query's relations is
+  // built on the calling thread (TableSource::PrepareScan).
+  Status Prepare(const Query& query, const TableSource& source) const;
+  // Runs a prepared query on `ctx`; fails only when its cancel scope trips.
+  StatusOr<AnnotatedQueryPlan> Run(const Query& query,
+                                   const TableSource& source,
+                                   ExecContext* ctx) const;
 
   const Schema& schema_;
   std::unique_ptr<ExecContext> owned_ctx_;

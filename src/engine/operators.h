@@ -35,9 +35,11 @@ namespace hydra {
 // Knobs of the parallel engine, threaded from the workload drivers down to
 // the morsel sources.
 struct ExecOptions {
-  // Worker threads for morsel fan-out. 0 = one per hardware thread;
-  // 1 = fully sequential (no pool, no handoff machinery).
-  int num_threads = 1;
+  // Worker threads: a lone query fans its morsels out over them, and a
+  // query batch (Executor::ExecuteAll) runs whole queries on them. 0 (the
+  // default) = one per hardware thread; 1 = fully sequential (no pool, no
+  // handoff machinery).
+  int num_threads = 0;
   // Rows per morsel: the unit of scan parallel work and the batch size a
   // scan emits before its filter.
   int64_t morsel_rows = 4096;
@@ -86,6 +88,7 @@ class ExecContext {
   // within one morsel of the signal. The caller sets it around a request
   // and must keep the scope alive while set; never owned.
   void set_cancel(const CancelScope* cancel) { cancel_ = cancel; }
+  const CancelScope* cancel() const { return cancel_; }
   bool cancelled() const { return cancel_ != nullptr && cancel_->cancelled(); }
   // OK, or why execution must stop (kCancelled / kDeadlineExceeded).
   Status CheckCancel() const {

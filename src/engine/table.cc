@@ -84,31 +84,44 @@ void Database::FillBlockRange(int relation, int64_t begin, int64_t end,
                                  << ") out of bounds for relation "
                                  << relation);
   // Serve from the columnar mirror: a per-call transpose would redo the
-  // same work for every query that scans this relation. The mirror only
-  // ever appends (tables are append-only), so refresh = transpose the tail.
+  // same work for every query that scans this relation.
   std::shared_lock<std::shared_mutex> read(columnar_->mu);
-  if (static_cast<size_t>(relation) >= columnar_->blocks.size() ||
-      columnar_->blocks[relation].num_rows() != rows) {
+  if (!MirrorCurrent(relation)) {
     read.unlock();
-    {
-      std::unique_lock<std::shared_mutex> write(columnar_->mu);
-      if (columnar_->blocks.size() != tables_.size()) {
-        columnar_->blocks.resize(tables_.size());
-      }
-      RowBlock& mirror = columnar_->blocks[relation];
-      if (mirror.num_columns() != t.num_columns() ||
-          mirror.num_rows() > rows) {
-        mirror.Reset(t.num_columns());
-      }
-      if (mirror.num_rows() < rows) {
-        mirror.Reserve(rows);
-        mirror.AppendRowMajor(t.RowPtr(mirror.num_rows()),
-                              rows - mirror.num_rows());
-      }
-    }
+    PrepareScan(relation);
     read.lock();
   }
   out->AppendRange(columnar_->blocks[relation], begin, end - begin);
+}
+
+bool Database::MirrorCurrent(int relation) const {
+  return static_cast<size_t>(relation) < columnar_->blocks.size() &&
+         columnar_->blocks[relation].num_rows() ==
+             static_cast<int64_t>(tables_[relation].num_rows());
+}
+
+void Database::PrepareScan(int relation) const {
+  {
+    std::shared_lock<std::shared_mutex> read(columnar_->mu);
+    if (MirrorCurrent(relation)) return;
+  }
+  // The mirror only ever appends (tables are append-only), so refresh =
+  // transpose the tail.
+  std::unique_lock<std::shared_mutex> write(columnar_->mu);
+  if (columnar_->blocks.size() != tables_.size()) {
+    columnar_->blocks.resize(tables_.size());
+  }
+  const Table& t = tables_[relation];
+  const int64_t rows = static_cast<int64_t>(t.num_rows());
+  RowBlock& mirror = columnar_->blocks[relation];
+  if (mirror.num_columns() != t.num_columns() || mirror.num_rows() > rows) {
+    mirror.Reset(t.num_columns());
+  }
+  if (mirror.num_rows() < rows) {
+    mirror.Reserve(rows);
+    mirror.AppendRowMajor(t.RowPtr(mirror.num_rows()),
+                          rows - mirror.num_rows());
+  }
 }
 
 Status Database::CheckReferentialIntegrity() const {

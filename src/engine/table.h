@@ -93,6 +93,14 @@ class TableSource {
   // storage) override it. Same range semantics as ScanRange.
   virtual void FillBlockRange(int relation, int64_t begin, int64_t end,
                               RowBlock* out) const;
+  // Builds the state that scans of `relation` share (a Database's columnar
+  // mirror) on the calling thread. The executor calls it before it fans
+  // scans out, so that the state is allocated by the caller rather than by
+  // whichever pool worker scans first: memory freed into a worker's malloc
+  // arena stays resident (docs/engine.md "Query batches"). A scan that
+  // finds the state missing still builds it itself. The default does
+  // nothing.
+  virtual void PrepareScan(int /*relation*/) const {}
 };
 
 // A fully-materialized database: one Table per schema relation.
@@ -116,6 +124,8 @@ class Database : public TableSource {
                  const std::function<void(const Row&)>& fn) const override;
   void FillBlockRange(int relation, int64_t begin, int64_t end,
                       RowBlock* out) const override;
+  // Builds (or refreshes) the relation's columnar mirror.
+  void PrepareScan(int relation) const override;
 
   // Verifies that every FK value appears as a PK of the target relation.
   Status CheckReferentialIntegrity() const;
@@ -131,6 +141,10 @@ class Database : public TableSource {
     std::shared_mutex mu;
     std::vector<RowBlock> blocks;
   };
+
+  // Whether the relation's mirror matches its table. Requires columnar_->mu
+  // held in either mode.
+  bool MirrorCurrent(int relation) const;
 
   Schema schema_;
   std::vector<Table> tables_;

@@ -178,13 +178,20 @@ class RevisedSimplex {
   // nothing — and Devex there measured more pivots (docs/solver.md).
   bool UseDevex() const { return phase_ == 1; }
 
-  // Phase-I objective: total value of artificial basis variables.
+  // Phase-I objective: total value of artificial basis variables, summed
+  // in ascending row order over the rows that hold one.
   double Objective() const {
     double obj = 0;
-    for (int i = 0; i < m_; ++i) {
-      if (basis_[i] >= n_) obj += xb_[i];
-    }
+    for (int i : art_basic_rows_) obj += xb_[i];
     return obj;
+  }
+
+  // Rebuilds art_basic_rows_ from basis_.
+  void CollectArtificialRows() {
+    art_basic_rows_.clear();
+    for (int i = 0; i < m_; ++i) {
+      if (basis_[i] >= n_) art_basic_rows_.push_back(i);
+    }
   }
 
   double ReducedCost(int j) const {
@@ -428,7 +435,13 @@ class RevisedSimplex {
     xb_[leaving] = theta;
     const double alpha_q = work_[leaving];
     const int leaving_var = basis_[leaving];
-    if (leaving_var < n_) in_basis_[leaving_var] = false;
+    if (leaving_var < n_) {
+      in_basis_[leaving_var] = false;
+    } else {
+      // Only structurals enter, so the row leaves the artificial list.
+      art_basic_rows_.erase(std::lower_bound(art_basic_rows_.begin(),
+                                             art_basic_rows_.end(), leaving));
+    }
     basis_[leaving] = entering;
     in_basis_[entering] = true;
     ++pivots_since_refactor_;
@@ -542,6 +555,7 @@ class RevisedSimplex {
       new_basis[lu_.row_of_position()[p]] = basis_[p];
     }
     basis_ = std::move(new_basis);
+    CollectArtificialRows();
     pivots_since_refactor_ = 0;
     max_lu_nnz_ = lu_.TotalNnz() + base_growth_nnz_;
     fresh_factorization_ = true;
@@ -724,6 +738,7 @@ class RevisedSimplex {
   std::vector<double> rho_;   // unit-vector BTRAN scratch for dual updates
   std::vector<int> rho_support_;   // superset of rho_'s nonzero rows
   std::vector<int> basis_;    // basis_[row] < n_: structural; else artificial
+  std::vector<int> art_basic_rows_;  // rows with an artificial basic, ascending
   std::vector<bool> in_basis_;
   std::vector<int> art_rows_;    // identity slices for artificial columns
   std::vector<double> art_vals_;

@@ -28,6 +28,13 @@ struct DataGenOptions {
 // Zipf-skewed references into the target relation, and data attributes
 // alternate between uniform, Zipf-skewed and clustered distributions over
 // their declared domains.
+//
+// Relations generate in parallel, one task per relation on all hardware
+// threads. Each relation draws its rows from its own RNG stream, forked
+// from `seed` in relation order, so the database is byte-identical to a
+// serial loop over the relations. kInvalidArgument, naming the relation,
+// the FK attribute and the target, when a relation with rows has an FK
+// into a relation without any.
 StatusOr<Database> GenerateClientDatabase(const Schema& schema,
                                           const DataGenOptions& options = {});
 

@@ -22,14 +22,12 @@ StatusOr<ClientSite> BuildClientSite(const Schema& schema,
         "|" + schema.relation(r).name() + "|"));
   }
 
-  Executor executor(site.schema, exec);
-  site.aqps.reserve(site.queries.size());
-  for (const Query& q : site.queries) {
-    HYDRA_ASSIGN_OR_RETURN(AnnotatedQueryPlan aqp,
-                           executor.Execute(q, site.database));
+  const Executor executor(site.schema, exec);
+  HYDRA_ASSIGN_OR_RETURN(site.aqps,
+                         executor.ExecuteAll(site.queries, site.database));
+  for (const AnnotatedQueryPlan& aqp : site.aqps) {
     std::vector<CardinalityConstraint> ccs = AqpToConstraints(aqp);
     site.ccs.insert(site.ccs.end(), ccs.begin(), ccs.end());
-    site.aqps.push_back(std::move(aqp));
   }
   return site;
 }
@@ -86,11 +84,11 @@ StatusOr<SimilarityReport> MeasureVolumetricSimilarity(
               client.database.RowCount(r), vendor.RowCount(r));
   }
 
-  Executor executor(client.schema, exec);
+  const Executor executor(client.schema, exec);
+  HYDRA_ASSIGN_OR_RETURN(const std::vector<AnnotatedQueryPlan> vendor_aqps,
+                         executor.ExecuteAll(client.queries, vendor));
   for (size_t qi = 0; qi < client.queries.size(); ++qi) {
-    HYDRA_ASSIGN_OR_RETURN(
-        AnnotatedQueryPlan vendor_aqp,
-        executor.Execute(client.queries[qi], vendor));
+    const AnnotatedQueryPlan& vendor_aqp = vendor_aqps[qi];
     const AnnotatedQueryPlan& client_aqp = client.aqps[qi];
     if (vendor_aqp.steps.size() != client_aqp.steps.size()) {
       return Status::Internal("plan shape mismatch for query " +

@@ -32,9 +32,9 @@ struct ClientSite {
   std::vector<CardinalityConstraint> ccs;
 };
 
-// `exec` configures the morsel-parallel query engine used to collect the
-// AQPs; the site (AQPs, CCs and their ordering) is identical at any
-// num_threads.
+// The client database generates one relation per task; the queries run
+// as one Executor::ExecuteAll batch on `exec`'s workers. The site (tables,
+// AQPs, CCs and their ordering) is identical at any num_threads.
 StatusOr<ClientSite> BuildClientSite(const Schema& schema,
                                      const DataGenOptions& datagen_options,
                                      std::vector<Query> queries,
@@ -60,9 +60,10 @@ struct SimilarityReport {
 
 // Re-executes the client's queries against `vendor` (a materialized database
 // or a Hydra TupleGenerator) and compares every annotated edge, plus the
-// per-relation size CCs. `exec` parallelizes the vendor-side re-execution;
-// the report is identical at any num_threads. kInvalidArgument when the
-// client holds a different number of AQPs than queries.
+// per-relation size CCs. The queries re-run as one Executor::ExecuteAll
+// batch on `exec`'s workers; the report is identical at any num_threads.
+// kInvalidArgument when the client holds a different number of AQPs than
+// queries.
 StatusOr<SimilarityReport> MeasureVolumetricSimilarity(
     const ClientSite& client, const TableSource& vendor,
     const ExecOptions& exec = {});

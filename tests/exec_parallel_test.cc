@@ -2,7 +2,9 @@
 // AQP cardinalities, similarity reports, and SourceScanOp row streams must
 // be byte-identical at any {num_threads, morsel_rows} setting and at either
 // kernel dispatch path, over both materialized (Database) and dynamically
-// generated (TupleGenerator) sources. Also covers the morsel edge cases:
+// generated (TupleGenerator) sources. Query batches (Executor::ExecuteAll)
+// must return exactly the plans of lone Execute calls, in query order, and
+// the first invalid query's status. Also covers the morsel edge cases:
 // empty relation, relation smaller than one morsel, 1-row morsels, pushed
 // filters that keep nothing, everything or every other row, and a scan
 // destroyed mid-stream.
@@ -10,9 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/cancel.h"
+#include "common/logging.h"
 #include "engine/executor.h"
 #include "engine/operators.h"
 #include "hydra/regenerator.h"
@@ -101,30 +106,179 @@ std::vector<std::pair<std::string, uint64_t>> AqpSignature(
   return sig;
 }
 
+// Every field of a plan as text, so equal texts mean identical plans.
+std::string PlanText(const AnnotatedQueryPlan& aqp) {
+  std::string out = aqp.query_name + "\n";
+  for (const AqpStep& step : aqp.steps) {
+    out += step.label + " rel";
+    for (int r : step.relations) out += " " + std::to_string(r);
+    out += " join";
+    for (const CcJoin& j : step.joins) {
+      out += " " + std::to_string(j.fk_relation) + "." +
+             std::to_string(j.fk_attr) + ">" + std::to_string(j.pk_relation);
+    }
+    out += " col";
+    for (const AttrRef& c : step.columns) {
+      out += " " + std::to_string(c.relation) + "." +
+             std::to_string(c.attr);
+    }
+    out += " " + step.predicate.ToString() + " = " +
+           std::to_string(step.cardinality) + "\n";
+  }
+  return out;
+}
+
+// The thread settings a batch must be invariant under: 1, 2, 4 and 8
+// workers, odd morsel sizes, and the default (one worker per hardware
+// thread).
+const ExecOptions kBatchSettings[] = {
+    ExecOptions{1, 4096}, ExecOptions{2, 4096}, ExecOptions{4, 777},
+    ExecOptions{8, 1000}, ExecOptions{}};
+
+std::string SettingName(const ExecOptions& exec) {
+  return std::to_string(exec.num_threads) + " threads x morsel " +
+         std::to_string(exec.morsel_rows);
+}
+
+// A 12-query WLc site at sf 0.2 and a generator over its regenerated
+// summary: the two sources the batch tests run over. Built once.
+struct TpcdsSources {
+  ClientSite site;
+  DatabaseSummary summary;
+  std::unique_ptr<TupleGenerator> gen;
+
+  std::vector<const TableSource*> all() const {
+    return {&site.database, gen.get()};
+  }
+  const char* Name(const TableSource* source) const {
+    return source == gen.get() ? "generator" : "database";
+  }
+};
+
+const TpcdsSources& SharedTpcdsSources() {
+  static const TpcdsSources* sources = [] {
+    const Schema schema = TpcdsSchema(0.2);
+    auto site = BuildClientSite(
+        schema, DataGenOptions{.seed = 4},
+        TpcdsWorkload(schema, TpcdsWorkloadKind::kComplex, 12, 5),
+        ExecOptions{1});
+    HYDRA_CHECK_MSG(site.ok(), site.status().ToString());
+    auto* out = new TpcdsSources{std::move(*site), {}, nullptr};
+    auto result = HydraRegenerator(out->site.schema).Regenerate(out->site.ccs);
+    HYDRA_CHECK_MSG(result.ok(), result.status().ToString());
+    out->summary = std::move(result->summary);
+    out->gen = std::make_unique<TupleGenerator>(out->summary);
+    return out;
+  }();
+  return *sources;
+}
+
 TEST(ParallelExecutorTest, TpcdsSiteIdenticalAcrossThreadCounts) {
   Schema schema = TpcdsSchema(0.2);
-  const auto make_site = [&](int threads) {
+  const auto make_site = [&](const ExecOptions& exec) {
     auto queries = TpcdsWorkload(schema, TpcdsWorkloadKind::kSimple, 10, 9);
-    // An odd morsel size forces boundaries mid-relation.
     auto site = BuildClientSite(schema, DataGenOptions{.seed = 3},
-                                std::move(queries),
-                                ExecOptions{threads, 1000});
+                                std::move(queries), exec);
     EXPECT_TRUE(site.ok()) << site.status().ToString();
     return std::move(*site);
   };
-  const ClientSite base = make_site(1);
-  for (int threads : {2, 8}) {
-    const ClientSite site = make_site(threads);
-    ASSERT_EQ(site.ccs.size(), base.ccs.size()) << threads << " threads";
+  // An odd morsel size forces boundaries mid-relation.
+  const ClientSite base = make_site(ExecOptions{1, 1000});
+  for (const ExecOptions& exec :
+       {ExecOptions{2, 1000}, ExecOptions{8, 1000}, ExecOptions{}}) {
+    const ClientSite site = make_site(exec);
+    ASSERT_EQ(site.ccs.size(), base.ccs.size()) << SettingName(exec);
     for (size_t i = 0; i < base.ccs.size(); ++i) {
       EXPECT_EQ(site.ccs[i].label, base.ccs[i].label);
       EXPECT_EQ(site.ccs[i].cardinality, base.ccs[i].cardinality)
-          << base.ccs[i].label << " at " << threads << " threads";
+          << base.ccs[i].label << " at " << SettingName(exec);
     }
     ASSERT_EQ(site.aqps.size(), base.aqps.size());
     for (size_t q = 0; q < base.aqps.size(); ++q) {
-      EXPECT_EQ(AqpSignature(site.aqps[q]), AqpSignature(base.aqps[q]));
+      EXPECT_EQ(PlanText(site.aqps[q]), PlanText(base.aqps[q]));
     }
+  }
+}
+
+TEST(QueryBatchTest, PlansMatchLoneExecuteInQueryOrder) {
+  const TpcdsSources& sources = SharedTpcdsSources();
+  const ClientSite& site = sources.site;
+  for (const TableSource* source : sources.all()) {
+    SCOPED_TRACE(sources.Name(source));
+    const Executor lone(site.schema, ExecOptions{1, 4096});
+    std::vector<std::string> want;
+    for (const Query& q : site.queries) {
+      auto aqp = lone.Execute(q, *source);
+      ASSERT_TRUE(aqp.ok()) << aqp.status().ToString();
+      want.push_back(PlanText(*aqp));
+    }
+    for (const ExecOptions& exec : kBatchSettings) {
+      auto plans = Executor(site.schema, exec).ExecuteAll(site.queries,
+                                                          *source);
+      ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+      ASSERT_EQ(plans->size(), want.size()) << SettingName(exec);
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(PlanText((*plans)[i]), want[i])
+            << "query " << i << " at " << SettingName(exec);
+      }
+    }
+  }
+}
+
+// store_sales ⋈ date_dim ⋈ store_sales: every edge is a valid PK-FK join,
+// but the query joins a relation with itself, which the executor rejects
+// with kUnimplemented.
+Query SelfJoinQuery(const Schema& schema, const std::string& name) {
+  const int ss = schema.RelationIndex("store_sales");
+  const int fk = schema.relation(ss).AttrIndex("ss_sold_date_sk");
+  Query q;
+  q.name = name;
+  q.tables = {QueryTable{ss}, QueryTable{schema.RelationIndex("date_dim")},
+              QueryTable{ss}};
+  q.joins = {JoinEdge{0, fk, 1}, JoinEdge{2, fk, 1}};
+  return q;
+}
+
+TEST(QueryBatchTest, ReturnsFirstInvalidQueryInQueryOrder) {
+  const TpcdsSources& sources = SharedTpcdsSources();
+  const ClientSite& site = sources.site;
+  std::vector<Query> queries = site.queries;
+  queries[3] = SelfJoinQuery(site.schema, "bad3");
+  queries[5] = SelfJoinQuery(site.schema, "bad5");
+  for (const ExecOptions& exec : kBatchSettings) {
+    auto plans = Executor(site.schema, exec).ExecuteAll(queries,
+                                                        site.database);
+    ASSERT_EQ(plans.status().code(), StatusCode::kUnimplemented)
+        << SettingName(exec) << ": " << plans.status().ToString();
+    EXPECT_NE(plans.status().message().find("bad3"), std::string::npos)
+        << SettingName(exec) << ": " << plans.status().ToString();
+  }
+}
+
+TEST(QueryBatchTest, EmptyBatchReturnsNoPlans) {
+  const TpcdsSources& sources = SharedTpcdsSources();
+  for (const ExecOptions& exec : kBatchSettings) {
+    for (const TableSource* source : sources.all()) {
+      auto plans =
+          Executor(sources.site.schema, exec).ExecuteAll({}, *source);
+      ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+      EXPECT_TRUE(plans->empty()) << SettingName(exec);
+    }
+  }
+}
+
+TEST(QueryBatchTest, TrippedCancelScopeFailsTheBatch) {
+  const TpcdsSources& sources = SharedTpcdsSources();
+  CancelToken token;
+  token.Cancel();
+  const CancelScope scope(&token, Deadline::Infinite());
+  for (const ExecOptions& exec : kBatchSettings) {
+    ExecContext ctx(exec);
+    ctx.set_cancel(&scope);
+    auto plans = Executor(sources.site.schema, &ctx)
+                     .ExecuteAll(sources.site.queries, sources.site.database);
+    EXPECT_EQ(plans.status().code(), StatusCode::kCancelled)
+        << SettingName(exec) << ": " << plans.status().ToString();
   }
 }
 
@@ -148,20 +302,16 @@ TEST(ParallelExecutorTest, GeneratorSourceIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelExecutorTest, SimilarityReportIdenticalAcrossThreadCounts) {
-  ToyEnvironment env = MakeToyEnvironment();
-  auto site = BuildClientSite(env.schema, DataGenOptions{.seed = 6},
-                              {env.query});
-  ASSERT_TRUE(site.ok());
-  HydraRegenerator hydra(site->schema);
-  auto result = hydra.Regenerate(site->ccs);
-  ASSERT_TRUE(result.ok());
-  TupleGenerator vendor(result->summary);
-
-  auto base = MeasureVolumetricSimilarity(*site, vendor, ExecOptions{1});
+  // A multi-query site, so that the batch actually spreads queries over
+  // the workers.
+  const TpcdsSources& sources = SharedTpcdsSources();
+  const ClientSite& site = sources.site;
+  auto base = MeasureVolumetricSimilarity(site, *sources.gen, ExecOptions{1});
   ASSERT_TRUE(base.ok());
-  for (int threads : {2, 8}) {
-    auto report =
-        MeasureVolumetricSimilarity(*site, vendor, ExecOptions{threads, 500});
+  ASSERT_GT(base->entries.size(), site.queries.size());
+  for (const ExecOptions& exec :
+       {ExecOptions{2, 500}, ExecOptions{8, 500}, ExecOptions{}}) {
+    auto report = MeasureVolumetricSimilarity(site, *sources.gen, exec);
     ASSERT_TRUE(report.ok());
     ASSERT_EQ(report->entries.size(), base->entries.size());
     for (size_t i = 0; i < base->entries.size(); ++i) {
@@ -170,7 +320,7 @@ TEST(ParallelExecutorTest, SimilarityReportIdenticalAcrossThreadCounts) {
                 base->entries[i].client_cardinality);
       EXPECT_EQ(report->entries[i].vendor_cardinality,
                 base->entries[i].vendor_cardinality)
-          << base->entries[i].label << " at " << threads << " threads";
+          << base->entries[i].label << " at " << SettingName(exec);
       EXPECT_DOUBLE_EQ(report->entries[i].signed_relative_error,
                        base->entries[i].signed_relative_error);
     }

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "workload/job.h"
 #include "workload/tpcds.h"
 #include "workload/toy.h"
@@ -138,6 +142,79 @@ TEST(DataGenTest, FkDistributionIsSkewed) {
   }
   // Zipf: far more than 10% of references hit the first decile of items.
   EXPECT_GT(static_cast<double>(low) / rows, 0.25);
+}
+
+// FNV-1a over a table's row-major values: order-sensitive, so equal hashes
+// mean (up to collisions) identical rows in identical order.
+uint64_t TableHash(const Table& t) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const Value v : t.data()) {
+    h = (h ^ static_cast<uint64_t>(v)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(DataGenTest, ContentPinnedPerTable) {
+  // Recorded from the serial generator (one loop over the relations). The
+  // relation tasks must draw each relation from the same RNG stream, so
+  // every table keeps its exact content.
+  const std::vector<std::pair<uint64_t, std::vector<uint64_t>>> want = {
+      {1,
+       {0x2cbc713d0b068009ull, 0x516f44d3ae9c7c2eull, 0x066f255ac8007a7full,
+        0x5d211a86b56d1c60ull, 0xf3315fb85e28e884ull, 0xe3418fd22554ee61ull,
+        0x25dbc9b015670d1aull, 0x0d4ca3070e550a21ull, 0xae5ae875a9248525ull,
+        0x3fa866e073124c97ull, 0xdfcbf37bb3f8734bull, 0xf41f043377a85dc2ull,
+        0x37bfe542fc40e220ull, 0xe6532ec4b147ec58ull, 0xdda5634f4d18f333ull,
+        0x52528bc51c661d71ull, 0x432dc5bfd6c5c4afull, 0x3c3a2b3dacfa6e6bull,
+        0x99a6b86706046fbaull, 0x501d432057fcfc0eull, 0x39159bc15b9cc5b9ull,
+        0xe00d7e49ed90c05aull, 0x1524a49f1aae8372ull, 0xbeb644d7b598f77cull}},
+      {7,
+       {0x64135f4555dea227ull, 0x616379f05478a825ull, 0x09d0855a7a8d806bull,
+        0x3f32e3f24e1967c9ull, 0x874e0daf180b37e1ull, 0xd16129556b92a05eull,
+        0xef725fab995f20aeull, 0x208331cdd1d80d58ull, 0x0beea5b0e49227bdull,
+        0xe7e98685bf8beef8ull, 0x22b04553de9bf782ull, 0x8617d1c844d98450ull,
+        0x6661881379cd3d4eull, 0x6d63f42f8af457b0ull, 0xdbd61902d85e5b9full,
+        0x77b94296343aa432ull, 0xb12f167113acadd0ull, 0xd579b793a92d52b8ull,
+        0x75881af98d2aad16ull, 0x507bdda175628e27ull, 0xc4e62ed2936a7bd2ull,
+        0x7e7e304a4f924e9bull, 0xc63cd6a88bae4905ull, 0xc09ba96a524a65beull}},
+  };
+  const Schema s = TpcdsSchema(0.5);
+  for (const auto& [seed, hashes] : want) {
+    auto db = GenerateClientDatabase(s, DataGenOptions{.seed = seed});
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_EQ(hashes.size(), static_cast<size_t>(s.num_relations()));
+    for (int r = 0; r < s.num_relations(); ++r) {
+      EXPECT_EQ(TableHash(db->table(r)), hashes[r])
+          << s.relation(r).name() << " at seed " << seed;
+    }
+  }
+}
+
+TEST(DataGenTest, FkIntoEmptyRelationIsAnError) {
+  // At sf 1e-4 call_center has no rows, but catalog_sales references it:
+  // catalog_sales is the first relation, in relation order, with such an
+  // FK, and cs_call_center_sk its first.
+  auto db = GenerateClientDatabase(TpcdsSchema(1e-4));
+  ASSERT_EQ(db.status().code(), StatusCode::kInvalidArgument)
+      << db.status().ToString();
+  EXPECT_NE(db.status().message().find(
+                "catalog_sales.cs_call_center_sk references call_center"),
+            std::string::npos)
+      << db.status().ToString();
+}
+
+TEST(DataGenTest, EmptyRelationsMayReferenceEmptyRelations) {
+  // At sf 1e-6 every FK into an empty relation comes from an empty one.
+  const Schema s = TpcdsSchema(1e-6);
+  auto db = GenerateClientDatabase(s);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_TRUE(db->CheckReferentialIntegrity().ok());
+  int empty = 0;
+  for (int r = 0; r < s.num_relations(); ++r) {
+    EXPECT_EQ(db->RowCount(r), s.relation(r).row_count());
+    if (s.relation(r).row_count() == 0) ++empty;
+  }
+  EXPECT_GT(empty, 0);
 }
 
 TEST(ClientSiteTest, BuildsAqpsAndCcs) {
