@@ -151,8 +151,7 @@ void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
 
 }  // namespace
 
-Status Executor::Prepare(const Query& query,
-                         const TableSource& source) const {
+Status Executor::Check(const Query& query) const {
   HYDRA_RETURN_IF_ERROR(query.Validate(schema_));
   std::unordered_set<int> rels;
   for (const QueryTable& qt : query.tables) {
@@ -161,20 +160,19 @@ Status Executor::Prepare(const Query& query,
                                    query.name + ")");
     }
   }
-  for (const QueryTable& qt : query.tables) source.PrepareScan(qt.relation);
   return Status::OK();
 }
 
 StatusOr<AnnotatedQueryPlan> Executor::Execute(
     const Query& query, const TableSource& source) const {
-  HYDRA_RETURN_IF_ERROR(Prepare(query, source));
+  HYDRA_RETURN_IF_ERROR(Check(query));
   return Run(query, source, ctx());
 }
 
 StatusOr<std::vector<AnnotatedQueryPlan>> Executor::ExecuteAll(
     const std::vector<Query>& queries, const TableSource& source) const {
   for (const Query& query : queries) {
-    HYDRA_RETURN_IF_ERROR(Prepare(query, source));
+    HYDRA_RETURN_IF_ERROR(Check(query));
   }
   ExecContext* const ctx = this->ctx();
   const int n = static_cast<int>(queries.size());

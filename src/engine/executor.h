@@ -82,10 +82,8 @@ class Executor {
   }
 
   // OK, or why `query` cannot run: invalid for the schema, or a self-join.
-  // On OK, the source's shared scan state for the query's relations is
-  // built on the calling thread (TableSource::PrepareScan).
-  Status Prepare(const Query& query, const TableSource& source) const;
-  // Runs a prepared query on `ctx`; fails only when its cancel scope trips.
+  Status Check(const Query& query) const;
+  // Runs a checked query on `ctx`; fails only when its cancel scope trips.
   StatusOr<AnnotatedQueryPlan> Run(const Query& query,
                                    const TableSource& source,
                                    ExecContext* ctx) const;

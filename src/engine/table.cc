@@ -1,27 +1,43 @@
 #include "engine/table.h"
 
-#include <mutex>
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/logging.h"
 
 namespace hydra {
 
+void Table::Reserve(uint64_t rows) {
+  for (ValueBuffer& col : cols_) col.reserve(rows);
+}
+
+void Table::ResizeRows(uint64_t rows) {
+  for (ValueBuffer& col : cols_) col.resize(rows);
+  num_rows_ = rows;
+}
+
 void Table::AppendRow(const Row& row) {
-  HYDRA_DCHECK(static_cast<int>(row.size()) == num_columns_);
-  data_.insert(data_.end(), row.begin(), row.end());
-}
-
-void Table::AppendRaw(const Value* row) {
-  data_.insert(data_.end(), row, row + num_columns_);
-}
-
-void Table::AppendBlock(const Value* rows, int64_t num_rows) {
-  data_.insert(data_.end(), rows, rows + num_rows * num_columns_);
+  HYDRA_DCHECK(row.size() == cols_.size());
+  for (size_t c = 0; c < cols_.size(); ++c) cols_[c].push_back(row[c]);
+  ++num_rows_;
 }
 
 void Table::GetRow(uint64_t row, Row* out) const {
-  out->assign(RowPtr(row), RowPtr(row) + num_columns_);
+  out->resize(cols_.size());
+  for (size_t c = 0; c < cols_.size(); ++c) (*out)[c] = cols_[c][row];
+}
+
+bool Table::operator==(const Table& other) const {
+  if (cols_.size() != other.cols_.size() || num_rows_ != other.num_rows_) {
+    return false;
+  }
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    if (!std::equal(cols_[c].begin(), cols_[c].end(),
+                    other.cols_[c].begin())) {
+      return false;
+    }
+  }
+  return true;
 }
 
 Database::Database(Schema schema) : schema_(std::move(schema)) {
@@ -69,8 +85,7 @@ void Database::ScanRange(int relation, int64_t begin, int64_t end,
                                  << relation);
   Row row(t.num_columns());
   for (int64_t r = begin; r < end; ++r) {
-    const Value* p = t.RowPtr(r);
-    row.assign(p, p + t.num_columns());
+    t.GetRow(r, &row);
     fn(row);
   }
 }
@@ -83,44 +98,11 @@ void Database::FillBlockRange(int relation, int64_t begin, int64_t end,
                   "scan range [" << begin << ", " << end
                                  << ") out of bounds for relation "
                                  << relation);
-  // Serve from the columnar mirror: a per-call transpose would redo the
-  // same work for every query that scans this relation.
-  std::shared_lock<std::shared_mutex> read(columnar_->mu);
-  if (!MirrorCurrent(relation)) {
-    read.unlock();
-    PrepareScan(relation);
-    read.lock();
-  }
-  out->AppendRange(columnar_->blocks[relation], begin, end - begin);
-}
-
-bool Database::MirrorCurrent(int relation) const {
-  return static_cast<size_t>(relation) < columnar_->blocks.size() &&
-         columnar_->blocks[relation].num_rows() ==
-             static_cast<int64_t>(tables_[relation].num_rows());
-}
-
-void Database::PrepareScan(int relation) const {
-  {
-    std::shared_lock<std::shared_mutex> read(columnar_->mu);
-    if (MirrorCurrent(relation)) return;
-  }
-  // The mirror only ever appends (tables are append-only), so refresh =
-  // transpose the tail.
-  std::unique_lock<std::shared_mutex> write(columnar_->mu);
-  if (columnar_->blocks.size() != tables_.size()) {
-    columnar_->blocks.resize(tables_.size());
-  }
-  const Table& t = tables_[relation];
-  const int64_t rows = static_cast<int64_t>(t.num_rows());
-  RowBlock& mirror = columnar_->blocks[relation];
-  if (mirror.num_columns() != t.num_columns() || mirror.num_rows() > rows) {
-    mirror.Reset(t.num_columns());
-  }
-  if (mirror.num_rows() < rows) {
-    mirror.Reserve(rows);
-    mirror.AppendRowMajor(t.RowPtr(mirror.num_rows()),
-                          rows - mirror.num_rows());
+  const int64_t base = out->num_rows();
+  out->ResizeUninitialized(base + (end - begin));
+  for (int c = 0; c < t.num_columns(); ++c) {
+    std::copy(t.Column(c) + begin, t.Column(c) + end,
+              out->MutableColumn(c) + base);
   }
 }
 

@@ -1,19 +1,18 @@
-// In-memory relational storage: flat row-major tables and a Database bundling
+// In-memory relational storage: column-major tables and a Database bundling
 // one table per schema relation.
 //
 // The engine plays two roles from the paper: the *client's* database engine
 // (executing the workload to annotate query plans with true cardinalities)
 // and the *vendor's* engine under test (executing the same workload on
-// regenerated data). Tables store Values contiguously (row-major) to keep
-// scans cache-friendly.
+// regenerated data). A Table keeps one contiguous Value buffer per column,
+// the RowBlock layout the engine's scans and kernels read, so a batch scan
+// copies column slices straight out of storage (docs/engine.md).
 
 #ifndef HYDRA_ENGINE_TABLE_H_
 #define HYDRA_ENGINE_TABLE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <shared_mutex>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -22,47 +21,42 @@
 
 namespace hydra {
 
+// A relation's rows, column-major: row r is at offset r of every column.
 class Table {
  public:
-  explicit Table(int num_columns) : num_columns_(num_columns) {}
+  explicit Table(int num_columns) : cols_(num_columns) {}
 
-  int num_columns() const { return num_columns_; }
-  uint64_t num_rows() const {
-    return num_columns_ == 0 ? 0 : data_.size() / num_columns_;
-  }
+  int num_columns() const { return static_cast<int>(cols_.size()); }
+  uint64_t num_rows() const { return num_rows_; }
 
-  void Reserve(uint64_t rows) { data_.reserve(rows * num_columns_); }
-  // Grows (or shrinks) the table to exactly `rows` rows, zero-filling new
-  // cells. Parallel materialization carves the resized storage into disjoint
-  // shard ranges and fills them through MutableRowPtr.
-  void ResizeRows(uint64_t rows) { data_.resize(rows * num_columns_); }
+  // Reserves every column for `rows` rows.
+  void Reserve(uint64_t rows);
+  // Grows (or shrinks) the table to exactly `rows` rows without
+  // initializing new cells; the caller fills them through MutableColumn.
+  // Parallel materialization carves the resized columns into disjoint shard
+  // ranges.
+  void ResizeRows(uint64_t rows);
 
   void AppendRow(const Row& row);
-  // Appends a row given as a raw pointer to num_columns() values.
-  void AppendRaw(const Value* row);
-  // Appends `num_rows` contiguous row-major rows in one insertion.
-  void AppendBlock(const Value* rows, int64_t num_rows);
 
-  Value At(uint64_t row, int col) const {
-    return data_[row * num_columns_ + col];
-  }
-  // Pointer to the first value of `row`.
-  const Value* RowPtr(uint64_t row) const {
-    return data_.data() + row * num_columns_;
-  }
-  Value* MutableRowPtr(uint64_t row) {
-    return data_.data() + row * num_columns_;
-  }
-
+  Value At(uint64_t row, int col) const { return cols_[col][row]; }
   void GetRow(uint64_t row, Row* out) const;
 
-  uint64_t ByteSize() const { return data_.size() * sizeof(Value); }
+  // Column `c`: num_rows() values, row r at offset r.
+  const Value* Column(int c) const { return cols_[c].data(); }
+  Value* MutableColumn(int c) { return cols_[c].data(); }
 
-  const std::vector<Value>& data() const { return data_; }
+  uint64_t ByteSize() const {
+    return num_rows_ * cols_.size() * sizeof(Value);
+  }
+
+  // Same width, row count and values.
+  bool operator==(const Table& other) const;
+  bool operator!=(const Table& other) const { return !(*this == other); }
 
  private:
-  int num_columns_;
-  std::vector<Value> data_;
+  std::vector<ValueBuffer> cols_;
+  uint64_t num_rows_ = 0;
 };
 
 // Abstract supplier of relation rows. The materialized Database implements it
@@ -89,24 +83,20 @@ class TableSource {
   // Appends the rank range [begin, end) to `out` (already Reset to the
   // relation's width) in columnar form — the engine's batch scan entry
   // point. The base implementation transposes through ScanRange; sources
-  // with a cheaper columnar path (constant-run generators, contiguous
+  // with a cheaper columnar path (constant-run generators, column-major
   // storage) override it. Same range semantics as ScanRange.
   virtual void FillBlockRange(int relation, int64_t begin, int64_t end,
                               RowBlock* out) const;
-  // Builds the state that scans of `relation` share (a Database's columnar
-  // mirror) on the calling thread. The executor calls it before it fans
-  // scans out, so that the state is allocated by the caller rather than by
-  // whichever pool worker scans first: memory freed into a worker's malloc
-  // arena stays resident (docs/engine.md "Query batches"). A scan that
-  // finds the state missing still builds it itself. The default does
-  // nothing.
-  virtual void PrepareScan(int /*relation*/) const {}
 };
 
 // A fully-materialized database: one Table per schema relation.
 class Database : public TableSource {
  public:
   explicit Database(Schema schema);
+  // Move-only, so that a copy of a (possibly multi-GiB) database is never
+  // made by accident.
+  Database(Database&&) = default;
+  Database& operator=(Database&&) = default;
 
   const Schema& schema() const { return schema_; }
 
@@ -122,34 +112,17 @@ class Database : public TableSource {
             const std::function<void(const Row&)>& fn) const override;
   void ScanRange(int relation, int64_t begin, int64_t end,
                  const std::function<void(const Row&)>& fn) const override;
+  // Copies each column's [begin, end) slice; safe to call concurrently with
+  // other scans, but not with writes to the table.
   void FillBlockRange(int relation, int64_t begin, int64_t end,
                       RowBlock* out) const override;
-  // Builds (or refreshes) the relation's columnar mirror.
-  void PrepareScan(int relation) const override;
 
   // Verifies that every FK value appears as a PK of the target relation.
   Status CheckReferentialIntegrity() const;
 
  private:
-  // Lazily built column-major mirror of the row-major tables, so repeated
-  // batch scans (e.g. one per workload query) pay the transpose once
-  // instead of per FillBlockRange call. Guarded by a reader/writer lock:
-  // morsel workers scan under shared locks; a stale mirror (table grew
-  // since the last build) is refreshed under the exclusive lock. Held by
-  // pointer so Database stays movable.
-  struct ColumnarMirror {
-    std::shared_mutex mu;
-    std::vector<RowBlock> blocks;
-  };
-
-  // Whether the relation's mirror matches its table. Requires columnar_->mu
-  // held in either mode.
-  bool MirrorCurrent(int relation) const;
-
   Schema schema_;
   std::vector<Table> tables_;
-  mutable std::unique_ptr<ColumnarMirror> columnar_ =
-      std::make_unique<ColumnarMirror>();
 };
 
 }  // namespace hydra

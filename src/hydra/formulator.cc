@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -109,6 +110,11 @@ Status SplitRegionsByCellKeys(
   return Status::OK();
 }
 
+// "label = cardinality", for error messages.
+std::string SizeText(const ViewConstraint& vc) {
+  return vc.label + " = " + std::to_string(vc.cardinality);
+}
+
 }  // namespace
 
 StatusOr<ViewLp> FormulateViewLp(const View& view,
@@ -116,10 +122,16 @@ StatusOr<ViewLp> FormulateViewLp(const View& view,
   ViewLp out;
   out.total_rows = view.total_rows;
 
-  // Extract total-size constraints (TRUE predicates).
+  // Extract total-size constraints (TRUE predicates). Duplicates must agree.
   std::vector<ViewConstraint> filtered;
+  const ViewConstraint* total = nullptr;
   for (ViewConstraint& vc : constraints) {
     if (vc.predicate.IsTrue()) {
+      if (total != nullptr && total->cardinality != vc.cardinality) {
+        const std::string both = SizeText(*total) + ", " + SizeText(vc);
+        return Status::FailedPrecondition("total-size CCs disagree: " + both);
+      }
+      total = &vc;
       out.total_rows = vc.cardinality;
     } else if (vc.predicate.IsFalse()) {
       return Status::InvalidArgument("FALSE predicate in CC " + vc.label);

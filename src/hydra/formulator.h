@@ -51,7 +51,8 @@ struct ViewLp {
 
 // Formulates the per-view LP. A constraint with a TRUE predicate is treated
 // as the total-size constraint |view| = k (overriding the metadata row
-// count); all others must have at least one atom.
+// count); all others must have at least one atom. Several TRUE constraints
+// must agree on k: kFailedPrecondition, naming two that differ, otherwise.
 StatusOr<ViewLp> FormulateViewLp(const View& view,
                                  std::vector<ViewConstraint> constraints);
 

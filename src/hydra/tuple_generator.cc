@@ -146,33 +146,52 @@ void TupleGenerator::FillRange(int relation, int64_t begin, int64_t end,
       });
 }
 
-void TupleGenerator::FillBlockRange(int relation, int64_t begin, int64_t end,
-                                    RowBlock* out) const {
-  ScopedLatencyTimer timer(&g_gen_fill_us);
+template <typename ColumnFn>
+void TupleGenerator::FillColumns(int relation, int64_t begin, int64_t end,
+                                 ColumnFn column) const {
   const RelationSummary& rs = summary_.relations[relation];
   const int pk_attr = pk_attr_[relation];
-  const int64_t base = out->num_rows();
-  out->ResizeUninitialized(base + (end - begin));
-  int64_t offset = base;
   ForEachSummaryRun(
       relation, begin, end, [&](int i, int64_t pk, int64_t stop) {
         // One summary run = one constant splat per summary attribute, an
         // iota run for the PK (splatted attributes the PK shadows are
         // overwritten, mirroring FillRow), and zeros for uncovered columns.
         const SolutionRow& srow = rs.rows[i];
+        const int64_t offset = pk - begin;
         const int64_t n = stop - pk;
         for (size_t a = 0; a < rs.attr_indices.size(); ++a) {
-          kernels::FillConst(out->MutableColumn(rs.attr_indices[a]) + offset,
-                             n, srow.values[a]);
+          kernels::FillConst(column(rs.attr_indices[a]) + offset, n,
+                             srow.values[a]);
         }
         if (pk_attr >= 0) {
-          kernels::FillIota(out->MutableColumn(pk_attr) + offset, n, pk);
+          kernels::FillIota(column(pk_attr) + offset, n, pk);
         }
         for (int a : uncovered_attrs_[relation]) {
-          kernels::FillConst(out->MutableColumn(a) + offset, n, 0);
+          kernels::FillConst(column(a) + offset, n, 0);
         }
-        offset += n;
       });
+}
+
+void TupleGenerator::FillBlockRange(int relation, int64_t begin, int64_t end,
+                                    RowBlock* out) const {
+  ScopedLatencyTimer timer(&g_gen_fill_us);
+  const int64_t base = out->num_rows();
+  out->ResizeUninitialized(base + (end - begin));
+  const auto column = [out, base](int a) {
+    return out->MutableColumn(a) + base;
+  };
+  FillColumns(relation, begin, end, column);
+}
+
+void TupleGenerator::FillTableRange(int relation, int64_t begin, int64_t end,
+                                    Table* table) const {
+  HYDRA_CHECK_MSG(end <= static_cast<int64_t>(table->num_rows()),
+                  "table of " << table->num_rows() << " rows cannot hold rank "
+                              << end - 1);
+  const auto column = [table, begin](int a) {
+    return table->MutableColumn(a) + begin;
+  };
+  FillColumns(relation, begin, end, column);
 }
 
 void TupleGenerator::GetTuple(int relation, int64_t r, Row* out) const {
@@ -314,18 +333,13 @@ StatusOr<Database> MaterializeDatabase(const DatabaseSummary& summary,
   Database db(summary.schema);
   const TupleGenerator gen(summary);
   for (int r = 0; r < summary.schema.num_relations(); ++r) {
-    // The zero-fill is redundant (every cell is memcpy'd by a shard below)
-    // but keeps Table on a plain std::vector; at current scales the extra
-    // pass is noise next to generation cost. Revisit with a default-init
-    // allocator if multi-GB in-memory materialization becomes a target.
     db.table(r).ResizeRows(gen.RowCount(r));
   }
   const std::vector<Shard> shards = PlanShards(summary, options);
   ThreadPool pool(ResolveThreads(options, shards.size()));
   ParallelFor(pool, static_cast<int>(shards.size()), [&](int i) {
     const Shard& s = shards[i];
-    gen.FillRange(s.relation, s.begin, s.end,
-                  db.table(s.relation).MutableRowPtr(s.begin));
+    gen.FillTableRange(s.relation, s.begin, s.end, &db.table(s.relation));
   });
   return db;
 }

@@ -73,11 +73,17 @@ class TupleGenerator : public TableSource {
   void ScanBlocksRange(
       int relation, int64_t begin, int64_t end, int64_t block_rows,
       const std::function<void(const Value*, int64_t)>& fn) const;
-  // Generates the rank range [begin, end) straight into `dst`, which must
-  // hold (end - begin) * num_attributes Values. Single pass, no callback or
-  // intermediate block: the fastest path when the destination storage is
-  // preallocated (in-memory materialization shards).
+  // Generates the rank range [begin, end) row-major straight into `dst`,
+  // which must hold (end - begin) * num_attributes Values. Single pass, no
+  // callback or intermediate block.
   void FillRange(int relation, int64_t begin, int64_t end, Value* dst) const;
+  // Columnar generation of the rank range [begin, end) into rows
+  // [begin, end) of `table` (the relation's width, holding at least `end`
+  // rows): FillBlockRange's per-column splats, written in place. Disjoint
+  // ranges may fill one table concurrently (in-memory materialization
+  // shards).
+  void FillTableRange(int relation, int64_t begin, int64_t end,
+                      Table* table) const;
 
   // Random access: fills `out` with the tuple whose PK is `r`.
   void GetTuple(int relation, int64_t r, Row* out) const;
@@ -142,6 +148,11 @@ class TupleGenerator : public TableSource {
   void ForEachSummaryRun(
       int relation, int64_t begin, int64_t end,
       const std::function<void(int, int64_t, int64_t)>& fn) const;
+  // The columnar fill behind FillBlockRange and FillTableRange: writes
+  // attribute a's values for ranks [begin, end) to column(a)[0, end - begin).
+  template <typename ColumnFn>
+  void FillColumns(int relation, int64_t begin, int64_t end,
+                   ColumnFn column) const;
 
   const DatabaseSummary& summary_;
   // Per-relation invariants hoisted out of the per-tuple paths.

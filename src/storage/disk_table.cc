@@ -1,7 +1,9 @@
 #include "storage/disk_table.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -27,6 +29,56 @@ struct Header {
   uint64_t num_columns;
   uint64_t num_rows;
 };
+
+// Readers reject wider headers: a zero-row table would otherwise size its
+// per-column storage from an unchecked count. Far above any schema's width.
+constexpr uint64_t kMaxColumns = 1 << 16;
+
+// Size of the open file `f` in bytes, or -1; leaves the position at the end.
+int64_t FileEnd(std::FILE* f) {
+  if (std::fseek(f, 0, SEEK_END) != 0) return -1;
+  // ftell returns a long (32-bit on LLP64) — multi-GiB tables need the
+  // 64-bit variants, same as OpenShard's seek.
+#ifdef _WIN32
+  return ::_ftelli64(f);
+#else
+  return static_cast<int64_t>(::ftello(f));
+#endif
+}
+
+// Reads the header of the table file `f` (at `path`) and leaves `f` at the
+// first row. Rejects a header whose magic is wrong, whose column count is 0
+// or above kMaxColumns, or whose rows would not fit in the file, before any
+// reader sizes storage from it. Data bytes beyond the rows are allowed: an
+// in-progress table's header says 0 rows while its shards are written.
+Status ReadHeader(std::FILE* f, const std::string& path, Header* h) {
+  if (std::fread(h, sizeof(*h), 1, f) != 1 || h->magic != kMagic ||
+      h->num_columns == 0 || h->num_columns > kMaxColumns) {
+    return Status::IoError("bad header in " + path);
+  }
+  const int64_t size = FileEnd(f);
+  if (size < static_cast<int64_t>(sizeof(Header)) ||
+      std::fseek(f, sizeof(Header), SEEK_SET) != 0) {
+    return Status::IoError("cannot size " + path);
+  }
+  // rows * columns * sizeof(Value) <= data bytes, without overflow.
+  const uint64_t data_bytes = static_cast<uint64_t>(size) - sizeof(Header);
+  if (h->num_rows > data_bytes / sizeof(Value) / h->num_columns) {
+    return Status::IoError("bad header in " + path + ": rows overrun the file");
+  }
+  return Status::OK();
+}
+
+// Calls fn(first, n) for consecutive tiles of at most 256 of `rows` rows.
+// The row-major <-> column-major transposes revisit a tile once per
+// column, so a tile stays cache-resident across the passes.
+template <typename Fn>
+void ForEachTile(uint64_t rows, Fn fn) {
+  constexpr uint64_t kTileRows = 256;
+  for (uint64_t t = 0; t < rows; t += kTileRows) {
+    fn(t, std::min(kTileRows, rows - t));
+  }
+}
 
 #ifndef _WIN32
 // OpenShard seeks with fseeko; an ILP32 build without 64-bit file offsets
@@ -100,14 +152,10 @@ Status DiskTableWriter::OpenShard(int64_t begin_row) {
 
 Status DiskTableWriter::Append(const Row& row) {
   HYDRA_DCHECK(static_cast<int>(row.size()) == num_columns_);
-  return AppendRaw(row.data());
-}
-
-Status DiskTableWriter::AppendRaw(const Value* row) {
   // Reserved on first buffered append: shard writers fed by AppendBlock
   // never touch the buffer, and one writer is built per shard.
   if (buffer_.capacity() == 0) buffer_.reserve(kBufferRows * num_columns_);
-  buffer_.insert(buffer_.end(), row, row + num_columns_);
+  buffer_.insert(buffer_.end(), row.begin(), row.end());
   ++rows_written_;
   if (buffer_.size() >= kBufferRows * static_cast<size_t>(num_columns_)) {
     return FlushBuffer();
@@ -211,12 +259,14 @@ StatusOr<uint64_t> ScanDiskTable(const std::string& path,
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::IoError("cannot open " + path);
   Header h;
-  if (std::fread(&h, sizeof(h), 1, f) != 1 || h.magic != kMagic) {
+  const Status header = ReadHeader(f, path, &h);
+  if (!header.ok()) {
     std::fclose(f);
-    return Status::IoError("bad header in " + path);
+    return header;
   }
   const int cols = static_cast<int>(h.num_columns);
-  std::vector<Value> buffer(kBufferRows * cols);
+  std::vector<Value> buffer(std::min<uint64_t>(h.num_rows, kBufferRows) *
+                            cols);
   Row row(cols);
   uint64_t remaining = h.num_rows;
   while (remaining > 0) {
@@ -240,25 +290,30 @@ StatusOr<Table> ReadDiskTable(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::IoError("cannot open " + path);
   Header h;
-  if (std::fread(&h, sizeof(h), 1, f) != 1 || h.magic != kMagic) {
+  const Status header = ReadHeader(f, path, &h);
+  if (!header.ok()) {
     std::fclose(f);
-    return Status::IoError("bad header in " + path);
+    return header;
   }
-  Table table(static_cast<int>(h.num_columns));
-  table.Reserve(h.num_rows);
-  std::vector<Value> buffer(kBufferRows * h.num_columns);
-  uint64_t remaining = h.num_rows;
-  while (remaining > 0) {
-    const uint64_t batch = std::min<uint64_t>(remaining, kBufferRows);
-    if (std::fread(buffer.data(), sizeof(Value), batch * h.num_columns, f) !=
-        batch * h.num_columns) {
+  const int cols = static_cast<int>(h.num_columns);
+  Table table(cols);
+  table.ResizeRows(h.num_rows);
+  std::vector<Value> buffer(std::min<uint64_t>(h.num_rows, kBufferRows) *
+                            cols);
+  for (uint64_t begin = 0; begin < h.num_rows; begin += kBufferRows) {
+    const uint64_t batch = std::min<uint64_t>(h.num_rows - begin, kBufferRows);
+    if (std::fread(buffer.data(), sizeof(Value), batch * cols, f) !=
+        batch * cols) {
       std::fclose(f);
       return Status::IoError("short read from " + path);
     }
-    for (uint64_t r = 0; r < batch; ++r) {
-      table.AppendRaw(buffer.data() + r * h.num_columns);
-    }
-    remaining -= batch;
+    ForEachTile(batch, [&](uint64_t t, uint64_t n) {
+      for (int c = 0; c < cols; ++c) {
+        Value* dst = table.MutableColumn(c) + begin + t;
+        const Value* src = buffer.data() + t * cols + c;
+        for (uint64_t r = 0; r < n; ++r) dst[r] = src[r * cols];
+      }
+    });
   }
   std::fclose(f);
   return table;
@@ -267,8 +322,20 @@ StatusOr<Table> ReadDiskTable(const std::string& path) {
 Status WriteDiskTable(const Table& table, const std::string& path) {
   DiskTableWriter writer(path, table.num_columns());
   HYDRA_RETURN_IF_ERROR(writer.Open());
-  for (uint64_t r = 0; r < table.num_rows(); ++r) {
-    HYDRA_RETURN_IF_ERROR(writer.AppendRaw(table.RowPtr(r)));
+  const int cols = table.num_columns();
+  const uint64_t rows = table.num_rows();
+  std::vector<Value> buffer(std::min<uint64_t>(rows, kBufferRows) * cols);
+  for (uint64_t begin = 0; begin < rows; begin += kBufferRows) {
+    const uint64_t batch = std::min<uint64_t>(rows - begin, kBufferRows);
+    ForEachTile(batch, [&](uint64_t t, uint64_t n) {
+      for (int c = 0; c < cols; ++c) {
+        const Value* src = table.Column(c) + begin + t;
+        Value* dst = buffer.data() + t * cols + c;
+        for (uint64_t r = 0; r < n; ++r) dst[r * cols] = src[r];
+      }
+    });
+    HYDRA_RETURN_IF_ERROR(
+        writer.AppendBlock(buffer.data(), static_cast<int64_t>(batch)));
   }
   return writer.Close();
 }
@@ -276,14 +343,7 @@ Status WriteDiskTable(const Table& table, const std::string& path) {
 StatusOr<uint64_t> DiskTableBytes(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::IoError("cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  // ftell returns a long (32-bit on LLP64) — multi-GiB tables need the
-  // 64-bit variants, same as OpenShard's seek.
-#ifdef _WIN32
-  const int64_t size = ::_ftelli64(f);
-#else
-  const int64_t size = static_cast<int64_t>(::ftello(f));
-#endif
+  const int64_t size = FileEnd(f);
   std::fclose(f);
   if (size < 0) return Status::IoError("ftell failed on " + path);
   return static_cast<uint64_t>(size);

@@ -43,7 +43,6 @@ class DiskTableWriter {
   // [begin_row, ...). See the class comment.
   Status OpenShard(int64_t begin_row);
   Status Append(const Row& row);
-  Status AppendRaw(const Value* row);
   // Appends `num_rows` contiguous row-major rows in one write, bypassing the
   // per-row buffer.
   Status AppendBlock(const Value* rows, int64_t num_rows);
@@ -79,13 +78,17 @@ Status FinalizeDiskTable(const std::string& path, int num_columns,
                          uint64_t num_rows);
 
 // Scans a disk table, invoking `fn` for each row. Returns the row count.
+// kIoError, before anything is allocated, for a header with a bad magic,
+// zero columns, or more rows than the file holds.
 StatusOr<uint64_t> ScanDiskTable(const std::string& path,
                                  const std::function<void(const Row&)>& fn);
 
-// Reads a whole disk table into memory.
+// Reads a whole disk table into memory, transposing it into the Table's
+// columns. Rejects headers as ScanDiskTable does.
 StatusOr<Table> ReadDiskTable(const std::string& path);
 
-// Writes an in-memory table to `path`.
+// Writes an in-memory table to `path`, transposing its columns into the
+// row-major format a buffer at a time.
 Status WriteDiskTable(const Table& table, const std::string& path);
 
 // Size of the file in bytes, or an error.

@@ -12,11 +12,14 @@ namespace hydra {
 
 namespace {
 
-// Fills `table` (already reserved) with relation `r`'s rows, drawing every
-// value from `rng` in row order: the relation's one stream.
+// Fills `table` (already sized to the relation's rows) with relation `r`'s
+// rows, drawing every value from `rng` in row-major order (row by row,
+// attribute by attribute): the relation's one stream. `rng` is taken by
+// value so that each task draws from a copy on its own stack: every draw
+// writes the generator state, and the relations' generators sit side by
+// side in one vector, two to a cache line.
 void GenerateRelation(const Schema& schema, int r,
-                      const DataGenOptions& options, Rng& rng,
-                      Table* table) {
+                      const DataGenOptions& options, Rng rng, Table* table) {
   const Relation& rel = schema.relation(r);
   const int64_t rows = static_cast<int64_t>(rel.row_count());
   if (rows == 0) return;
@@ -28,12 +31,14 @@ void GenerateRelation(const Schema& schema, int r,
     std::unique_ptr<ZipfDistribution> zipf;
     int64_t cluster_step = 1;
     int64_t cluster_count = 1;
+    Value* column = nullptr;  // the attribute's column in `table`
   };
   std::vector<AttrSampler> samplers(rel.num_attributes());
   int data_seq = 0;
   for (int a = 0; a < rel.num_attributes(); ++a) {
     const Attribute& attr = rel.attribute(a);
     AttrSampler& s = samplers[a];
+    s.column = table->MutableColumn(a);
     switch (attr.kind) {
       case AttributeKind::kPrimaryKey:
         s.kind = AttrSampler::kPk;
@@ -75,25 +80,24 @@ void GenerateRelation(const Schema& schema, int r,
     }
   }
 
-  Row row(rel.num_attributes());
   for (int64_t i = 0; i < rows; ++i) {
-    for (int a = 0; a < rel.num_attributes(); ++a) {
-      AttrSampler& s = samplers[a];
+    for (AttrSampler& s : samplers) {
       switch (s.kind) {
         case AttrSampler::kPk:
-          row[a] = i;
+          s.column[i] = i;
           break;
         case AttrSampler::kFkZipf:
-          row[a] = static_cast<int64_t>(s.zipf->Sample(rng));
+          s.column[i] = static_cast<int64_t>(s.zipf->Sample(rng));
           break;
         case AttrSampler::kUniform:
-          row[a] = rng.NextInt(s.domain.lo, s.domain.hi);
+          s.column[i] = rng.NextInt(s.domain.lo, s.domain.hi);
           break;
         case AttrSampler::kZipf:
-          row[a] = s.domain.lo + static_cast<int64_t>(s.zipf->Sample(rng));
+          s.column[i] =
+              s.domain.lo + static_cast<int64_t>(s.zipf->Sample(rng));
           break;
         case AttrSampler::kClustered:
-          row[a] = std::min<int64_t>(
+          s.column[i] = std::min<int64_t>(
               s.domain.hi - 1,
               s.domain.lo +
                   static_cast<int64_t>(s.zipf->Sample(rng)) *
@@ -101,7 +105,6 @@ void GenerateRelation(const Schema& schema, int r,
           break;
       }
     }
-    table->AppendRow(row);
   }
 }
 
@@ -127,15 +130,16 @@ StatusOr<Database> GenerateClientDatabase(const Schema& schema,
   }
 
   // Fork every relation's stream up front, in relation order (the seeds a
-  // serial loop would hand out), and reserve every table on this thread so
-  // the tables' storage is allocated here rather than on the pool workers.
+  // serial loop would hand out), and size every table's columns on this
+  // thread, so that their storage comes from this thread's malloc arena
+  // rather than the pool workers' (docs/engine.md "Query batches").
   Database db(schema);
   Rng rng(options.seed);
   std::vector<Rng> rngs;
   rngs.reserve(num_relations);
   for (int r = 0; r < num_relations; ++r) {
     rngs.push_back(rng.Fork());
-    db.table(r).Reserve(schema.relation(r).row_count());
+    db.table(r).ResizeRows(schema.relation(r).row_count());
   }
 
   // One task per relation, largest (rows × attributes) first: the biggest

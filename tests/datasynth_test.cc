@@ -112,7 +112,7 @@ TEST_F(DataSynthRegenerateTest, DeterministicForSeed) {
   ASSERT_TRUE(r2.ok());
   const int r = env_.schema.RelationIndex("R");
   ASSERT_EQ(r1->database.RowCount(r), r2->database.RowCount(r));
-  EXPECT_EQ(r1->database.table(r).data(), r2->database.table(r).data());
+  EXPECT_EQ(r1->database.table(r), r2->database.table(r));
 }
 
 }  // namespace

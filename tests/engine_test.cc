@@ -26,20 +26,26 @@ TEST(TableTest, AppendAndAccess) {
   EXPECT_EQ(t.ByteSize(), 6 * sizeof(Value));
 }
 
-TEST(TableTest, AppendRaw) {
+TEST(TableTest, ColumnsHoldRowsAtTheirRank) {
   Table t(2);
-  const Value raw[] = {7, 8};
-  t.AppendRaw(raw);
-  EXPECT_EQ(t.At(0, 1), 8);
+  for (Value i = 0; i < 5; ++i) t.AppendRow({i, 10 * i});
+  for (uint64_t r = 0; r < t.num_rows(); ++r) {
+    EXPECT_EQ(t.Column(0)[r], static_cast<Value>(r));
+    EXPECT_EQ(t.Column(1)[r], t.At(r, 1));
+  }
 }
 
-TEST(TableTest, AppendBlock) {
-  Table t(2);
-  const Value rows[] = {1, 2, 3, 4, 5, 6};
-  t.AppendBlock(rows, 3);
-  EXPECT_EQ(t.num_rows(), 3u);
-  EXPECT_EQ(t.At(0, 0), 1);
-  EXPECT_EQ(t.At(2, 1), 6);
+TEST(TableTest, EqualityComparesWidthRowsAndValues) {
+  Table a(2);
+  a.AppendRow({1, 2});
+  Table b(2);
+  b.AppendRow({1, 2});
+  EXPECT_EQ(a, b);
+  b.AppendRow({3, 4});
+  EXPECT_NE(a, b);  // row count
+  a.AppendRow({3, 5});
+  EXPECT_NE(a, b);  // one value
+  EXPECT_NE(Table(2), Table(3));  // width
 }
 
 TEST(DatabaseTest, ScanVisitsAllRowsInOrder) {
@@ -75,16 +81,62 @@ TEST(DatabaseTest, ScanRangeMatchesScanSlices) {
   }
 }
 
-TEST(TableTest, ResizeRowsAndMutableRowPtr) {
+TEST(TableTest, ResizeRowsAndMutableColumn) {
   Table t(2);
+  t.AppendRow({1, 2});
   t.ResizeRows(3);
   EXPECT_EQ(t.num_rows(), 3u);
-  EXPECT_EQ(t.At(2, 1), 0);  // zero-filled
-  Value* p = t.MutableRowPtr(1);
-  p[0] = 7;
-  p[1] = 8;
-  EXPECT_EQ(t.At(1, 0), 7);
-  EXPECT_EQ(t.At(1, 1), 8);
+  EXPECT_EQ(t.At(0, 1), 2);  // existing rows survive the resize
+  for (uint64_t r = 1; r < 3; ++r) {
+    t.MutableColumn(0)[r] = 7 * static_cast<Value>(r);
+    t.MutableColumn(1)[r] = 8 * static_cast<Value>(r);
+  }
+  Row out;
+  t.GetRow(2, &out);
+  EXPECT_EQ(out, (Row{14, 16}));
+  t.ResizeRows(1);
+  EXPECT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.ByteSize(), 2 * sizeof(Value));
+}
+
+// Every [begin, end) of the relation, appended to a block that already
+// holds one row, equals the ScanRange rows.
+void ExpectFillBlockRangeMatchesScanRange(const Database& db, int relation) {
+  const int64_t n = static_cast<int64_t>(db.RowCount(relation));
+  const int width = db.schema().relation(relation).num_attributes();
+  for (int64_t begin = 0; begin <= n; ++begin) {
+    for (int64_t end = begin; end <= n; ++end) {
+      RowBlock block(width);
+      const Row sentinel(width, -1);
+      block.AppendRowMajor(sentinel.data(), 1);
+      db.FillBlockRange(relation, begin, end, &block);
+      std::vector<Row> rows;
+      db.ScanRange(relation, begin, end,
+                   [&](const Row& r) { rows.push_back(r); });
+      ASSERT_EQ(block.num_rows(), 1 + end - begin);
+      Row got(width);
+      block.CopyRowTo(0, got.data());
+      ASSERT_EQ(got, sentinel);
+      for (int64_t i = 0; i < end - begin; ++i) {
+        block.CopyRowTo(1 + i, got.data());
+        ASSERT_EQ(got, rows[i]) << begin << ".." << end << " rank " << i;
+      }
+    }
+  }
+}
+
+TEST(DatabaseTest, FillBlockRangeMatchesScanRange) {
+  ToyEnvironment env = MakeToyEnvironment();
+  Database db(env.schema);
+  const int s = env.schema.RelationIndex("S");
+  for (Value i = 0; i < 6; ++i) db.table(s).AppendRow({i, 10 * i, -i});
+  ExpectFillBlockRangeMatchesScanRange(db, s);
+  // Rows appended after the first scans are visible to the next ones.
+  for (Value i = 6; i < 11; ++i) db.table(s).AppendRow({i, 10 * i, -i});
+  ExpectFillBlockRangeMatchesScanRange(db, s);
+  RowBlock tail(3);
+  db.FillBlockRange(s, 10, 11, &tail);
+  EXPECT_EQ(tail.At(0, 1), 100);
 }
 
 TEST(DatabaseTest, ReferentialIntegrityDetectsDangling) {

@@ -59,6 +59,31 @@ TEST(FormulatorTest, TrueCcOverridesTotalRows) {
   EXPECT_EQ(lp->total_rows, 777u);
 }
 
+TEST(FormulatorTest, AgreeingTrueCcsAreAccepted) {
+  View v = SimpleView(1, 10, 500);
+  const std::vector<ViewConstraint> vcs = {
+      Vc(DnfPredicate::True(), 777, "a"),
+      Vc(DnfPredicate::True(), 777, "b"),
+  };
+  auto lp = FormulateViewLp(v, vcs);
+  ASSERT_TRUE(lp.ok()) << lp.status().ToString();
+  EXPECT_EQ(lp->total_rows, 777u);
+}
+
+TEST(FormulatorTest, DisagreeingTrueCcsRejected) {
+  View v = SimpleView(1, 10, 500);
+  const std::vector<ViewConstraint> vcs = {
+      Vc(DnfPredicate::True(), 777, "|S|"),
+      Vc(PredicateOf(AtomLess(0, 5)), 100, "half"),
+      Vc(DnfPredicate::True(), 778, "copy"),
+  };
+  auto lp = FormulateViewLp(v, vcs);
+  ASSERT_EQ(lp.status().code(), StatusCode::kFailedPrecondition)
+      << lp.status().ToString();
+  EXPECT_EQ(lp.status().message(),
+            "total-size CCs disagree: |S| = 777, copy = 778");
+}
+
 TEST(FormulatorTest, NoConstraintsNoVariables) {
   View v = SimpleView(2, 10, 100);
   auto lp = FormulateViewLp(v, {});

@@ -236,8 +236,39 @@ TEST_F(GenerationRangeTest, ParallelMaterializeDatabaseMatchesSequential) {
 
   for (int r = 0; r < env_.schema.num_relations(); ++r) {
     ASSERT_EQ(par->RowCount(r), seq->RowCount(r));
-    EXPECT_EQ(par->table(r).data(), seq->table(r).data()) << "relation " << r;
+    EXPECT_EQ(par->table(r), seq->table(r)) << "relation " << r;
   }
+}
+
+// Every table of MaterializeDatabase holds, row for row, what FillRange
+// generates row-major over the relation's whole rank range.
+void ExpectMaterializedEqualsFillRange(const DatabaseSummary& summary,
+                                       const GenerationOptions& options) {
+  auto db = MaterializeDatabase(summary, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const TupleGenerator gen(summary);
+  for (int r = 0; r < summary.schema.num_relations(); ++r) {
+    const int64_t n = static_cast<int64_t>(gen.RowCount(r));
+    const Table& t = db->table(r);
+    ASSERT_EQ(t.num_rows(), static_cast<uint64_t>(n));
+    std::vector<Value> rows(n * t.num_columns());
+    gen.FillRange(r, 0, n, rows.data());
+    for (int64_t i = 0; i < n; ++i) {
+      for (int c = 0; c < t.num_columns(); ++c) {
+        ASSERT_EQ(t.At(i, c), rows[i * t.num_columns() + c])
+            << "relation " << r << " rank " << i << " column " << c;
+      }
+    }
+  }
+}
+
+TEST_F(GenerationRangeTest, MaterializeDatabaseMatchesFillRange) {
+  GenerationOptions options;
+  options.num_threads = 3;
+  options.shard_rows = 997;
+  ExpectMaterializedEqualsFillRange(summary_, options);
+  options.shard_rows = 5;  // shards cut through the hand summary's runs
+  ExpectMaterializedEqualsFillRange(MakeHandSummary(), options);
 }
 
 TEST_F(GenerationRangeTest, RegeneratorMaterializeUsesGenerationOptions) {
@@ -255,7 +286,7 @@ TEST_F(GenerationRangeTest, RegeneratorMaterializeUsesGenerationOptions) {
   auto reference = MaterializeDatabase(result->summary);
   ASSERT_TRUE(reference.ok());
   for (int r = 0; r < env_.schema.num_relations(); ++r) {
-    EXPECT_EQ(db->table(r).data(), reference->table(r).data());
+    EXPECT_EQ(db->table(r), reference->table(r)) << "relation " << r;
   }
 
   const std::string wrapper_dir = Dir("wrapper");

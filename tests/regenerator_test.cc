@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/executor.h"
 #include "hydra/regenerator.h"
 #include "hydra/tuple_generator.h"
 #include "workload/toy.h"
@@ -103,6 +104,19 @@ TEST(RegeneratorTest, InfeasibleCcsReportError) {
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(result.status().message().rfind("view S: ", 0), 0u)
       << result.status().ToString();
+}
+
+TEST(RegeneratorTest, ContradictoryTotalSizeCcsReportError) {
+  ToyEnvironment env = MakeToyEnvironment();
+  const int s = env.schema.RelationIndex("S");
+  std::vector<CardinalityConstraint> ccs = env.ccs;
+  ccs.push_back(RelationSizeConstraint(s, 701, "|S| again"));  // |S| = 700
+  HydraRegenerator hydra(env.schema);
+  auto result = hydra.Regenerate(ccs);
+  ASSERT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+      << result.status().ToString();
+  EXPECT_EQ(result.status().message(),
+            "view S: total-size CCs disagree: |S| = 700, |S| again = 701");
 }
 
 TEST(RegeneratorTest, PositiveOnlyErrors) {

@@ -109,6 +109,78 @@ TEST_F(DiskTableTest, CorruptHeaderRejected) {
   EXPECT_FALSE(ReadDiskTable(path).ok());
 }
 
+// Rewrites the column and row counts of the table file at `path`, keeping
+// its magic and its data bytes.
+void ForgeHeader(const std::string& path, uint64_t columns, uint64_t rows) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(8);
+  f.write(reinterpret_cast<const char*>(&columns), sizeof(columns));
+  f.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  ASSERT_TRUE(f.good());
+}
+
+TEST_F(DiskTableTest, ForgedHeadersRejectedBeforeAllocating) {
+  // 24-byte files holding only a header with the right magic.
+  const auto expect_rejected = [this](uint64_t columns, uint64_t rows) {
+    SCOPED_TRACE(std::to_string(columns) + " columns, " +
+                 std::to_string(rows) + " rows");
+    const std::string path = Path("forged.tbl");
+    DiskTableWriter writer(path, 1);
+    ASSERT_TRUE(writer.Open().ok());
+    ASSERT_TRUE(writer.Close().ok());
+    ForgeHeader(path, columns, rows);
+    auto scanned = ScanDiskTable(path, [](const Row&) { FAIL(); });
+    EXPECT_EQ(scanned.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(ReadDiskTable(path).status().code(), StatusCode::kIoError);
+  };
+  expect_rejected(3, uint64_t{1} << 62);  // reserve threw: abort
+  expect_rejected(3, 100000000);          // reserved 2.4 GB first
+  expect_rejected(0, ~uint64_t{0});       // looped for ever
+  expect_rejected(0, 5);                  // scanned 5 empty rows
+}
+
+TEST_F(DiskTableTest, HeaderClaimingOneRowTooManyRejected) {
+  const std::string path = Path("short.tbl");
+  Table t(3);
+  for (Value i = 0; i < 4; ++i) t.AppendRow({i, i, i});
+  ASSERT_TRUE(WriteDiskTable(t, path).ok());
+  ASSERT_TRUE(ReadDiskTable(path).ok());
+  ForgeHeader(path, 3, 5);
+  EXPECT_EQ(ReadDiskTable(path).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ScanDiskTable(path, [](const Row&) {}).status().code(),
+            StatusCode::kIoError);
+}
+
+TEST_F(DiskTableTest, WholeTableRoundTripCrossesBufferBoundary) {
+  // 70,000 rows cross the 64K-row transpose buffer.
+  Table t(3);
+  for (Value i = 0; i < 70000; ++i) t.AppendRow({i, -3 * i, i % 7});
+  const std::string path = Path("whole.tbl");
+  ASSERT_TRUE(WriteDiskTable(t, path).ok());
+
+  // WriteDiskTable's bytes equal a row-by-row DiskTableWriter::Append.
+  const std::string rowwise = Path("rowwise.tbl");
+  DiskTableWriter writer(rowwise, 3);
+  ASSERT_TRUE(writer.Open().ok());
+  Row row;
+  for (uint64_t r = 0; r < t.num_rows(); ++r) {
+    t.GetRow(r, &row);
+    ASSERT_TRUE(writer.Append(row).ok());
+  }
+  ASSERT_TRUE(writer.Close().ok());
+  std::ifstream a(path, std::ios::binary), b(rowwise, std::ios::binary);
+  const std::vector<char> table_bytes((std::istreambuf_iterator<char>(a)),
+                                      std::istreambuf_iterator<char>());
+  const std::vector<char> row_bytes((std::istreambuf_iterator<char>(b)),
+                                    std::istreambuf_iterator<char>());
+  EXPECT_EQ(table_bytes.size(), 24u + 70000u * 3 * sizeof(Value));
+  EXPECT_TRUE(table_bytes == row_bytes);
+
+  auto back = ReadDiskTable(path);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(*back == t);
+}
+
 TEST_F(DiskTableTest, ShardWritersProduceSequentialBytes) {
   // Write [0, 1000) sequentially, then the same rows as three out-of-order
   // shards into a preallocated file; the bytes must match exactly.

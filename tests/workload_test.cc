@@ -148,8 +148,10 @@ TEST(DataGenTest, FkDistributionIsSkewed) {
 // mean (up to collisions) identical rows in identical order.
 uint64_t TableHash(const Table& t) {
   uint64_t h = 0xcbf29ce484222325ull;
-  for (const Value v : t.data()) {
-    h = (h ^ static_cast<uint64_t>(v)) * 0x100000001b3ull;
+  for (uint64_t r = 0; r < t.num_rows(); ++r) {
+    for (int c = 0; c < t.num_columns(); ++c) {
+      h = (h ^ static_cast<uint64_t>(t.At(r, c))) * 0x100000001b3ull;
+    }
   }
   return h;
 }
