@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <set>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -62,7 +64,7 @@ struct Registry {
   std::map<std::string, Counter*> counters;
   std::map<std::string, Gauge*> gauges;
   std::map<std::string, Histogram*> histograms;
-  std::map<std::string, MetricsProvider*> providers;
+  std::set<std::string> scopes;  // reserved instance prefixes
 };
 
 // Leaked singleton: metrics are namespace-scope globals whose destructors
@@ -85,12 +87,12 @@ void RegisterIn(Map& map, const std::string& name, T* metric) {
 
 // --- Counter / Gauge / Histogram lifecycle -------------------------------
 
-Counter::Counter(const char* name) : name_(name) {
+Counter::Counter(std::string name) : name_(std::move(name)) {
   MetricRegistry::Register(name_, this);
 }
 Counter::~Counter() { MetricRegistry::Unregister(this); }
 
-Gauge::Gauge(const char* name) : name_(name) {
+Gauge::Gauge(std::string name) : name_(std::move(name)) {
   MetricRegistry::Register(name_, this);
 }
 Gauge::~Gauge() { MetricRegistry::Unregister(this); }
@@ -149,20 +151,12 @@ uint64_t HistogramSnapshot::Percentile(double q) const {
   return 0;  // unreachable: count == sum of bucket counts
 }
 
-// --- providers -----------------------------------------------------------
+// --- instance scopes -----------------------------------------------------
 
-void MetricsSink::Gauge(const std::string& name, int64_t value) {
-  out_->push_back(GaugeSnapshot{prefix_ + "/" + name, value});
-}
+MetricScope::MetricScope(const std::string& name)
+    : prefix_(MetricRegistry::RegisterScope(name)) {}
 
-MetricsProvider::MetricsProvider(const std::string& name, Callback callback)
-    : registered_name_(name), callback_(std::move(callback)) {
-  MetricRegistry::RegisterProvider(this);
-}
-
-MetricsProvider::~MetricsProvider() {
-  MetricRegistry::UnregisterProvider(this);
-}
+MetricScope::~MetricScope() { MetricRegistry::UnregisterScope(prefix_); }
 
 // --- registry ------------------------------------------------------------
 
@@ -205,25 +199,23 @@ void MetricRegistry::Unregister(const Histogram* h) {
   registry.histograms.erase(h->name());
 }
 
-void MetricRegistry::RegisterProvider(MetricsProvider* p) {
+std::string MetricRegistry::RegisterScope(const std::string& name) {
   Registry& registry = GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  // First free suffix: a second server instance exports as "serve#2" and
-  // the name frees up again when the instance (and its provider) dies.
-  std::string name = p->registered_name_;
-  for (int n = 2; registry.providers.count(name) != 0; ++n) {
-    name = p->registered_name_ + "#" + std::to_string(n);
+  // First free suffix: a second server instance counts under "serve#2",
+  // and the name frees up again when the instance (and its scope) dies.
+  std::string prefix = name;
+  for (int n = 2; registry.scopes.count(prefix) != 0; ++n) {
+    prefix = name + "#" + std::to_string(n);
   }
-  p->registered_name_ = name;
-  registry.providers.emplace(name, p);
+  registry.scopes.insert(prefix);
+  return prefix;
 }
 
-void MetricRegistry::UnregisterProvider(MetricsProvider* p) {
-  // Taking the snapshot mutex doubles as quiescence: once erase returns,
-  // no Snapshot() is mid-callback into this provider.
+void MetricRegistry::UnregisterScope(const std::string& prefix) {
   Registry& registry = GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  registry.providers.erase(p->registered_name_);
+  registry.scopes.erase(prefix);
 }
 
 MetricsSnapshot MetricRegistry::Snapshot() {
@@ -238,15 +230,6 @@ MetricsSnapshot MetricRegistry::Snapshot() {
   for (const auto& [name, gauge] : registry.gauges) {
     snapshot.gauges.push_back(GaugeSnapshot{name, gauge->value()});
   }
-  for (const auto& [name, provider] : registry.providers) {
-    MetricsSink sink(name, &snapshot.gauges);
-    provider->callback_(&sink);
-  }
-  // Provider gauges interleave with registered ones; one global order.
-  std::sort(snapshot.gauges.begin(), snapshot.gauges.end(),
-            [](const GaugeSnapshot& a, const GaugeSnapshot& b) {
-              return a.name < b.name;
-            });
   snapshot.histograms.reserve(registry.histograms.size());
   for (const auto& [name, histogram] : registry.histograms) {
     HistogramSnapshot h;

@@ -1,8 +1,8 @@
 // Metrics — the repo-wide observability registry (docs/observability.md).
 //
 // Built the same way the failpoint registry is (src/common/failpoint.h):
-// metrics are namespace-scope globals that self-register by name into a
-// leaked singleton, so static-initialization order never loses one, and
+// every metric self-registers by name into a leaked singleton, so
+// static-initialization order never loses a namespace-scope global, and
 // the hot path never takes a lock — recording is one relaxed fetch_add.
 //
 // Three metric kinds:
@@ -27,23 +27,21 @@
 // so `HYDRA_METRICS=off` restores a one-relaxed-load hot path; counter and
 // gauge updates are always on — they are already a single fetch_add.
 //
-// Per-instance stats (a server's ServeStats/NetStats) re-export through a
-// MetricsProvider: a callback that contributes named gauges to every
-// snapshot under a registered prefix ("serve", "net", suffixed "#2"... when
-// several instances coexist). The registry snapshot is therefore the one
-// source of truth the wire (GetMetrics), the Prometheus writer, and
-// tools/hydra_stats all serve from.
+// Per-instance state (a server's ServeStats/NetStats) lives in Counter and
+// Gauge members named under a MetricScope: the instance reserves a prefix
+// ("serve", "net", suffixed "#2"... when several instances coexist) and
+// its tallies are ordinary registered metrics, so the registry is the one
+// store that stats() accessors, the wire (GetMetrics), the Prometheus
+// writer, and tools/hydra_stats all read.
 //
 // Thread safety: everything is thread-safe. Record/Inc/Set are lock-free;
-// Snapshot takes the registry mutex (and runs provider callbacks under it
-// — providers must not register metrics or call Snapshot reentrantly).
+// registration, scopes, and Snapshot take the registry mutex.
 
 #ifndef HYDRA_COMMON_METRICS_H_
 #define HYDRA_COMMON_METRICS_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,9 +69,10 @@ uint64_t MonotonicMicros();
 
 class Counter {
  public:
-  // Registers under `name` (unique, outlives the program — counters are
-  // namespace-scope globals, like failpoints).
-  explicit Counter(const char* name);
+  // Registers under `name`, which must be unique among live metrics:
+  // namespace-scope globals (like failpoints) or per-instance members named
+  // under a MetricScope. The destructor unregisters.
+  explicit Counter(std::string name);
   ~Counter();
 
   Counter(const Counter&) = delete;
@@ -90,7 +89,7 @@ class Counter {
 
 class Gauge {
  public:
-  explicit Gauge(const char* name);
+  explicit Gauge(std::string name);
   ~Gauge();
 
   Gauge(const Gauge&) = delete;
@@ -212,63 +211,44 @@ struct HistogramSnapshot {
 };
 
 struct MetricsSnapshot {
-  // Each section sorted by name; provider gauges merge into `gauges`.
+  // Each section sorted by name.
   std::vector<CounterSnapshot> counters;
   std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
 };
 
-// --- providers -----------------------------------------------------------
+// --- instance scopes -----------------------------------------------------
 
-// Where a provider callback deposits its values during a snapshot. Names
-// are prefixed with the provider's registered name ("serve" -> "serve/x").
-class MetricsSink {
+// RAII reservation of a per-instance metric prefix. The first live scope
+// asking for "serve" gets "serve", the next "serve#2", and so on (first free
+// suffix); the prefix frees up again when the scope dies. An instance names
+// its Counter/Gauge members under its scope and declares the scope first,
+// so they unregister before the prefix can be handed out again.
+class MetricScope {
  public:
-  void Gauge(const std::string& name, int64_t value);
-  void Gauge(const std::string& name, uint64_t value) {
-    Gauge(name, static_cast<int64_t>(value));
+  explicit MetricScope(const std::string& name);
+  ~MetricScope();
+
+  MetricScope(const MetricScope&) = delete;
+  MetricScope& operator=(const MetricScope&) = delete;
+
+  // The reserved (possibly suffixed) prefix.
+  const std::string& prefix() const { return prefix_; }
+  // `metric` under this scope: Name("rows_served") == "serve/rows_served".
+  std::string Name(const std::string& metric) const {
+    return prefix_ + "/" + metric;
   }
 
  private:
-  friend class MetricRegistry;
-  MetricsSink(const std::string& prefix, std::vector<GaugeSnapshot>* out)
-      : prefix_(prefix), out_(out) {}
-
-  const std::string& prefix_;
-  std::vector<GaugeSnapshot>* out_;
-};
-
-// RAII registration of a per-instance stats exporter. The callback runs
-// under the registry mutex on every Snapshot(); the destructor unregisters
-// and returns only when no snapshot is mid-callback, so a provider owned
-// by a server cannot outlive it.
-class MetricsProvider {
- public:
-  using Callback = std::function<void(MetricsSink*)>;
-
-  // Registers under `name`, or "name#2", "name#3"... when taken — several
-  // server instances in one process each keep a distinct prefix.
-  MetricsProvider(const std::string& name, Callback callback);
-  ~MetricsProvider();
-
-  MetricsProvider(const MetricsProvider&) = delete;
-  MetricsProvider& operator=(const MetricsProvider&) = delete;
-
-  // The (possibly suffixed) prefix this provider's gauges appear under.
-  const std::string& registered_name() const { return registered_name_; }
-
- private:
-  friend class MetricRegistry;
-  std::string registered_name_;
-  Callback callback_;
+  std::string prefix_;
 };
 
 // --- the registry --------------------------------------------------------
 
 class MetricRegistry {
  public:
-  // Snapshots every registered metric and provider. Deterministic: sorted
-  // by name, so two quiesced snapshots of the same state are identical.
+  // Snapshots every registered metric. Deterministic: sorted by name, so
+  // two quiesced snapshots of the same state are identical.
   static MetricsSnapshot Snapshot();
 
   // Lookups for tests and diagnostics; nullptr when absent.
@@ -283,7 +263,7 @@ class MetricRegistry {
   friend class Counter;
   friend class Gauge;
   friend class Histogram;
-  friend class MetricsProvider;
+  friend class MetricScope;
 
   static void Register(const std::string& name, Counter* c);
   static void Register(const std::string& name, Gauge* g);
@@ -291,8 +271,8 @@ class MetricRegistry {
   static void Unregister(const Counter* c);
   static void Unregister(const Gauge* g);
   static void Unregister(const Histogram* h);
-  static void RegisterProvider(MetricsProvider* p);
-  static void UnregisterProvider(MetricsProvider* p);
+  static std::string RegisterScope(const std::string& name);
+  static void UnregisterScope(const std::string& prefix);
 };
 
 // --- exposition ----------------------------------------------------------

@@ -15,7 +15,6 @@
 //                                 to <path> at process exit (atexit) —
 //                                 how `fig_serve` emits its CI artifact.
 //   - trace::SetEnabled(true)     programmatic, any time.
-//   - ServeOptions::trace_spans   a server enables tracing at construction.
 //
 // Export: trace::ChromeTraceJson() renders every thread's surviving spans
 // as Chrome trace-event JSON ("X" complete events, microsecond

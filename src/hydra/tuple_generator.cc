@@ -96,13 +96,6 @@ void TupleGenerator::ScanRange(
       });
 }
 
-void TupleGenerator::ScanBlocks(
-    int relation, int64_t block_rows,
-    const std::function<void(const Value*, int64_t)>& fn) const {
-  ScanBlocksRange(relation, 0, summary_.relations[relation].TotalCount(),
-                  block_rows, fn);
-}
-
 void TupleGenerator::ScanBlocksRange(
     int relation, int64_t begin, int64_t end, int64_t block_rows,
     const std::function<void(const Value*, int64_t)>& fn) const {
@@ -216,8 +209,6 @@ TupleGenerator::Cursor::Cursor(const TupleGenerator& generator, int relation,
     : generator_(&generator),
       relation_(relation),
       total_(generator.summary_.relations[relation].TotalCount()) {
-  row_buf_.assign(
-      generator_->summary_.schema.relation(relation_).num_attributes(), 0);
   Seek(begin);
 }
 
@@ -231,33 +222,6 @@ void TupleGenerator::Cursor::Seek(int64_t rank) {
                                : static_cast<int>(rs.rows.size());
 }
 
-int64_t TupleGenerator::Cursor::Fill(int64_t max_rows, Value* dst) {
-  const RelationSummary& rs = generator_->summary_.relations[relation_];
-  const int width = static_cast<int>(row_buf_.size());
-  const int pk_attr = generator_->pk_attr_[relation_];
-  const int64_t end = std::min(total_, next_ + std::max<int64_t>(0, max_rows));
-  int64_t written = 0;
-  while (next_ < end) {
-    // Poll at run boundaries, not per row: runs are the natural quantum
-    // (one summary row's stretch), so the check cost stays negligible.
-    if (cancel_ != nullptr && cancel_->cancelled()) break;
-    // Skip summary rows exhausted by previous fills (zero-count rows too).
-    while (rs.prefix_counts[summary_row_] + rs.rows[summary_row_].count <=
-           next_) {
-      ++summary_row_;
-    }
-    const int64_t stop = std::min(
-        end, rs.prefix_counts[summary_row_] + rs.rows[summary_row_].count);
-    generator_->FillRow(relation_, summary_row_, next_, &row_buf_);
-    for (; next_ < stop; ++next_, ++written) {
-      if (pk_attr >= 0) row_buf_[pk_attr] = next_;
-      std::memcpy(dst + written * width, row_buf_.data(),
-                  sizeof(Value) * width);
-    }
-  }
-  return written;
-}
-
 int64_t TupleGenerator::Cursor::FillBlock(int64_t max_rows, RowBlock* out) {
   ScopedLatencyTimer timer(&g_gen_fill_us);
   const RelationSummary& rs = generator_->summary_.relations[relation_];
@@ -267,8 +231,10 @@ int64_t TupleGenerator::Cursor::FillBlock(int64_t max_rows, RowBlock* out) {
   out->ResizeUninitialized(base + (end - next_));
   int64_t written = 0;
   while (next_ < end) {
-    // Same run-boundary cancellation quantum as Fill().
+    // Poll at run boundaries, not per row: runs are the natural quantum
+    // (one summary row's stretch), so the check cost stays negligible.
     if (cancel_ != nullptr && cancel_->cancelled()) break;
+    // Skip summary rows exhausted by previous fills (zero-count rows too).
     while (rs.prefix_counts[summary_row_] + rs.rows[summary_row_].count <=
            next_) {
       ++summary_row_;

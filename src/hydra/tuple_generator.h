@@ -59,17 +59,13 @@ class TupleGenerator : public TableSource {
   void FillBlockRange(int relation, int64_t begin, int64_t end,
                       RowBlock* out) const override;
 
-  // Batched generation in PK order: invokes `fn` with contiguous row-major
-  // blocks of up to `block_rows` rows (width = the relation's attribute
-  // count). Block boundaries are an implementation detail; concatenating
-  // the blocks yields exactly the Scan() sequence. Used by the
-  // materialization paths to write in blocks instead of per row.
-  void ScanBlocks(int relation, int64_t block_rows,
-                  const std::function<void(const Value*, int64_t)>& fn) const;
-  // Batched generation of the rank range [begin, end): starts block
-  // generation at an arbitrary rank via the prefix_counts binary search.
-  // Concatenating the blocks over any split of [0, RowCount) yields exactly
-  // the ScanBlocks() sequence of rows.
+  // Batched generation of the rank range [begin, end): invokes `fn` with
+  // contiguous row-major blocks of up to `block_rows` rows (width = the
+  // relation's attribute count), starting at an arbitrary rank via the
+  // prefix_counts binary search. Block boundaries are an implementation
+  // detail; concatenating the blocks over any split of [0, RowCount) yields
+  // exactly the Scan() sequence. Used by the materialization paths to write
+  // in blocks instead of per row.
   void ScanBlocksRange(
       int relation, int64_t begin, int64_t end, int64_t block_rows,
       const std::function<void(const Value*, int64_t)>& fn) const;
@@ -89,18 +85,18 @@ class TupleGenerator : public TableSource {
   void GetTuple(int relation, int64_t r, Row* out) const;
 
   // Resumable streaming cursor over one relation's rank space — the serving
-  // layer's unit of dynamic regeneration (docs/serve.md). Fill() emits the
-  // next bounded run of rows and advances; position() is the rank of the
-  // next unemitted row, so a cursor rebuilt over a freshly reloaded copy of
-  // the same summary and Seek()ed to that rank continues the stream
+  // layer's unit of dynamic regeneration (docs/serve.md). FillBlock() emits
+  // the next bounded run of rows and advances; position() is the rank of
+  // the next unemitted row, so a cursor rebuilt over a freshly reloaded
+  // copy of the same summary and Seek()ed to that rank continues the stream
   // byte-identically. Within a cursor's lifetime the covering summary row
-  // is carried across Fill() calls, so only Seek() pays a binary search.
-  // The generator must outlive the cursor.
+  // is carried across FillBlock() calls, so only Seek() pays a binary
+  // search. The generator must outlive the cursor.
   class Cursor {
    public:
     Cursor(const TupleGenerator& generator, int relation, int64_t begin = 0);
 
-    // Rank of the next row Fill() would emit.
+    // Rank of the next row FillBlock() would emit.
     int64_t position() const { return next_; }
     int64_t total_rows() const { return total_; }
     bool done() const { return next_ >= total_; }
@@ -108,22 +104,17 @@ class TupleGenerator : public TableSource {
     // Re-anchors the cursor at `rank` (0 <= rank <= total_rows()).
     void Seek(int64_t rank);
 
-    // Generates up to `max_rows` rows into `dst` (which must hold
-    // max_rows * num_attributes Values, row-major) and advances. Returns
-    // the number of rows written; 0 exactly at end of stream. With a
-    // cancel scope set, a tripped scope stops the fill at the next summary
-    // run boundary — a shorter (possibly empty) prefix, position() still
-    // exact, so a resumed or retried fill continues byte-identically.
-    int64_t Fill(int64_t max_rows, Value* dst);
-
-    // Columnar variant of Fill(): appends up to `max_rows` rows to `out`
-    // (already Reset to the relation's width) as per-column constant splats
-    // and PK iota runs, and advances. Same return value, cancellation, and
-    // resumption contract as Fill(); the emitted row stream is identical.
+    // Appends up to `max_rows` rows to `out` (already Reset to the
+    // relation's width) as per-column constant splats and PK iota runs, and
+    // advances. Returns the number of rows written; 0 exactly at end of
+    // stream. With a cancel scope set, a tripped scope stops the fill at
+    // the next summary run boundary — a shorter (possibly empty) prefix,
+    // position() still exact, so a resumed or retried fill continues
+    // byte-identically.
     int64_t FillBlock(int64_t max_rows, RowBlock* out);
 
-    // Failure domain: non-owning; the scope must stay alive across Fill().
-    // Null (the default) disables polling entirely.
+    // Failure domain: non-owning; the scope must stay alive across
+    // FillBlock(). Null (the default) disables polling entirely.
     void set_cancel(const CancelScope* cancel) { cancel_ = cancel; }
 
    private:
@@ -132,7 +123,6 @@ class TupleGenerator : public TableSource {
     int64_t total_;
     int64_t next_ = 0;     // rank of the next row to emit
     int summary_row_ = 0;  // index of the summary row covering next_
-    Row row_buf_;          // current summary row's values (PK rewritten)
     const CancelScope* cancel_ = nullptr;
   };
 

@@ -175,15 +175,6 @@ Status NetClient::CloseSession(SessionHandle session) {
   return Transact(Opcode::kCloseSession, payload, &body);
 }
 
-StatusOr<ServeStats> NetClient::Stats() {
-  std::string body;
-  HYDRA_RETURN_IF_ERROR(Transact(Opcode::kStats, std::string(), &body));
-  WireReader reader(body);
-  ServeStats stats;
-  HYDRA_RETURN_IF_ERROR(ReadServeStats(&reader, &stats));
-  return stats;
-}
-
 StatusOr<std::string> NetClient::MetricsSerialized() {
   std::string body;
   HYDRA_RETURN_IF_ERROR(Transact(Opcode::kGetMetrics, std::string(), &body));

@@ -22,7 +22,6 @@
 #include "common/status.h"
 #include "net/wire.h"
 #include "serve/serve_api.h"
-#include "serve/serve_options.h"
 
 namespace hydra {
 
@@ -56,7 +55,6 @@ class NetClient {
   Status CancelSession(SessionHandle session);
   Status CloseCursor(SessionHandle session, CursorHandle cursor);
   Status CloseSession(SessionHandle session);
-  StatusOr<ServeStats> Stats();
   // The server process's full metrics snapshot. MetricsSerialized() hands
   // back the wire bytes verbatim (byte-identical to the server's own
   // SerializeMetricsSnapshot — tests/net_test.cc holds it to that);

@@ -60,15 +60,13 @@ int ResolveWorkers(const NetServerOptions& options) {
 NetServer::NetServer(RegenServer* server, NetServerOptions options)
     : server_(server),
       options_(std::move(options)),
-      metrics_provider_("net", [this](MetricsSink* sink) {
-        const NetStats s = stats();
-        sink->Gauge("connections_accepted", s.connections_accepted);
-        sink->Gauge("connections_dropped", s.connections_dropped);
-        sink->Gauge("frames_received", s.frames_received);
-        sink->Gauge("frames_sent", s.frames_sent);
-        sink->Gauge("protocol_errors", s.protocol_errors);
-        sink->Gauge("sessions_reaped", s.sessions_reaped);
-      }) {
+      scope_("net"),
+      connections_accepted_(scope_.Name("connections_accepted")),
+      connections_dropped_(scope_.Name("connections_dropped")),
+      frames_received_(scope_.Name("frames_received")),
+      frames_sent_(scope_.Name("frames_sent")),
+      protocol_errors_(scope_.Name("protocol_errors")),
+      sessions_reaped_(scope_.Name("sessions_reaped")) {
   if (options_.max_buffered_frames < 1) options_.max_buffered_frames = 1;
 }
 
@@ -207,7 +205,7 @@ void NetServer::AcceptReady() {
       // Injected accept failure: the client sees an immediate close —
       // exactly what an overloaded or dying listener produces.
       ::close(fd);
-      connections_dropped_.fetch_add(1, std::memory_order_relaxed);
+      connections_dropped_.Inc();
       continue;
     }
     if (!SetNonBlocking(fd).ok()) {
@@ -222,7 +220,7 @@ void NetServer::AcceptReady() {
       std::lock_guard<std::mutex> lock(mu_);
       connections_.emplace(fd, conn);
     }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    connections_accepted_.Inc();
   }
 }
 
@@ -258,7 +256,7 @@ bool NetServer::ReadReady(const std::shared_ptr<Connection>& conn) {
     const FrameHeader header = DecodeFrameHeader(base);
     if (!ValidateFrameHeader(header).ok()) {
       // The stream has no trustworthy frame boundary anymore; drop it.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors_.Inc();
       return false;
     }
     if (conn->read_buffer.size() - consumed <
@@ -270,7 +268,7 @@ bool NetServer::ReadReady(const std::shared_ptr<Connection>& conn) {
         conn->read_buffer.substr(consumed + kFrameHeaderBytes,
                                  header.payload_len));
     consumed += kFrameHeaderBytes + header.payload_len;
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
+    frames_received_.Inc();
   }
   if (consumed > 0) conn->read_buffer.erase(0, consumed);
   if (!frames.empty()) {
@@ -307,7 +305,7 @@ void NetServer::HandleFrame(std::shared_ptr<Connection> conn,
   // frames_sent below) or not at all (handle/write records skipped).
   const bool is_metrics =
       static_cast<Opcode>(header.opcode) == Opcode::kGetMetrics;
-  if (is_metrics) frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  if (is_metrics) frames_sent_.Add(1);
   // Build the whole response frame in one buffer (header patched last), so
   // it goes out in one write — no torn frame on a concurrent kill.
   std::string frame(kFrameHeaderBytes, '\0');
@@ -331,10 +329,10 @@ void NetServer::HandleFrame(std::shared_ptr<Connection> conn,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (write_status.ok()) {
-      if (!is_metrics) frames_sent_.fetch_add(1, std::memory_order_relaxed);
+      if (!is_metrics) frames_sent_.Add(1);
     } else {
       // The pre-count assumed the response would reach the wire.
-      if (is_metrics) frames_sent_.fetch_sub(1, std::memory_order_relaxed);
+      if (is_metrics) frames_sent_.Add(-1);
       KillLocked(conn);
     }
     conn->busy = false;
@@ -355,7 +353,7 @@ void NetServer::Execute(const std::shared_ptr<Connection>& conn, Opcode opcode,
     case Opcode::kOpenSession: {
       OpenSessionRequest request;
       if (Status s = ReadOpenSessionRequest(reader, &request); !s.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        protocol_errors_.Inc();
         AppendStatusEnvelope(s, out);
         return;
       }
@@ -377,7 +375,7 @@ void NetServer::Execute(const std::shared_ptr<Connection>& conn, Opcode opcode,
       Status s = reader->U64(&session_id);
       if (s.ok()) s = ReadCursorSpec(reader, &spec);
       if (!s.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        protocol_errors_.Inc();
         AppendStatusEnvelope(s, out);
         return;
       }
@@ -397,7 +395,7 @@ void NetServer::Execute(const std::shared_ptr<Connection>& conn, Opcode opcode,
       Status s = reader->U64(&session_id);
       if (s.ok()) s = reader->U64(&cursor_id);
       if (!s.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        protocol_errors_.Inc();
         AppendStatusEnvelope(s, out);
         return;
       }
@@ -421,7 +419,7 @@ void NetServer::Execute(const std::shared_ptr<Connection>& conn, Opcode opcode,
       Status s = reader->U64(&session_id);
       if (s.ok()) s = reader->U64(&cursor_id);
       if (!s.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        protocol_errors_.Inc();
         AppendStatusEnvelope(s, out);
         return;
       }
@@ -440,7 +438,7 @@ void NetServer::Execute(const std::shared_ptr<Connection>& conn, Opcode opcode,
     case Opcode::kCloseSession: {
       uint64_t session_id;
       if (Status s = reader->U64(&session_id); !s.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        protocol_errors_.Inc();
         AppendStatusEnvelope(s, out);
         return;
       }
@@ -467,7 +465,7 @@ void NetServer::Execute(const std::shared_ptr<Connection>& conn, Opcode opcode,
       Status s = reader->U64(&session_id);
       if (s.ok()) s = reader->U64(&cursor_id);
       if (!s.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        protocol_errors_.Inc();
         AppendStatusEnvelope(s, out);
         return;
       }
@@ -478,11 +476,6 @@ void NetServer::Execute(const std::shared_ptr<Connection>& conn, Opcode opcode,
       }
       AppendStatusEnvelope(
           server_->CloseCursor(session, CursorHandle{cursor_id}), out);
-      return;
-    }
-    case Opcode::kStats: {
-      AppendStatusEnvelope(Status::OK(), out);
-      AppendServeStats(server_->stats(), out);
       return;
     }
     case Opcode::kPing: {
@@ -502,7 +495,7 @@ void NetServer::Execute(const std::shared_ptr<Connection>& conn, Opcode opcode,
   }
   // Unknown opcode: the frame itself was well-formed, so the connection
   // survives; the client gets a stable "not supported" answer.
-  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+  protocol_errors_.Inc();
   AppendStatusEnvelope(Status::Unimplemented("unknown opcode"), out);
 }
 
@@ -534,13 +527,13 @@ void NetServer::ReapLocked(const std::shared_ptr<Connection>& conn) {
     connections_.erase(conn->fd);
     ::close(conn->fd);
     conn->fd = -1;
-    connections_dropped_.fetch_add(1, std::memory_order_relaxed);
+    connections_dropped_.Inc();
   }
   conn->dead = true;
   for (const SessionHandle session : conn->sessions) {
     (void)server_->CancelSession(session);
     if (server_->CloseSession(session).ok()) {
-      sessions_reaped_.fetch_add(1, std::memory_order_relaxed);
+      sessions_reaped_.Inc();
     }
   }
   conn->sessions.clear();
@@ -548,13 +541,12 @@ void NetServer::ReapLocked(const std::shared_ptr<Connection>& conn) {
 
 NetStats NetServer::stats() const {
   NetStats s;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_dropped = connections_dropped_.load(std::memory_order_relaxed);
-  s.frames_received = frames_received_.load(std::memory_order_relaxed);
-  s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.sessions_reaped = sessions_reaped_.load(std::memory_order_relaxed);
+  s.connections_accepted = connections_accepted_.value();
+  s.connections_dropped = connections_dropped_.value();
+  s.frames_received = frames_received_.value();
+  s.frames_sent = static_cast<uint64_t>(frames_sent_.value());
+  s.protocol_errors = protocol_errors_.value();
+  s.sessions_reaped = sessions_reaped_.value();
   return s;
 }
 

@@ -59,7 +59,9 @@ struct NetServerOptions {
   int max_buffered_frames = 16;
 };
 
-// Monotonic counters; snapshot via NetServer::stats().
+// NetServer::stats(): plain reads of the server's "net/<field>" metrics.
+// frames_sent is a gauge (a GetMetrics response is pre-counted and undone
+// if its write fails); the rest are monotonic counters.
 struct NetStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_dropped = 0;  // disconnects + protocol errors + faults
@@ -136,6 +138,9 @@ class NetServer {
 
   RegenServer* const server_;
   NetServerOptions options_;
+  // Reserves "net" ("net#2"... for further live front ends); declared
+  // before the metrics named under it.
+  MetricScope scope_;
   int listen_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  // self-pipe: [0] polled, [1] written
   int port_ = 0;
@@ -147,17 +152,12 @@ class NetServer {
   mutable std::mutex mu_;  // guards connections_ and Connection state
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
 
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_dropped_{0};
-  std::atomic<uint64_t> frames_received_{0};
-  std::atomic<uint64_t> frames_sent_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> sessions_reaped_{0};
-
-  // Re-exports stats() as gauges under the "net" prefix in every
-  // MetricRegistry::Snapshot(). Declared last (registers fully-constructed
-  // state, unregisters first).
-  MetricsProvider metrics_provider_;
+  Counter connections_accepted_;
+  Counter connections_dropped_;
+  Counter frames_received_;
+  Gauge frames_sent_;
+  Counter protocol_errors_;
+  Counter sessions_reaped_;
 };
 
 }  // namespace hydra

@@ -311,57 +311,6 @@ Status ReadRowBlock(WireReader* reader, RowBlock* block) {
   return Status::OK();
 }
 
-void AppendServeStats(const ServeStats& stats, std::string* out) {
-  WireWriter writer(out);
-  const uint64_t fields[] = {
-      stats.cache_hits,         stats.cache_misses,
-      stats.evictions,          stats.cached_bytes,
-      stats.resident_summaries, stats.batches_served,
-      stats.rows_served,        stats.lookups_served,
-      stats.queries_served,     stats.admission_waits,
-      stats.scan_groups_formed, stats.peak_group_fanout,
-      stats.shared_chunk_fills, stats.shared_chunk_hits,
-      stats.catch_up_batches,   stats.shared_charges,
-      stats.priority_skips,     stats.rate_deferrals,
-      stats.load_retries,       stats.shed_requests,
-      stats.degraded_batches,   stats.cancelled_requests,
-      // Appended fields go at the end: old readers skip trailing extras,
-      // so wire order is append-only even where the struct interleaves.
-      stats.admission_grants,
-  };
-  writer.U32(static_cast<uint32_t>(sizeof(fields) / sizeof(fields[0])));
-  for (const uint64_t field : fields) writer.U64(field);
-}
-
-Status ReadServeStats(WireReader* reader, ServeStats* stats) {
-  uint32_t num_fields;
-  HYDRA_RETURN_IF_ERROR(reader->U32(&num_fields));
-  uint64_t* const fields[] = {
-      &stats->cache_hits,         &stats->cache_misses,
-      &stats->evictions,          &stats->cached_bytes,
-      &stats->resident_summaries, &stats->batches_served,
-      &stats->rows_served,        &stats->lookups_served,
-      &stats->queries_served,     &stats->admission_waits,
-      &stats->scan_groups_formed, &stats->peak_group_fanout,
-      &stats->shared_chunk_fills, &stats->shared_chunk_hits,
-      &stats->catch_up_batches,   &stats->shared_charges,
-      &stats->priority_skips,     &stats->rate_deferrals,
-      &stats->load_retries,       &stats->shed_requests,
-      &stats->degraded_batches,   &stats->cancelled_requests,
-      &stats->admission_grants,
-  };
-  constexpr uint32_t kKnown = sizeof(fields) / sizeof(fields[0]);
-  if (num_fields < kKnown) {
-    return Status::InvalidArgument("stats payload too short");
-  }
-  for (uint32_t i = 0; i < num_fields; ++i) {
-    uint64_t value;
-    HYDRA_RETURN_IF_ERROR(reader->U64(&value));
-    if (i < kKnown) *fields[i] = value;  // extra fields: newer server, skip
-  }
-  return Status::OK();
-}
-
 Status ReadExact(int fd, void* buf, size_t n) {
   uint8_t* p = static_cast<uint8_t*>(buf);
   while (n > 0) {

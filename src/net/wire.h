@@ -33,7 +33,6 @@
 
 #include "common/status.h"
 #include "serve/serve_api.h"
-#include "serve/serve_options.h"
 
 namespace hydra {
 
@@ -52,7 +51,8 @@ enum class Opcode : uint8_t {
   kCancelSession = 5,
   kCloseCursor = 6,
   kCloseSession = 7,
-  kStats = 8,
+  // 8 was Stats, a ServeStats dump; retired, since GetMetrics carries every
+  // counter. Never reuse it: a server answers it kUnimplemented.
   kPing = 9,
   // Body: the serialized MetricRegistry snapshot (SerializeMetricsSnapshot
   // in common/metrics.h) — byte-identical to an in-process snapshot of the
@@ -161,11 +161,6 @@ Status ReadCursorSpec(WireReader* reader, CursorSpec* spec);
 // copy per column).
 void AppendRowBlock(const RowBlock& block, std::string* out);
 Status ReadRowBlock(WireReader* reader, RowBlock* block);
-
-// ServeStats: every counter as u64, in struct order. Diagnostic payload —
-// stable within a wire version, not frozen across them.
-void AppendServeStats(const ServeStats& stats, std::string* out);
-Status ReadServeStats(WireReader* reader, ServeStats* stats);
 
 // --- blocking socket helpers -------------------------------------------
 // Shared by the blocking client and the server's response writes. Both

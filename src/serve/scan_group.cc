@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/failpoint.h"
 
@@ -13,8 +14,22 @@ namespace hydra {
 // loading state, stretching how long the group's waiters park.
 HYDRA_FAILPOINT_DEFINE(g_fp_shared_chunk, "serve/shared_chunk");
 
-ScanGroup::ScanGroup(int64_t chunk_rows, int num_slots)
+SharedScanMetrics::SharedScanMetrics(const MetricScope& scope)
+    : groups_formed(scope.Name("scan_groups_formed")),
+      peak_fanout(scope.Name("peak_group_fanout")),
+      fills(scope.Name("shared_chunk_fills")),
+      hits(scope.Name("shared_chunk_hits")),
+      catch_up(scope.Name("catch_up_batches")) {}
+
+ScanGroup::ScanGroup(const std::string& metric_prefix, int64_t chunk_rows,
+                     int num_slots, SharedScanMetrics* shared)
     : chunk_rows_(std::max<int64_t>(1, chunk_rows)),
+      shared_(shared),
+      fanout_(metric_prefix + "fanout"),
+      fills_(metric_prefix + "fills"),
+      hits_(metric_prefix + "hits"),
+      catch_up_(metric_prefix + "catch_up"),
+      pacing_waits_(metric_prefix + "pacing_waits"),
       slots_(std::max(1, num_slots)) {}
 
 // How long a producer paces the frontier for a slow in-window member
@@ -29,17 +44,20 @@ uint64_t ScanGroup::Join(uint64_t session_id) {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t member = next_member_++;
   members_.emplace(member, Member{session_id, -1});
+  fanout_.Set(static_cast<int64_t>(members_.size()));
+  // A group forms once: membership that dips to one and grows back is the
+  // same group sharing again, not a new one.
+  if (members_.size() >= 2 && !formed_) {
+    formed_ = true;
+    shared_->groups_formed.Inc();
+  }
   return member;
 }
 
 void ScanGroup::Leave(uint64_t member) {
   std::lock_guard<std::mutex> lock(mu_);
   members_.erase(member);
-}
-
-int ScanGroup::member_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(members_.size());
+  fanout_.Set(static_cast<int64_t>(members_.size()));
 }
 
 std::vector<uint64_t> ScanGroup::PeerSessions(uint64_t self_session) const {
@@ -73,17 +91,21 @@ void ScanGroup::AdvanceMemberLocked(uint64_t member, int64_t chunk) {
   published_cv_.notify_all();
 }
 
+void ScanGroup::HitLocked(Slot& slot, uint64_t member, ChunkResult* result) {
+  slot.stamp = ++stamp_counter_;
+  hits_.Inc();
+  shared_->hits.Inc();
+  AdvanceMemberLocked(member, slot.chunk);
+  result->block = slot.block;
+  result->produced = false;
+}
+
 bool ScanGroup::TryAcquireResident(uint64_t member, int64_t chunk,
                                    ChunkResult* result) {
   std::lock_guard<std::mutex> lock(mu_);
   for (Slot& slot : slots_) {
     if (slot.chunk != chunk || slot.loading) continue;
-    slot.stamp = ++stamp_counter_;
-    ++counters_.hits;
-    AdvanceMemberLocked(member, chunk);
-    result->block = slot.block;
-    result->produced = false;
-    result->catch_up = false;
+    HitLocked(slot, member, result);
     return true;
   }
   return false;
@@ -108,12 +130,7 @@ Status ScanGroup::AcquireChunk(uint64_t member, int64_t chunk,
       }
       if (hit != nullptr) {
         if (!hit->loading) {
-          hit->stamp = ++stamp_counter_;
-          ++counters_.hits;
-          AdvanceMemberLocked(member, chunk);
-          result->block = hit->block;
-          result->produced = false;
-          result->catch_up = false;
+          HitLocked(*hit, member, result);
           return Status::OK();
         }
         // Another member is generating this chunk right now: park until it
@@ -155,7 +172,7 @@ Status ScanGroup::AcquireChunk(uint64_t member, int64_t chunk,
         // Pacing: every idle slot is still needed by an in-window member
         // (needed_lru set) — the frontier waits for the slowest member.
         // With every slot mid-load instead, this is just producer backoff.
-        if (needed_lru != nullptr) ++counters_.pacing_waits;
+        if (needed_lru != nullptr) pacing_waits_.Inc();
         published_cv_.wait_for(lock, std::chrono::milliseconds(10));
         continue;
       }
@@ -187,21 +204,34 @@ Status ScanGroup::AcquireChunk(uint64_t member, int64_t chunk,
   AdvanceMemberLocked(member, chunk);
   result->block = claimed->block;
   result->produced = true;
-  result->catch_up = chunk < top_chunk_;
-  ++counters_.fills;
-  if (result->catch_up) ++counters_.catch_up;
+  fills_.Inc();
+  shared_->fills.Inc();
+  // A fill behind the frontier is a late joiner's bounded catch-up pass.
+  if (chunk < top_chunk_) {
+    catch_up_.Inc();
+    shared_->catch_up.Inc();
+  }
   top_chunk_ = std::max(top_chunk_, chunk);
   published_cv_.notify_all();
   return Status::OK();
 }
 
-ScanGroup::Counters ScanGroup::counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
+ScanGroupInfo ScanGroup::Info() const {
+  ScanGroupInfo info;
+  info.fanout = static_cast<uint64_t>(fanout_.value());
+  info.fills = fills_.value();
+  info.hits = hits_.value();
+  info.catch_up = catch_up_.value();
+  info.pacing_waits = pacing_waits_.value();
+  return info;
 }
 
-ScanGroupRegistry::ScanGroupRegistry(int64_t chunk_rows, int num_slots)
-    : chunk_rows_(chunk_rows), num_slots_(num_slots) {}
+ScanGroupRegistry::ScanGroupRegistry(const MetricScope& scope,
+                                     int64_t chunk_rows, int num_slots)
+    : scope_(scope),
+      chunk_rows_(chunk_rows),
+      num_slots_(num_slots),
+      metrics_(scope) {}
 
 std::shared_ptr<ScanGroup> ScanGroupRegistry::Join(
     const std::string& summary_id, int relation, uint64_t session_id,
@@ -209,33 +239,27 @@ std::shared_ptr<ScanGroup> ScanGroupRegistry::Join(
   std::lock_guard<std::mutex> lock(mu_);
   auto& group = groups_[{summary_id, relation}];
   if (group == nullptr) {
-    group = std::make_shared<ScanGroup>(chunk_rows_, num_slots_);
+    const std::string name =
+        "group/" + summary_id + "/" + std::to_string(relation) + "/";
+    group = std::make_shared<ScanGroup>(scope_.Name(name), chunk_rows_,
+                                        num_slots_, &metrics_);
   }
   *member = group->Join(session_id);
-  const uint64_t fanout = static_cast<uint64_t>(group->member_count());
-  if (fanout == 2) ++groups_formed_;
-  peak_fanout_ = std::max(peak_fanout_, fanout);
+  // Joins serialize on mu_, so a plain compare-then-set keeps the peak.
+  const int64_t fanout = group->member_count();
+  if (fanout > metrics_.peak_fanout.value()) metrics_.peak_fanout.Set(fanout);
   return group;
 }
 
 void ScanGroupRegistry::Leave(const std::string& summary_id, int relation,
-                              const std::shared_ptr<ScanGroup>& group,
+                              std::shared_ptr<ScanGroup>* group,
                               uint64_t member) {
   std::lock_guard<std::mutex> lock(mu_);
-  group->Leave(member);
-  if (group->member_count() == 0) {
-    const auto it = groups_.find({summary_id, relation});
-    if (it != groups_.end() && it->second == group) {
-      // Fold the dying group's counters into the registry totals so
-      // totals() stays exact across group churn.
-      const ScanGroup::Counters c = group->counters();
-      dead_totals_.fills += c.fills;
-      dead_totals_.hits += c.hits;
-      dead_totals_.catch_up += c.catch_up;
-      dead_totals_.pacing_waits += c.pacing_waits;
-      groups_.erase(it);
-    }
-  }
+  (*group)->Leave(member);
+  // Members hold the only other references, so an empty group's last
+  // reference goes with the map entry and the reset below.
+  if ((*group)->member_count() == 0) groups_.erase({summary_id, relation});
+  group->reset();
 }
 
 std::vector<ScanGroupInfo> ScanGroupRegistry::Infos() const {
@@ -243,41 +267,12 @@ std::vector<ScanGroupInfo> ScanGroupRegistry::Infos() const {
   std::vector<ScanGroupInfo> infos;
   infos.reserve(groups_.size());
   for (const auto& [key, group] : groups_) {
-    ScanGroupInfo info;
+    ScanGroupInfo info = group->Info();
     info.summary_id = key.first;
     info.relation = key.second;
-    info.fanout = static_cast<uint64_t>(group->member_count());
-    const ScanGroup::Counters c = group->counters();
-    info.fills = c.fills;
-    info.hits = c.hits;
-    info.catch_up = c.catch_up;
-    info.pacing_waits = c.pacing_waits;
     infos.push_back(std::move(info));
   }
   return infos;
-}
-
-ScanGroup::Counters ScanGroupRegistry::totals() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ScanGroup::Counters totals = dead_totals_;
-  for (const auto& [key, group] : groups_) {
-    const ScanGroup::Counters c = group->counters();
-    totals.fills += c.fills;
-    totals.hits += c.hits;
-    totals.catch_up += c.catch_up;
-    totals.pacing_waits += c.pacing_waits;
-  }
-  return totals;
-}
-
-uint64_t ScanGroupRegistry::groups_formed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return groups_formed_;
-}
-
-uint64_t ScanGroupRegistry::peak_fanout() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return peak_fanout_;
 }
 
 }  // namespace hydra

@@ -38,15 +38,16 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "engine/row_block.h"
 
 namespace hydra {
 
 // One live group's introspection row (docs/observability.md): identity,
-// current fan-out, and lifetime counters. RegenServer::scan_group_infos()
-// returns these; the wire ships them inside the GetMetrics snapshot as
-// "serve/group/<summary>/<relation>/..." gauges.
+// current fan-out, and lifetime counters — plain reads of the group's
+// "serve/group/<summary>/<relation>/..." metrics, which the GetMetrics
+// snapshot carries while the group lives.
 struct ScanGroupInfo {
   std::string summary_id;
   int relation = 0;
@@ -58,9 +59,26 @@ struct ScanGroupInfo {
                               // to a slow in-window member
 };
 
+// The server-wide shared-scan tallies (ServeStats' shared-scan block). The
+// registry owns them; every group feeds them at the sites where it counts
+// its own fills and hits, so they stay exact as groups come and go.
+struct SharedScanMetrics {
+  explicit SharedScanMetrics(const MetricScope& scope);
+
+  Counter groups_formed;  // groups that ever reached two members
+  Gauge peak_fanout;      // most members any group ever had
+  Counter fills;          // generation passes into shared chunks
+  Counter hits;           // member grants served from a resident chunk
+  Counter catch_up;       // fills behind a group's frontier
+};
+
 class ScanGroup {
  public:
-  ScanGroup(int64_t chunk_rows, int num_slots);
+  // Registers the group's metrics as `metric_prefix` + name (the registry
+  // passes "<scope>/group/<summary>/<relation>/"); `shared` is the
+  // registry's.
+  ScanGroup(const std::string& metric_prefix, int64_t chunk_rows,
+            int num_slots, SharedScanMetrics* shared);
 
   ScanGroup(const ScanGroup&) = delete;
   ScanGroup& operator=(const ScanGroup&) = delete;
@@ -71,16 +89,13 @@ class ScanGroup {
     // This call generated the chunk (false: served from the ring — one
     // generation pass saved for this member).
     bool produced = false;
-    // The produced chunk trails the group's frontier: a late joiner's
-    // bounded catch-up pass.
-    bool catch_up = false;
   };
 
   // Membership. Join returns a member token; Leave is idempotent on it.
   // One session may hold several memberships (one per cursor).
   uint64_t Join(uint64_t session_id);
   void Leave(uint64_t member);
-  int member_count() const;
+  int member_count() const { return static_cast<int>(fanout_.value()); }
   // Distinct session ids of current members, excluding `self_session` —
   // the sessions a shared generation pass also served, for fairness
   // accounting.
@@ -114,16 +129,8 @@ class ScanGroup {
 
   int64_t chunk_rows() const { return chunk_rows_; }
 
-  // Lifetime counters (the ScanGroupInfo fields minus identity). The
-  // registry folds a dying group's counters into its running totals, so
-  // registry totals are exact across group churn.
-  struct Counters {
-    uint64_t fills = 0;
-    uint64_t hits = 0;
-    uint64_t catch_up = 0;
-    uint64_t pacing_waits = 0;
-  };
-  Counters counters() const;
+  // This group's introspection row minus identity, read from its metrics.
+  ScanGroupInfo Info() const;
 
  private:
   struct Slot {
@@ -144,12 +151,20 @@ class ScanGroup {
   // Records that `member` acquired `chunk`; wakes paced producers whose
   // eviction this advance may have unblocked.
   void AdvanceMemberLocked(uint64_t member, int64_t chunk);
+  // Hands `member` the resident block in `slot`: the one hit site.
+  void HitLocked(Slot& slot, uint64_t member, ChunkResult* result);
 
   const int64_t chunk_rows_;
+  SharedScanMetrics* const shared_;
+  Gauge fanout_;  // members right now; written under mu_
+  Counter fills_;
+  Counter hits_;
+  Counter catch_up_;
+  Counter pacing_waits_;
   mutable std::mutex mu_;
   std::condition_variable published_cv_;
   std::vector<Slot> slots_;
-  Counters counters_;  // guarded by mu_
+  bool formed_ = false;  // reached two members once (counted in shared_)
   uint64_t stamp_counter_ = 0;
   int64_t top_chunk_ = -1;  // highest chunk ever published (the frontier)
   std::map<uint64_t, Member> members_;  // member token -> position
@@ -158,41 +173,35 @@ class ScanGroup {
 
 // The server-wide registry: one ScanGroup per (summary id, relation) with
 // live members. Groups are created on first join and destroyed when the
-// last member leaves; the formed/peak counters survive their groups.
+// last member leaves, taking their metrics with them; the server-wide
+// SharedScanMetrics survive their groups.
 class ScanGroupRegistry {
  public:
-  ScanGroupRegistry(int64_t chunk_rows, int num_slots);
+  // `scope` (the owning server's) must outlive the registry.
+  ScanGroupRegistry(const MetricScope& scope, int64_t chunk_rows,
+                    int num_slots);
 
   // Joins (creating if absent) the group for (summary_id, relation);
   // returns the group and writes the member token.
   std::shared_ptr<ScanGroup> Join(const std::string& summary_id, int relation,
                                   uint64_t session_id, uint64_t* member);
-  // Leaves `group`; erases it from the registry once empty.
+  // Leaves the group and resets `*group`, the caller's reference. The last
+  // member's leave destroys the group under the registry lock, so a group
+  // re-forming on the same key never meets its predecessor's metric names.
   void Leave(const std::string& summary_id, int relation,
-             const std::shared_ptr<ScanGroup>& group, uint64_t member);
+             std::shared_ptr<ScanGroup>* group, uint64_t member);
 
-  // Groups that ever reached two concurrent members (a second cursor
-  // actually shared a scan).
-  uint64_t groups_formed() const;
-  // Most members any group ever had.
-  uint64_t peak_fanout() const;
-
+  const SharedScanMetrics& metrics() const { return metrics_; }
   // One ScanGroupInfo per live group, ordered by (summary id, relation).
   std::vector<ScanGroupInfo> Infos() const;
-  // Lifetime counter totals across every group this registry ever held:
-  // live groups summed on the fly plus the folded counters of groups
-  // already destroyed. Exact across churn — the chaos harness holds these
-  // equal to the server's own aggregate atomics.
-  ScanGroup::Counters totals() const;
 
  private:
+  const MetricScope& scope_;
   const int64_t chunk_rows_;
   const int num_slots_;
+  SharedScanMetrics metrics_;
   mutable std::mutex mu_;
   std::map<std::pair<std::string, int>, std::shared_ptr<ScanGroup>> groups_;
-  uint64_t groups_formed_ = 0;
-  uint64_t peak_fanout_ = 0;
-  ScanGroup::Counters dead_totals_;  // folded in by Leave on group death
 };
 
 }  // namespace hydra

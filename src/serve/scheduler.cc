@@ -20,9 +20,17 @@ HYDRA_METRIC_HISTOGRAM(g_admission_wait_us, "serve/admission_wait_us");
 // grant into a clean rejection the client sees as the request's Status.
 HYDRA_FAILPOINT_DEFINE(g_fp_grant, "serve/grant");
 
-FairScheduler::FairScheduler(int max_inflight, int max_queued)
+FairScheduler::FairScheduler(const MetricScope& scope, int max_inflight,
+                             int max_queued)
     : max_inflight_(std::max(1, max_inflight)),
-      max_queued_(std::max(0, max_queued)) {}
+      max_queued_(std::max(0, max_queued)),
+      admission_waits_(scope.Name("admission_waits")),
+      grants_(scope.Name("admission_grants")),
+      charged_(scope.Name("shared_charges")),
+      debt_skips_(scope.Name("debt_skips")),
+      priority_skips_(scope.Name("priority_skips")),
+      rate_deferrals_(scope.Name("rate_deferrals")),
+      shed_(scope.Name("admissions_shed")) {}
 
 Status FairScheduler::Admit(uint64_t session, const std::function<void()>& fn,
                             const CancelScope& cancel) {
@@ -35,14 +43,14 @@ Status FairScheduler::Admit(uint64_t session, const std::function<void()>& fn,
     // slot still admits immediately — shedding bounds *waiting*, not work.
     if (max_queued_ > 0 && num_waiting_ >= max_queued_ &&
         inflight_ >= max_inflight_) {
-      ++shed_;
+      shed_.Inc();
       return Status::ResourceExhausted("admission queue full");
     }
     waiting_[session].push_back(&ticket);
     ++num_waiting_;
     GrantLocked();
     if (!ticket.granted) {
-      ++admission_waits_;
+      admission_waits_.Inc();
       ScopedLatencyTimer wait_timer(&g_admission_wait_us);
       // Deadlines and token-bucket refills are not hooked into the cv, so
       // poll: granted_cv_ wakes on grants and Kick(); the periodic timeout
@@ -88,7 +96,7 @@ void FairScheduler::GrantLocked() {
       const auto debt = debt_.find(it->first);
       if (debt != debt_.end() && debt->second > 0) {
         if (--debt->second == 0) debt_.erase(debt);
-        ++debt_skips_;
+        debt_skips_.Inc();
         rr_next_ = it->first + 1;
         continue;
       }
@@ -108,7 +116,7 @@ void FairScheduler::GrantLocked() {
         QosState& qos = qos_[it->first];
         qos.credit += std::max(1, qos.priority);
         if (qos.credit < maxp) {
-          ++priority_skips_;
+          priority_skips_.Inc();
           rr_next_ = it->first + 1;
           continue;
         }
@@ -121,7 +129,7 @@ void FairScheduler::GrantLocked() {
     // session is throttled the window goes intentionally idle; Admit's
     // poll loop re-grants once a bucket refills.
     if (ThrottledLocked(it->first, now)) {
-      ++rate_deferrals_;
+      rate_deferrals_.Inc();
       bool found = false;
       auto probe = it;
       for (size_t i = 1; i < waiting_.size(); ++i) {
@@ -141,7 +149,7 @@ void FairScheduler::GrantLocked() {
     --num_waiting_;
     rr_next_ = ticket->session + 1;
     ticket->granted = true;
-    ++grants_;
+    grants_.Inc();
     ++inflight_;
     granted_any = true;
   }
@@ -214,7 +222,7 @@ void FairScheduler::Charge(uint64_t session, int units) {
   std::lock_guard<std::mutex> lock(mu_);
   int& debt = debt_[session];
   debt = std::min(debt + units, kMaxDebt);
-  charged_ += static_cast<uint64_t>(units);
+  charged_.Inc(static_cast<uint64_t>(units));
 }
 
 void FairScheduler::ForgetSession(uint64_t session) {
@@ -232,41 +240,6 @@ void FairScheduler::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
   drained_cv_.wait(lock,
                    [this] { return num_waiting_ == 0 && inflight_ == 0; });
-}
-
-uint64_t FairScheduler::admission_waits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return admission_waits_;
-}
-
-uint64_t FairScheduler::grants() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return grants_;
-}
-
-uint64_t FairScheduler::charged() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return charged_;
-}
-
-uint64_t FairScheduler::debt_skips() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return debt_skips_;
-}
-
-uint64_t FairScheduler::priority_skips() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return priority_skips_;
-}
-
-uint64_t FairScheduler::rate_deferrals() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rate_deferrals_;
-}
-
-uint64_t FairScheduler::shed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shed_;
 }
 
 int FairScheduler::queued() const {

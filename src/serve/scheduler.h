@@ -49,6 +49,7 @@
 #include <mutex>
 
 #include "common/cancel.h"
+#include "common/metrics.h"
 #include "common/status.h"
 
 namespace hydra {
@@ -67,8 +68,9 @@ class FairScheduler {
   static constexpr int kMaxPriority = 8;
 
   // max_queued: waiters allowed in the admission queue before new requests
-  // are shed with kResourceExhausted; 0 = unbounded.
-  explicit FairScheduler(int max_inflight, int max_queued = 0);
+  // are shed with kResourceExhausted; 0 = unbounded. The tallies below are
+  // metrics under `scope` (the owning server's), which must outlive this.
+  FairScheduler(const MetricScope& scope, int max_inflight, int max_queued = 0);
 
   FairScheduler(const FairScheduler&) = delete;
   FairScheduler& operator=(const FairScheduler&) = delete;
@@ -123,19 +125,19 @@ class FairScheduler {
   int max_inflight() const { return max_inflight_; }
   int max_queued() const { return max_queued_; }
   // Grants that found the window full and had to queue.
-  uint64_t admission_waits() const;
+  uint64_t admission_waits() const { return admission_waits_.value(); }
   // Tickets granted a slot (every admission that ran its work).
-  uint64_t grants() const;
+  uint64_t grants() const { return grants_.value(); }
   // Debt units recorded by Charge().
-  uint64_t charged() const;
+  uint64_t charged() const { return charged_.value(); }
   // Turns the rotation skipped to repay debt.
-  uint64_t debt_skips() const;
+  uint64_t debt_skips() const { return debt_skips_.value(); }
   // Turns yielded to a higher-priority session (QoS weighting).
-  uint64_t priority_skips() const;
+  uint64_t priority_skips() const { return priority_skips_.value(); }
   // Grants deferred because the session's token bucket was overdrawn.
-  uint64_t rate_deferrals() const;
+  uint64_t rate_deferrals() const { return rate_deferrals_.value(); }
   // Requests fast-rejected by the queue-depth bound.
-  uint64_t shed() const;
+  uint64_t shed() const { return shed_.value(); }
   // Waiters queued right now (the shedding signal OpenSession consults).
   int queued() const;
 
@@ -178,9 +180,6 @@ class FairScheduler {
   int num_waiting_ = 0;  // total tickets across waiting_
   uint64_t rr_next_ = 0;  // first session id to consider for the next grant
   int inflight_ = 0;
-  uint64_t admission_waits_ = 0;
-  uint64_t grants_ = 0;
-  uint64_t shed_ = 0;
   // session -> outstanding shared-work debt (absent = 0), capped per
   // session so totals stay finite and GrantLocked always terminates.
   std::map<uint64_t, int> debt_;
@@ -188,10 +187,14 @@ class FairScheduler {
   // SetSessionQos and by the credit/bucket bookkeeping, erased by
   // ForgetSession.
   std::map<uint64_t, QosState> qos_;
-  uint64_t charged_ = 0;
-  uint64_t debt_skips_ = 0;
-  uint64_t priority_skips_ = 0;
-  uint64_t rate_deferrals_ = 0;
+
+  Counter admission_waits_;
+  Counter grants_;
+  Counter charged_;
+  Counter debt_skips_;
+  Counter priority_skips_;
+  Counter rate_deferrals_;
+  Counter shed_;
 };
 
 }  // namespace hydra

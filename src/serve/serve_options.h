@@ -76,13 +76,12 @@ struct ServeOptions {
   // summary id, rank, duration), riding the same measurement its latency
   // histogram records. 0 = disabled.
   int64_t slow_op_ms = 0;
-  // Enables span tracing (common/trace.h) at server construction — the
-  // programmatic equivalent of HYDRA_TRACE=1.
-  bool trace_spans = false;
 };
 
-// Monotonic counters snapshotted by RegenServer::stats(). Plain values —
-// the server keeps atomics internally.
+// RegenServer::stats(): plain values read from the server's registry
+// metrics ("serve/<field>" for most fields; docs/observability.md maps
+// each one). Counts are monotonic; cached_bytes, resident_summaries and
+// peak_group_fanout are levels.
 struct ServeStats {
   // Summary cache.
   uint64_t cache_hits = 0;

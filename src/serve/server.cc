@@ -48,50 +48,22 @@ bool IsTerminalSignal(const Status& status) {
 
 RegenServer::RegenServer(ServeOptions options)
     : options_(options),
-      store_(options.cache_bytes, ResolveRetryPolicy(options)),
-      scheduler_(ResolveInflight(options, ResolvePoolThreads(options)),
+      scope_("serve"),
+      store_(scope_, options.cache_bytes, ResolveRetryPolicy(options)),
+      scheduler_(scope_, ResolveInflight(options, ResolvePoolThreads(options)),
                  options.max_queued),
-      scan_groups_(std::max<int64_t>(1, options.batch_rows),
+      scan_groups_(scope_, std::max<int64_t>(1, options.batch_rows),
                    options.shared_scan_chunks),
-      metrics_provider_("serve", [this](MetricsSink* sink) {
-        const ServeStats s = stats();
-        sink->Gauge("cache_hits", s.cache_hits);
-        sink->Gauge("cache_misses", s.cache_misses);
-        sink->Gauge("evictions", s.evictions);
-        sink->Gauge("cached_bytes", s.cached_bytes);
-        sink->Gauge("resident_summaries", s.resident_summaries);
-        sink->Gauge("batches_served", s.batches_served);
-        sink->Gauge("rows_served", s.rows_served);
-        sink->Gauge("lookups_served", s.lookups_served);
-        sink->Gauge("queries_served", s.queries_served);
-        sink->Gauge("admission_waits", s.admission_waits);
-        sink->Gauge("admission_grants", s.admission_grants);
-        sink->Gauge("scan_groups_formed", s.scan_groups_formed);
-        sink->Gauge("peak_group_fanout", s.peak_group_fanout);
-        sink->Gauge("shared_chunk_fills", s.shared_chunk_fills);
-        sink->Gauge("shared_chunk_hits", s.shared_chunk_hits);
-        sink->Gauge("catch_up_batches", s.catch_up_batches);
-        sink->Gauge("shared_charges", s.shared_charges);
-        sink->Gauge("priority_skips", s.priority_skips);
-        sink->Gauge("rate_deferrals", s.rate_deferrals);
-        sink->Gauge("load_retries", s.load_retries);
-        sink->Gauge("shed_requests", s.shed_requests);
-        sink->Gauge("degraded_batches", s.degraded_batches);
-        sink->Gauge("cancelled_requests", s.cancelled_requests);
-        for (const ScanGroupInfo& g : scan_group_infos()) {
-          const std::string prefix =
-              "group/" + g.summary_id + "/" + std::to_string(g.relation) + "/";
-          sink->Gauge(prefix + "fanout", g.fanout);
-          sink->Gauge(prefix + "fills", g.fills);
-          sink->Gauge(prefix + "hits", g.hits);
-          sink->Gauge(prefix + "catch_up", g.catch_up);
-          sink->Gauge(prefix + "pacing_waits", g.pacing_waits);
-        }
-      }) {
+      batches_served_(scope_.Name("batches_served")),
+      rows_served_(scope_.Name("rows_served")),
+      lookups_served_(scope_.Name("lookups_served")),
+      queries_served_(scope_.Name("queries_served")),
+      opens_shed_(scope_.Name("opens_shed")),
+      degraded_batches_(scope_.Name("degraded_batches")),
+      cancelled_requests_(scope_.Name("cancelled_requests")) {
   if (options_.batch_rows < 1) options_.batch_rows = 1;
   const int threads = ResolvePoolThreads(options_);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-  if (options_.trace_spans) trace::SetEnabled(true);
 }
 
 RegenServer::~RegenServer() {
@@ -119,12 +91,12 @@ StatusOr<SessionHandle> RegenServer::OpenSession(
   if (options_.max_sessions > 0) {
     std::lock_guard<std::mutex> lock(mu_);
     if (static_cast<int>(sessions_.size()) >= options_.max_sessions) {
-      opens_shed_.fetch_add(1, std::memory_order_relaxed);
+      opens_shed_.Inc();
       return Status::ResourceExhausted("session limit reached");
     }
   }
   if (options_.max_queued > 0 && scheduler_.queued() >= options_.max_queued) {
-    opens_shed_.fetch_add(1, std::memory_order_relaxed);
+    opens_shed_.Inc();
     return Status::ResourceExhausted("admission queue full");
   }
   // Load (or touch) the summary now so registration errors and corrupt
@@ -329,6 +301,7 @@ StatusOr<BatchResult> RegenServer::NextBatch(SessionHandle session_handle,
         status = SharedGrant(*session, cursor, lease->generator(), scope, out);
         return;
       }
+      if (effective < options_.batch_rows) degraded_batches_.Inc();
       const int64_t morsel =
           std::min<int64_t>(effective, cursor.end_rank - cursor.next_rank);
       cursor.scratch.Reset(cursor.source_width);
@@ -400,9 +373,8 @@ StatusOr<BatchResult> RegenServer::NextBatch(SessionHandle session_handle,
     result.done = true;
     return result;
   }
-  batches_served_.fetch_add(1, std::memory_order_relaxed);
-  rows_served_.fetch_add(static_cast<uint64_t>(out->num_rows()),
-                         std::memory_order_relaxed);
+  batches_served_.Inc();
+  rows_served_.Inc(static_cast<uint64_t>(out->num_rows()));
   // Post-paid rate accounting: the batch that overdraws the bucket still
   // serves; the *next* grant waits for the refill.
   scheduler_.SpendTokens(session->id, out->num_rows());
@@ -416,7 +388,6 @@ bool RegenServer::TrySharedFastPath(Cursor& cursor, RowBlock* out) {
   if (!cursor.group->TryAcquireResident(cursor.member, chunk, &result)) {
     return false;
   }
-  shared_chunk_hits_.fetch_add(1, std::memory_order_relaxed);
   const int64_t base = chunk * chunk_rows;
   const int64_t chunk_end =
       std::min(base + chunk_rows, cursor.relation_rows);
@@ -446,17 +417,11 @@ Status RegenServer::SharedGrant(Session& session, Cursor& cursor,
       },
       &result));
   if (result.produced) {
-    shared_chunk_fills_.fetch_add(1, std::memory_order_relaxed);
-    if (result.catch_up) {
-      catch_up_batches_.fetch_add(1, std::memory_order_relaxed);
-    }
     // Fairness: this one admission generated work every member consumes,
     // so every peer session is charged a turn of the rotation.
     for (const uint64_t peer : cursor.group->PeerSessions(session.id)) {
       scheduler_.Charge(peer, 1);
     }
-  } else {
-    shared_chunk_hits_.fetch_add(1, std::memory_order_relaxed);
   }
   FanOutShared(cursor, *result.block, base, chunk_end, out);
   return Status::OK();
@@ -498,9 +463,8 @@ void RegenServer::FanOutShared(Cursor& cursor, const RowBlock& block,
 
 void RegenServer::DetachCursor(Session& session, Cursor& cursor) {
   if (cursor.group == nullptr) return;
-  scan_groups_.Leave(session.summary_id, cursor.spec.relation, cursor.group,
+  scan_groups_.Leave(session.summary_id, cursor.spec.relation, &cursor.group,
                      cursor.member);
-  cursor.group = nullptr;
   cursor.member = 0;
 }
 
@@ -554,7 +518,7 @@ StatusOr<Row> RegenServer::Lookup(SessionHandle session_handle, int relation,
   }, scope);
   if (status.ok()) status = admitted;
   HYDRA_RETURN_IF_ERROR(TallyTerminal(status));
-  lookups_served_.fetch_add(1, std::memory_order_relaxed);
+  lookups_served_.Inc();
   scheduler_.SpendTokens(session->id, 1);
   return out;
 }
@@ -585,11 +549,11 @@ StatusOr<AnnotatedQueryPlan> RegenServer::ExecuteQuery(
   }, scope);
   if (!admitted.ok()) result = admitted;  // fn never ran; this is the reason
   if (!result.ok()) return TallyTerminal(result.status());
-  queries_served_.fetch_add(1, std::memory_order_relaxed);
+  queries_served_.Inc();
   return result;
 }
 
-int64_t RegenServer::EffectiveBatchRows() {
+int64_t RegenServer::EffectiveBatchRows() const {
   if (options_.min_degraded_batch_rows <= 0 || !store_.Overcommitted()) {
     return options_.batch_rows;
   }
@@ -603,12 +567,8 @@ int64_t RegenServer::EffectiveBatchRows() {
                       static_cast<double>(cache.cached_bytes);
   int64_t rows = static_cast<int64_t>(
       static_cast<double>(options_.batch_rows) * fill);
-  rows = std::max(rows, std::min(options_.min_degraded_batch_rows,
+  return std::max(rows, std::min(options_.min_degraded_batch_rows,
                                  options_.batch_rows));
-  if (rows < options_.batch_rows) {
-    degraded_batches_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return rows;
 }
 
 void RegenServer::MaybeLogSlowOp(const char* op, uint64_t session_id,
@@ -626,7 +586,7 @@ void RegenServer::MaybeLogSlowOp(const char* op, uint64_t session_id,
 
 Status RegenServer::TallyTerminal(Status status) {
   if (IsTerminalSignal(status)) {
-    cancelled_requests_.fetch_add(1, std::memory_order_relaxed);
+    cancelled_requests_.Inc();
   }
   return status;
 }
@@ -639,34 +599,30 @@ ServeStats RegenServer::stats() const {
   s.evictions = store.evictions;
   s.cached_bytes = store.cached_bytes;
   s.resident_summaries = store.resident;
-  s.batches_served = batches_served_.load(std::memory_order_relaxed);
-  s.rows_served = rows_served_.load(std::memory_order_relaxed);
-  s.lookups_served = lookups_served_.load(std::memory_order_relaxed);
-  s.queries_served = queries_served_.load(std::memory_order_relaxed);
+  s.batches_served = batches_served_.value();
+  s.rows_served = rows_served_.value();
+  s.lookups_served = lookups_served_.value();
+  s.queries_served = queries_served_.value();
   s.admission_waits = scheduler_.admission_waits();
   s.admission_grants = scheduler_.grants();
-  s.scan_groups_formed = scan_groups_.groups_formed();
-  s.peak_group_fanout = scan_groups_.peak_fanout();
-  s.shared_chunk_fills = shared_chunk_fills_.load(std::memory_order_relaxed);
-  s.shared_chunk_hits = shared_chunk_hits_.load(std::memory_order_relaxed);
-  s.catch_up_batches = catch_up_batches_.load(std::memory_order_relaxed);
+  const SharedScanMetrics& shared = scan_groups_.metrics();
+  s.scan_groups_formed = shared.groups_formed.value();
+  s.peak_group_fanout = static_cast<uint64_t>(shared.peak_fanout.value());
+  s.shared_chunk_fills = shared.fills.value();
+  s.shared_chunk_hits = shared.hits.value();
+  s.catch_up_batches = shared.catch_up.value();
   s.shared_charges = scheduler_.charged();
   s.priority_skips = scheduler_.priority_skips();
   s.rate_deferrals = scheduler_.rate_deferrals();
   s.load_retries = store.load_retries;
-  s.shed_requests =
-      scheduler_.shed() + opens_shed_.load(std::memory_order_relaxed);
-  s.degraded_batches = degraded_batches_.load(std::memory_order_relaxed);
-  s.cancelled_requests = cancelled_requests_.load(std::memory_order_relaxed);
+  s.shed_requests = scheduler_.shed() + opens_shed_.value();
+  s.degraded_batches = degraded_batches_.value();
+  s.cancelled_requests = cancelled_requests_.value();
   return s;
 }
 
 std::vector<ScanGroupInfo> RegenServer::scan_group_infos() const {
   return scan_groups_.Infos();
-}
-
-ScanGroup::Counters RegenServer::scan_group_totals() const {
-  return scan_groups_.totals();
 }
 
 }  // namespace hydra

@@ -127,15 +127,13 @@ class RegenServer {
   StatusOr<AnnotatedQueryPlan> ExecuteQuery(SessionHandle session,
                                             const Query& query);
 
+  // Reads of the server's metrics (docs/observability.md lists each name):
+  // no lock is taken, and a quiesced server's fields equal its snapshot.
   ServeStats stats() const;
   // Per-scan-group introspection: one row per live group (identity,
-  // fan-out, lifetime counters). The metrics provider re-exports these as
-  // "serve/group/<summary>/<relation>/..." gauges in every snapshot.
+  // fan-out, lifetime counters), read from the group's
+  // "serve/group/<summary>/<relation>/..." metrics.
   std::vector<ScanGroupInfo> scan_group_infos() const;
-  // Lifetime scan-group counter totals, exact across group churn. Always
-  // equals the matching ServeStats aggregates (fills/hits/catch_up) — the
-  // chaos harness holds the two populations to each other.
-  ScanGroup::Counters scan_group_totals() const;
   const ServeOptions& options() const { return options_; }
   // Resolved worker count of the shared pool (1 = sequential serving).
   int pool_threads() const { return pool_ ? pool_->num_threads() : 1; }
@@ -195,7 +193,7 @@ class RegenServer {
   }
   // Rows one cursor grant may generate right now: batch_rows normally,
   // proportionally less (floored) while the summary cache is overcommitted.
-  int64_t EffectiveBatchRows();
+  int64_t EffectiveBatchRows() const;
   // Counts a request that ended with kCancelled/kDeadlineExceeded.
   Status TallyTerminal(Status status);
   // One shared-scan grant: acquires (generating at most once across the
@@ -231,6 +229,10 @@ class RegenServer {
                       const ScopedLatencyTimer& timer);
 
   ServeOptions options_;
+  // Reserves "serve" ("serve#2"... for further live servers). Every tally
+  // of this server, its store, scheduler and scan groups is a metric under
+  // it; declared before them all, so it is released after they unregister.
+  MetricScope scope_;
   std::unique_ptr<ThreadPool> pool_;  // null when serving sequentially
   SummaryStore store_;
   FairScheduler scheduler_;
@@ -241,22 +243,13 @@ class RegenServer {
   uint64_t next_session_id_ = 1;
 
   std::atomic<bool> shutting_down_{false};
-  std::atomic<uint64_t> batches_served_{0};
-  std::atomic<uint64_t> rows_served_{0};
-  std::atomic<uint64_t> lookups_served_{0};
-  std::atomic<uint64_t> queries_served_{0};
-  std::atomic<uint64_t> opens_shed_{0};
-  std::atomic<uint64_t> degraded_batches_{0};
-  std::atomic<uint64_t> cancelled_requests_{0};
-  std::atomic<uint64_t> shared_chunk_fills_{0};
-  std::atomic<uint64_t> shared_chunk_hits_{0};
-  std::atomic<uint64_t> catch_up_batches_{0};
-
-  // Re-exports stats() and scan_group_infos() as gauges into every
-  // MetricRegistry::Snapshot() under the "serve" prefix ("serve#2"... for
-  // further instances). Declared last: it registers fully-constructed
-  // state and unregisters before any member it reads is destroyed.
-  MetricsProvider metrics_provider_;
+  Counter batches_served_;
+  Counter rows_served_;
+  Counter lookups_served_;
+  Counter queries_served_;
+  Counter opens_shed_;
+  Counter degraded_batches_;
+  Counter cancelled_requests_;
 };
 
 }  // namespace hydra

@@ -15,10 +15,6 @@ namespace hydra {
 // End-to-end single-flight summary load: disk read plus any retry backoff.
 // Cache hits record nothing — the histogram is the shape of the misses.
 HYDRA_METRIC_HISTOGRAM(g_summary_load_us, "serve/summary_load_us");
-// Transient load attempts retried — the process-wide aggregate across
-// stores (each store's own count stays in ServeStats::load_retries, which
-// the serve provider re-exports as the gauge "serve/load_retries").
-HYDRA_METRIC_COUNTER(g_load_retries, "serve/summary_load_retries");
 
 // Fires inside the single-flight load, before ReadSummary touches the
 // file: error(UNAVAILABLE,times=N) with N <= load retries makes the load
@@ -98,8 +94,16 @@ const TupleGenerator& SummaryLease::generator() const {
   return *entry_->generator;
 }
 
-SummaryStore::SummaryStore(uint64_t cache_bytes, LoadRetryPolicy retry)
-    : cache_bytes_(cache_bytes), retry_(retry) {}
+SummaryStore::SummaryStore(const MetricScope& scope, uint64_t cache_bytes,
+                           LoadRetryPolicy retry)
+    : cache_bytes_(cache_bytes),
+      retry_(retry),
+      hits_(scope.Name("cache_hits")),
+      misses_(scope.Name("cache_misses")),
+      evictions_(scope.Name("evictions")),
+      load_retries_(scope.Name("load_retries")),
+      cached_bytes_(scope.Name("cached_bytes")),
+      resident_summaries_(scope.Name("resident_summaries")) {}
 
 StatusOr<DatabaseSummary> SummaryStore::LoadWithRetry(
     const std::string& id, const std::string& path) {
@@ -113,8 +117,7 @@ StatusOr<DatabaseSummary> SummaryStore::LoadWithRetry(
         attempt >= retry_.retries) {
       return loaded;
     }
-    load_retries_.fetch_add(1, std::memory_order_relaxed);
-    g_load_retries.Inc();
+    load_retries_.Inc();
     const int64_t backoff = std::min(
         retry_.max_ms, retry_.base_ms << std::min(attempt, 30));
     // Deterministic jitter in [0, backoff]: desynchronizes concurrent
@@ -158,7 +161,7 @@ StatusOr<SummaryLease> SummaryStore::Acquire(const std::string& id) {
       }
       ++entry->pins;
       entry->lru_stamp = ++lru_clock_;
-      ++hits_;
+      hits_.Inc();
       return SummaryLease(this, entry);
     }
     const auto path_it = paths_.find(id);
@@ -172,12 +175,14 @@ StatusOr<SummaryLease> SummaryStore::Acquire(const std::string& id) {
     placeholder->id = id;
     StoreEntry* entry = placeholder.get();
     resident_.emplace(id, std::move(placeholder));
+    resident_summaries_.Add(1);
     const std::string path = path_it->second;
     lock.unlock();
     StatusOr<DatabaseSummary> loaded = LoadWithRetry(id, path);
     lock.lock();
     if (!loaded.ok()) {
       resident_.erase(id);
+      resident_summaries_.Add(-1);
       loaded_cv_.notify_all();
       return loaded.status();
     }
@@ -187,8 +192,8 @@ StatusOr<SummaryLease> SummaryStore::Acquire(const std::string& id) {
     entry->loading = false;
     entry->pins = 1;
     entry->lru_stamp = ++lru_clock_;
-    total_bytes_ += entry->bytes;
-    ++misses_;
+    cached_bytes_.Add(static_cast<int64_t>(entry->bytes));
+    misses_.Inc();
     EvictToFitLocked();
     loaded_cv_.notify_all();
     return SummaryLease(this, entry);
@@ -196,7 +201,7 @@ StatusOr<SummaryLease> SummaryStore::Acquire(const std::string& id) {
 }
 
 void SummaryStore::EvictToFitLocked() {
-  while (total_bytes_ > cache_bytes_) {
+  while (cached_bytes() > cache_bytes_) {
     StoreEntry* victim = nullptr;
     for (const auto& [id, entry] : resident_) {
       if (entry->pins > 0 || entry->loading) continue;
@@ -205,10 +210,11 @@ void SummaryStore::EvictToFitLocked() {
       }
     }
     if (victim == nullptr) return;  // everything left is pinned or loading
-    total_bytes_ -= victim->bytes;
-    ++evictions_;
+    cached_bytes_.Add(-static_cast<int64_t>(victim->bytes));
+    evictions_.Inc();
     const std::string victim_id = victim->id;  // outlive the entry
     resident_.erase(victim_id);
+    resident_summaries_.Add(-1);
   }
 }
 
@@ -222,20 +228,18 @@ void SummaryStore::Release(StoreEntry* entry) {
 }
 
 SummaryStore::Stats SummaryStore::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.cached_bytes = total_bytes_;
-  s.resident = resident_.size();
-  s.load_retries = load_retries_.load(std::memory_order_relaxed);
+  s.hits = hits_.value();
+  s.misses = misses_.value();
+  s.evictions = evictions_.value();
+  s.cached_bytes = cached_bytes();
+  s.resident = static_cast<uint64_t>(resident_summaries_.value());
+  s.load_retries = load_retries_.value();
   return s;
 }
 
 bool SummaryStore::Overcommitted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_bytes_ > cache_bytes_;
+  return cached_bytes() > cache_bytes_;
 }
 
 }  // namespace hydra

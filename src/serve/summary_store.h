@@ -21,13 +21,13 @@
 #ifndef HYDRA_SERVE_SUMMARY_STORE_H_
 #define HYDRA_SERVE_SUMMARY_STORE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "hydra/summary.h"
 #include "hydra/tuple_generator.h"
@@ -77,7 +77,10 @@ struct LoadRetryPolicy {
 
 class SummaryStore {
  public:
-  explicit SummaryStore(uint64_t cache_bytes, LoadRetryPolicy retry = {});
+  // Keeps its cache tallies as metrics under `scope` (the owning server's),
+  // which must outlive the store.
+  SummaryStore(const MetricScope& scope, uint64_t cache_bytes,
+               LoadRetryPolicy retry = {});
   ~SummaryStore();
 
   SummaryStore(const SummaryStore&) = delete;
@@ -92,6 +95,7 @@ class SummaryStore {
   // unreadable/corrupt files.
   StatusOr<SummaryLease> Acquire(const std::string& id);
 
+  // Plain reads of the store's metrics (names in docs/observability.md).
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -117,20 +121,26 @@ class SummaryStore {
   StatusOr<DatabaseSummary> LoadWithRetry(const std::string& id,
                                           const std::string& path);
 
+  // Resident bytes; written under mu_, read lock-free by Overcommitted().
+  uint64_t cached_bytes() const {
+    return static_cast<uint64_t>(cached_bytes_.value());
+  }
+
   const uint64_t cache_bytes_;
   const LoadRetryPolicy retry_;
-  std::atomic<uint64_t> load_retries_{0};
+  Counter hits_;
+  Counter misses_;
+  Counter evictions_;
+  Counter load_retries_;
+  Gauge cached_bytes_;  // the resident byte total itself
+  Gauge resident_summaries_;
   mutable std::mutex mu_;
   std::condition_variable loaded_cv_;
   std::map<std::string, std::string> paths_;
   // Heap-allocated entries: pointers stay stable for leases while the map
   // mutates. Only unpinned entries are ever erased.
   std::map<std::string, std::unique_ptr<serve_internal::StoreEntry>> resident_;
-  uint64_t total_bytes_ = 0;
   uint64_t lru_clock_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
 };
 
 }  // namespace hydra

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "hydra/summary_io.h"
@@ -174,8 +175,9 @@ TEST_F(FailpointTest, LibraryPointsAreRegistered) {
   // one symbol from each instrumented translation unit — exactly what any
   // binary that exercises these subsystems does implicitly.
   const ThreadPool pool(1);                      // thread_pool/dispatch
-  const FairScheduler scheduler(1);              // serve/grant
-  const SummaryStore store(1024);                // serve/summary_load
+  const MetricScope scope("serve");
+  const FairScheduler scheduler(scope, 1);       // serve/grant
+  const SummaryStore store(scope, 1024);         // serve/summary_load
   EXPECT_FALSE(ReadSummary("/nonexistent").ok());      // summary_io/*
   EXPECT_FALSE(DiskTableBytes("/nonexistent").ok());   // disk_table/*
   const std::vector<std::string> names = Failpoint::ListRegistered();

@@ -2,7 +2,7 @@
 // docs/observability.md): log-bucket geometry, percentile accuracy against
 // a sorted-vector oracle, concurrent recording, snapshot self-consistency,
 // static-registration linkage (instrumented .cc files in the library put
-// their metrics in the registry), provider prefixing, the deterministic
+// their metrics in the registry), instance scopes, the deterministic
 // binary snapshot codec, and the Prometheus text writer.
 
 #include <gtest/gtest.h>
@@ -275,43 +275,48 @@ TEST(MetricRegistryTest, ScopedMetricUnregistersOnDestruction) {
   EXPECT_EQ(MetricRegistry::FindCounter("test/metrics/scoped"), nullptr);
 }
 
-// ---- providers -----------------------------------------------------------
+// ---- instance scopes -----------------------------------------------------
 
-TEST(MetricsProviderTest, GaugesAppearUnderPrefixAndVanishOnDestruction) {
+TEST(MetricScopeTest, DuplicateNamesGetFirstFreeSuffix) {
+  MetricScope first("test_scope");
   {
-    MetricsProvider provider("test_prov", [](MetricsSink* sink) {
-      sink->Gauge("alpha", int64_t{11});
-      sink->Gauge("beta", uint64_t{22});
-    });
-    EXPECT_EQ(provider.registered_name(), "test_prov");
-    const MetricsSnapshot snapshot = MetricRegistry::Snapshot();
-    const GaugeSnapshot* a = FindGauge(snapshot, "test_prov/alpha");
-    ASSERT_NE(a, nullptr);
-    EXPECT_EQ(a->value, 11);
-    const GaugeSnapshot* b = FindGauge(snapshot, "test_prov/beta");
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(b->value, 22);
+    MetricScope second("test_scope");
+    MetricScope third("test_scope");
+    EXPECT_EQ(first.prefix(), "test_scope");
+    EXPECT_EQ(second.prefix(), "test_scope#2");
+    EXPECT_EQ(third.prefix(), "test_scope#3");
+    EXPECT_EQ(second.Name("x"), "test_scope#2/x");
   }
-  const MetricsSnapshot snapshot = MetricRegistry::Snapshot();
-  EXPECT_EQ(FindGauge(snapshot, "test_prov/alpha"), nullptr);
+  // With #2 and #3 released, the next instance reuses the lowest free one.
+  MetricScope again("test_scope");
+  EXPECT_EQ(again.prefix(), "test_scope#2");
 }
 
-TEST(MetricsProviderTest, DuplicateNamesGetSuffixed) {
-  MetricsProvider first("test_dup", [](MetricsSink* sink) {
-    sink->Gauge("x", int64_t{1});
-  });
-  MetricsProvider second("test_dup", [](MetricsSink* sink) {
-    sink->Gauge("x", int64_t{2});
-  });
-  EXPECT_EQ(first.registered_name(), "test_dup");
-  EXPECT_EQ(second.registered_name(), "test_dup#2");
+TEST(MetricScopeTest, NamesAppearUnderPrefixAndFreeOnDestruction) {
+  {
+    MetricScope scope("test_inst");
+    Counter events(scope.Name("events"));
+    Gauge level(scope.Name("level"));
+    events.Inc(11);
+    level.Set(-22);
+    const MetricsSnapshot snapshot = MetricRegistry::Snapshot();
+    const CounterSnapshot* c = FindCounter(snapshot, "test_inst/events");
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c->value, 11u);
+    const GaugeSnapshot* g = FindGauge(snapshot, "test_inst/level");
+    ASSERT_NE(g, nullptr);
+    EXPECT_EQ(g->value, -22);
+  }
   const MetricsSnapshot snapshot = MetricRegistry::Snapshot();
-  const GaugeSnapshot* a = FindGauge(snapshot, "test_dup/x");
-  const GaugeSnapshot* b = FindGauge(snapshot, "test_dup#2/x");
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->value, 1);
-  EXPECT_EQ(b->value, 2);
+  EXPECT_EQ(FindCounter(snapshot, "test_inst/events"), nullptr);
+  EXPECT_EQ(FindGauge(snapshot, "test_inst/level"), nullptr);
+  // Prefix and names are free again: a new instance re-registers them
+  // (a duplicate name would abort) and starts from zero.
+  MetricScope scope("test_inst");
+  EXPECT_EQ(scope.prefix(), "test_inst");
+  Counter events(scope.Name("events"));
+  EXPECT_EQ(MetricRegistry::FindCounter("test_inst/events"), &events);
+  EXPECT_EQ(events.value(), 0u);
 }
 
 // ---- timing gate ---------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <random>
@@ -281,6 +282,25 @@ std::string Frame(Opcode opcode, uint64_t request_id,
   return out;
 }
 
+// The value of counter / gauge `name` in `snapshot`; a test failure when
+// the entry is absent.
+uint64_t CounterValue(const MetricsSnapshot& snapshot,
+                      const std::string& name) {
+  for (const CounterSnapshot& c : snapshot.counters) {
+    if (c.name == name) return c.value;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+int64_t GaugeValue(const MetricsSnapshot& snapshot, const std::string& name) {
+  for (const GaugeSnapshot& g : snapshot.gauges) {
+    if (g.name == name) return g.value;
+  }
+  ADD_FAILURE() << "no gauge " << name;
+  return -1;
+}
+
 // ---- served fixture -------------------------------------------------------
 
 // This binary references every instrumented subsystem (serve, net, lp,
@@ -297,8 +317,6 @@ TEST(MetricsRegistration, LinkedSubsystemMetricsAreRegistered) {
     EXPECT_NE(MetricRegistry::FindHistogram(name), nullptr) << name;
   }
   EXPECT_NE(MetricRegistry::FindCounter("serve/slow_ops"), nullptr);
-  EXPECT_NE(MetricRegistry::FindCounter("serve/summary_load_retries"),
-            nullptr);
 }
 
 class NetTest : public ::testing::Test {
@@ -418,7 +436,7 @@ TEST_F(NetTest, PingStatsAndQosRideTheWire) {
   ASSERT_TRUE(client.Ping().ok());
 
   // A rate-limited session opened over the wire is paced server-side, and
-  // the QoS counters come back through the Stats opcode.
+  // the QoS counters come back in the GetMetrics snapshot.
   OpenSessionRequest request{"alpha"};
   request.rate_limit_rows_per_sec = 20000;
   request.priority = 3;
@@ -445,11 +463,12 @@ TEST_F(NetTest, PingStatsAndQosRideTheWire) {
   EXPECT_GE(elapsed.count(), 250);
   ASSERT_TRUE(client.CloseSession(*sid).ok());
 
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->rows_served, 30000u);
-  EXPECT_GE(stats->rate_deferrals, 1u);
-  EXPECT_EQ(stats->rows_served, server_->stats().rows_served);
+  auto metrics = client.Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  const uint64_t rows_served = CounterValue(*metrics, "serve/rows_served");
+  EXPECT_GE(rows_served, 30000u);
+  EXPECT_GE(CounterValue(*metrics, "serve/rate_deferrals"), 1u);
+  EXPECT_EQ(rows_served, server_->stats().rows_served);
 }
 
 TEST_F(NetTest, GetMetricsIsByteConsistentWithInProcessSnapshot) {
@@ -497,6 +516,34 @@ TEST_F(NetTest, GetMetricsIsByteConsistentWithInProcessSnapshot) {
     }
   }
   EXPECT_TRUE(saw_frames_sent);
+}
+
+TEST_F(NetTest, HydraStatsPrintsTheLiveSnapshotAsPrometheusText) {
+  // The operator CLI, run as a process against this fixture's server:
+  // monotonic serve counts export as counters, frames_sent as a gauge.
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port()).ok());
+  CursorSpec spec;
+  spec.relation = env_.schema.RelationIndex("R");
+  spec.end_rank = 2000;
+  StreamHash(client, spec);
+
+  const std::string command = std::string(HYDRA_STATS_BIN) + " --port " +
+                              std::to_string(port()) + " --format prom";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr) << command;
+  std::string out;
+  char buf[4096];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    out.append(buf, got);
+  }
+  EXPECT_EQ(::pclose(pipe), 0) << command;
+  EXPECT_NE(out.find("# TYPE hydra_serve_rows_served counter\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("# TYPE hydra_net_frames_sent gauge\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("\nhydra_net_frames_sent "), std::string::npos);
 }
 
 TEST_F(NetTest, DeadlineRidesTheOpenFrame) {
@@ -563,6 +610,46 @@ TEST_F(NetTest, DisconnectReapsTheConnectionsSessions) {
   EXPECT_GE(net_->stats().sessions_reaped, 1u);
 }
 
+TEST_F(NetTest, NetStatsFieldsEqualTheirSnapshotEntries) {
+  // Every NetStats field is a read of its "net/" registry entry. Stop()
+  // quiesces the front end (and reaps the orphaned session); its metrics
+  // stay registered until the NetServer is destroyed.
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port()).ok());
+  CursorSpec spec;
+  spec.relation = env_.schema.RelationIndex("R");
+  spec.end_rank = 3000;
+  StreamHash(client, spec);
+  ASSERT_TRUE(client.OpenSession(OpenSessionRequest{"alpha"}).ok());
+  RawConn conn(port());
+  ASSERT_TRUE(conn.connected());
+  ASSERT_TRUE(conn.Send(Frame(static_cast<Opcode>(0x77), 1, "")));
+  FrameHeader header;
+  std::string payload;
+  ASSERT_TRUE(conn.ReadFrame(&header, &payload));
+  net_->Stop();
+
+  const NetStats stats = net_->stats();
+  const MetricsSnapshot snapshot = MetricRegistry::Snapshot();
+  EXPECT_EQ(stats.connections_accepted,
+            CounterValue(snapshot, "net/connections_accepted"));
+  EXPECT_EQ(stats.connections_dropped,
+            CounterValue(snapshot, "net/connections_dropped"));
+  EXPECT_EQ(stats.frames_received,
+            CounterValue(snapshot, "net/frames_received"));
+  EXPECT_EQ(static_cast<int64_t>(stats.frames_sent),
+            GaugeValue(snapshot, "net/frames_sent"));
+  EXPECT_EQ(stats.protocol_errors,
+            CounterValue(snapshot, "net/protocol_errors"));
+  EXPECT_EQ(stats.sessions_reaped,
+            CounterValue(snapshot, "net/sessions_reaped"));
+  EXPECT_EQ(stats.connections_accepted, 2u);
+  EXPECT_EQ(stats.connections_dropped, 2u);
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(stats.sessions_reaped, 1u);
+  EXPECT_EQ(stats.frames_sent, stats.frames_received);
+}
+
 // ---- protocol hardening ---------------------------------------------------
 
 TEST_F(NetTest, BadMagicKillsTheConnection) {
@@ -626,19 +713,25 @@ TEST_F(NetTest, TornFramesReassembleAcrossArbitrarySplits) {
 TEST_F(NetTest, UnknownOpcodeFailsTheRequestNotTheConnection) {
   RawConn conn(port());
   ASSERT_TRUE(conn.connected());
-  ASSERT_TRUE(conn.Send(Frame(static_cast<Opcode>(0x77), 3, "payload")));
-  FrameHeader header;
-  std::string payload;
-  ASSERT_TRUE(conn.ReadFrame(&header, &payload));
-  EXPECT_EQ(header.request_id, 3u);
-  WireReader reader(payload);
-  Status status;
-  ASSERT_TRUE(ReadStatusEnvelope(&reader, &status).ok());
-  EXPECT_EQ(status.code(), StatusCode::kUnimplemented);
-  // Framing stayed intact: the next request on the same connection works.
-  ASSERT_TRUE(conn.Send(Frame(Opcode::kPing, 4, "")));
-  ASSERT_TRUE(conn.ReadFrame(&header, &payload));
-  EXPECT_EQ(header.request_id, 4u);
+  // 0x77 was never assigned; 8 is the retired Stats opcode.
+  uint64_t request_id = 3;
+  for (const uint8_t opcode : {uint8_t{0x77}, uint8_t{8}}) {
+    ASSERT_TRUE(
+        conn.Send(Frame(static_cast<Opcode>(opcode), request_id, "payload")));
+    FrameHeader header;
+    std::string payload;
+    ASSERT_TRUE(conn.ReadFrame(&header, &payload));
+    EXPECT_EQ(header.request_id, request_id);
+    WireReader reader(payload);
+    Status status;
+    ASSERT_TRUE(ReadStatusEnvelope(&reader, &status).ok());
+    EXPECT_EQ(status.code(), StatusCode::kUnimplemented) << int{opcode};
+    // Framing stayed intact: the next request on the same connection works.
+    ASSERT_TRUE(conn.Send(Frame(Opcode::kPing, request_id + 1, "")));
+    ASSERT_TRUE(conn.ReadFrame(&header, &payload));
+    EXPECT_EQ(header.request_id, request_id + 1);
+    request_id += 2;
+  }
 }
 
 TEST_F(NetTest, MalformedBodyFailsTheRequestNotTheConnection) {

@@ -532,8 +532,7 @@ TEST_F(ServeTest, TwoCursorsShareOneGenerationPass) {
 TEST_F(ServeTest, ScanGroupIntrospectionMatchesServerCounters) {
   // Same deterministic two-member group as above, observed through the
   // introspection surface (docs/observability.md): live rows carry group
-  // identity and fan-out, and registry totals stay exactly equal to the
-  // server's aggregate counters across group death.
+  // identity and fan-out, and the server-wide counters outlive the group.
   ServeOptions options;
   options.num_threads = 1;
   options.batch_rows = 8192;
@@ -568,16 +567,167 @@ TEST_F(ServeTest, ScanGroupIntrospectionMatchesServerCounters) {
   EXPECT_EQ(live[0].catch_up, 0u);
 
   ASSERT_TRUE(server.CloseSession(*sid).ok());
-  // The group died with its members, but its counters folded into the
-  // registry totals — which must equal the ServeStats aggregates, always
-  // (the two populations increment at the same sites).
+  // The group died with its members (its rows left the introspection
+  // surface), while the server-wide shared-scan counters it fed remain.
   EXPECT_TRUE(server.scan_group_infos().empty());
-  const ScanGroup::Counters totals = server.scan_group_totals();
+  EXPECT_EQ(server.stats().shared_chunk_fills, 3u);
+}
+
+TEST_F(ServeTest, ScanGroupFormsOnceAcrossMembershipDips) {
+  // A group whose membership goes 2 -> 1 -> 2 is one group sharing again,
+  // not a second group forming.
+  RegenServer server{ServeOptions{}};
+  RegisterBoth(server);
+  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  ASSERT_TRUE(sid.ok());
+  CursorSpec spec;
+  spec.relation = env_.schema.RelationIndex("R");
+  auto a = server.OpenCursor(*sid, spec);
+  auto b = server.OpenCursor(*sid, spec);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(server.CloseCursor(*sid, *b).ok());
+  auto c = server.OpenCursor(*sid, spec);
+  ASSERT_TRUE(c.ok());
   const ServeStats stats = server.stats();
-  EXPECT_EQ(totals.fills, stats.shared_chunk_fills);
-  EXPECT_EQ(totals.hits, stats.shared_chunk_hits);
-  EXPECT_EQ(totals.catch_up, stats.catch_up_batches);
-  EXPECT_EQ(totals.fills, 3u);
+  EXPECT_EQ(stats.scan_groups_formed, 1u);
+  EXPECT_EQ(stats.peak_group_fanout, 2u);
+  ASSERT_TRUE(server.CloseSession(*sid).ok());
+}
+
+TEST_F(ServeTest, ScanGroupChurnIsSafeUnderConcurrentSnapshots) {
+  // Cursors on one (summary, relation) open and close from several threads
+  // while another thread snapshots the registry. A group dying and a new
+  // one forming on the same key must never collide on metric names (a
+  // duplicate aborts), and each group's rows leave with the group.
+  ServeOptions options;
+  options.num_threads = 2;
+  options.batch_rows = 1024;
+  RegenServer server(options);
+  RegisterBoth(server);
+  const int r = env_.schema.RelationIndex("R");
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  std::atomic<bool> stop{false};
+  std::thread snapshotter([&] {
+    while (!stop.load()) {
+      const std::string bytes =
+          SerializeMetricsSnapshot(MetricRegistry::Snapshot());
+      MetricsSnapshot parsed;
+      EXPECT_TRUE(ParseMetricsSnapshot(bytes, &parsed).ok());
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&] {
+      auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+      ASSERT_TRUE(sid.ok());
+      CursorSpec spec;
+      spec.relation = r;
+      for (int i = 0; i < kRounds; ++i) {
+        auto cid = server.OpenCursor(*sid, spec);
+        ASSERT_TRUE(cid.ok());
+        EXPECT_TRUE(server.NextBatch(*sid, *cid).ok());
+        EXPECT_TRUE(server.CloseCursor(*sid, *cid).ok());
+      }
+      EXPECT_TRUE(server.CloseSession(*sid).ok());
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  stop.store(true);
+  snapshotter.join();
+
+  EXPECT_TRUE(server.scan_group_infos().empty());
+  for (const std::string& name : MetricRegistry::ListRegistered()) {
+    EXPECT_NE(name.rfind("serve/group/", 0), 0u) << name;
+  }
+  const ServeStats stats = server.stats();
+  EXPECT_EQ(stats.batches_served, uint64_t{kThreads * kRounds});
+  EXPECT_GE(stats.peak_group_fanout, 1u);
+  EXPECT_LE(stats.peak_group_fanout, uint64_t{kThreads});
+}
+
+TEST_F(ServeTest, StatsFieldsEqualTheirSnapshotEntries) {
+  // One store per counter: on a quiesced server every ServeStats field is
+  // a read of its registry entry (docs/observability.md lists the mapping),
+  // so stats() and the snapshot cannot disagree. Counts are counters,
+  // levels are gauges.
+  ServeOptions options;
+  options.num_threads = 2;
+  options.batch_rows = 1024;
+  options.cache_bytes = summary_bytes_ + 64;  // one summary: evictions
+  options.max_sessions = 1;
+  RegenServer server(options);
+  RegisterBoth(server);
+  for (int c = 0; c < kNumItems; ++c) {
+    std::string error;
+    RunItem(server, env_, c, &error);
+    EXPECT_EQ(error, "");
+  }
+  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  ASSERT_TRUE(sid.ok());
+  EXPECT_EQ(server.OpenSession(OpenSessionRequest{"beta"}).status().code(),
+            StatusCode::kResourceExhausted);
+  CursorSpec spec;
+  spec.relation = env_.schema.RelationIndex("R");
+  spec.end_rank = 4096;
+  auto a = server.OpenCursor(*sid, spec);
+  auto b = server.OpenCursor(*sid, spec);
+  ASSERT_TRUE(a.ok() && b.ok());
+  for (const CursorHandle cursor : {*a, *b}) {
+    for (;;) {
+      auto batch = server.NextBatch(*sid, cursor);
+      ASSERT_TRUE(batch.ok());
+      if (batch->done) break;
+    }
+  }
+  ASSERT_TRUE(server.CloseSession(*sid).ok());
+
+  const ServeStats stats = server.stats();
+  const MetricsSnapshot snapshot = MetricRegistry::Snapshot();
+  const auto counter = [&](const std::string& name) {
+    for (const CounterSnapshot& c : snapshot.counters) {
+      if (c.name == "serve/" + name) return c.value;
+    }
+    ADD_FAILURE() << "no counter serve/" << name;
+    return ~uint64_t{0};
+  };
+  const auto gauge = [&](const std::string& name) {
+    for (const GaugeSnapshot& g : snapshot.gauges) {
+      if (g.name == "serve/" + name) return static_cast<uint64_t>(g.value);
+    }
+    ADD_FAILURE() << "no gauge serve/" << name;
+    return ~uint64_t{0};
+  };
+  EXPECT_EQ(stats.cache_hits, counter("cache_hits"));
+  EXPECT_EQ(stats.cache_misses, counter("cache_misses"));
+  EXPECT_EQ(stats.evictions, counter("evictions"));
+  EXPECT_EQ(stats.cached_bytes, gauge("cached_bytes"));
+  EXPECT_EQ(stats.resident_summaries, gauge("resident_summaries"));
+  EXPECT_EQ(stats.batches_served, counter("batches_served"));
+  EXPECT_EQ(stats.rows_served, counter("rows_served"));
+  EXPECT_EQ(stats.lookups_served, counter("lookups_served"));
+  EXPECT_EQ(stats.queries_served, counter("queries_served"));
+  EXPECT_EQ(stats.admission_waits, counter("admission_waits"));
+  EXPECT_EQ(stats.admission_grants, counter("admission_grants"));
+  EXPECT_EQ(stats.scan_groups_formed, counter("scan_groups_formed"));
+  EXPECT_EQ(stats.peak_group_fanout, gauge("peak_group_fanout"));
+  EXPECT_EQ(stats.shared_chunk_fills, counter("shared_chunk_fills"));
+  EXPECT_EQ(stats.shared_chunk_hits, counter("shared_chunk_hits"));
+  EXPECT_EQ(stats.catch_up_batches, counter("catch_up_batches"));
+  EXPECT_EQ(stats.shared_charges, counter("shared_charges"));
+  EXPECT_EQ(stats.priority_skips, counter("priority_skips"));
+  EXPECT_EQ(stats.rate_deferrals, counter("rate_deferrals"));
+  EXPECT_EQ(stats.load_retries, counter("load_retries"));
+  EXPECT_EQ(stats.shed_requests,
+            counter("admissions_shed") + counter("opens_shed"));
+  EXPECT_EQ(stats.degraded_batches, counter("degraded_batches"));
+  EXPECT_EQ(stats.cancelled_requests, counter("cancelled_requests"));
+  // The workload moved the interesting ones off zero.
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.lookups_served, 0u);
+  EXPECT_GT(stats.queries_served, 0u);
+  EXPECT_EQ(stats.shared_chunk_hits, 4u);
+  EXPECT_EQ(stats.shed_requests, 1u);
 }
 
 TEST_F(ServeTest, SlowOpLogIsGatedAndCounted) {
@@ -799,7 +949,8 @@ TEST_F(ServeTest, SharedScanSurvivesEvictionMidGroup) {
 // ---- summary store --------------------------------------------------------
 
 TEST_F(ServeTest, StoreEvictsLeastRecentlyUsed) {
-  SummaryStore store(2 * summary_bytes_ + 128);  // fits two summaries
+  MetricScope scope("serve");
+  SummaryStore store(scope, 2 * summary_bytes_ + 128);  // fits two summaries
   ASSERT_TRUE(store.Register("a", path_).ok());
   ASSERT_TRUE(store.Register("b", path_).ok());
   ASSERT_TRUE(store.Register("c", path_).ok());
@@ -826,7 +977,8 @@ TEST_F(ServeTest, StoreEvictsLeastRecentlyUsed) {
 }
 
 TEST_F(ServeTest, StoreNeverEvictsPinnedEntries) {
-  SummaryStore store(/*cache_bytes=*/1);  // nothing fits
+  MetricScope scope("serve");
+  SummaryStore store(scope, /*cache_bytes=*/1);  // nothing fits
   ASSERT_TRUE(store.Register("a", path_).ok());
   ASSERT_TRUE(store.Register("b", path_).ok());
   auto a = store.Acquire("a");
@@ -852,7 +1004,8 @@ TEST_F(ServeTest, StoreNeverEvictsPinnedEntries) {
 }
 
 TEST_F(ServeTest, StoreConcurrentAcquireSingleLoad) {
-  SummaryStore store(64ull << 20);
+  MetricScope scope("serve");
+  SummaryStore store(scope, 64ull << 20);
   ASSERT_TRUE(store.Register("a", path_).ok());
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
@@ -876,7 +1029,8 @@ TEST_F(ServeTest, StoreConcurrentAcquireSingleLoad) {
 // ---- scheduler ------------------------------------------------------------
 
 TEST(FairSchedulerTest, WindowBoundsConcurrentWork) {
-  FairScheduler scheduler(/*max_inflight=*/2);
+  MetricScope scope("serve");
+  FairScheduler scheduler(scope, /*max_inflight=*/2);
   std::atomic<int> inflight{0};
   std::atomic<int> max_seen{0};
   std::atomic<int> admit_failures{0};
@@ -905,7 +1059,8 @@ TEST(FairSchedulerTest, WindowBoundsConcurrentWork) {
 }
 
 TEST(FairSchedulerTest, QueueBoundShedsExcessWaiters) {
-  FairScheduler scheduler(/*max_inflight=*/1, /*max_queued=*/2);
+  MetricScope scope("serve");
+  FairScheduler scheduler(scope, /*max_inflight=*/1, /*max_queued=*/2);
   std::mutex gate;
   gate.lock();  // the first admitted task blocks, wedging the window
   std::atomic<int> shed{0};
@@ -935,7 +1090,8 @@ TEST(FairSchedulerTest, QueueBoundShedsExcessWaiters) {
 }
 
 TEST(FairSchedulerTest, CancelledWaiterLeavesTheQueue) {
-  FairScheduler scheduler(/*max_inflight=*/1);
+  MetricScope scope("serve");
+  FairScheduler scheduler(scope, /*max_inflight=*/1);
   std::mutex gate;
   gate.lock();
   std::atomic<bool> holding{false};
@@ -972,7 +1128,8 @@ TEST(FairSchedulerTest, CancelledWaiterLeavesTheQueue) {
 }
 
 TEST(FairSchedulerTest, DeadlineExpiryRejectsQueuedWaiter) {
-  FairScheduler scheduler(/*max_inflight=*/1);
+  MetricScope scope("serve");
+  FairScheduler scheduler(scope, /*max_inflight=*/1);
   std::mutex gate;
   gate.lock();
   std::atomic<bool> holding{false};
@@ -998,7 +1155,8 @@ TEST(FairSchedulerTest, ChargedDebtYieldsTurnsWithoutIdling) {
   // Shared-scan accounting: a session charged for a generation pass it got
   // for free yields its next turn to a waiting peer — but debt must never
   // idle the window when the debtor is the only waiter.
-  FairScheduler scheduler(/*max_inflight=*/1);
+  MetricScope scope("serve");
+  FairScheduler scheduler(scope, /*max_inflight=*/1);
 
   // Alone in the queue, a debtor is granted immediately despite its debt.
   scheduler.Charge(7, 2);
@@ -1060,7 +1218,8 @@ TEST(FairSchedulerTest, PriorityWinsTheRotationUnderContention) {
   // priority-4 waiter (8), then release. The rotation resumes at 7, but its
   // credit (1) is below the grant cost (maxp = 4), so it is skipped and 8 is
   // granted first — deterministically, despite 7 being first in id order.
-  FairScheduler scheduler(/*max_inflight=*/1);
+  MetricScope scope("serve");
+  FairScheduler scheduler(scope, /*max_inflight=*/1);
   scheduler.SetSessionQos(7, SessionQos{/*priority=*/1, /*rate=*/0});
   scheduler.SetSessionQos(8, SessionQos{/*priority=*/4, /*rate=*/0});
   std::mutex gate;
@@ -1109,7 +1268,8 @@ TEST(FairSchedulerTest, RateLimitThrottlesAndRefills) {
   // A session that overdraws its token bucket blocks in Admit until the
   // continuous refill clears the deficit — even with the window idle (the
   // rate limit is absolute, unlike priority/debt which are relative).
-  FairScheduler scheduler(/*max_inflight=*/1);
+  MetricScope scope("serve");
+  FairScheduler scheduler(scope, /*max_inflight=*/1);
   scheduler.SetSessionQos(1, SessionQos{/*priority=*/1, /*rate=*/1000});
   // Burn the full one-second burst plus a 100-row deficit (~100ms refill).
   scheduler.SpendTokens(1, 1100);
@@ -1128,7 +1288,8 @@ TEST(FairSchedulerTest, RateLimitThrottlesAndRefills) {
 TEST(FairSchedulerTest, ThrottledSessionYieldsToUnthrottledPeer) {
   // With the window wedged and two waiters — 7 throttled, 8 not — the grant
   // loop defers 7 and runs 8 first, whatever the rotation order.
-  FairScheduler scheduler(/*max_inflight=*/1);
+  MetricScope scope("serve");
+  FairScheduler scheduler(scope, /*max_inflight=*/1);
   scheduler.SetSessionQos(7, SessionQos{/*priority=*/1, /*rate=*/1000});
   scheduler.SpendTokens(7, 1100);
   std::mutex gate;
