@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 
@@ -11,103 +12,286 @@ namespace hydra {
 
 namespace {
 
-// Per-dimension strides packing an elementary-cell key into one uint64
-// (cell index along dim d is < cuts_d + 1). Returns false when the cell
-// space is too large to pack; callers surface that as a Status error —
-// a formulation with more than 2^62 elementary cells is far beyond
-// anything the LP layer could solve anyway.
-bool CellKeyStrides(
-    const std::vector<std::pair<int, std::vector<int64_t>>>& cut_dims,
-    std::vector<uint64_t>* strides) {
-  // The first listed dimension gets the largest stride so that comparing
-  // packed keys orders cells exactly like comparing the per-dimension
-  // index vectors lexicographically.
-  strides->assign(cut_dims.size(), 0);
-  uint64_t stride = 1;
-  for (size_t d = cut_dims.size(); d-- > 0;) {
-    (*strides)[d] = stride;
-    const uint64_t cells =
-        static_cast<uint64_t>(cut_dims[d].second.size()) + 1;
-    if (stride > (uint64_t{1} << 62) / cells) return false;
-    stride *= cells;
+// A block's extent along some of its dimensions, one interval list each.
+using Projection = std::vector<std::vector<Interval>>;
+
+// Local dimension, in `sv`, of each of `columns` (view columns `sv` holds).
+std::vector<int> LocalDims(const SubView& sv, const std::vector<int>& columns) {
+  std::vector<int> dims;
+  dims.reserve(columns.size());
+  for (int col : columns) {
+    const auto pos =
+        std::lower_bound(sv.columns.begin(), sv.columns.end(), col);
+    HYDRA_CHECK(pos != sv.columns.end() && *pos == col);
+    dims.push_back(static_cast<int>(pos - sv.columns.begin()));
   }
-  return true;
+  return dims;
 }
 
-// Packed elementary-cell key of a block along the given local dims.
-uint64_t BlockFlatKey(
-    const Block& b,
-    const std::vector<std::pair<int, std::vector<int64_t>>>& cut_dims,
-    const std::vector<uint64_t>& strides) {
-  uint64_t key = 0;
-  for (size_t d = 0; d < cut_dims.size(); ++d) {
-    const auto& cuts = cut_dims[d].second;
-    const int64_t min_val = b.dims[cut_dims[d].first].Min();
-    const auto it = std::upper_bound(cuts.begin(), cuts.end(), min_val);
-    key += strides[d] * static_cast<uint64_t>(it - cuts.begin());
-  }
-  return key;
-}
+// A clique-tree edge while its LP rows are formulated. A partition's blocks
+// are numbered region by region.
+struct Edge {
+  int child = -1;  // -1 until built
+  // The separator's local dims in the child and in the parent.
+  std::vector<int> child_dims;
+  std::vector<int> parent_dims;
+  // Projection index of every child block and every parent block.
+  std::vector<int> child_projection;
+  std::vector<int> parent_projection;
+  RegionPartition classes;
+  // The classes each projection is the union of, and each class's
+  // lexicographically smallest point.
+  std::vector<std::vector<int>> classes_of;
+  std::vector<Row> class_min;
+};
 
-// Splits every region of `partition` into one region per elementary-cell key
-// along `cut_dims` (local dim -> sorted cuts). Precondition: the partition
-// has already been refined so no block crosses a cut. Fails (without
-// touching the partition) when the cell space cannot be keyed.
-Status SplitRegionsByCellKeys(
-    RegionPartition* partition,
-    const std::vector<std::pair<int, std::vector<int64_t>>>& cut_dims) {
-  if (cut_dims.empty()) return Status::OK();
-  // Split every region into one region per elementary-cell key: the split
-  // is required for consistency, while blocks of the same region landing
-  // in the same cell stay merged as one variable. Labels are unique per
-  // region (BuildRegionPartition merges by label), so grouping is local to
-  // each region — sort its blocks by cell key instead of feeding a global
-  // map of heap-allocated (label, key) pairs.
-  std::vector<uint64_t> strides;
-  if (!CellKeyStrides(cut_dims, &strides)) {
-    return Status::ResourceExhausted(
-        "view's elementary-cell space exceeds 2^62 cells");
-  }
-  std::vector<Region> out;
-  std::vector<uint64_t> out_key;
-  out.reserve(partition->regions.size());
-  out_key.reserve(partition->regions.size());
-  std::vector<std::pair<uint64_t, int>> keyed;
-  for (Region& region : partition->regions) {
-    keyed.clear();
-    keyed.reserve(region.blocks.size());
-    for (size_t i = 0; i < region.blocks.size(); ++i) {
-      keyed.emplace_back(BlockFlatKey(region.blocks[i], cut_dims, strides),
-                         static_cast<int>(i));
-    }
-    std::sort(keyed.begin(), keyed.end());
-    size_t begin = 0;
-    for (size_t i = 1; i <= keyed.size(); ++i) {
-      if (i < keyed.size() && keyed[i].first == keyed[begin].first) continue;
-      Region r;
-      r.label = region.label;
-      r.blocks.reserve(i - begin);
-      for (size_t k = begin; k < i; ++k) {
-        r.blocks.push_back(std::move(region.blocks[keyed[k].second]));
+// Partitions the separator of `child`'s parent edge into classes: Algorithm
+// 1 over the separator's space, whose constraints are the child's and the
+// parent's distinct block projections plus one `dim >= cut` constraint per
+// entry of `cuts` (indexed by separator dimension).
+Edge BuildEdge(const View& view, const std::vector<SubViewLp>& subviews,
+               int child, const std::vector<std::vector<int64_t>>& cuts) {
+  Edge e;
+  const SubView& sv = subviews[child].subview;
+  const SubViewLp& parent = subviews[sv.parent];
+  e.child = child;
+  e.child_dims = LocalDims(sv, sv.separator);
+  e.parent_dims = LocalDims(parent.subview, sv.separator);
+  std::vector<Interval> domains;
+  for (int col : sv.separator) domains.push_back(view.domains[col]);
+
+  std::map<Projection, int> index;
+  const auto project = [&index](const RegionPartition& partition,
+                                const std::vector<int>& dims,
+                                std::vector<int>* out) {
+    for (const Region& region : partition.regions) {
+      for (const Block& b : region.blocks) {
+        Projection p;
+        p.reserve(dims.size());
+        for (int d : dims) p.push_back(b.dims[d].intervals());
+        const int next = static_cast<int>(index.size());
+        out->push_back(index.emplace(std::move(p), next).first->second);
       }
-      out.push_back(std::move(r));
-      out_key.push_back(keyed[begin].first);
-      begin = i;
+    }
+  };
+  project(subviews[child].partition, e.child_dims, &e.child_projection);
+  project(parent.partition, e.parent_dims, &e.parent_projection);
+
+  const int num_projections = static_cast<int>(index.size());
+  std::vector<DnfPredicate> constraints(num_projections);
+  for (const auto& [p, j] : index) {
+    Conjunct conjunct;
+    for (size_t d = 0; d < p.size(); ++d) {
+      if (p[d] == std::vector<Interval>{domains[d]}) continue;  // cannot split
+      conjunct.atoms.push_back(Atom{static_cast<int>(d), IntervalSet(p[d])});
+    }
+    constraints[j].AddConjunct(std::move(conjunct));
+  }
+  for (size_t d = 0; d < cuts.size(); ++d) {
+    for (int64_t cut : cuts[d]) {
+      constraints.push_back(
+          PredicateOf(AtomGreaterEqual(static_cast<int>(d), cut)));
     }
   }
-  // Order regions (LP variables) by (label, cell key) — the ordering the
-  // pricing heuristics were tuned against.
-  std::vector<int> order(out.size());
-  for (size_t i = 0; i < out.size(); ++i) order[i] = static_cast<int>(i);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    if (out[a].label != out[b].label) return out[a].label < out[b].label;
-    return out_key[a] < out_key[b];
+  e.classes = BuildRegionPartition(domains, constraints);
+  e.classes_of.resize(num_projections);
+  e.class_min.reserve(e.classes.num_regions());
+  for (int k = 0; k < e.classes.num_regions(); ++k) {
+    for (int j : e.classes.regions[k].label) {
+      if (j < num_projections) e.classes_of[j].push_back(k);
+    }
+    e.class_min.push_back(e.classes.regions[k].MinPoint());
+  }
+  return e;
+}
+
+// An edge at a sub-view, seen from that sub-view's side.
+struct Incident {
+  const Edge* edge = nullptr;
+  const std::vector<int>* dims = nullptr;        // separator's local dims
+  const std::vector<int>* projection = nullptr;  // per block
+  uint64_t stride = 0;  // of its class in a packed combination key
+};
+
+// Incident edges whose separators share dimensions. A block meets their
+// classes jointly, and independently of every other group's.
+struct Group {
+  std::vector<int> members;  // incident indices
+  std::vector<int> dims;     // sorted union of their dims
+};
+
+std::vector<Group> GroupIncident(const std::vector<Incident>& incident) {
+  std::vector<Group> groups;
+  for (int i = 0; i < static_cast<int>(incident.size()); ++i) {
+    Group joined;
+    joined.members = {i};
+    joined.dims = *incident[i].dims;
+    for (size_t g = groups.size(); g-- > 0;) {
+      std::vector<int> shared;
+      std::set_intersection(groups[g].dims.begin(), groups[g].dims.end(),
+                            joined.dims.begin(), joined.dims.end(),
+                            std::back_inserter(shared));
+      if (shared.empty()) continue;
+      joined.members.insert(joined.members.end(), groups[g].members.begin(),
+                            groups[g].members.end());
+      std::vector<int> dims;
+      std::set_union(groups[g].dims.begin(), groups[g].dims.end(),
+                     joined.dims.begin(), joined.dims.end(),
+                     std::back_inserter(dims));
+      joined.dims = std::move(dims);
+      groups.erase(groups.begin() + g);
+    }
+    std::sort(joined.members.begin(), joined.members.end());
+    groups.push_back(std::move(joined));
+  }
+  return groups;
+}
+
+// The pieces of one block cut by one group's classes: a packed key part
+// each, and the piece's smallest point over the group's dims (flattened).
+struct Pieces {
+  std::vector<uint64_t> key;
+  std::vector<int64_t> min;
+};
+
+void GroupPieces(const Group& group, const std::vector<Incident>& incident,
+                 const Block& block, int b, Pieces* out) {
+  out->key.clear();
+  out->min.clear();
+  if (group.members.size() == 1) {
+    // A block projection is a union of classes: each class is one piece.
+    const Incident& in = incident[group.members[0]];
+    for (int k : in.edge->classes_of[(*in.projection)[b]]) {
+      out->key.push_back(in.stride * static_cast<uint64_t>(k));
+      const Row& m = in.edge->class_min[k];
+      out->min.insert(out->min.end(), m.begin(), m.end());
+    }
+    return;
+  }
+  // Separators sharing dims: intersect the members' class blocks inside
+  // the block's extent over the group's dims.
+  using Box = std::pair<uint64_t, std::vector<IntervalSet>>;
+  std::vector<Box> boxes(1);
+  for (int d : group.dims) boxes[0].second.push_back(block.dims[d]);
+  std::vector<Box> next;
+  for (int m : group.members) {
+    const Incident& in = incident[m];
+    std::vector<int> pos;
+    for (int d : *in.dims) {
+      pos.push_back(static_cast<int>(
+          std::lower_bound(group.dims.begin(), group.dims.end(), d) -
+          group.dims.begin()));
+    }
+    next.clear();
+    for (const Box& box : boxes) {
+      for (int k : in.edge->classes_of[(*in.projection)[b]]) {
+        for (const Block& cb : in.edge->classes.regions[k].blocks) {
+          Box cut = box;
+          cut.first += in.stride * static_cast<uint64_t>(k);
+          bool empty = false;
+          for (size_t i = 0; i < pos.size() && !empty; ++i) {
+            cut.second[pos[i]] = cut.second[pos[i]].Intersect(cb.dims[i]);
+            empty = cut.second[pos[i]].empty();
+          }
+          if (!empty) next.push_back(std::move(cut));
+        }
+      }
+    }
+    boxes.swap(next);
+  }
+  std::sort(boxes.begin(), boxes.end(), [](const Box& x, const Box& y) {
+    return x.first < y.first;
   });
-  std::vector<Region> sorted;
-  sorted.reserve(out.size());
-  for (int i : order) sorted.push_back(std::move(out[i]));
-  partition->regions = std::move(sorted);
-  return Status::OK();
+  const size_t width = group.dims.size();
+  std::vector<int64_t> min(width);
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    for (size_t d = 0; d < width; ++d) min[d] = boxes[i].second[d].Min();
+    if (i == 0 || boxes[i].first != boxes[i - 1].first) {
+      out->key.push_back(boxes[i].first);
+      out->min.insert(out->min.end(), min.begin(), min.end());
+      continue;
+    }
+    const auto best = out->min.end() - width;
+    if (std::lexicographical_compare(min.begin(), min.end(), best,
+                                     out->min.end())) {
+      std::copy(min.begin(), min.end(), best);
+    }
+  }
+}
+
+// Splits every region of `sv` into one variable per combination of
+// incident-edge classes it meets, and appends each variable's packed
+// combination to `keys`. A split sub-view's variables follow (label, key),
+// the ordering the solver's pricing was tuned against; an unsplit one keeps
+// region order.
+void SplitRegions(const std::vector<Incident>& incident, SubViewLp* sv,
+                  std::vector<uint64_t>* keys) {
+  const RegionPartition& partition = sv->partition;
+  std::vector<int> first_block(partition.num_regions() + 1, 0);
+  for (int r = 0; r < partition.num_regions(); ++r) {
+    first_block[r + 1] =
+        first_block[r] + static_cast<int>(partition.regions[r].blocks.size());
+  }
+  std::vector<int> order(partition.num_regions());
+  std::iota(order.begin(), order.end(), 0);
+  if (!incident.empty()) {
+    std::sort(order.begin(), order.end(), [&partition](int a, int b) {
+      return partition.regions[a].label < partition.regions[b].label;
+    });
+  }
+  const std::vector<Group> groups = GroupIncident(incident);
+  std::vector<Pieces> pieces(groups.size());
+  std::vector<size_t> pick(groups.size());
+  std::unordered_map<uint64_t, int> slot;
+  std::vector<std::pair<uint64_t, Row>> found;
+  Row point;
+  for (int r : order) {
+    slot.clear();
+    found.clear();
+    int b = first_block[r];
+    for (const Block& block : partition.regions[r].blocks) {
+      bool met = true;
+      for (size_t g = 0; g < groups.size(); ++g) {
+        GroupPieces(groups[g], incident, block, b, &pieces[g]);
+        met = met && !pieces[g].key.empty();
+      }
+      ++b;
+      if (!met) continue;
+      const Row base = block.MinPoint();
+      // Every combination of one piece per group is a non-empty piece of
+      // the block: the groups' dims are disjoint.
+      std::fill(pick.begin(), pick.end(), 0);
+      while (true) {
+        uint64_t key = 0;
+        point = base;
+        for (size_t g = 0; g < groups.size(); ++g) {
+          key += pieces[g].key[pick[g]];
+          const size_t width = groups[g].dims.size();
+          for (size_t d = 0; d < width; ++d) {
+            point[groups[g].dims[d]] = pieces[g].min[pick[g] * width + d];
+          }
+        }
+        const auto [it, inserted] =
+            slot.emplace(key, static_cast<int>(found.size()));
+        if (inserted) {
+          found.emplace_back(key, point);
+        } else if (point < found[it->second].second) {
+          found[it->second].second = point;
+        }
+        size_t g = 0;
+        while (g < groups.size() && ++pick[g] == pieces[g].key.size()) {
+          pick[g++] = 0;
+        }
+        if (g == groups.size()) break;
+      }
+    }
+    std::sort(found.begin(), found.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (auto& [key, min_point] : found) {
+      sv->variables.push_back(RegionPiece{r, std::move(min_point)});
+      keys->push_back(key);
+    }
+  }
 }
 
 // "label = cardinality", for error messages.
@@ -189,53 +373,108 @@ StatusOr<ViewLp> FormulateViewLp(const View& view,
     out.subviews.push_back(std::move(svlp));
   }
 
-  // Global cut points per *separator* column. Columns shared by sub-views
-  // that are not clique-tree neighbours are covered transitively: by the
-  // running-intersection property such a column lies in every separator on
-  // the tree path between the two cliques, so per-edge consistency chains
-  // across the path.
-  std::unordered_map<int, int> separator_columns;
-  for (const SubViewLp& sv : out.subviews) {
-    for (int c : sv.subview.separator) ++separator_columns[c];
-  }
-  std::unordered_map<int, std::vector<int64_t>> global_cuts;
-  for (const SubViewLp& sv : out.subviews) {
-    for (size_t d = 0; d < sv.subview.columns.size(); ++d) {
-      const int col = sv.subview.columns[d];
-      if (separator_columns.find(col) == separator_columns.end()) continue;
-      std::vector<int64_t> cuts =
-          BlockBoundaries(sv.partition, static_cast<int>(d));
-      auto& dst = global_cuts[col];
-      dst.insert(dst.end(), cuts.begin(), cuts.end());
+  const int num_subviews = static_cast<int>(out.subviews.size());
+  std::vector<std::vector<int>> children(num_subviews);
+  for (int s = 0; s < num_subviews; ++s) {
+    const SubView& sv = out.subviews[s].subview;
+    if (sv.parent >= 0 && !sv.separator.empty()) {
+      children[sv.parent].push_back(s);
     }
   }
-  for (auto& [col, cuts] : global_cuts) {
+
+  // Continuation columns, per sub-view: those of its parent separator that
+  // lie in one of its child separators. The edge to its parent splits its
+  // classes at their global cuts (every sub-view's block boundaries along
+  // the column).
+  std::vector<std::vector<int>> continuation(num_subviews);
+  std::map<int, std::vector<int64_t>> cuts_of;
+  for (int s = 0; s < num_subviews; ++s) {
+    const std::vector<int>& up = out.subviews[s].subview.separator;
+    for (int c : children[s]) {
+      for (int col : out.subviews[c].subview.separator) {
+        if (std::binary_search(up.begin(), up.end(), col)) {
+          continuation[s].push_back(col);
+          cuts_of.try_emplace(col);
+        }
+      }
+    }
+  }
+  for (const SubViewLp& sv : out.subviews) {
+    for (size_t d = 0; d < sv.subview.columns.size(); ++d) {
+      const auto it = cuts_of.find(sv.subview.columns[d]);
+      if (it == cuts_of.end()) continue;
+      const std::vector<int64_t> cuts =
+          BlockBoundaries(sv.partition, static_cast<int>(d));
+      it->second.insert(it->second.end(), cuts.begin(), cuts.end());
+    }
+  }
+  for (auto& [col, cuts] : cuts_of) {
     std::sort(cuts.begin(), cuts.end());
     cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
   }
-  for (const auto& [col, cuts] : global_cuts) {
-    out.shared_cuts.emplace_back(col, cuts);
-  }
-  std::sort(out.shared_cuts.begin(), out.shared_cuts.end());
 
-  // Refine every sub-view at the global cuts of its shared columns and split
-  // regions per elementary cell.
-  for (SubViewLp& sv : out.subviews) {
-    std::vector<std::pair<int, std::vector<int64_t>>> cut_dims;
-    for (size_t d = 0; d < sv.subview.columns.size(); ++d) {
-      auto it = global_cuts.find(sv.subview.columns[d]);
-      if (it != global_cuts.end() && !it->second.empty()) {
-        cut_dims.emplace_back(static_cast<int>(d), it->second);
+  // Classes per clique-tree edge, indexed by the child sub-view.
+  std::vector<Edge> edges(num_subviews);
+  for (int s = 0; s < num_subviews; ++s) {
+    for (int c : children[s]) {
+      const std::vector<int>& cont = continuation[c];
+      std::vector<std::vector<int64_t>> cuts;
+      for (int col : out.subviews[c].subview.separator) {
+        const bool cut = std::find(cont.begin(), cont.end(), col) != cont.end();
+        cuts.push_back(cut ? cuts_of[col] : std::vector<int64_t>{});
+      }
+      edges[c] = BuildEdge(view, out.subviews, c, cuts);
+    }
+  }
+
+  // Split regions into variables: one per combination of classes of the
+  // sub-view's edges (parent edge first, then children) that it meets.
+  for (int s = 0; s < num_subviews; ++s) {
+    SubViewLp& sv = out.subviews[s];
+    std::vector<Incident> incident;
+    if (edges[s].child == s) {
+      incident.push_back(Incident{&edges[s], &edges[s].child_dims,
+                                  &edges[s].child_projection});
+    }
+    for (int c : children[s]) {
+      incident.push_back(Incident{&edges[c], &edges[c].parent_dims,
+                                  &edges[c].parent_projection});
+    }
+    uint64_t stride = 1;
+    for (size_t i = incident.size(); i-- > 0;) {
+      incident[i].stride = stride;
+      const uint64_t classes = static_cast<uint64_t>(
+          std::max(1, incident[i].edge->classes.num_regions()));
+      if (stride > (uint64_t{1} << 62) / classes) {
+        return Status::ResourceExhausted(
+            "sub-view's class combinations exceed 2^62");
+      }
+      stride *= classes;
+    }
+    std::vector<uint64_t> keys;
+    SplitRegions(incident, &sv, &keys);
+    for (size_t i = 0; i < incident.size(); ++i) {
+      const Edge& e = *incident[i].edge;
+      SeparatorClasses& classes_out = out.subviews[e.child].parent_edge;
+      std::vector<int>& dst =
+          e.child == s ? classes_out.child_class : classes_out.parent_class;
+      const uint64_t classes =
+          static_cast<uint64_t>(std::max(1, e.classes.num_regions()));
+      dst.reserve(keys.size());
+      for (uint64_t key : keys) {
+        dst.push_back(static_cast<int>(key / incident[i].stride % classes));
       }
     }
-    if (cut_dims.empty()) continue;
-    RefineRegionsAtCuts(&sv.partition, cut_dims);
-    HYDRA_RETURN_IF_ERROR(SplitRegionsByCellKeys(&sv.partition, cut_dims));
+  }
+  for (int s = 0; s < num_subviews; ++s) {
+    if (edges[s].child == s) {
+      out.subviews[s].parent_edge.classes = std::move(edges[s].classes);
+    }
   }
 
   // Allocate LP variables.
   for (SubViewLp& sv : out.subviews) {
-    sv.first_var = out.problem.AddVariables(sv.partition.num_regions());
+    sv.first_var = out.problem.AddVariables(sv.num_vars());
   }
 
   // (a) Total-size constraint per sub-view.
@@ -243,9 +482,7 @@ StatusOr<ViewLp> FormulateViewLp(const View& view,
     LpConstraint c;
     c.label = "total";
     c.rhs = static_cast<double>(out.total_rows);
-    for (int r = 0; r < sv.partition.num_regions(); ++r) {
-      c.AddTerm(sv.first_var + r, 1.0);
-    }
+    for (int v = 0; v < sv.num_vars(); ++v) c.AddTerm(sv.first_var + v, 1.0);
     out.problem.AddConstraint(std::move(c));
   }
 
@@ -256,81 +493,34 @@ StatusOr<ViewLp> FormulateViewLp(const View& view,
       LpConstraint c;
       c.label = out.constraints[ci].label;
       c.rhs = static_cast<double>(out.constraints[ci].cardinality);
-      for (int r = 0; r < sv.partition.num_regions(); ++r) {
+      for (int v = 0; v < sv.num_vars(); ++v) {
         // Region labels index the sub-view's local predicate list, which is
         // ordered like assigned_constraints.
-        if (sv.partition.regions[r].SatisfiesConstraint(static_cast<int>(k))) {
-          c.AddTerm(sv.first_var + r, 1.0);
+        const Region& region = sv.partition.regions[sv.variables[v].region];
+        if (region.SatisfiesConstraint(static_cast<int>(k))) {
+          c.AddTerm(sv.first_var + v, 1.0);
         }
       }
       out.problem.AddConstraint(std::move(c));
     }
   }
 
-  // (c) Consistency constraints per clique-tree edge: equal mass per
-  // elementary cell over the separator columns.
-  for (size_t s = 0; s < out.subviews.size(); ++s) {
+  // (c) Consistency constraints per clique-tree edge: equal child and
+  // parent mass per class.
+  for (int s = 0; s < num_subviews; ++s) {
     const SubViewLp& child = out.subviews[s];
-    if (child.subview.parent < 0 || child.subview.separator.empty()) continue;
+    const SeparatorClasses& edge = child.parent_edge;
+    if (edge.classes.num_regions() == 0) continue;
     const SubViewLp& parent = out.subviews[child.subview.parent];
-
-    auto cell_dims_for = [&](const SubViewLp& sv) {
-      std::vector<std::pair<int, std::vector<int64_t>>> cut_dims;
-      for (int col : child.subview.separator) {
-        const auto cit = global_cuts.find(col);
-        std::vector<int64_t> cuts =
-            cit == global_cuts.end() ? std::vector<int64_t>{} : cit->second;
-        const auto pos = std::find(sv.subview.columns.begin(),
-                                   sv.subview.columns.end(), col);
-        HYDRA_CHECK(pos != sv.subview.columns.end());
-        cut_dims.emplace_back(
-            static_cast<int>(pos - sv.subview.columns.begin()),
-            std::move(cuts));
-      }
-      return cut_dims;
-    };
-    const auto child_dims = cell_dims_for(child);
-    const auto parent_dims = cell_dims_for(parent);
-
-    // One row per elementary cell over the separator: gather every
-    // region's (packed cell key, signed term) and group by sorting — the
-    // same rows a map would build, without a tree node (or heap key) per
-    // cell. Child and parent pack with the same strides because both
-    // cell_dims_for lists follow the separator's column order.
-    std::vector<uint64_t> child_strides, parent_strides;
-    if (!CellKeyStrides(child_dims, &child_strides) ||
-        !CellKeyStrides(parent_dims, &parent_strides)) {
-      return Status::ResourceExhausted(
-          "separator's elementary-cell space exceeds 2^62 cells");
+    std::vector<LpConstraint> rows(edge.classes.num_regions());
+    for (LpConstraint& c : rows) c.label = "consistency sv" + std::to_string(s);
+    for (int v = 0; v < parent.num_vars(); ++v) {
+      rows[edge.parent_class[v]].AddTerm(parent.first_var + v, -1.0);
     }
-    std::vector<std::pair<uint64_t, std::pair<int, double>>> terms;
-    terms.reserve(child.partition.num_regions() +
-                  parent.partition.num_regions());
-    for (int r = 0; r < child.partition.num_regions(); ++r) {
-      terms.emplace_back(
-          BlockFlatKey(child.partition.regions[r].blocks.front(), child_dims,
-                       child_strides),
-          std::make_pair(child.first_var + r, 1.0));
+    for (int v = 0; v < child.num_vars(); ++v) {
+      rows[edge.child_class[v]].AddTerm(child.first_var + v, 1.0);
     }
-    for (int r = 0; r < parent.partition.num_regions(); ++r) {
-      terms.emplace_back(
-          BlockFlatKey(parent.partition.regions[r].blocks.front(),
-                       parent_dims, parent_strides),
-          std::make_pair(parent.first_var + r, -1.0));
-    }
-    std::sort(terms.begin(), terms.end());
-    size_t begin = 0;
-    for (size_t i = 1; i <= terms.size(); ++i) {
-      if (i < terms.size() && terms[i].first == terms[begin].first) continue;
-      LpConstraint c;
-      c.rhs = 0;
-      c.label = "consistency sv" + std::to_string(s);
-      for (size_t k = begin; k < i; ++k) {
-        c.AddTerm(terms[k].second.first, terms[k].second.second);
-      }
-      out.problem.AddConstraint(std::move(c));
-      begin = i;
-    }
+    for (LpConstraint& c : rows) out.problem.AddConstraint(std::move(c));
   }
 
   return out;

@@ -1,6 +1,7 @@
 #include "hydra/summary_generator.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "common/logging.h"
@@ -9,53 +10,59 @@ namespace hydra {
 
 namespace {
 
-// Mutable view solution accumulated by the align-and-merge loop.
-struct WorkingSolution {
-  std::vector<int> columns;  // view column indices, in accumulation order
-  std::vector<SolutionRow> rows;
+// A row of the view solution accumulated by the align-and-merge loop.
+struct WorkingRow {
+  Row values;  // in WorkingSolution::columns order
+  int64_t count = 0;
+  // Per merged sub-view (in merge order), the local LP variable the row's
+  // values came from, or -1 when that sub-view had no row to pad with;
+  // later edges read classes off it.
+  std::vector<int> origin;
+  // The row's class on the edge being merged.
+  int edge_class = 0;
 };
 
-// Instantiates the sub-view solution: one row per region with positive count,
-// at the region's left boundary (Section 5.2).
-std::vector<SolutionRow> InstantiateSubView(const SubViewLp& sv,
-                                            const std::vector<int64_t>& x) {
-  std::vector<SolutionRow> rows;
-  for (int r = 0; r < sv.partition.num_regions(); ++r) {
-    const int64_t count = x[sv.first_var + r];
+struct WorkingSolution {
+  std::vector<int> columns;  // view column indices, in accumulation order
+  std::vector<WorkingRow> rows;
+};
+
+// Instantiates the sub-view solution: one row per variable with positive
+// count, at the variable's smallest point (Section 5.2).
+std::vector<WorkingRow> InstantiateSubView(const SubViewLp& sv,
+                                           const std::vector<int64_t>& x) {
+  std::vector<WorkingRow> rows;
+  for (int v = 0; v < sv.num_vars(); ++v) {
+    const int64_t count = x[sv.first_var + v];
     if (count <= 0) continue;
-    SolutionRow row;
-    row.values = sv.partition.regions[r].MinPoint();
+    WorkingRow row;
+    row.values = sv.variables[v].min_point;
     row.count = count;
+    row.origin = {v};
     rows.push_back(std::move(row));
   }
   return rows;
 }
 
-// Sort key for alignment: per shared column, (elementary cell index, value).
-// Grouping by cell index first is what makes pairing sound — consistency
-// constraints equate masses per cell, and no constraint changes truth inside
-// a cell.
-struct AlignKey {
-  std::vector<std::pair<int64_t, Value>> parts;
-
-  bool operator<(const AlignKey& o) const { return parts < o.parts; }
-  bool operator==(const AlignKey& o) const { return parts == o.parts; }
-};
-
-AlignKey KeyOf(const SolutionRow& row, const std::vector<int>& positions,
-               const std::vector<const std::vector<int64_t>*>& cuts) {
-  AlignKey key;
-  key.parts.reserve(positions.size());
-  for (size_t i = 0; i < positions.size(); ++i) {
-    const Value v = row.values[positions[i]];
-    int64_t cell = 0;
-    if (cuts[i] != nullptr) {
-      cell = std::upper_bound(cuts[i]->begin(), cuts[i]->end(), v) -
-             cuts[i]->begin();
-    }
-    key.parts.emplace_back(cell, v);
-  }
-  return key;
+// Solution Sorting (Section 5.1.2): orders rows by the merged edge's class,
+// then by their values on the shared columns. Pairing within a class is
+// what makes the merge sound: consistency rows equate child and parent
+// mass per class, and a child row keeps its region label under any
+// separator value of its class (see formulator.h).
+void SortForAlignment(std::vector<WorkingRow>* rows,
+                      const std::vector<int>& positions) {
+  std::stable_sort(rows->begin(), rows->end(),
+                   [&positions](const WorkingRow& a, const WorkingRow& b) {
+                     if (a.edge_class != b.edge_class) {
+                       return a.edge_class < b.edge_class;
+                     }
+                     for (int p : positions) {
+                       if (a.values[p] != b.values[p]) {
+                         return a.values[p] < b.values[p];
+                       }
+                     }
+                     return false;
+                   });
 }
 
 }  // namespace
@@ -65,13 +72,10 @@ StatusOr<ViewSummary> SummaryGenerator::BuildViewSummary(
     const std::vector<int64_t>& solution) const {
   HYDRA_CHECK(static_cast<int>(solution.size()) == lp.problem.num_vars());
 
-  std::map<int, const std::vector<int64_t>*> cuts_of;
-  for (const auto& [col, cuts] : lp.shared_cuts) cuts_of[col] = &cuts;
-
   WorkingSolution work;
   for (size_t s = 0; s < lp.subviews.size(); ++s) {
     const SubViewLp& sv = lp.subviews[s];
-    std::vector<SolutionRow> incoming = InstantiateSubView(sv, solution);
+    std::vector<WorkingRow> incoming = InstantiateSubView(sv, solution);
 
     if (s == 0) {
       work.columns = sv.subview.columns;
@@ -93,7 +97,6 @@ StatusOr<ViewSummary> SummaryGenerator::BuildViewSummary(
 
     // Positions of the shared columns in each side's row layout.
     std::vector<int> work_pos, sv_pos;
-    std::vector<const std::vector<int64_t>*> cuts;
     for (int c : shared) {
       work_pos.push_back(static_cast<int>(
           std::find(work.columns.begin(), work.columns.end(), c) -
@@ -101,8 +104,6 @@ StatusOr<ViewSummary> SummaryGenerator::BuildViewSummary(
       sv_pos.push_back(static_cast<int>(
           std::find(sv.subview.columns.begin(), sv.subview.columns.end(), c) -
           sv.subview.columns.begin()));
-      auto it = cuts_of.find(c);
-      cuts.push_back(it == cuts_of.end() ? nullptr : it->second);
     }
     std::vector<int> new_pos;
     for (int c : new_cols) {
@@ -111,62 +112,84 @@ StatusOr<ViewSummary> SummaryGenerator::BuildViewSummary(
           sv.subview.columns.begin()));
     }
 
-    // Solution Sorting (Section 5.1.2): both sides ordered by shared cells.
-    std::stable_sort(work.rows.begin(), work.rows.end(),
-                     [&](const SolutionRow& a, const SolutionRow& b) {
-                       return KeyOf(a, work_pos, cuts) <
-                              KeyOf(b, work_pos, cuts);
-                     });
-    std::stable_sort(incoming.begin(), incoming.end(),
-                     [&](const SolutionRow& a, const SolutionRow& b) {
-                       return KeyOf(a, sv_pos, cuts) < KeyOf(b, sv_pos, cuts);
-                     });
+    // Classes of the edge to the parent: the accumulated side's come from
+    // the parent variable each row holds. Without classes (an empty
+    // separator) every row is in class 0.
+    const SeparatorClasses& edge = sv.parent_edge;
+    const int parent = sv.subview.parent;
+    for (WorkingRow& row : work.rows) {
+      const int v = parent >= 0 ? row.origin[parent] : -1;
+      row.edge_class =
+          edge.parent_class.empty() ? 0 : v < 0 ? -1 : edge.parent_class[v];
+    }
+    for (WorkingRow& row : incoming) {
+      row.edge_class =
+          edge.child_class.empty() ? 0 : edge.child_class[row.origin[0]];
+    }
+    SortForAlignment(&work.rows, work_pos);
+    SortForAlignment(&incoming, sv_pos);
 
-    // Row Splitting + position-based merge (Sections 5.1.2, 5.1.3): pair off
-    // counts in sorted order; shared values come from the accumulated
-    // solution, new columns from the incoming sub-view.
-    std::vector<SolutionRow> merged;
+    // Row Splitting + position-based merge (Sections 5.1.2, 5.1.3), one
+    // class at a time: pair off counts in sorted order; shared values come
+    // from the accumulated solution, new columns from the incoming
+    // sub-view.
+    std::vector<WorkingRow> merged;
     merged.reserve(std::max(work.rows.size(), incoming.size()));
-    size_t wi = 0, ii = 0;
-    int64_t wleft = wi < work.rows.size() ? work.rows[wi].count : 0;
-    int64_t ileft = ii < incoming.size() ? incoming[ii].count : 0;
-    while (wi < work.rows.size() && ii < incoming.size()) {
-      const int64_t take = std::min(wleft, ileft);
-      SolutionRow row;
-      row.values = work.rows[wi].values;
-      row.values.reserve(row.values.size() + new_pos.size());
-      for (int p : new_pos) row.values.push_back(incoming[ii].values[p]);
-      row.count = take;
-      merged.push_back(std::move(row));
-      wleft -= take;
-      ileft -= take;
-      if (wleft == 0 && ++wi < work.rows.size()) wleft = work.rows[wi].count;
-      if (ileft == 0 && ++ii < incoming.size()) ileft = incoming[ii].count;
-    }
-    // Integerization can leave a tiny count mismatch between the two sides;
-    // pad the exhausted side with its last row's values.
-    while (wi < work.rows.size()) {
-      SolutionRow row;
-      row.values = work.rows[wi].values;
+    const auto emit = [&](const WorkingRow& w, const WorkingRow* in,
+                          int64_t count) {
+      WorkingRow row;
+      row.values.reserve(w.values.size() + new_pos.size());
+      row.values = w.values;
       for (size_t k = 0; k < new_pos.size(); ++k) {
-        row.values.push_back(
-            incoming.empty()
-                ? view.domains[new_cols[k]].lo
-                : incoming.back().values[new_pos[k]]);
+        row.values.push_back(in != nullptr ? in->values[new_pos[k]]
+                                           : view.domains[new_cols[k]].lo);
       }
-      row.count = wleft;
-      if (row.count > 0) merged.push_back(std::move(row));
-      if (++wi < work.rows.size()) wleft = work.rows[wi].count;
-    }
-    if (ii < incoming.size() && !work.rows.empty()) {
-      // Excess mass on the incoming side: attach it to the last accumulated
-      // row's values (positive-only spill, never lost).
-      int64_t excess = ileft;
-      for (size_t k = ii + 1; k < incoming.size(); ++k) {
-        excess += incoming[k].count;
+      row.count = count;
+      row.origin = w.origin;
+      row.origin.push_back(in != nullptr ? in->origin[0] : -1);
+      merged.push_back(std::move(row));
+    };
+    constexpr int kDone = std::numeric_limits<int>::max();
+    const size_t wn = work.rows.size(), in = incoming.size();
+    size_t wi = 0, ii = 0;
+    int64_t spill = 0;
+    while (wi < wn || ii < in) {
+      const int cls = std::min(wi < wn ? work.rows[wi].edge_class : kDone,
+                               ii < in ? incoming[ii].edge_class : kDone);
+      size_t wend = wi, iend = ii;
+      while (wend < wn && work.rows[wend].edge_class == cls) ++wend;
+      while (iend < in && incoming[iend].edge_class == cls) ++iend;
+      int64_t ileft = ii < iend ? incoming[ii].count : 0;
+      for (; wi < wend; ++wi) {
+        int64_t wleft = work.rows[wi].count;
+        while (wleft > 0 && ii < iend) {
+          const int64_t take = std::min(wleft, ileft);
+          emit(work.rows[wi], &incoming[ii], take);
+          wleft -= take;
+          ileft -= take;
+          if (ileft == 0 && ++ii < iend) ileft = incoming[ii].count;
+        }
+        // Integerization can leave a class short on the incoming side: pad
+        // with the incoming row just before the class's end (its own last
+        // row when it had any).
+        if (wleft > 0) {
+          const WorkingRow* near =
+              in == 0 ? nullptr : &incoming[ii > 0 ? ii - 1 : 0];
+          emit(work.rows[wi], near, wleft);
+        }
       }
-      if (excess > 0 && !merged.empty()) merged.back().count += excess;
+      // Excess incoming mass of the class: attach it to the last merged row
+      // (positive-only spill, never lost).
+      int64_t excess = ii < iend ? ileft : 0;
+      for (size_t k = ii + 1; k < iend; ++k) excess += incoming[k].count;
+      ii = iend;
+      if (merged.empty()) {
+        spill += excess;
+      } else {
+        merged.back().count += excess;
+      }
     }
+    if (!merged.empty()) merged.back().count += spill;
 
     work.columns.insert(work.columns.end(), new_cols.begin(), new_cols.end());
     work.rows = std::move(merged);
@@ -195,7 +218,7 @@ StatusOr<ViewSummary> SummaryGenerator::BuildViewSummary(
     return out;
   }
   out.rows.reserve(work.rows.size());
-  for (const SolutionRow& wrow : work.rows) {
+  for (const WorkingRow& wrow : work.rows) {
     SolutionRow row;
     row.count = wrow.count;
     row.values.resize(view.num_columns());

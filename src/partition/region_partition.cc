@@ -197,63 +197,6 @@ RegionPartition BuildRegionPartition(
   return partition;
 }
 
-void RefineRegionsAtCuts(
-    RegionPartition* partition,
-    const std::vector<std::pair<int, std::vector<int64_t>>>& dims_to_cut) {
-  for (const auto& [dim, cuts] : dims_to_cut) {
-    for (Region& region : partition->regions) {
-      std::vector<Block> refined;
-      refined.reserve(region.blocks.size());
-      for (Block& b : region.blocks) {
-        // Split b.dims[dim] at every cut, emitting one block per fragment
-        // so no fragment crosses a cut point. Only cuts strictly inside the
-        // block's span can split it, so binary-search the relevant range,
-        // then walk intervals and cuts in tandem — repeated SplitAt calls
-        // would copy the remainder once per cut.
-        const IntervalSet& set = b.dims[dim];
-        const auto cut_begin =
-            std::upper_bound(cuts.begin(), cuts.end(), set.Min());
-        const auto cut_end =
-            std::upper_bound(cut_begin, cuts.end(), set.Max());
-        std::vector<IntervalSet> fragments;
-        std::vector<Interval> cur;
-        auto flush = [&fragments, &cur] {
-          if (!cur.empty()) {
-            fragments.push_back(IntervalSet(std::move(cur)));
-            cur.clear();
-          }
-        };
-        auto it = cut_begin;
-        for (const Interval& iv : set.intervals()) {
-          int64_t lo = iv.lo;
-          while (it != cut_end && *it <= lo) {
-            flush();  // window boundary in the gap before this interval
-            ++it;
-          }
-          while (it != cut_end && *it < iv.hi) {
-            cur.push_back(Interval(lo, *it));
-            flush();
-            lo = *it;
-            ++it;
-          }
-          cur.push_back(Interval(lo, iv.hi));
-        }
-        flush();
-        if (fragments.size() <= 1) {
-          refined.push_back(std::move(b));
-          continue;
-        }
-        for (IntervalSet& frag : fragments) {
-          Block nb = b;
-          nb.dims[dim] = std::move(frag);
-          refined.push_back(std::move(nb));
-        }
-      }
-      region.blocks = std::move(refined);
-    }
-  }
-}
-
 std::vector<int64_t> BlockBoundaries(const RegionPartition& partition,
                                      int dim) {
   std::vector<int64_t> cuts;

@@ -87,15 +87,6 @@ std::vector<Block> BuildValidBlocks(
     const std::vector<Conjunct>& sub_constraints,
     const RegionPartitionOptions& options = {});
 
-// Refines `partition` so that, along each dimension listed in `dims_to_cut`
-// (paired with sorted cut values), no block's interval crosses a cut. Used to
-// align partitions of different sub-views along shared attributes before
-// adding consistency constraints (Section 4.2, "Consistency Constraints").
-// Regions keep their labels; blocks multiply as needed.
-void RefineRegionsAtCuts(
-    RegionPartition* partition,
-    const std::vector<std::pair<int, std::vector<int64_t>>>& dims_to_cut);
-
 // All block boundaries of `partition` along dimension `dim` (sorted, unique,
 // interior points only — domain endpoints excluded).
 std::vector<int64_t> BlockBoundaries(const RegionPartition& partition,

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "hydra/formulator.h"
 #include "hydra/preprocessor.h"
+#include "hydra/summary_generator.h"
 #include "lp/integerize.h"
 #include "lp/simplex.h"
 #include "workload/toy.h"
@@ -28,6 +30,196 @@ ViewConstraint Vc(DnfPredicate p, uint64_t k, const std::string& label) {
   vc.cardinality = k;
   vc.label = label;
   return vc;
+}
+
+// `n` points drawn uniformly from [0, width)^columns.
+std::vector<Row> RandomRows(int columns, int64_t width, int n, Rng& rng) {
+  std::vector<Row> rows(n, Row(columns));
+  for (Row& row : rows) {
+    for (Value& v : row) v = rng.NextInt(0, width);
+  }
+  return rows;
+}
+
+// A random box over `columns`, each side at least 5 wide.
+DnfPredicate RandomBox(const std::vector<int>& columns, int64_t width,
+                       Rng& rng) {
+  std::vector<Atom> atoms;
+  for (int c : columns) {
+    const int64_t lo = rng.NextInt(0, width - 5);
+    atoms.push_back(AtomRange(c, lo, rng.NextInt(lo + 5, width + 1)));
+  }
+  return PredicateAllOf(std::move(atoms));
+}
+
+// CCs counted on `rows`, so the LP has an integral solution.
+std::vector<ViewConstraint> CountedCcs(const std::vector<Row>& rows,
+                                       std::vector<DnfPredicate> predicates) {
+  std::vector<ViewConstraint> vcs;
+  for (DnfPredicate& p : predicates) {
+    uint64_t k = 0;
+    for (const Row& row : rows) k += p.Eval(row) ? 1 : 0;
+    vcs.push_back(Vc(std::move(p), k, "cc" + std::to_string(vcs.size())));
+  }
+  return vcs;
+}
+
+// Formulates, solves and integerizes the view's LP, builds its view summary
+// and counts every CC on the summary's rows: each count must be exact.
+void ExpectExactViewSummary(const View& v,
+                            const std::vector<ViewConstraint>& vcs) {
+  auto lp = FormulateViewLp(v, vcs);
+  ASSERT_TRUE(lp.ok()) << lp.status().ToString();
+  auto sol = SolveFeasibility(lp->problem);
+  ASSERT_TRUE(sol.ok()) << sol.status().ToString();
+  const IntegerizeResult ints = IntegerizeSolution(lp->problem, sol->values);
+  ASSERT_EQ(ints.max_absolute_violation, 0);
+  const Schema schema;
+  auto summary = SummaryGenerator(schema).BuildViewSummary(v, *lp, ints.values);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary->TotalCount(), static_cast<int64_t>(v.total_rows));
+  for (const ViewConstraint& vc : vcs) {
+    int64_t count = 0;
+    for (const SolutionRow& row : summary->rows) {
+      if (vc.predicate.Eval(row.values)) count += row.count;
+    }
+    EXPECT_EQ(count, static_cast<int64_t>(vc.cardinality)) << vc.label;
+  }
+}
+
+// The class of variable `v` of sub-view `s` on each edge at `s`: the edge
+// to its parent first, then those to its children in sub-view order.
+std::vector<int> VariableClasses(const ViewLp& lp, int s, int v) {
+  std::vector<int> classes;
+  if (lp.subviews[s].parent_edge.classes.num_regions() > 0) {
+    classes.push_back(lp.subviews[s].parent_edge.child_class[v]);
+  }
+  for (size_t c = 0; c < lp.subviews.size(); ++c) {
+    const SubViewLp& child = lp.subviews[c];
+    if (child.subview.parent == s &&
+        child.parent_edge.classes.num_regions() > 0) {
+      classes.push_back(child.parent_edge.parent_class[v]);
+    }
+  }
+  return classes;
+}
+
+// The class of `point` (sub-view `s`'s local dims) on the same edges.
+std::vector<int> PointClasses(const ViewLp& lp, int s, const Row& point) {
+  const SubView& sv = lp.subviews[s].subview;
+  const auto class_of = [&](const SubViewLp& edge_child) {
+    Row projected;
+    for (int col : edge_child.subview.separator) {
+      const auto pos = std::find(sv.columns.begin(), sv.columns.end(), col);
+      projected.push_back(point[pos - sv.columns.begin()]);
+    }
+    return edge_child.parent_edge.classes.RegionOf(projected);
+  };
+  std::vector<int> classes;
+  if (lp.subviews[s].parent_edge.classes.num_regions() > 0) {
+    classes.push_back(class_of(lp.subviews[s]));
+  }
+  for (const SubViewLp& child : lp.subviews) {
+    if (child.subview.parent == s &&
+        child.parent_edge.classes.num_regions() > 0) {
+      classes.push_back(class_of(child));
+    }
+  }
+  return classes;
+}
+
+bool BoxesMeet(const Block& a, const std::vector<IntervalSet>& b) {
+  for (size_t d = 0; d < a.dims.size(); ++d) {
+    if (a.dims[d].Intersect(b[d]).empty()) return false;
+  }
+  return true;
+}
+
+bool BoxInside(const Block& a, const std::vector<IntervalSet>& b) {
+  for (size_t d = 0; d < a.dims.size(); ++d) {
+    if (!a.dims[d].Difference(b[d]).empty()) return false;
+  }
+  return true;
+}
+
+// The per-edge class invariants formulator.h states:
+// (1) every edge's classes are disjoint, and every child and parent block
+//     projection onto the separator is a union of them;
+// (2) the variables of a sub-view are exactly the non-empty combinations of
+//     a region and one class per incident edge: sampled points and every
+//     variable's smallest point land in exactly the variable of their
+//     region and classes.
+void ExpectClassInvariants(const ViewLp& lp, Rng& rng) {
+  for (size_t c = 0; c < lp.subviews.size(); ++c) {
+    const SubViewLp& child = lp.subviews[c];
+    const RegionPartition& classes = child.parent_edge.classes;
+    if (classes.num_regions() == 0) continue;
+    for (int k = 0; k < classes.num_regions(); ++k) {
+      for (int k2 = k + 1; k2 < classes.num_regions(); ++k2) {
+        for (const Block& a : classes.regions[k].blocks) {
+          for (const Block& b : classes.regions[k2].blocks) {
+            EXPECT_FALSE(BoxesMeet(a, b.dims)) << "classes " << k << ", " << k2;
+          }
+        }
+      }
+    }
+    for (const SubViewLp* side :
+         {&child, &lp.subviews[child.subview.parent]}) {
+      const std::vector<int>& cols = side->subview.columns;
+      std::vector<int> dims;
+      for (int col : child.subview.separator) {
+        const auto pos = std::find(cols.begin(), cols.end(), col);
+        dims.push_back(static_cast<int>(pos - cols.begin()));
+      }
+      for (const Region& region : side->partition.regions) {
+        for (const Block& block : region.blocks) {
+          std::vector<IntervalSet> projection;
+          for (int d : dims) projection.push_back(block.dims[d]);
+          for (const Region& cls : classes.regions) {
+            int inside = 0, outside = 0;
+            for (const Block& b : cls.blocks) {
+              if (BoxInside(b, projection)) {
+                ++inside;
+              } else if (!BoxesMeet(b, projection)) {
+                ++outside;
+              }
+            }
+            EXPECT_TRUE(inside == static_cast<int>(cls.blocks.size()) ||
+                        outside == static_cast<int>(cls.blocks.size()))
+                << "a block projection cuts a class";
+          }
+        }
+      }
+    }
+  }
+  for (size_t s = 0; s < lp.subviews.size(); ++s) {
+    const SubViewLp& sv = lp.subviews[s];
+    const auto variable_of = [&](const Row& point) {
+      const int region = sv.partition.RegionOf(point);
+      const std::vector<int> classes =
+          PointClasses(lp, static_cast<int>(s), point);
+      int found = -1, matches = 0;
+      for (int v = 0; v < sv.num_vars(); ++v) {
+        if (sv.variables[v].region == region &&
+            VariableClasses(lp, static_cast<int>(s), v) == classes) {
+          found = v;
+          ++matches;
+        }
+      }
+      EXPECT_LE(matches, 1);
+      return found;
+    };
+    for (int v = 0; v < sv.num_vars(); ++v) {
+      EXPECT_EQ(variable_of(sv.variables[v].min_point), v);
+    }
+    for (int i = 0; i < 300; ++i) {
+      Row point;
+      for (const Interval& d : sv.partition.domains) {
+        point.push_back(rng.NextInt(d.lo, d.hi));
+      }
+      EXPECT_GE(variable_of(point), 0);
+    }
+  }
 }
 
 TEST(FormulatorTest, PersonExampleFourVariables) {
@@ -111,9 +303,10 @@ TEST(FormulatorTest, SharedColumnCreatesConsistencyRows) {
   auto lp = FormulateViewLp(v, vcs);
   ASSERT_TRUE(lp.ok());
   ASSERT_EQ(lp->subviews.size(), 2u);
-  // More rows than just totals (2) + CCs (2) means consistency rows exist.
-  EXPECT_GT(lp->problem.num_constraints(), 4);
-  EXPECT_FALSE(lp->shared_cuts.empty());
+  // Totals (2) + CCs (2) + one consistency row per class of the edge.
+  const int classes = lp->subviews[1].parent_edge.classes.num_regions();
+  EXPECT_GT(classes, 1);
+  EXPECT_EQ(lp->problem.num_constraints(), 4 + classes);
 
   auto sol = SolveFeasibility(lp->problem);
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
@@ -124,14 +317,14 @@ TEST(FormulatorTest, SharedColumnCreatesConsistencyRows) {
   EXPECT_EQ(ints.max_absolute_violation, 0);
   for (const SubViewLp& sv : lp->subviews) {
     int64_t total = 0;
-    for (int r = 0; r < sv.partition.num_regions(); ++r) {
-      total += ints.values[sv.first_var + r];
+    for (int v = 0; v < sv.num_vars(); ++v) {
+      total += ints.values[sv.first_var + v];
     }
     EXPECT_EQ(total, 1000);
   }
 }
 
-TEST(FormulatorTest, RegionsRespectSharedCutsAfterSplitting) {
+TEST(FormulatorTest, VariablesFollowEdgeClasses) {
   View v = SimpleView(3, 100, 1000);
   std::vector<ViewConstraint> vcs = {
       Vc(PredicateAllOf({AtomRange(0, 10, 50), AtomRange(1, 20, 60)}), 300,
@@ -141,32 +334,87 @@ TEST(FormulatorTest, RegionsRespectSharedCutsAfterSplitting) {
   };
   auto lp = FormulateViewLp(v, vcs);
   ASSERT_TRUE(lp.ok());
-  // Every region of every sub-view must lie within one elementary cell along
-  // each shared column.
-  for (const SubViewLp& sv : lp->subviews) {
-    for (size_t d = 0; d < sv.subview.columns.size(); ++d) {
-      const int col = sv.subview.columns[d];
-      const std::vector<int64_t>* cuts = nullptr;
-      for (const auto& [c, cs] : lp->shared_cuts) {
-        if (c == col) cuts = &cs;
-      }
-      if (cuts == nullptr) continue;
-      for (const Region& region : sv.partition.regions) {
-        // Cell index of the region's min along this dim must equal the cell
-        // index of its max.
-        int64_t mn = INT64_MAX, mx = INT64_MIN;
-        for (const Block& b : region.blocks) {
-          mn = std::min(mn, b.dims[d].Min());
-          mx = std::max(mx, b.dims[d].Max());
-        }
-        const auto cell_of = [&](int64_t val) {
-          return std::upper_bound(cuts->begin(), cuts->end(), val) -
-                 cuts->begin();
-        };
-        EXPECT_EQ(cell_of(mn), cell_of(mx));
+  Rng rng(11);
+  ExpectClassInvariants(*lp, rng);
+}
+
+// Three cliques in a chain, {0,1,2} - {1,2,3} - {2,3,4}: column 2 lies in
+// both separators of the middle sub-view (a continuation column), and the
+// CCs cut it at different values on each edge. The merge hands the root's
+// column-2 value down to the last sub-view.
+TEST(FormulatorTest, ContinuationColumnChainSummaryIsExact) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    View v = SimpleView(5, 100, 600);
+    const std::vector<Row> rows = RandomRows(5, 100, 600, rng);
+    std::vector<DnfPredicate> predicates;
+    for (const std::vector<int>& clique :
+         {std::vector<int>{0, 1, 2}, {1, 2, 3}, {2, 3, 4}}) {
+      for (int i = 0; i < 3; ++i) {
+        predicates.push_back(RandomBox(clique, 100, rng));
       }
     }
+    const std::vector<ViewConstraint> vcs =
+        CountedCcs(rows, std::move(predicates));
+    auto lp = FormulateViewLp(v, vcs);
+    ASSERT_TRUE(lp.ok()) << lp.status().ToString();
+    ASSERT_EQ(lp->subviews.size(), 3u);
+    ASSERT_EQ(lp->subviews[1].subview.separator, (std::vector<int>{1, 2}));
+    ASSERT_EQ(lp->subviews[2].subview.separator, (std::vector<int>{2, 3}));
+    ExpectClassInvariants(*lp, rng);
+    ExpectExactViewSummary(v, vcs);
   }
+}
+
+// catalog_sales' shape: a sub-view whose two children share its separator
+// columns {0,1}, with different CC boundaries on each edge.
+TEST(FormulatorTest, SiblingSeparatorsSummaryIsExact) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    View v = SimpleView(5, 100, 600);
+    const std::vector<Row> rows = RandomRows(5, 100, 600, rng);
+    std::vector<DnfPredicate> predicates;
+    for (const std::vector<int>& clique :
+         {std::vector<int>{0, 1, 2}, {0, 1, 3}, {0, 1, 4}}) {
+      for (int i = 0; i < 3; ++i) {
+        predicates.push_back(RandomBox(clique, 100, rng));
+      }
+    }
+    const std::vector<ViewConstraint> vcs =
+        CountedCcs(rows, std::move(predicates));
+    auto lp = FormulateViewLp(v, vcs);
+    ASSERT_TRUE(lp.ok()) << lp.status().ToString();
+    ASSERT_EQ(lp->subviews.size(), 3u);
+    ASSERT_EQ(lp->subviews[1].subview.parent, 0);
+    ASSERT_EQ(lp->subviews[2].subview.parent, 0);
+    ASSERT_EQ(lp->subviews[1].subview.separator, (std::vector<int>{0, 1}));
+    ASSERT_EQ(lp->subviews[2].subview.separator, (std::vector<int>{0, 1}));
+    ExpectClassInvariants(*lp, rng);
+    ExpectExactViewSummary(v, vcs);
+  }
+}
+
+TEST(FormulatorTest, UnkeyableClassCombinationsReportResourceExhausted) {
+  // A sub-view over columns 0..15 with 16 children {i, 16+i}, each edge
+  // cutting its separator column i into more than 16 classes: their
+  // combinations exceed 2^62 and cannot be packed into a key. The check
+  // runs before any combination is enumerated.
+  View v = SimpleView(32, 100, 1000);
+  std::vector<Atom> wide;
+  for (int i = 0; i < 16; ++i) wide.push_back(AtomRange(i, 0, 50));
+  std::vector<ViewConstraint> vcs = {Vc(PredicateAllOf(wide), 10, "wide")};
+  for (int i = 0; i < 16; ++i) {
+    for (int j = 0; j < 20; ++j) {
+      vcs.push_back(Vc(PredicateAllOf({AtomRange(i, 5 * j, 5 * j + 3),
+                                       AtomRange(16 + i, 0, 50)}),
+                       1, "c" + std::to_string(i) + "_" + std::to_string(j)));
+    }
+  }
+  auto lp = FormulateViewLp(v, vcs);
+  EXPECT_EQ(lp.status().code(), StatusCode::kResourceExhausted)
+      << lp.status().ToString();
 }
 
 TEST(FormulatorTest, ToyRviewLpSolvable) {
@@ -209,9 +457,9 @@ TEST(FormulatorTest, DnfConstraintFormulated) {
   const auto ints = IntegerizeSolution(lp->problem, sol->values);
   int64_t satisfied = 0;
   const SubViewLp& sv = lp->subviews[0];
-  for (int r = 0; r < sv.partition.num_regions(); ++r) {
-    if (sv.partition.regions[r].SatisfiesConstraint(0)) {
-      satisfied += ints.values[sv.first_var + r];
+  for (int v = 0; v < sv.num_vars(); ++v) {
+    if (sv.partition.regions[sv.variables[v].region].SatisfiesConstraint(0)) {
+      satisfied += ints.values[sv.first_var + v];
     }
   }
   EXPECT_EQ(satisfied, 250);

@@ -184,21 +184,6 @@ TEST(ValidBlocksTest, BlocksAreValidWrtEveryConjunct) {
   }
 }
 
-TEST(RefineRegionsTest, CutsStopBlocksCrossing) {
-  RegionPartition p =
-      BuildRegionPartition({Interval(0, 100)},
-                           {PredicateOf(AtomRange(0, 30, 70))});
-  RefineRegionsAtCuts(&p, {{0, {50}}});
-  for (const Region& r : p.regions) {
-    for (const Block& b : r.blocks) {
-      // No interval may straddle 50.
-      for (const Interval& iv : b.dims[0].intervals()) {
-        EXPECT_FALSE(iv.lo < 50 && iv.hi > 50) << iv.ToString();
-      }
-    }
-  }
-}
-
 TEST(BlockBoundariesTest, InteriorConstraintEdges) {
   RegionPartition p =
       BuildRegionPartition({Interval(0, 100)},

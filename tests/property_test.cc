@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "hydra/regenerator.h"
 #include "hydra/tuple_generator.h"
+#include "view_oracle.h"
 #include "workload/querygen.h"
 #include "workload/workload_runner.h"
 
@@ -166,6 +167,16 @@ TEST_P(PipelinePropertyTest, DynamicAndStaticGenerationAgree) {
       }
     }
   }
+}
+
+TEST_P(PipelinePropertyTest, ViewSummariesMeetCcsWithinResidual) {
+  // The site of RegeneratedDatabaseReproducesAllCcs, checked view by view.
+  Rng rng(GetParam() * 7919 + 2);
+  const Schema schema = RandomSchema(rng);
+  auto site = BuildClientSite(schema, DataGenOptions{.seed = rng.Next64()},
+                              RandomWorkload(schema, rng));
+  ASSERT_TRUE(site.ok()) << site.status().ToString();
+  ExpectViewCcsWithinResidual(site->schema, site->ccs);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelinePropertyTest,

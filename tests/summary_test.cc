@@ -7,7 +7,10 @@
 #include "hydra/summary_generator.h"
 #include "lp/integerize.h"
 #include "lp/simplex.h"
+#include "view_oracle.h"
 #include "workload/toy.h"
+#include "workload/tpcds.h"
+#include "workload/workload_runner.h"
 
 namespace hydra {
 namespace {
@@ -162,6 +165,23 @@ TEST(SummaryGeneratorTest, UnconstrainedViewGetsSingleRow) {
   // Left-boundary instantiation at the domain minimum.
   EXPECT_EQ(vs->rows[0].values[0], 0);
 }
+
+// The view-level oracle on regen_wlc's workload (200 WLc queries) at sf 1,
+// one client database per seed.
+class WlcViewOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(WlcViewOracleTest, ViewSummariesMeetCcsWithinResidual) {
+  Schema schema = TpcdsSchema(1.0);
+  auto queries =
+      TpcdsWorkload(schema, TpcdsWorkloadKind::kComplex, 200, 424242);
+  auto site = BuildClientSite(schema, DataGenOptions{.seed = GetParam()},
+                              std::move(queries));
+  ASSERT_TRUE(site.ok()) << site.status().ToString();
+  ExpectViewCcsWithinResidual(site->schema, site->ccs);
+}
+
+INSTANTIATE_TEST_SUITE_P(ClientSeeds, WlcViewOracleTest,
+                         ::testing::Values<uint64_t>(1, 2, 3));
 
 }  // namespace
 }  // namespace hydra
