@@ -97,13 +97,14 @@ ZipfDistribution::ZipfDistribution(uint64_t n, double theta)
   alpha_ = 1.0 / (1.0 - theta);
   eta_ = (1.0 - std::pow(2.0 / double(n), 1.0 - theta)) /
          (1.0 - zeta2_ / zetan_);
+  rank1_bound_ = 1.0 + std::pow(0.5, theta_);
 }
 
 uint64_t ZipfDistribution::Sample(Rng& rng) const {
   const double u = rng.NextDouble();
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < rank1_bound_) return 1;
   const uint64_t k = static_cast<uint64_t>(
       double(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   return k >= n_ ? n_ - 1 : k;

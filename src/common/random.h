@@ -59,6 +59,8 @@ class ZipfDistribution {
   double zetan_;
   double eta_;
   double zeta2_;
+  // 1 + 0.5^theta: Sample's bound between ranks 1 and 2.
+  double rank1_bound_;
 };
 
 // Returns a uniformly random permutation of {0, ..., n-1}.

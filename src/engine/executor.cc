@@ -57,6 +57,8 @@ struct ProbeChain {
   const TableSource* source = nullptr;
   int root_relation = -1;
   int root_width = 0;
+  // The root columns the chain reads: its filter's and its probe keys.
+  std::vector<int> root_live;
   kernels::BlockPredicate root_filter;
   std::vector<Step> steps;  // steps[j] joins table j + 1
   // last_probe[t]: the last step probing with table t's rows (-1: none). A
@@ -90,6 +92,7 @@ void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
     next_ids.resize(num_tables);
   }
   root.Reset(root_width);
+  root.SetLiveColumns(root_live);
   source->FillBlockRange(root_relation, begin, end, &root);
   std::vector<uint32_t>& root_ids = ids[0];
   if (root_filter.is_true()) {
@@ -270,7 +273,15 @@ StatusOr<AnnotatedQueryPlan> Executor::Run(const Query& query,
     chain.steps[k].probe_table = probe_t;
     chain.steps[k].probe_col = probe_col;
     chain.last_probe[probe_t] = k;
+    if (probe_t == 0) chain.root_live.push_back(probe_attr);
   }
+  // Each scan fills only what the plan reads: the table's filter columns
+  // plus its join keys (docs/engine.md "What a scan reads").
+  const auto with_filter_columns = [&](int t, std::vector<int> columns) {
+    for (const int c : query.tables[t].filter.Columns()) columns.push_back(c);
+    return columns;
+  };
+  chain.root_live = with_filter_columns(0, std::move(chain.root_live));
 
   // Scan + filter each non-root table once through the morsel-driven
   // SourceScanOp, keep only block_attrs, and index its build key. Buffers
@@ -297,7 +308,7 @@ StatusOr<AnnotatedQueryPlan> Executor::Run(const Query& query,
     RowBlock& block = blocks[t];
     block.Reset(width);
     SourceScanOp scan(&source, qt.relation, rel.num_attributes(), qt.filter,
-                      ctx);
+                      ctx, with_filter_columns(t, attrs));
     scan.Open();
     while (scan.NextBatch(&drain)) {
       const int64_t base = block.num_rows();

@@ -1,5 +1,6 @@
 #include "engine/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 
 #if HYDRA_SIMD_LEVEL >= 1
@@ -109,6 +110,15 @@ void IntervalMaskOrSse2(const Value* col, int64_t n, Value lo, Value hi,
   }
 }
 
+void FillConstSse2(Value* dst, int64_t n, Value v) {
+  const __m128i vv = _mm_set1_epi64x(v);
+  int64_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), vv);
+  }
+  for (; i < n; ++i) dst[i] = v;
+}
+
 #endif  // HYDRA_SIMD_LEVEL == 1
 
 #if HYDRA_SIMD_LEVEL >= 2
@@ -177,6 +187,15 @@ inline __m256i MixKey4(__m256i x) {
   x = Mul64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 27)),
             _mm256_set1_epi64x(static_cast<long long>(0x94d049bb133111ebull)));
   return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
+}
+
+void FillConstAvx2(Value* dst, int64_t n, Value v) {
+  const __m256i vv = _mm256_set1_epi64x(v);
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), vv);
+  }
+  for (; i < n; ++i) dst[i] = v;
 }
 
 void HashKeysAvx2(const Value* col, int64_t n, uint64_t* out) {
@@ -284,7 +303,14 @@ void HashKeys(const Value* col, int64_t n, uint64_t* out) {
   HashKeysScalar(col, n, out);
 }
 
-void FillConst(Value* dst, int64_t n, Value v) { FillConstScalar(dst, n, v); }
+void FillConst(Value* dst, int64_t n, Value v) {
+#if HYDRA_SIMD_LEVEL >= 2
+  if (SimdEnabled()) return FillConstAvx2(dst, n, v);
+#elif HYDRA_SIMD_LEVEL == 1
+  if (SimdEnabled()) return FillConstSse2(dst, n, v);
+#endif
+  FillConstScalar(dst, n, v);
+}
 
 void FillIota(Value* dst, int64_t n, Value start) {
   FillIotaScalar(dst, n, start);
@@ -309,10 +335,15 @@ BlockPredicate::BlockPredicate(const DnfPredicate& dnf) {
       // An empty conjunct is TRUE, which makes the whole disjunction TRUE.
       is_true_ = true;
       conjuncts_.clear();
+      columns_.clear();
       return;
     }
+    for (const AtomPlan& atom : plan) columns_.push_back(atom.column);
     conjuncts_.push_back(std::move(plan));
   }
+  std::sort(columns_.begin(), columns_.end());
+  columns_.erase(std::unique(columns_.begin(), columns_.end()),
+                 columns_.end());
 }
 
 namespace {
@@ -327,7 +358,46 @@ void AtomMask(const Value* col, int64_t n, const std::vector<Interval>& ivs,
 
 }  // namespace
 
+bool BlockPredicate::MatchesRow(const RowBlock& block, int64_t row) const {
+  for (const std::vector<AtomPlan>& conj : conjuncts_) {
+    bool all = true;
+    for (const AtomPlan& atom : conj) {
+      const Value v = block.At(row, atom.column);
+      // The first interval ending past v is the only one that can hold it.
+      const auto it = std::upper_bound(
+          atom.intervals.begin(), atom.intervals.end(), v,
+          [](Value x, const Interval& iv) { return x < iv.hi; });
+      if (it == atom.intervals.end() || v < it->lo) {
+        all = false;
+        break;
+      }
+    }
+    if (all) return true;
+  }
+  return false;
+}
+
+void BlockPredicate::SelectRuns(const RowBlock& block, SelVector* sel) const {
+  sel->clear();
+  int64_t begin = 0;
+  for (const int64_t end : block.run_ends()) {
+    if (end > begin && MatchesRow(block, begin)) {
+      const size_t base = sel->size();
+      sel->resize(base + static_cast<size_t>(end - begin));
+      int32_t* out = sel->data() + base;
+      for (int64_t r = begin; r < end; ++r) *out++ = static_cast<int32_t>(r);
+    }
+    begin = end;
+  }
+}
+
 void BlockPredicate::Select(const RowBlock& block, SelVector* sel) const {
+  if (!is_true_ && !is_false() && block.has_runs() &&
+      !std::binary_search(columns_.begin(), columns_.end(),
+                          block.run_key_column())) {
+    SelectRuns(block, sel);
+    return;
+  }
   SelectRange(block, 0, block.num_rows(), sel);
 }
 

@@ -6,7 +6,8 @@
 // an explicit SIMD body selected by a compile-time dispatch macro:
 //
 //   HYDRA_SIMD_LEVEL 0  portable scalar only
-//   HYDRA_SIMD_LEVEL 1  SSE2   (x86-64 baseline: interval masks, mask ops)
+//   HYDRA_SIMD_LEVEL 1  SSE2   (x86-64 baseline: interval masks, mask ops,
+//                               constant fills)
 //   HYDRA_SIMD_LEVEL 2  AVX2   (adds 4-wide 64-bit compares and vectorized
 //                               splitmix64 key hashing; build with -mavx2)
 //
@@ -18,7 +19,8 @@
 //
 // BlockPredicate is the compiled form of a DnfPredicate over a columnar
 // RowBlock: atoms become interval-mask kernels, conjuncts AND masks,
-// disjuncts OR them, and the result leaves as a selection vector.
+// disjuncts OR them, and the result leaves as a selection vector. Over a
+// block with summary runs it decides once per run instead.
 
 #ifndef HYDRA_ENGINE_KERNELS_H_
 #define HYDRA_ENGINE_KERNELS_H_
@@ -93,7 +95,8 @@ inline uint64_t MixKey(Value v) {
 // formulation.
 void HashKeys(const Value* col, int64_t n, uint64_t* out);
 
-// dst[0..n) = v.
+// dst[0..n) = v. GCC 12 leaves the scalar loop unvectorized at -O2, so the
+// SIMD bodies store 2 (SSE2) or 4 (AVX2) values at a time.
 void FillConst(Value* dst, int64_t n, Value v);
 // dst[i] = start + i — primary keys are ranks, so generator fills emit PK
 // columns as iota runs.
@@ -113,6 +116,10 @@ class BlockPredicate {
 
   // Clears *sel and fills it with the indices of `block`'s passing rows,
   // ascending. Every atom's column index must be < block.num_columns().
+  // When the block has summary runs and no atom reads the run key column,
+  // each run's first row decides the whole run and passing runs are
+  // emitted whole; otherwise the mask kernels decide every row. Both give
+  // the same selection.
   void Select(const RowBlock& block, SelVector* sel) const;
 
   // Select() restricted to rows [begin, end): masks are evaluated over the
@@ -120,6 +127,7 @@ class BlockPredicate {
   // so gathers against the full block's columns work unchanged. The passing
   // set equals Select() intersected with [begin, end) — the shared-scan fan
   // path filters its slice of a group chunk without copying it first.
+  // Always runs the mask kernels.
   void SelectRange(const RowBlock& block, int64_t begin, int64_t end,
                    SelVector* sel) const;
 
@@ -128,7 +136,14 @@ class BlockPredicate {
     int column = -1;
     std::vector<Interval> intervals;  // sorted, disjoint, non-empty
   };
+
+  // Whether row `row` of `block` passes.
+  bool MatchesRow(const RowBlock& block, int64_t row) const;
+  // Select() over `block`'s summary runs.
+  void SelectRuns(const RowBlock& block, SelVector* sel) const;
+
   std::vector<std::vector<AtomPlan>> conjuncts_;
+  std::vector<int> columns_;  // every atom's column, ascending, distinct
   bool is_true_ = false;
 };
 

@@ -198,13 +198,14 @@ void ForEachMorsel(ExecContext* ctx, int64_t total_rows,
 
 SourceScanOp::SourceScanOp(const TableSource* source, int relation,
                            int num_columns, DnfPredicate filter,
-                           ExecContext* ctx)
+                           ExecContext* ctx, std::vector<int> live_columns)
     : source_(source),
       relation_(relation),
       num_columns_(num_columns),
       filter_(filter),
       filter_is_true_(filter_.is_true()),
-      ctx_(ctx) {}
+      ctx_(ctx),
+      live_columns_(std::move(live_columns)) {}
 
 SourceScanOp::~SourceScanOp() = default;
 
@@ -212,15 +213,17 @@ void SourceScanOp::Open() {
   morsels_ = std::make_unique<internal::MorselPipeline>(
       ctx_, static_cast<int64_t>(source_->RowCount(relation_)), num_columns_,
       [this](int64_t begin, int64_t end, RowBlock* out) {
+        if (!live_columns_.empty()) out->SetLiveColumns(live_columns_);
         source_->FillBlockRange(relation_, begin, end, out);
         if (filter_is_true_) return;
-        // Mask the columns, then compact each one in place through the
-        // selection vector (ascending, so reads stay ahead of writes).
+        // Select the rows, then compact each live column in place through
+        // the selection vector (ascending, so reads stay ahead of writes).
         thread_local SelVector sel;
         filter_.Select(*out, &sel);
         const int64_t kept = static_cast<int64_t>(sel.size());
         if (kept == out->num_rows()) return;
         for (int c = 0; c < out->num_columns(); ++c) {
+          if (!out->IsLive(c)) continue;
           Value* col = out->MutableColumn(c);
           kernels::Gather(col, sel.data(), kept, col);
         }

@@ -130,11 +130,16 @@ class MorselPipeline;
 // predicate over the columns, and compact in place through the selection
 // vector. Destroying a scan mid-stream waits out its in-flight morsels,
 // whose tasks hold its address, so a scan is neither copied nor moved.
+//
+// `live_columns` projects the scan: only those columns (which must include
+// every column the filter reads) are filled and compacted, and the emitted
+// batches hold unspecified values in the others. Empty = every column.
 class SourceScanOp {
  public:
   SourceScanOp(const TableSource* source, int relation, int num_columns,
                DnfPredicate filter = DnfPredicate::True(),
-               ExecContext* ctx = nullptr);
+               ExecContext* ctx = nullptr,
+               std::vector<int> live_columns = {});
   ~SourceScanOp();
   SourceScanOp(const SourceScanOp&) = delete;
   SourceScanOp& operator=(const SourceScanOp&) = delete;
@@ -158,6 +163,7 @@ class SourceScanOp {
   kernels::BlockPredicate filter_;
   bool filter_is_true_;
   ExecContext* ctx_;
+  std::vector<int> live_columns_;
   std::unique_ptr<internal::MorselPipeline> morsels_;
 };
 

@@ -12,6 +12,12 @@
 // Filters communicate through selection vectors (SelVector): a list of
 // passing row indices produced by the predicate kernels and consumed by
 // per-column gathers (GatherBlock).
+//
+// A block also carries two facts from its consumer to its producer and back
+// (docs/engine.md "What a scan reads"): the live columns, which the consumer
+// will read and a producer must fill, and the summary runs a generator
+// fill records, stretches of rows whose columns other than the key column
+// hold one value each.
 
 #ifndef HYDRA_ENGINE_ROW_BLOCK_H_
 #define HYDRA_ENGINE_ROW_BLOCK_H_
@@ -68,10 +74,11 @@ class RowBlock {
   RowBlock() = default;
   explicit RowBlock(int num_columns) { Reset(num_columns); }
 
-  // Re-types the block and drops its rows. Column buffers keep their
-  // capacity — including buffers beyond the new width, which stay pooled
-  // for a later wider Reset — so a block cycled through scans of varying
-  // widths allocates each column once and reuses it from then on.
+  // Re-types the block and drops its rows and runs; every column is live
+  // again. Column buffers keep their capacity — including buffers beyond
+  // the new width, which stay pooled for a later wider Reset — so a block
+  // cycled through scans of varying widths allocates each column once and
+  // reuses it from then on.
   void Reset(int num_columns) {
     if (static_cast<size_t>(num_columns) > cols_.size()) {
       cols_.resize(num_columns);
@@ -79,10 +86,13 @@ class RowBlock {
     width_ = num_columns;
     for (int c = 0; c < width_; ++c) cols_[c].clear();
     num_rows_ = 0;
+    live_.clear();
+    run_ends_.clear();
   }
   void Clear() {
     for (int c = 0; c < width_; ++c) cols_[c].clear();
     num_rows_ = 0;
+    run_ends_.clear();
   }
 
   int num_columns() const { return width_; }
@@ -97,12 +107,41 @@ class RowBlock {
   void ResizeUninitialized(int64_t rows) {
     for (int c = 0; c < width_; ++c) cols_[c].resize(rows);
     num_rows_ = rows;
+    run_ends_.clear();
   }
   // Drops all rows past the first `rows`.
   void Truncate(int64_t rows) {
     if (rows >= num_rows_) return;
     for (int c = 0; c < width_; ++c) cols_[c].resize(rows);
     num_rows_ = rows;
+    run_ends_.clear();
+  }
+
+  // Live columns: the columns the consumer will read. A producer fills at
+  // least these (TableSource::FillBlockRange); every other column is sized
+  // with the rest but holds unspecified values. `columns` lists indices
+  // below num_columns(); the set lasts until the next Reset.
+  void SetLiveColumns(const std::vector<int>& columns) {
+    live_.assign(width_, 0);
+    for (const int c : columns) live_[c] = 1;
+  }
+  bool IsLive(int c) const { return live_.empty() || live_[c] != 0; }
+
+  // Summary runs: ascending block-relative run ends, the last one
+  // num_rows(). Within a run every column except run_key_column() holds
+  // one value (a generator's summary row; the key is the PK, -1 = none).
+  // Empty when no producer recorded runs. Any resize, append, truncation
+  // or Reset drops them, so a producer records them after its last resize.
+  bool has_runs() const {
+    return !run_ends_.empty() && run_ends_.back() == num_rows_;
+  }
+  const std::vector<int64_t>& run_ends() const { return run_ends_; }
+  int run_key_column() const { return run_key_column_; }
+  // Closes a run at `end`: rows from the previous run end (or 0) up to
+  // `end` hold one value in every column except `key_column`.
+  void AppendRun(int64_t end, int key_column) {
+    run_ends_.push_back(end);
+    run_key_column_ = key_column;
   }
 
   const Value* Column(int c) const { return cols_[c].data(); }
@@ -112,7 +151,10 @@ class RowBlock {
   // length and finish with SetNumRows.
   ValueBuffer& MutableColumnBuffer(int c) { return cols_[c]; }
   // Declares the row count after direct column-buffer writes/swaps.
-  void SetNumRows(int64_t rows) { num_rows_ = rows; }
+  void SetNumRows(int64_t rows) {
+    num_rows_ = rows;
+    run_ends_.clear();
+  }
 
   Value At(int64_t row, int col) const { return cols_[col][row]; }
 
@@ -164,10 +206,14 @@ class RowBlock {
 
  private:
   // cols_ may hold more buffers than width_ (see Reset); only the first
-  // width_ are live.
+  // width_ are in use.
   std::vector<ValueBuffer> cols_;
   int width_ = 0;
   int64_t num_rows_ = 0;
+  // Per column, 1 = live; empty = every column live.
+  std::vector<uint8_t> live_;
+  std::vector<int64_t> run_ends_;
+  int run_key_column_ = -1;
 };
 
 }  // namespace hydra

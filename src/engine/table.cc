@@ -101,6 +101,7 @@ void Database::FillBlockRange(int relation, int64_t begin, int64_t end,
   const int64_t base = out->num_rows();
   out->ResizeUninitialized(base + (end - begin));
   for (int c = 0; c < t.num_columns(); ++c) {
+    if (!out->IsLive(c)) continue;
     std::copy(t.Column(c) + begin, t.Column(c) + end,
               out->MutableColumn(c) + base);
   }

@@ -82,7 +82,11 @@ class TableSource {
                          const std::function<void(const Row&)>& fn) const = 0;
   // Appends the rank range [begin, end) to `out` (already Reset to the
   // relation's width) in columnar form — the engine's batch scan entry
-  // point. The base implementation transposes through ScanRange; sources
+  // point and its only read call. Fills at least `out`'s live columns
+  // (RowBlock::SetLiveColumns); the other columns grow with them and hold
+  // unspecified values. A source may record summary runs on `out`, which
+  // the consumer's filters then decide once per run. The base
+  // implementation transposes every column through ScanRange; sources
   // with a cheaper columnar path (constant-run generators, column-major
   // storage) override it. Same range semantics as ScanRange.
   virtual void FillBlockRange(int relation, int64_t begin, int64_t end,
@@ -112,8 +116,8 @@ class Database : public TableSource {
             const std::function<void(const Row&)>& fn) const override;
   void ScanRange(int relation, int64_t begin, int64_t end,
                  const std::function<void(const Row&)>& fn) const override;
-  // Copies each column's [begin, end) slice; safe to call concurrently with
-  // other scans, but not with writes to the table.
+  // Copies each live column's [begin, end) slice; safe to call
+  // concurrently with other scans, but not with writes to the table.
   void FillBlockRange(int relation, int64_t begin, int64_t end,
                       RowBlock* out) const override;
 

@@ -139,9 +139,10 @@ void TupleGenerator::FillRange(int relation, int64_t begin, int64_t end,
       });
 }
 
-template <typename ColumnFn>
+template <typename ColumnFn, typename LiveFn, typename RunFn>
 void TupleGenerator::FillColumns(int relation, int64_t begin, int64_t end,
-                                 ColumnFn column) const {
+                                 ColumnFn column, LiveFn live,
+                                 RunFn run_end) const {
   const RelationSummary& rs = summary_.relations[relation];
   const int pk_attr = pk_attr_[relation];
   ForEachSummaryRun(
@@ -153,15 +154,17 @@ void TupleGenerator::FillColumns(int relation, int64_t begin, int64_t end,
         const int64_t offset = pk - begin;
         const int64_t n = stop - pk;
         for (size_t a = 0; a < rs.attr_indices.size(); ++a) {
+          if (!live(rs.attr_indices[a])) continue;
           kernels::FillConst(column(rs.attr_indices[a]) + offset, n,
                              srow.values[a]);
         }
-        if (pk_attr >= 0) {
+        if (pk_attr >= 0 && live(pk_attr)) {
           kernels::FillIota(column(pk_attr) + offset, n, pk);
         }
         for (int a : uncovered_attrs_[relation]) {
-          kernels::FillConst(column(a) + offset, n, 0);
+          if (live(a)) kernels::FillConst(column(a) + offset, n, 0);
         }
+        run_end(stop - begin);
       });
 }
 
@@ -170,10 +173,17 @@ void TupleGenerator::FillBlockRange(int relation, int64_t begin, int64_t end,
   ScopedLatencyTimer timer(&g_gen_fill_us);
   const int64_t base = out->num_rows();
   out->ResizeUninitialized(base + (end - begin));
-  const auto column = [out, base](int a) {
-    return out->MutableColumn(a) + base;
-  };
-  FillColumns(relation, begin, end, column);
+  // Runs describe the whole block, so only a fill into an empty block
+  // records them.
+  const bool record_runs = base == 0;
+  const int key = pk_attr_[relation];
+  FillColumns(
+      relation, begin, end,
+      [out, base](int a) { return out->MutableColumn(a) + base; },
+      [out](int a) { return out->IsLive(a); },
+      [out, record_runs, key](int64_t run_end) {
+        if (record_runs) out->AppendRun(run_end, key);
+      });
 }
 
 void TupleGenerator::FillTableRange(int relation, int64_t begin, int64_t end,
@@ -181,10 +191,10 @@ void TupleGenerator::FillTableRange(int relation, int64_t begin, int64_t end,
   HYDRA_CHECK_MSG(end <= static_cast<int64_t>(table->num_rows()),
                   "table of " << table->num_rows() << " rows cannot hold rank "
                               << end - 1);
-  const auto column = [table, begin](int a) {
-    return table->MutableColumn(a) + begin;
-  };
-  FillColumns(relation, begin, end, column);
+  FillColumns(
+      relation, begin, end,
+      [table, begin](int a) { return table->MutableColumn(a) + begin; },
+      [](int) { return true; }, [](int64_t) {});
 }
 
 void TupleGenerator::GetTuple(int relation, int64_t r, Row* out) const {

@@ -55,7 +55,9 @@ class TupleGenerator : public TableSource {
   // (already Reset to the relation's width). All tuples of a summary run
   // share their attribute values, so each run is a per-column constant splat
   // plus an iota run for the PK — no row-major intermediate at all. Emits
-  // exactly the ScanRange() rows.
+  // exactly the ScanRange() rows on `out`'s live columns and splats no
+  // other column. A fill into an empty block records its summary runs on
+  // it, keyed on the PK.
   void FillBlockRange(int relation, int64_t begin, int64_t end,
                       RowBlock* out) const override;
 
@@ -139,10 +141,12 @@ class TupleGenerator : public TableSource {
       int relation, int64_t begin, int64_t end,
       const std::function<void(int, int64_t, int64_t)>& fn) const;
   // The columnar fill behind FillBlockRange and FillTableRange: writes
-  // attribute a's values for ranks [begin, end) to column(a)[0, end - begin).
-  template <typename ColumnFn>
-  void FillColumns(int relation, int64_t begin, int64_t end,
-                   ColumnFn column) const;
+  // attribute a's values for ranks [begin, end) to column(a)[0, end - begin)
+  // for every a with live(a), and calls run_end(stop - begin) after each
+  // summary run [.., stop).
+  template <typename ColumnFn, typename LiveFn, typename RunFn>
+  void FillColumns(int relation, int64_t begin, int64_t end, ColumnFn column,
+                   LiveFn live, RunFn run_end) const;
 
   const DatabaseSummary& summary_;
   // Per-relation invariants hoisted out of the per-tuple paths.

@@ -7,11 +7,15 @@
 // the first invalid query's status. Also covers the morsel edge cases:
 // empty relation, relation smaller than one morsel, 1-row morsels, pushed
 // filters that keep nothing, everything or every other row, and a scan
-// destroyed mid-stream.
+// destroyed mid-stream. Projected scans (each filling only the columns its
+// plan reads) must return the plans of unprojected ones.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -323,6 +327,111 @@ TEST(ParallelExecutorTest, SimilarityReportIdenticalAcrossThreadCounts) {
           << base->entries[i].label << " at " << SettingName(exec);
       EXPECT_DOUBLE_EQ(report->entries[i].signed_relative_error,
                        base->entries[i].signed_relative_error);
+    }
+  }
+}
+
+// Forwards to a source the way a tracing wrapper does, overriding exactly
+// the four TableSource virtuals, and records per relation the live-column
+// sets its block fills asked for. An unprojected one fills every column of
+// a scratch block instead and appends it, which drops the runs too: the
+// engine then reads full, run-less blocks, as it did before projection.
+class ForwardingSource : public TableSource {
+ public:
+  ForwardingSource(const TableSource& inner, bool unprojected)
+      : inner_(inner), unprojected_(unprojected) {}
+
+  uint64_t RowCount(int relation) const override {
+    return inner_.RowCount(relation);
+  }
+  void Scan(int relation,
+            const std::function<void(const Row&)>& fn) const override {
+    inner_.Scan(relation, fn);
+  }
+  void ScanRange(int relation, int64_t begin, int64_t end,
+                 const std::function<void(const Row&)>& fn) const override {
+    inner_.ScanRange(relation, begin, end, fn);
+  }
+  void FillBlockRange(int relation, int64_t begin, int64_t end,
+                      RowBlock* out) const override {
+    if (unprojected_) {
+      thread_local RowBlock full;
+      full.Reset(out->num_columns());
+      inner_.FillBlockRange(relation, begin, end, &full);
+      out->AppendBlock(full);
+      return;
+    }
+    std::vector<int> live;
+    for (int c = 0; c < out->num_columns(); ++c) {
+      if (out->IsLive(c)) live.push_back(c);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      filled_[relation].insert(std::move(live));
+    }
+    inner_.FillBlockRange(relation, begin, end, out);
+  }
+
+  // The live-column sets seen since the last call, per relation.
+  std::map<int, std::set<std::vector<int>>> TakeFilled() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(filled_, {});
+  }
+
+ private:
+  const TableSource& inner_;
+  const bool unprojected_;
+  mutable std::mutex mu_;
+  mutable std::map<int, std::set<std::vector<int>>> filled_;
+};
+
+// The columns a plan reads from query table t: its filter's and its join
+// keys, ascending.
+std::vector<int> ReadColumns(const Schema& schema, const Query& query,
+                             int t) {
+  std::set<int> columns;
+  for (const int c : query.tables[t].filter.Columns()) columns.insert(c);
+  for (const JoinEdge& edge : query.joins) {
+    if (edge.fk_table == t) columns.insert(edge.fk_attr);
+    if (edge.pk_table == t) {
+      columns.insert(
+          schema.relation(query.tables[t].relation).PrimaryKeyIndex());
+    }
+  }
+  return std::vector<int>(columns.begin(), columns.end());
+}
+
+TEST(ProjectedScanTest, ScansFillFilterAndJoinKeyColumnsOnly) {
+  const TpcdsSources& sources = SharedTpcdsSources();
+  const ClientSite& site = sources.site;
+  for (const TableSource* inner : sources.all()) {
+    ForwardingSource projected(*inner, /*unprojected=*/false);
+    ForwardingSource unprojected(*inner, /*unprojected=*/true);
+    for (const ExecOptions& exec : {ExecOptions{1}, ExecOptions{2, 777}}) {
+      const Executor executor(site.schema, exec);
+      for (const Query& query : site.queries) {
+        auto want = executor.Execute(query, unprojected);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        auto got = executor.Execute(query, projected);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(PlanText(*got), PlanText(*want))
+            << sources.Name(inner) << " at " << SettingName(exec);
+
+        // Every scan (the root's morsels, each other table's scan) asked
+        // for exactly the columns its part of the plan reads.
+        const auto filled = projected.TakeFilled();
+        EXPECT_EQ(filled.size(), query.tables.size()) << query.name;
+        for (size_t t = 0; t < query.tables.size(); ++t) {
+          const int relation = query.tables[t].relation;
+          const std::set<std::vector<int>> expected = {
+              ReadColumns(site.schema, query, static_cast<int>(t))};
+          const auto it = filled.find(relation);
+          ASSERT_NE(it, filled.end()) << query.name << " table " << t;
+          EXPECT_EQ(it->second, expected)
+              << query.name << " table " << t << " ("
+              << site.schema.relation(relation).name() << ")";
+        }
+      }
     }
   }
 }

@@ -1,12 +1,14 @@
 // Tests for engine/kernels: scalar-vs-SIMD bit-identity of every dispatched
 // kernel (over lengths that exercise the vector tails), selection-vector
-// mechanics, and BlockPredicate compilation semantics against
-// DnfPredicate::Eval as the oracle.
+// mechanics, BlockPredicate compilation semantics against
+// DnfPredicate::Eval as the oracle, its per-run path, and the live columns
+// and summary runs a RowBlock carries.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "engine/kernels.h"
@@ -148,6 +150,19 @@ TEST(KernelsTest, HashKeysMatchesMixKeyAcrossDispatch) {
 }
 
 TEST(KernelsTest, FillKernels) {
+  SimdGuard guard;
+  for (const int64_t n : kLengths) {
+    for (const bool simd : {false, true}) {
+      kernels::SetSimdEnabled(simd);
+      std::vector<Value> fill(n + 1, -1);
+      kernels::FillConst(fill.data(), n, INT64_MIN + 3);
+      EXPECT_EQ(std::vector<Value>(fill.begin(), fill.begin() + n),
+                std::vector<Value>(n, INT64_MIN + 3))
+          << "n=" << n << " simd=" << simd;
+      EXPECT_EQ(fill[n], -1) << "wrote past the end";
+    }
+  }
+  kernels::SetSimdEnabled(true);
   std::vector<Value> buf(10, -1);
   kernels::FillConst(buf.data(), 10, 7);
   EXPECT_EQ(buf, std::vector<Value>(10, 7));
@@ -242,6 +257,82 @@ TEST(RowBlockTest, ColumnarRoundTrip) {
   other.Reset(2);
   EXPECT_EQ(other.num_columns(), 2);
   EXPECT_TRUE(other.empty());
+}
+
+// A 4-row block whose rows [0, 3) and [3, 4) are runs keyed on column 0.
+RowBlock BlockWithRuns() {
+  RowBlock block = MakeBlock({{0, 1, 2, 3}, {7, 7, 7, 9}});
+  block.AppendRun(3, 0);
+  block.AppendRun(4, 0);
+  return block;
+}
+
+TEST(RowBlockTest, CompactionAppendAndResizeDropRuns) {
+  ASSERT_TRUE(BlockWithRuns().has_runs());
+  EXPECT_EQ(BlockWithRuns().run_ends(), (std::vector<int64_t>{3, 4}));
+  EXPECT_EQ(BlockWithRuns().run_key_column(), 0);
+  const std::vector<std::pair<const char*, void (*)(RowBlock*)>> edits = {
+      {"ResizeUninitialized", [](RowBlock* b) { b->ResizeUninitialized(6); }},
+      {"Truncate", [](RowBlock* b) { b->Truncate(2); }},
+      {"SetNumRows", [](RowBlock* b) { b->SetNumRows(4); }},
+      {"Clear", [](RowBlock* b) { b->Clear(); }},
+      {"Reset", [](RowBlock* b) { b->Reset(2); }},
+      {"AppendBlock", [](RowBlock* b) { b->AppendBlock(BlockWithRuns()); }},
+      {"AppendRange",
+       [](RowBlock* b) { b->AppendRange(BlockWithRuns(), 0, 3); }},
+      {"AppendRowMajor",
+       [](RowBlock* b) {
+         const Value rows[] = {5, 5};
+         b->AppendRowMajor(rows, 1);
+       }},
+  };
+  for (const auto& [name, edit] : edits) {
+    RowBlock block = BlockWithRuns();
+    edit(&block);
+    EXPECT_FALSE(block.has_runs()) << name;
+    EXPECT_TRUE(block.run_ends().empty()) << name;
+  }
+  // A truncation that keeps every row changes nothing, so the runs stay.
+  RowBlock kept = BlockWithRuns();
+  kept.Truncate(4);
+  EXPECT_TRUE(kept.has_runs());
+  // Runs that stop short of the last row describe no block.
+  RowBlock partial = MakeBlock({{0, 1, 2, 3}});
+  partial.AppendRun(3, 0);
+  EXPECT_FALSE(partial.has_runs());
+}
+
+TEST(RowBlockTest, LiveColumnsLastUntilReset) {
+  RowBlock block(3);
+  for (int c = 0; c < 3; ++c) EXPECT_TRUE(block.IsLive(c));
+  block.SetLiveColumns({2, 0});
+  EXPECT_TRUE(block.IsLive(0));
+  EXPECT_FALSE(block.IsLive(1));
+  EXPECT_TRUE(block.IsLive(2));
+  block.ResizeUninitialized(5);
+  block.Clear();
+  EXPECT_FALSE(block.IsLive(1));
+  block.SetLiveColumns({});
+  for (int c = 0; c < 3; ++c) EXPECT_FALSE(block.IsLive(c));
+  block.Reset(4);
+  for (int c = 0; c < 4; ++c) EXPECT_TRUE(block.IsLive(c));
+}
+
+TEST(BlockPredicateTest, PerRunSelectFallsBackOnKeyColumnAtoms) {
+  const RowBlock block = BlockWithRuns();
+  SelVector sel;
+  // Column 1 is constant per run, so its first row decides each run.
+  BlockPredicate(PredicateOf(AtomRange(1, 7, 8))).Select(block, &sel);
+  EXPECT_EQ(sel, (SelVector{0, 1, 2}));
+  BlockPredicate(PredicateOf(AtomRange(1, 9, 10))).Select(block, &sel);
+  EXPECT_EQ(sel, (SelVector{3}));
+  // Column 0 is the key: it varies within a run, so every row decides.
+  BlockPredicate(PredicateOf(AtomRange(0, 1, 3))).Select(block, &sel);
+  EXPECT_EQ(sel, (SelVector{1, 2}));
+  const DnfPredicate mixed =
+      PredicateAllOf({AtomRange(1, 7, 8), AtomRange(0, 2, 4)});
+  BlockPredicate(mixed).Select(block, &sel);
+  EXPECT_EQ(sel, (SelVector{2}));
 }
 
 }  // namespace

@@ -107,6 +107,39 @@ TEST_F(SourceScanOpTest, PushedFilterMatchesRowWiseEval) {
   }
 }
 
+TEST_F(SourceScanOpTest, ProjectedScanMatchesFullScanOnLiveColumns) {
+  // Projected onto A (the filter column) and the PK, a filtered scan emits
+  // the full scan's rows on those columns; its compacted batches carry no
+  // runs.
+  const Relation& rel = env_.schema.relation(s_);
+  const int a = rel.AttrIndex("A");
+  const int pk = rel.PrimaryKeyIndex();
+  const DnfPredicate pred = PredicateOf(AtomRange(a, 20, 60));
+  for (const TableSource* source : Sources()) {
+    SourceScanOp full(source, s_, cols_, pred);
+    const std::vector<Value> want = Drain(&full);
+    SourceScanOp projected(source, s_, cols_, pred, nullptr, {a, pk});
+    projected.Open();
+    std::vector<Value> got;
+    RowBlock block;
+    while (projected.NextBatch(&block)) {
+      EXPECT_FALSE(block.IsLive(rel.AttrIndex("B")));
+      // S fits one morsel, and the filter drops 300 of its 700 rows.
+      EXPECT_EQ(block.num_rows(), 400);
+      EXPECT_FALSE(block.has_runs()) << "a compacted batch kept its runs";
+      for (int64_t r = 0; r < block.num_rows(); ++r) {
+        got.push_back(block.At(r, pk));
+        got.push_back(block.At(r, a));
+      }
+    }
+    ASSERT_EQ(got.size() / 2, want.size() / cols_);
+    for (size_t r = 0; r < got.size() / 2; ++r) {
+      EXPECT_EQ(got[2 * r], want[r * cols_ + pk]) << "row " << r;
+      EXPECT_EQ(got[2 * r + 1], want[r * cols_ + a]) << "row " << r;
+    }
+  }
+}
+
 // --- JoinIndex -------------------------------------------------------------
 
 using Layout = JoinIndex::Layout;

@@ -1,11 +1,17 @@
 // Unit tests for hydra/tuple_generator: dynamic generation, random access,
-// materialization (memory + disk).
+// materialization (memory + disk), and the two facts a block fill carries:
+// projected fills over live columns and the summary runs that per-run
+// filters decide on.
 
+#include <algorithm>
 #include <filesystem>
+#include <numeric>
+#include <random>
 
 #include <gtest/gtest.h>
 
 #include "engine/executor.h"
+#include "engine/kernels.h"
 #include "hydra/regenerator.h"
 #include "hydra/tuple_generator.h"
 #include "storage/disk_table.h"
@@ -13,6 +19,89 @@
 
 namespace hydra {
 namespace {
+
+// Forwards only the row-callback scans, so block fills run through
+// TableSource's default FillBlockRange.
+class RowCallbackSource : public TableSource {
+ public:
+  explicit RowCallbackSource(const TableSource& inner) : inner_(inner) {}
+  uint64_t RowCount(int relation) const override {
+    return inner_.RowCount(relation);
+  }
+  void Scan(int relation,
+            const std::function<void(const Row&)>& fn) const override {
+    inner_.Scan(relation, fn);
+  }
+  void ScanRange(int relation, int64_t begin, int64_t end,
+                 const std::function<void(const Row&)>& fn) const override {
+    inner_.ScanRange(relation, begin, end, fn);
+  }
+
+ private:
+  const TableSource& inner_;
+};
+
+// A summary of one relation T(id PK, a, b) with `num_rows` summary rows of
+// random values and counts in [0, 40): zero-count rows, one-row runs and
+// long runs all occur.
+DatabaseSummary RandomRunSummary(uint32_t seed, int num_rows) {
+  std::mt19937 rng(seed);
+  RelationSummary rs;
+  rs.relation = 0;
+  rs.attr_indices = {1, 2};
+  int64_t rows = 0;
+  for (int i = 0; i < num_rows; ++i) {
+    const Value a = static_cast<Value>(rng() % 100);
+    const Value b = static_cast<Value>(rng() % 50);
+    const int64_t count = static_cast<int64_t>(rng() % 40);
+    rs.rows.push_back({{a, b}, count});
+    rows += count;
+  }
+  rs.Finalize();
+  Relation t("T", static_cast<uint64_t>(rows));
+  t.AddPrimaryKey("id");
+  t.AddDataAttribute("a", Interval(0, 100));
+  t.AddDataAttribute("b", Interval(0, 50));
+  DatabaseSummary summary;
+  summary.schema.AddRelation(std::move(t));
+  summary.relations.push_back(std::move(rs));
+  summary.extra_tuples = {0};
+  return summary;
+}
+
+// A random DNF over T's columns (0 = id, 1 = a, 2 = b): 1-3 conjuncts of
+// 1-3 atoms, some of them IN lists, some contradicted (empty), and id atoms
+// only when `with_pk`.
+DnfPredicate RandomDnf(std::mt19937* rng, bool with_pk, Value id_range) {
+  DnfPredicate dnf;
+  const int conjuncts = 1 + static_cast<int>((*rng)() % 3);
+  for (int c = 0; c < conjuncts; ++c) {
+    std::vector<Atom> atoms;
+    const int num_atoms = 1 + static_cast<int>((*rng)() % 3);
+    for (int a = 0; a < num_atoms; ++a) {
+      const int column =
+          with_pk ? static_cast<int>((*rng)() % 3)
+                  : 1 + static_cast<int>((*rng)() % 2);
+      const Value range = column == 0 ? id_range : column == 1 ? 100 : 50;
+      const uint32_t kind = (*rng)() % 6;
+      if (kind == 0) {
+        atoms.push_back(Atom{column, IntervalSet{}});  // contradicted
+      } else if (kind == 1) {
+        std::vector<Value> values;
+        for (int v = 0; v < 4; ++v) {
+          values.push_back(static_cast<Value>((*rng)() % range));
+        }
+        atoms.push_back(AtomIn(column, values));
+      } else {
+        const Value lo = static_cast<Value>((*rng)() % range);
+        const Value hi = lo + 1 + static_cast<Value>((*rng)() % range);
+        atoms.push_back(AtomRange(column, lo, hi));
+      }
+    }
+    dnf = dnf.Or(PredicateAllOf(std::move(atoms)));
+  }
+  return dnf;
+}
 
 class TupleGeneratorTest : public ::testing::Test {
  protected:
@@ -102,6 +191,161 @@ TEST_F(TupleGeneratorTest, MaterializeToDiskRoundTrips) {
   TupleGenerator gen(summary_);
   EXPECT_EQ(table->num_rows(), gen.RowCount(s));
   std::filesystem::remove_all(dir);
+}
+
+TEST_F(TupleGeneratorTest, ProjectedFillMatchesFullFillOnLiveColumns) {
+  auto db = MaterializeDatabase(summary_);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const TupleGenerator gen(summary_);
+  const RowCallbackSource rows(gen);
+  const int s = env_.schema.RelationIndex("S");
+  const Relation& rel = env_.schema.relation(s);
+  const int width = rel.num_attributes();
+  const int pk = rel.PrimaryKeyIndex();
+  const int a = rel.AttrIndex("A");
+  const int64_t total = static_cast<int64_t>(gen.RowCount(s));
+  // The end of the first summary run, so ranges can start mid-run and
+  // span run boundaries.
+  const RelationSummary& rs = summary_.relations[s];
+  const int64_t first_end =
+      rs.prefix_counts[rs.RowIndexForTuple(0)] +
+      rs.rows[rs.RowIndexForTuple(0)].count;
+  ASSERT_GT(first_end, 2);
+  ASSERT_LT(first_end, total) << "the toy S needs two summary runs";
+  const int64_t mid = first_end / 2;
+  const std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {0, total},               // every run
+      {mid, total - 1},         // mid-run start, run-spanning
+      {mid, first_end + 1},     // mid-run start, one boundary
+      {1, first_end - 1},       // inside one run
+      {first_end, first_end},   // empty
+  };
+  std::vector<int> all(width);
+  std::iota(all.begin(), all.end(), 0);
+  const std::vector<std::vector<int>> projections = {{}, {pk}, {a}, all};
+  const std::vector<std::pair<const char*, const TableSource*>> sources = {
+      {"generator", &gen}, {"database", &*db}, {"row callback", &rows}};
+
+  for (const auto& [name, source] : sources) {
+    for (const auto& [begin, end] : ranges) {
+      RowBlock full(width);
+      source->FillBlockRange(s, begin, end, &full);
+      ASSERT_EQ(full.num_rows(), end - begin) << name;
+      std::vector<Row> want;
+      source->ScanRange(s, begin, end,
+                        [&](const Row& row) { want.push_back(row); });
+      Row row(width);
+      for (int64_t r = 0; r < full.num_rows(); ++r) {
+        full.CopyRowTo(r, row.data());
+        ASSERT_EQ(row, want[r]) << name << " rank " << begin + r;
+      }
+      for (const std::vector<int>& live : projections) {
+        const std::string where = std::string(name) + " [" +
+                                  std::to_string(begin) + ", " +
+                                  std::to_string(end) + ") with " +
+                                  std::to_string(live.size()) + " live";
+        RowBlock projected(width);
+        projected.SetLiveColumns(live);
+        source->FillBlockRange(s, begin, end, &projected);
+        ASSERT_EQ(projected.num_rows(), end - begin) << where;
+        for (int c = 0; c < width; ++c) {
+          EXPECT_EQ(projected.IsLive(c),
+                    std::find(live.begin(), live.end(), c) != live.end());
+        }
+        for (const int c : live) {
+          for (int64_t r = 0; r < full.num_rows(); ++r) {
+            ASSERT_EQ(projected.At(r, c), full.At(r, c))
+                << where << ", column " << c << ", row " << r;
+          }
+        }
+        // Only the generator records runs, and only over a non-empty fill.
+        EXPECT_EQ(projected.has_runs(), source == &gen && end > begin)
+            << where;
+      }
+    }
+  }
+}
+
+TEST_F(TupleGeneratorTest, FillRecordsSummaryRunsKeyedOnThePk) {
+  const TupleGenerator gen(summary_);
+  const int s = env_.schema.RelationIndex("S");
+  const Relation& rel = env_.schema.relation(s);
+  const int width = rel.num_attributes();
+  const int64_t total = static_cast<int64_t>(gen.RowCount(s));
+  RowBlock block(width);
+  gen.FillBlockRange(s, 1, total, &block);
+  ASSERT_TRUE(block.has_runs());
+  EXPECT_EQ(block.run_key_column(), rel.PrimaryKeyIndex());
+  // Runs are non-empty and cover the block, every non-key column is
+  // constant within one, and consecutive runs come from different summary
+  // rows.
+  const RelationSummary& rs = summary_.relations[s];
+  int64_t begin = 0;
+  for (const int64_t end : block.run_ends()) {
+    ASSERT_GT(end, begin);
+    for (int c = 0; c < width; ++c) {
+      if (c == block.run_key_column()) continue;
+      for (int64_t r = begin; r < end; ++r) {
+        ASSERT_EQ(block.At(r, c), block.At(begin, c)) << "column " << c;
+      }
+    }
+    // Block row r holds rank 1 + r.
+    EXPECT_EQ(rs.RowIndexForTuple(1 + begin), rs.RowIndexForTuple(end))
+        << "run [" << begin << ", " << end << ") spans summary rows";
+    if (end < block.num_rows()) {
+      EXPECT_NE(rs.RowIndexForTuple(end), rs.RowIndexForTuple(1 + end))
+          << "a run ends inside a summary row";
+    }
+    begin = end;
+  }
+  EXPECT_EQ(begin, block.num_rows());
+
+  // Appending to a non-empty block records none: runs describe a whole
+  // block.
+  gen.FillBlockRange(s, 0, 1, &block);
+  EXPECT_FALSE(block.has_runs());
+  EXPECT_TRUE(block.run_ends().empty());
+}
+
+TEST(PerRunSelectTest, MatchesMaskKernelsOnGeneratorBlocks) {
+  std::mt19937 rng(20261018);
+  for (uint32_t seed = 1; seed <= 6; ++seed) {
+    const DatabaseSummary summary = RandomRunSummary(seed, 60);
+    const TupleGenerator gen(summary);
+    const int64_t total = static_cast<int64_t>(gen.RowCount(0));
+    ASSERT_GT(total, 100);
+    for (int trial = 0; trial < 40; ++trial) {
+      const int64_t begin = static_cast<int64_t>(rng() % (total / 2));
+      const int64_t end =
+          begin + 1 + static_cast<int64_t>(rng() % (total - begin));
+      RowBlock block(3);
+      if (trial % 4 == 1) block.SetLiveColumns({1, 2});  // PK not filled
+      gen.FillBlockRange(0, begin, end, &block);
+      ASSERT_TRUE(block.has_runs());
+      const bool with_pk = trial % 4 >= 2;
+      std::vector<DnfPredicate> predicates = {
+          RandomDnf(&rng, with_pk, total), DnfPredicate::True(),
+          DnfPredicate()};
+      if (trial % 4 == 1) predicates.resize(1);
+      for (const DnfPredicate& dnf : predicates) {
+        const kernels::BlockPredicate pred(dnf);
+        SelVector per_run;
+        SelVector masked;
+        pred.Select(block, &per_run);
+        pred.SelectRange(block, 0, block.num_rows(), &masked);
+        EXPECT_EQ(per_run, masked)
+            << dnf.ToString() << " over [" << begin << ", " << end << ")";
+        if (trial % 4 == 1) continue;  // the oracle reads every column
+        SelVector oracle;
+        Row row(3);
+        for (int64_t r = 0; r < block.num_rows(); ++r) {
+          block.CopyRowTo(r, row.data());
+          if (dnf.Eval(row)) oracle.push_back(static_cast<int32_t>(r));
+        }
+        EXPECT_EQ(per_run, oracle) << dnf.ToString();
+      }
+    }
+  }
 }
 
 TEST_F(TupleGeneratorTest, DynamicSourceUsableByExecutor) {
