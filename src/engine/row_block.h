@@ -11,7 +11,12 @@
 //
 // Filters communicate through selection vectors (SelVector): a list of
 // passing row indices produced by the predicate kernels and consumed by
-// per-column gathers (GatherBlock).
+// per-column gathers (kernels::Gather).
+//
+// Rows enter a block only column by column: a source's FillBlockRange, a
+// resize followed by writes through MutableColumn, or an append of another
+// block. No column buffer is handed out, so every column always holds
+// num_rows() values.
 //
 // A block also carries two facts from its consumer to its producer and back
 // (docs/engine.md "What a scan reads"): the live columns, which the consumer
@@ -89,11 +94,6 @@ class RowBlock {
     live_.clear();
     run_ends_.clear();
   }
-  void Clear() {
-    for (int c = 0; c < width_; ++c) cols_[c].clear();
-    num_rows_ = 0;
-    run_ends_.clear();
-  }
 
   int num_columns() const { return width_; }
   int64_t num_rows() const { return num_rows_; }
@@ -146,37 +146,8 @@ class RowBlock {
 
   const Value* Column(int c) const { return cols_[c].data(); }
   Value* MutableColumn(int c) { return cols_[c].data(); }
-  // Direct buffer access, for column moves (projection swaps buffers
-  // instead of copying values). The caller must keep all columns the same
-  // length and finish with SetNumRows.
-  ValueBuffer& MutableColumnBuffer(int c) { return cols_[c]; }
-  // Declares the row count after direct column-buffer writes/swaps.
-  void SetNumRows(int64_t rows) {
-    num_rows_ = rows;
-    run_ends_.clear();
-  }
 
   Value At(int64_t row, int col) const { return cols_[col][row]; }
-
-  // Appends `n` row-major rows (n * num_columns() values), transposing into
-  // the columns — the bridge from row-major storage (Table) and the
-  // row-at-a-time shim.
-  void AppendRowMajor(const Value* rows, int64_t n) {
-    const int w = num_columns();
-    const int64_t base = num_rows_;
-    ResizeUninitialized(base + n);
-    // Tiled transpose: each tile of source rows is re-read once per column,
-    // so keep the tile small enough to survive in L1 across all w passes.
-    constexpr int64_t kTileRows = 256;
-    for (int64_t t = 0; t < n; t += kTileRows) {
-      const int64_t tn = std::min(kTileRows, n - t);
-      for (int c = 0; c < w; ++c) {
-        Value* dst = cols_[c].data() + base + t;
-        const Value* src = rows + t * w + c;
-        for (int64_t r = 0; r < tn; ++r) dst[r] = src[r * w];
-      }
-    }
-  }
 
   // Appends all rows of `other` (same width) — per-column contiguous copy.
   void AppendBlock(const RowBlock& other) {

@@ -63,16 +63,9 @@ uint64_t Database::RowCount(int relation) const {
   return tables_[relation].num_rows();
 }
 
-void TableSource::FillBlockRange(int relation, int64_t begin, int64_t end,
-                                 RowBlock* out) const {
-  ScanRange(relation, begin, end,
-            [out](const Row& row) { out->AppendRowMajor(row.data(), 1); });
-}
-
-void Database::Scan(int relation,
-                    const std::function<void(const Row&)>& fn) const {
-  ScanRange(relation, 0, static_cast<int64_t>(tables_[relation].num_rows()),
-            fn);
+void TableSource::Scan(int relation,
+                       const std::function<void(const Row&)>& fn) const {
+  ScanRange(relation, 0, static_cast<int64_t>(RowCount(relation)), fn);
 }
 
 void Database::ScanRange(int relation, int64_t begin, int64_t end,

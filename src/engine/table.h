@@ -69,9 +69,10 @@ class TableSource {
 
   virtual uint64_t RowCount(int relation) const = 0;
   // Invokes `fn` once per row of `relation`, in primary-key order. The Row
-  // reference is only valid during the call.
+  // reference is only valid during the call. Defined once, as ScanRange
+  // over [0, RowCount); virtual only so forwarding sources can wrap it.
   virtual void Scan(int relation,
-                    const std::function<void(const Row&)>& fn) const = 0;
+                    const std::function<void(const Row&)>& fn) const;
   // Invokes `fn` once per row of the half-open rank range [begin, end), in
   // primary-key order (requires 0 <= begin <= end <= RowCount(relation)).
   // PK values are implicit ranks, so ranges partition every relation into
@@ -85,12 +86,10 @@ class TableSource {
   // point and its only read call. Fills at least `out`'s live columns
   // (RowBlock::SetLiveColumns); the other columns grow with them and hold
   // unspecified values. A source may record summary runs on `out`, which
-  // the consumer's filters then decide once per run. The base
-  // implementation transposes every column through ScanRange; sources
-  // with a cheaper columnar path (constant-run generators, column-major
-  // storage) override it. Same range semantics as ScanRange.
+  // the consumer's filters then decide once per run. Same range semantics
+  // as ScanRange.
   virtual void FillBlockRange(int relation, int64_t begin, int64_t end,
-                              RowBlock* out) const;
+                              RowBlock* out) const = 0;
 };
 
 // A fully-materialized database: one Table per schema relation.
@@ -112,8 +111,6 @@ class Database : public TableSource {
 
   // TableSource:
   uint64_t RowCount(int relation) const override;
-  void Scan(int relation,
-            const std::function<void(const Row&)>& fn) const override;
   void ScanRange(int relation, int64_t begin, int64_t end,
                  const std::function<void(const Row&)>& fn) const override;
   // Copies each live column's [begin, end) slice; safe to call

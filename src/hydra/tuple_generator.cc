@@ -12,8 +12,8 @@
 
 namespace hydra {
 
-// One columnar generation pass (cursor morsel or shared-chunk fill) — the
-// serving data plane's unit of work.
+// One columnar generation pass (FillBlockRange: an engine scan block, a
+// private serving grant or a shared chunk).
 HYDRA_METRIC_HISTOGRAM(g_gen_fill_us, "gen/fill_us");
 
 TupleGenerator::TupleGenerator(const DatabaseSummary& summary)
@@ -54,20 +54,21 @@ void TupleGenerator::FillRow(int relation, int summary_row, int64_t pk,
   if (pk_attr >= 0) (*out)[pk_attr] = pk;
 }
 
-void TupleGenerator::Scan(int relation,
-                          const std::function<void(const Row&)>& fn) const {
-  ScanRange(relation, 0, summary_.relations[relation].TotalCount(), fn);
+void TupleGenerator::CheckRange(int relation, int64_t begin,
+                                int64_t end) const {
+  HYDRA_CHECK_MSG(begin >= 0 && begin <= end &&
+                      end <= summary_.relations[relation].TotalCount(),
+                  "scan range [" << begin << ", " << end
+                                 << ") out of bounds for relation "
+                                 << summary_.schema.relation(relation).name());
 }
 
 void TupleGenerator::ForEachSummaryRun(
     int relation, int64_t begin, int64_t end,
     const std::function<void(int, int64_t, int64_t)>& fn) const {
-  const RelationSummary& rs = summary_.relations[relation];
-  HYDRA_CHECK_MSG(begin >= 0 && begin <= end && end <= rs.TotalCount(),
-                  "scan range [" << begin << ", " << end
-                                 << ") out of bounds for relation "
-                                 << summary_.schema.relation(relation).name());
+  CheckRange(relation, begin, end);
   if (begin == end) return;
+  const RelationSummary& rs = summary_.relations[relation];
   int64_t pk = begin;
   for (int i = rs.RowIndexForTuple(begin); pk < end; ++i) {
     const int64_t stop = std::min(end, rs.prefix_counts[i] + rs.rows[i].count);
@@ -100,26 +101,15 @@ void TupleGenerator::ScanBlocksRange(
     int relation, int64_t begin, int64_t end, int64_t block_rows,
     const std::function<void(const Value*, int64_t)>& fn) const {
   HYDRA_CHECK_MSG(block_rows > 0, "block_rows must be positive");
-  const Relation& rel = summary_.schema.relation(relation);
-  const int width = rel.num_attributes();
-  const int pk_attr = pk_attr_[relation];
-  Row row(width, 0);
-  std::vector<Value> block(static_cast<size_t>(block_rows) * width);
-  int64_t filled = 0;  // carries across summary runs
-  ForEachSummaryRun(
-      relation, begin, end, [&](int i, int64_t pk, int64_t stop) {
-        FillRow(relation, i, pk, &row);
-        for (; pk < stop; ++pk) {
-          if (pk_attr >= 0) row[pk_attr] = pk;
-          std::memcpy(block.data() + filled * width, row.data(),
-                      sizeof(Value) * width);
-          if (++filled == block_rows) {
-            fn(block.data(), filled);
-            filled = 0;
-          }
-        }
-      });
-  if (filled > 0) fn(block.data(), filled);
+  CheckRange(relation, begin, end);
+  const int width = summary_.schema.relation(relation).num_attributes();
+  std::vector<Value> block(static_cast<size_t>(
+      std::min(block_rows, end - begin) * width));
+  for (int64_t b = begin; b < end; b += block_rows) {
+    const int64_t n = std::min(block_rows, end - b);
+    FillRange(relation, b, b + n, block.data());
+    fn(block.data(), n);
+  }
 }
 
 void TupleGenerator::FillRange(int relation, int64_t begin, int64_t end,
@@ -212,63 +202,6 @@ void TupleGenerator::GetTuple(int relation, int64_t r, Row* out) const {
     for (int a : uncovered_attrs_[relation]) (*out)[a] = 0;
   }
   FillRow(relation, rs.RowIndexForTuple(r), r, out);
-}
-
-TupleGenerator::Cursor::Cursor(const TupleGenerator& generator, int relation,
-                               int64_t begin)
-    : generator_(&generator),
-      relation_(relation),
-      total_(generator.summary_.relations[relation].TotalCount()) {
-  Seek(begin);
-}
-
-void TupleGenerator::Cursor::Seek(int64_t rank) {
-  HYDRA_CHECK_MSG(rank >= 0 && rank <= total_,
-                  "cursor seek to " << rank << " outside [0, " << total_
-                                    << "]");
-  next_ = rank;
-  const RelationSummary& rs = generator_->summary_.relations[relation_];
-  summary_row_ = rank < total_ ? rs.RowIndexForTuple(rank)
-                               : static_cast<int>(rs.rows.size());
-}
-
-int64_t TupleGenerator::Cursor::FillBlock(int64_t max_rows, RowBlock* out) {
-  ScopedLatencyTimer timer(&g_gen_fill_us);
-  const RelationSummary& rs = generator_->summary_.relations[relation_];
-  const int pk_attr = generator_->pk_attr_[relation_];
-  const int64_t end = std::min(total_, next_ + std::max<int64_t>(0, max_rows));
-  const int64_t base = out->num_rows();
-  out->ResizeUninitialized(base + (end - next_));
-  int64_t written = 0;
-  while (next_ < end) {
-    // Poll at run boundaries, not per row: runs are the natural quantum
-    // (one summary row's stretch), so the check cost stays negligible.
-    if (cancel_ != nullptr && cancel_->cancelled()) break;
-    // Skip summary rows exhausted by previous fills (zero-count rows too).
-    while (rs.prefix_counts[summary_row_] + rs.rows[summary_row_].count <=
-           next_) {
-      ++summary_row_;
-    }
-    const int64_t stop = std::min(
-        end, rs.prefix_counts[summary_row_] + rs.rows[summary_row_].count);
-    const SolutionRow& srow = rs.rows[summary_row_];
-    const int64_t n = stop - next_;
-    const int64_t offset = base + written;
-    for (size_t a = 0; a < rs.attr_indices.size(); ++a) {
-      kernels::FillConst(out->MutableColumn(rs.attr_indices[a]) + offset, n,
-                         srow.values[a]);
-    }
-    if (pk_attr >= 0) {
-      kernels::FillIota(out->MutableColumn(pk_attr) + offset, n, next_);
-    }
-    for (int a : generator_->uncovered_attrs_[relation_]) {
-      kernels::FillConst(out->MutableColumn(a) + offset, n, 0);
-    }
-    next_ = stop;
-    written += n;
-  }
-  out->Truncate(base + written);  // cancelled mid-grant: drop the unwritten tail
-  return written;
 }
 
 namespace {

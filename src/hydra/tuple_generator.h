@@ -16,7 +16,6 @@
 
 #include <string>
 
-#include "common/cancel.h"
 #include "common/status.h"
 #include "engine/table.h"
 #include "hydra/summary.h"
@@ -46,8 +45,6 @@ class TupleGenerator : public TableSource {
   // On-the-fly generation in PK order (no materialized storage touched).
   // All scan entry points are const and share no mutable state, so disjoint
   // ranges may be generated concurrently on one generator.
-  void Scan(int relation,
-            const std::function<void(const Row&)>& fn) const override;
   void ScanRange(int relation, int64_t begin, int64_t end,
                  const std::function<void(const Row&)>& fn) const override;
   uint64_t RowCount(int relation) const override;
@@ -61,13 +58,13 @@ class TupleGenerator : public TableSource {
   void FillBlockRange(int relation, int64_t begin, int64_t end,
                       RowBlock* out) const override;
 
-  // Batched generation of the rank range [begin, end): invokes `fn` with
-  // contiguous row-major blocks of up to `block_rows` rows (width = the
-  // relation's attribute count), starting at an arbitrary rank via the
-  // prefix_counts binary search. Block boundaries are an implementation
-  // detail; concatenating the blocks over any split of [0, RowCount) yields
-  // exactly the Scan() sequence. Used by the materialization paths to write
-  // in blocks instead of per row.
+  // Batched generation of the rank range [begin, end): fills each slice of
+  // up to `block_rows` ranks into one reused row-major buffer with
+  // FillRange and invokes `fn` with it (width = the relation's attribute
+  // count). Block boundaries are an implementation detail; concatenating
+  // the blocks over any split of [0, RowCount) yields exactly the Scan()
+  // sequence. Used by the disk materialization path to write in blocks
+  // instead of per row.
   void ScanBlocksRange(
       int relation, int64_t begin, int64_t end, int64_t block_rows,
       const std::function<void(const Value*, int64_t)>& fn) const;
@@ -86,57 +83,18 @@ class TupleGenerator : public TableSource {
   // Random access: fills `out` with the tuple whose PK is `r`.
   void GetTuple(int relation, int64_t r, Row* out) const;
 
-  // Resumable streaming cursor over one relation's rank space — the serving
-  // layer's unit of dynamic regeneration (docs/serve.md). FillBlock() emits
-  // the next bounded run of rows and advances; position() is the rank of
-  // the next unemitted row, so a cursor rebuilt over a freshly reloaded
-  // copy of the same summary and Seek()ed to that rank continues the stream
-  // byte-identically. Within a cursor's lifetime the covering summary row
-  // is carried across FillBlock() calls, so only Seek() pays a binary
-  // search. The generator must outlive the cursor.
-  class Cursor {
-   public:
-    Cursor(const TupleGenerator& generator, int relation, int64_t begin = 0);
-
-    // Rank of the next row FillBlock() would emit.
-    int64_t position() const { return next_; }
-    int64_t total_rows() const { return total_; }
-    bool done() const { return next_ >= total_; }
-
-    // Re-anchors the cursor at `rank` (0 <= rank <= total_rows()).
-    void Seek(int64_t rank);
-
-    // Appends up to `max_rows` rows to `out` (already Reset to the
-    // relation's width) as per-column constant splats and PK iota runs, and
-    // advances. Returns the number of rows written; 0 exactly at end of
-    // stream. With a cancel scope set, a tripped scope stops the fill at
-    // the next summary run boundary — a shorter (possibly empty) prefix,
-    // position() still exact, so a resumed or retried fill continues
-    // byte-identically.
-    int64_t FillBlock(int64_t max_rows, RowBlock* out);
-
-    // Failure domain: non-owning; the scope must stay alive across
-    // FillBlock(). Null (the default) disables polling entirely.
-    void set_cancel(const CancelScope* cancel) { cancel_ = cancel; }
-
-   private:
-    const TupleGenerator* generator_;
-    int relation_;
-    int64_t total_;
-    int64_t next_ = 0;     // rank of the next row to emit
-    int summary_row_ = 0;  // index of the summary row covering next_
-    const CancelScope* cancel_ = nullptr;
-  };
-
  private:
   // Writes the non-key values of summary row `summary_row` into `out`
   // (which must already be sized) and sets the PK to `pk`.
   void FillRow(int relation, int summary_row, int64_t pk, Row* out) const;
 
+  // Fails unless 0 <= begin <= end <= RowCount(relation).
+  void CheckRange(int relation, int64_t begin, int64_t end) const;
   // The one copy of the resume-at-rank arithmetic: walks the summary rows
   // covering [begin, end) and invokes fn(summary_row, pk_begin, pk_end) for
   // each non-empty stretch, in rank order. Zero-count summary rows are
-  // skipped. Both Scan*Range variants layer row/block emission on top.
+  // skipped. ScanRange, FillRange and FillColumns layer their emission on
+  // top.
   void ForEachSummaryRun(
       int relation, int64_t begin, int64_t end,
       const std::function<void(int, int64_t, int64_t)>& fn) const;

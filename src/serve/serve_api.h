@@ -88,6 +88,9 @@ struct OpenSessionRequest {
 struct CursorSpec {
   int relation = -1;
   DnfPredicate filter = DnfPredicate::True();
+  // Output columns, in order: attribute indices of the relation, repeats
+  // allowed. At most as many entries as the relation has attributes;
+  // OpenCursor rejects a longer list with kInvalidArgument.
   std::vector<int> projection;
   int64_t begin_rank = 0;
   int64_t end_rank = -1;  // -1 = the relation's row count

@@ -212,6 +212,12 @@ StatusOr<CursorHandle> RegenServer::OpenCursor(SessionHandle session_handle,
       return Status::InvalidArgument("cursor filter column out of range");
     }
   }
+  // Bounds what one frame can make every batch allocate: the output block
+  // has one column per projection entry.
+  if (spec.projection.size() > static_cast<size_t>(width)) {
+    return Status::InvalidArgument(
+        "cursor projection has more columns than the relation");
+  }
   for (const int col : spec.projection) {
     if (col < 0 || col >= width) {
       return Status::InvalidArgument("cursor projection column out of range");
@@ -231,11 +237,17 @@ StatusOr<CursorHandle> RegenServer::OpenCursor(SessionHandle session_handle,
                          : static_cast<int>(spec.projection.size());
   cursor.spec = std::move(spec);
   cursor.filter = kernels::BlockPredicate(cursor.spec.filter);
+  if (!cursor.spec.projection.empty()) {
+    cursor.live_columns = cursor.spec.filter.Columns();
+    cursor.live_columns.insert(cursor.live_columns.end(),
+                               cursor.spec.projection.begin(),
+                               cursor.spec.projection.end());
+  }
   std::lock_guard<std::mutex> lock(session->mu);
   if (options_.shared_scan) {
     // Every cursor joins the (summary, relation) scan group; grants only
     // take the shared path while the group has a second member, so a lone
-    // cursor still serves through the private streaming path.
+    // cursor's grants stay private.
     cursor.group = scan_groups_.Join(session->summary_id,
                                      cursor.spec.relation, session->id,
                                      &cursor.member);
@@ -302,62 +314,24 @@ StatusOr<BatchResult> RegenServer::NextBatch(SessionHandle session_handle,
         return;
       }
       if (effective < options_.batch_rows) degraded_batches_.Inc();
-      const int64_t morsel =
-          std::min<int64_t>(effective, cursor.end_rank - cursor.next_rank);
-      cursor.scratch.Reset(cursor.source_width);
-      // Reuse the streaming cursor while the same generator instance is
-      // resident; after an eviction the lease hands back a different
-      // instance (same bytes — it reloaded the same file) and the state
-      // is rebuilt at next_rank. Comparing against a possibly-dangling
-      // old pointer is fine: it is never dereferenced, and on an address
-      // match the cached state was derived from identical summary content.
+      // Private grant: one fill of the morsel's ranks. An identity cursor
+      // fills the batch itself; any other fills only the columns it reads
+      // and fans out like a shared chunk.
+      const int64_t begin = cursor.next_rank;
+      const int64_t end = std::min(cursor.end_rank, begin + effective);
       const TupleGenerator& generator = lease->generator();
-      if (cursor.gen_cursor == nullptr || cursor.gen_instance != &generator ||
-          cursor.gen_cursor->position() != cursor.next_rank) {
-        cursor.gen_cursor = std::make_unique<TupleGenerator::Cursor>(
-            generator, cursor.spec.relation, cursor.next_rank);
-        cursor.gen_instance = &generator;
-      }
-      // A fill that is interrupted mid-morsel (cancel trips between summary
-      // runs) simply generates a shorter prefix; the next admission check
-      // reports why. Content stays a deterministic prefix of the stream.
-      cursor.gen_cursor->set_cancel(&scope);
-      const int64_t generated =
-          cursor.gen_cursor->FillBlock(morsel, &cursor.scratch);
-      cursor.gen_cursor->set_cancel(nullptr);
-      cursor.next_rank = cursor.gen_cursor->position();
-      if (generated == 0) return;
-      const auto& projection = cursor.spec.projection;
-      if (cursor.filter.is_true() && projection.empty()) {
-        // Identity grant: move the generated columns into the output (the
-        // output's previous buffers swap back, so both reuse capacity).
-        for (int c = 0; c < cursor.source_width; ++c) {
-          std::swap(out->MutableColumnBuffer(c),
-                    cursor.scratch.MutableColumnBuffer(c));
-        }
-        out->SetNumRows(generated);
-        cursor.scratch.Clear();
+      if (cursor.filter.is_true() && cursor.spec.projection.empty()) {
+        generator.FillBlockRange(cursor.spec.relation, begin, end, out);
+        cursor.next_rank = end;
         return;
       }
-      int64_t kept = generated;
-      const int32_t* sel = nullptr;
-      if (!cursor.filter.is_true()) {
-        cursor.filter.Select(cursor.scratch, &cursor.sel);
-        kept = static_cast<int64_t>(cursor.sel.size());
-        if (kept == 0) return;
-        sel = cursor.sel.data();
+      cursor.scratch.Reset(cursor.source_width);
+      if (!cursor.live_columns.empty()) {
+        cursor.scratch.SetLiveColumns(cursor.live_columns);
       }
-      out->ResizeUninitialized(kept);
-      for (int c = 0; c < cursor.out_width; ++c) {
-        const Value* src =
-            cursor.scratch.Column(projection.empty() ? c : projection[c]);
-        Value* dst = out->MutableColumn(c);
-        if (sel != nullptr) {
-          kernels::Gather(src, sel, kept, dst);
-        } else {
-          std::copy(src, src + kept, dst);
-        }
-      }
+      generator.FillBlockRange(cursor.spec.relation, begin, end,
+                               &cursor.scratch);
+      FanOut(cursor, cursor.scratch, begin, end, out);
     }, scope);
     if (status.ok()) status = admitted;
   }
@@ -391,7 +365,7 @@ bool RegenServer::TrySharedFastPath(Cursor& cursor, RowBlock* out) {
   const int64_t base = chunk * chunk_rows;
   const int64_t chunk_end =
       std::min(base + chunk_rows, cursor.relation_rows);
-  FanOutShared(cursor, *result.block, base, chunk_end, out);
+  FanOut(cursor, *result.block, base, chunk_end, out);
   return true;
 }
 
@@ -423,15 +397,14 @@ Status RegenServer::SharedGrant(Session& session, Cursor& cursor,
       scheduler_.Charge(peer, 1);
     }
   }
-  FanOutShared(cursor, *result.block, base, chunk_end, out);
+  FanOut(cursor, *result.block, base, chunk_end, out);
   return Status::OK();
 }
 
-// Fan this member's slice [next_rank, limit) out of the shared block with
-// its own filter/projection kernels. The private streaming cursor is now
-// stale; a later private grant rebuilds it at next_rank (rank mismatch).
-void RegenServer::FanOutShared(Cursor& cursor, const RowBlock& block,
-                               int64_t base, int64_t chunk_end, RowBlock* out) {
+// Fan this cursor's slice [next_rank, limit) out of the block with its own
+// filter/projection kernels.
+void RegenServer::FanOut(Cursor& cursor, const RowBlock& block, int64_t base,
+                         int64_t chunk_end, RowBlock* out) {
   const int64_t limit = std::min(cursor.end_rank, chunk_end);
   const int64_t lo = cursor.next_rank - base;
   const int64_t hi = limit - base;

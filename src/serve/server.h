@@ -151,21 +151,18 @@ class RegenServer {
     // The spec's filter compiled to column kernels once at OpenCursor; every
     // grant evaluates it over the generated columns via a selection vector.
     kernels::BlockPredicate filter;
+    // Columns a private grant fills into `scratch`: the filter's columns
+    // plus the projection. Empty = every column (no projection).
+    std::vector<int> live_columns;
     SelVector sel;     // per-grant selection scratch, capacity reused
     RowBlock scratch;  // source-width generation buffer, reused per morsel
-    // Streaming state over the *currently resident* generator, kept across
-    // grants so consecutive batches resume in O(1) (no per-batch
-    // prefix-sum search). gen_instance identifies the generator it was
-    // built over; a mismatch (the summary was evicted and reloaded) or a
-    // rank mismatch (external reposition) rebuilds it via Seek.
-    std::unique_ptr<TupleGenerator::Cursor> gen_cursor;
-    const TupleGenerator* gen_instance = nullptr;
     // Shared-scan membership (docs/serve.md): non-null while this cursor is
     // a member of its (summary, relation) scan group. Grants fan out of the
     // group's shared chunks whenever the group has >= 2 members and the
-    // grant is not degraded; otherwise the private path above serves as
-    // before. Membership ends at CloseCursor/CloseSession or on a terminal
-    // cancel/deadline — a detached member never disturbs the group.
+    // grant is not degraded; otherwise the grant is private and fills its
+    // own morsel. Membership ends at CloseCursor/CloseSession or on a
+    // terminal cancel/deadline — a detached member never disturbs the
+    // group.
     std::shared_ptr<ScanGroup> group;
     uint64_t member = 0;
   };
@@ -213,12 +210,12 @@ class RegenServer {
   // the eviction grace. Returns false on a miss (or an in-flight load):
   // the caller takes the admitted path. session.mu held.
   bool TrySharedFastPath(Cursor& cursor, RowBlock* out);
-  // Fans cursor's rows in [next_rank, min(end_rank, chunk_end)) out of the
-  // shared chunk `block` (covering ranks [base, chunk_end)) through the
-  // cursor's own filter and projection, advancing next_rank. session.mu
-  // held.
-  void FanOutShared(Cursor& cursor, const RowBlock& block, int64_t base,
-                    int64_t chunk_end, RowBlock* out);
+  // Fans cursor's rows in [next_rank, min(end_rank, chunk_end)) out of
+  // `block` (covering ranks [base, chunk_end): a shared chunk or a private
+  // grant's scratch) through the cursor's own filter and projection,
+  // advancing next_rank. session.mu held.
+  void FanOut(Cursor& cursor, const RowBlock& block, int64_t base,
+              int64_t chunk_end, RowBlock* out);
   // Ends the cursor's group membership, if any. session.mu held.
   void DetachCursor(Session& session, Cursor& cursor);
   // Slow-op log (docs/observability.md): when the op's measured latency

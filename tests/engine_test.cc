@@ -108,7 +108,8 @@ void ExpectFillBlockRangeMatchesScanRange(const Database& db, int relation) {
     for (int64_t end = begin; end <= n; ++end) {
       RowBlock block(width);
       const Row sentinel(width, -1);
-      block.AppendRowMajor(sentinel.data(), 1);
+      block.ResizeUninitialized(1);
+      for (int c = 0; c < width; ++c) block.MutableColumn(c)[0] = sentinel[c];
       db.FillBlockRange(relation, begin, end, &block);
       std::vector<Row> rows;
       db.ScanRange(relation, begin, end,

@@ -234,9 +234,7 @@ TEST(BlockPredicateTest, TrueAndFalseFastPaths) {
 }
 
 TEST(RowBlockTest, ColumnarRoundTrip) {
-  RowBlock block(3);
-  const std::vector<Value> rows = {1, 2, 3, 4, 5, 6};  // two row-major rows
-  block.AppendRowMajor(rows.data(), 2);
+  const RowBlock block = MakeBlock({{1, 4}, {2, 5}, {3, 6}});  // two rows
   EXPECT_EQ(block.num_rows(), 2);
   EXPECT_EQ(block.Column(0)[0], 1);
   EXPECT_EQ(block.Column(0)[1], 4);
@@ -274,17 +272,10 @@ TEST(RowBlockTest, CompactionAppendAndResizeDropRuns) {
   const std::vector<std::pair<const char*, void (*)(RowBlock*)>> edits = {
       {"ResizeUninitialized", [](RowBlock* b) { b->ResizeUninitialized(6); }},
       {"Truncate", [](RowBlock* b) { b->Truncate(2); }},
-      {"SetNumRows", [](RowBlock* b) { b->SetNumRows(4); }},
-      {"Clear", [](RowBlock* b) { b->Clear(); }},
       {"Reset", [](RowBlock* b) { b->Reset(2); }},
       {"AppendBlock", [](RowBlock* b) { b->AppendBlock(BlockWithRuns()); }},
       {"AppendRange",
        [](RowBlock* b) { b->AppendRange(BlockWithRuns(), 0, 3); }},
-      {"AppendRowMajor",
-       [](RowBlock* b) {
-         const Value rows[] = {5, 5};
-         b->AppendRowMajor(rows, 1);
-       }},
   };
   for (const auto& [name, edit] : edits) {
     RowBlock block = BlockWithRuns();
@@ -310,7 +301,7 @@ TEST(RowBlockTest, LiveColumnsLastUntilReset) {
   EXPECT_FALSE(block.IsLive(1));
   EXPECT_TRUE(block.IsLive(2));
   block.ResizeUninitialized(5);
-  block.Clear();
+  block.Truncate(0);
   EXPECT_FALSE(block.IsLive(1));
   block.SetLiveColumns({});
   for (int c = 0; c < 3; ++c) EXPECT_FALSE(block.IsLive(c));

@@ -134,14 +134,11 @@ TEST(WireTest, CursorSpecAndPredicateRoundTrip) {
 }
 
 TEST(WireTest, RowBlockRoundTrips) {
-  RowBlock block;
-  block.Reset(3);
+  RowBlock block(3);
+  block.ResizeUninitialized(100);
   for (int64_t r = 0; r < 100; ++r) {
-    for (int c = 0; c < 3; ++c) {
-      block.MutableColumnBuffer(c).push_back(r * 3 + c);
-    }
+    for (int c = 0; c < 3; ++c) block.MutableColumn(c)[r] = r * 3 + c;
   }
-  block.SetNumRows(100);
   std::string buf;
   AppendRowBlock(block, &buf);
   WireReader reader(buf);
@@ -589,6 +586,28 @@ TEST_F(NetTest, SessionsAreConnectionScoped) {
   spec.relation = env_.schema.RelationIndex("R");
   EXPECT_EQ(b.OpenCursor(*sid, spec).status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(a.CloseSession(*sid).ok());
+}
+
+TEST_F(NetTest, OverlongProjectionFailsTheOpenNotTheConnection) {
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port()).ok());
+  auto sid = client.OpenSession(OpenSessionRequest{"alpha"});
+  ASSERT_TRUE(sid.ok());
+  CursorSpec spec;
+  spec.relation = env_.schema.RelationIndex("R");
+  const size_t width = env_.schema.relation(spec.relation).num_attributes();
+  // One entry past the relation's width, and a 1 MiB frame of repeats of
+  // an in-range column: both are refused before any batch is sized.
+  for (const size_t entries : {width + 1, size_t{1} << 18}) {
+    spec.projection.assign(entries, 0);
+    EXPECT_EQ(client.OpenCursor(*sid, spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << entries << " projection entries";
+  }
+  spec.projection.assign(width, 0);
+  EXPECT_TRUE(client.OpenCursor(*sid, spec).ok());
+  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_TRUE(client.CloseSession(*sid).ok());
 }
 
 TEST_F(NetTest, DisconnectReapsTheConnectionsSessions) {

@@ -258,6 +258,89 @@ TEST_F(ServeTest, CursorStreamMatchesGeneratorScan) {
   EXPECT_EQ(served, expected);
 }
 
+// A private grant (here: a solo cursor's) fills only the columns its cursor
+// reads, the filter's and the projection's, and fans out of that block. Each
+// stream must equal the generator's ScanRange rows filtered and projected,
+// from a start inside a summary run to a stop short of the relation's end,
+// at batch sizes that split the range into 1-row, odd-sized and
+// run-spanning grants.
+TEST_F(ServeTest, PrivateGrantsMatchTheGeneratorScan) {
+  const int r = env_.schema.RelationIndex("R");
+  const Relation& rel = env_.schema.relation(r);
+  const int pk = rel.PrimaryKeyIndex();
+  const int s_fk = rel.AttrIndex("S_fk");
+  const int t_fk = rel.AttrIndex("T_fk");
+  // R's summary runs: [0, 30000) S_fk 0, T_fk 0; [30000, 50000) S_fk 300,
+  // T_fk 0; [50000, 80000) S_fk 300, T_fk 600.
+  const RelationSummary& rs = summary_.relations[r];
+  ASSERT_EQ(rs.rows.size(), 3u);
+  ASSERT_EQ(rs.prefix_counts[1], 30000);
+  ASSERT_EQ(rs.prefix_counts[2], 50000);
+  ASSERT_EQ(rs.TotalCount(), 80000);
+  const int64_t begin = 28000;
+  const int64_t end = 52000;
+
+  std::vector<std::pair<const char*, CursorSpec>> specs(4);
+  // Filters on S_fk, which the projection drops: a fill that leaves the
+  // filter's columns out reads unspecified values.
+  specs[0].first = "filter outside the projection";
+  specs[0].second.filter = PredicateOf(AtomRange(s_fk, 1, 1000));
+  specs[0].second.projection = {t_fk, pk};
+  specs[1].first = "reordered projection with a repeat";
+  specs[1].second.projection = {t_fk, pk, t_fk};
+  // A PK atom varies inside a run; the other disjunct keeps the last run.
+  specs[2].first = "filter, no projection";
+  specs[2].second.filter = PredicateOf(AtomRange(t_fk, 600, 601))
+                               .Or(PredicateOf(AtomRange(pk, 29990, 30010)));
+  specs[3].first = "neither";
+  for (auto& [name, spec] : specs) {
+    spec.relation = r;
+    spec.begin_rank = begin;
+    spec.end_rank = end;
+  }
+
+  const TupleGenerator gen(summary_);
+  for (const auto& [name, spec] : specs) {
+    std::vector<Value> expected;
+    int64_t kept = 0;
+    gen.ScanRange(r, begin, end, [&](const Row& row) {
+      if (!spec.filter.Eval(row)) return;
+      ++kept;
+      if (spec.projection.empty()) {
+        expected.insert(expected.end(), row.begin(), row.end());
+      }
+      for (const int c : spec.projection) expected.push_back(row[c]);
+    });
+    // A filter that keeps every row or none could not tell filled filter
+    // columns from unfilled ones.
+    if (!spec.filter.IsTrue()) {
+      ASSERT_GT(kept, 0) << name;
+      ASSERT_LT(kept, end - begin) << name;
+    }
+    for (const int64_t batch_rows : {1, 7, 513, 4096}) {
+      ServeOptions options;
+      options.batch_rows = batch_rows;
+      RegenServer server(options);
+      RegisterBoth(server);
+      auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+      ASSERT_TRUE(sid.ok());
+      auto cid = server.OpenCursor(*sid, spec);
+      ASSERT_TRUE(cid.ok()) << cid.status().ToString();
+      std::vector<Value> served;
+      RowBlock block;
+      for (;;) {
+        auto batch = server.NextBatch(*sid, *cid, std::move(block));
+        ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+        if (batch->done) break;
+        AppendRows(batch->rows, &served);
+        block = std::move(batch->rows);
+      }
+      EXPECT_EQ(served, expected) << name << " at batch_rows " << batch_rows;
+      EXPECT_EQ(server.stats().shared_chunk_fills, 0u) << name;
+    }
+  }
+}
+
 TEST_F(ServeTest, CursorSurvivesEvictionAndReload) {
   ServeOptions options;
   options.num_threads = 1;
@@ -1415,6 +1498,16 @@ TEST_F(ServeTest, ErrorPaths) {
   bad_proj.projection = {0, 42};
   EXPECT_EQ(server.OpenCursor(*sid, bad_proj).status().code(),
             StatusCode::kInvalidArgument);
+  // Every index is in range, but one more entry than the relation has
+  // attributes is refused; exactly as many, repeats included, is fine.
+  const int width = env_.schema.relation(0).num_attributes();
+  CursorSpec long_proj;
+  long_proj.relation = 0;
+  long_proj.projection.assign(width + 1, 0);
+  EXPECT_EQ(server.OpenCursor(*sid, long_proj).status().code(),
+            StatusCode::kInvalidArgument);
+  long_proj.projection.pop_back();
+  EXPECT_TRUE(server.OpenCursor(*sid, long_proj).ok());
   EXPECT_EQ(server.NextBatch(*sid, CursorHandle{12345}).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(server.Lookup(*sid, 0, int64_t{1} << 40).status().code(),

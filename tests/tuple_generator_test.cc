@@ -20,27 +20,6 @@
 namespace hydra {
 namespace {
 
-// Forwards only the row-callback scans, so block fills run through
-// TableSource's default FillBlockRange.
-class RowCallbackSource : public TableSource {
- public:
-  explicit RowCallbackSource(const TableSource& inner) : inner_(inner) {}
-  uint64_t RowCount(int relation) const override {
-    return inner_.RowCount(relation);
-  }
-  void Scan(int relation,
-            const std::function<void(const Row&)>& fn) const override {
-    inner_.Scan(relation, fn);
-  }
-  void ScanRange(int relation, int64_t begin, int64_t end,
-                 const std::function<void(const Row&)>& fn) const override {
-    inner_.ScanRange(relation, begin, end, fn);
-  }
-
- private:
-  const TableSource& inner_;
-};
-
 // A summary of one relation T(id PK, a, b) with `num_rows` summary rows of
 // random values and counts in [0, 40): zero-count rows, one-row runs and
 // long runs all occur.
@@ -197,7 +176,6 @@ TEST_F(TupleGeneratorTest, ProjectedFillMatchesFullFillOnLiveColumns) {
   auto db = MaterializeDatabase(summary_);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   const TupleGenerator gen(summary_);
-  const RowCallbackSource rows(gen);
   const int s = env_.schema.RelationIndex("S");
   const Relation& rel = env_.schema.relation(s);
   const int width = rel.num_attributes();
@@ -224,7 +202,7 @@ TEST_F(TupleGeneratorTest, ProjectedFillMatchesFullFillOnLiveColumns) {
   std::iota(all.begin(), all.end(), 0);
   const std::vector<std::vector<int>> projections = {{}, {pk}, {a}, all};
   const std::vector<std::pair<const char*, const TableSource*>> sources = {
-      {"generator", &gen}, {"database", &*db}, {"row callback", &rows}};
+      {"generator", &gen}, {"database", &*db}};
 
   for (const auto& [name, source] : sources) {
     for (const auto& [begin, end] : ranges) {
