@@ -43,6 +43,11 @@ void BuildCcPredicate(const Schema& schema, const Query& query,
   }
 }
 
+// Probe-chain scratch whose resize leaves new elements unwritten: each one
+// is written before it is read.
+template <typename T>
+using Scratch = std::vector<T, internal::DefaultInitAllocator<T>>;
+
 // The probe chain of one query: the plan every root morsel runs, read-only
 // while the morsels are in flight.
 struct ProbeChain {
@@ -57,7 +62,8 @@ struct ProbeChain {
   const TableSource* source = nullptr;
   int root_relation = -1;
   int root_width = 0;
-  // The root columns the chain reads: its filter's and its probe keys.
+  // The root columns the chain reads: its filter's and its probe keys. A
+  // root block whose summary runs are keyed on none of them runs per run.
   std::vector<int> root_live;
   kernels::BlockPredicate root_filter;
   std::vector<Step> steps;  // steps[j] joins table j + 1
@@ -69,22 +75,32 @@ struct ProbeChain {
   const RowBlock* blocks = nullptr;
   const JoinIndex* indexes = nullptr;
 
+  // Whether the chain reads root column `c`.
+  bool ReadsRootColumn(int c) const {
+    return std::find(root_live.begin(), root_live.end(), c) != root_live.end();
+  }
+
   // Fills root ranks [begin, end), selects them through the root filter,
   // and probes steps 0..J-1 in order, carrying row ids rather than values.
   // counts[0] = rows passing the root filter, counts[1 + j] = rows after
-  // join j.
+  // join j. Over a root block with summary runs that no root column the
+  // chain reads varies in, the chain carries one head row per passing run,
+  // weighted by the run's row count, instead of every row.
   void Run(int64_t begin, int64_t end, uint64_t* counts) const;
 };
 
 void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
   // Per-worker scratch, reused across morsels and queries. ids[t] holds,
-  // per row of the partial join, its row in table t (root: in `root`).
+  // per row of the partial join, its row in table t (root: in `root`); on
+  // the per-run path weights[i] is the number of root rows partial row i
+  // stands for.
   thread_local RowBlock root;
   thread_local SelVector sel;
-  thread_local std::vector<std::vector<uint32_t>> ids, next_ids;
-  thread_local std::vector<Value> keys;
-  thread_local std::vector<JoinIndex::Span> spans;
-  thread_local std::vector<uint32_t> from;  // output row -> input row
+  thread_local std::vector<Scratch<uint32_t>> ids, next_ids;
+  thread_local std::vector<uint32_t> weights, next_weights;
+  thread_local Scratch<Value> keys;
+  thread_local Scratch<JoinIndex::Span> spans;
+  thread_local Scratch<uint32_t> from;  // output row -> input row
 
   const size_t num_tables = steps.size() + 1;
   if (ids.size() < num_tables) {
@@ -94,8 +110,15 @@ void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
   root.Reset(root_width);
   root.SetLiveColumns(root_live);
   source->FillBlockRange(root_relation, begin, end, &root);
-  std::vector<uint32_t>& root_ids = ids[0];
-  if (root_filter.is_true()) {
+  // A run's rows agree on every column but its key, so when the chain reads
+  // no key its first row, weighted by the run's length, joins for them all.
+  const bool per_run =
+      root.has_runs() && !ReadsRootColumn(root.run_key_column());
+  Scratch<uint32_t>& root_ids = ids[0];
+  if (per_run) {
+    root_filter.SelectRunHeads(root, &sel, &weights);
+    root_ids.assign(sel.begin(), sel.end());
+  } else if (root_filter.is_true()) {
     root_ids.resize(static_cast<size_t>(root.num_rows()));
     std::iota(root_ids.begin(), root_ids.end(), 0u);
   } else {
@@ -104,6 +127,9 @@ void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
   }
   int64_t n = static_cast<int64_t>(root_ids.size());
   counts[0] = static_cast<uint64_t>(n);
+  if (per_run) {
+    counts[0] = std::accumulate(weights.begin(), weights.end(), uint64_t{0});
+  }
 
   const int num_steps = static_cast<int>(steps.size());
   for (int j = 0; j < num_steps && n > 0; ++j) {
@@ -119,15 +145,24 @@ void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
     index.Probe(keys.data(), n, spans.data());
     int64_t out_n = 0;
     for (int64_t i = 0; i < n; ++i) out_n += spans[i].len;
-    counts[1 + j] = static_cast<uint64_t>(out_n);
+    if (per_run) {
+      uint64_t count = 0;
+      for (int64_t i = 0; i < n; ++i) {
+        count += uint64_t{spans[i].len} * weights[i];
+      }
+      counts[1 + j] = count;
+    } else {
+      counts[1 + j] = static_cast<uint64_t>(out_n);
+    }
     if (j + 1 == num_steps) break;  // the last join only counts
 
     // Expand: output row o joins input row from[o] with the new table's
-    // build row; spans longer than one (an FK-side join) repeat the input.
+    // build row; spans longer than one (an FK-side join) repeat the input,
+    // its row ids and its weight.
     const int new_table = j + 1;
     const bool keep_new = last_probe[new_table] > j;
     from.resize(static_cast<size_t>(out_n));
-    std::vector<uint32_t>& new_ids = next_ids[new_table];
+    Scratch<uint32_t>& new_ids = next_ids[new_table];
     if (keep_new) new_ids.resize(static_cast<size_t>(out_n));
     const uint32_t* row_ids = index.row_ids();
     int64_t o = 0;
@@ -141,12 +176,17 @@ void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
     for (int t = 0; t <= new_table; ++t) {
       if (last_probe[t] <= j) continue;
       if (t != new_table) {
-        std::vector<uint32_t>& out = next_ids[t];
+        Scratch<uint32_t>& out = next_ids[t];
         out.resize(static_cast<size_t>(out_n));
         const uint32_t* in = ids[t].data();
         for (int64_t r = 0; r < out_n; ++r) out[r] = in[from[r]];
       }
       std::swap(ids[t], next_ids[t]);
+    }
+    if (per_run) {
+      next_weights.resize(static_cast<size_t>(out_n));
+      for (int64_t r = 0; r < out_n; ++r) next_weights[r] = weights[from[r]];
+      std::swap(weights, next_weights);
     }
     n = out_n;
   }

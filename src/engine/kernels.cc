@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
+#include "common/logging.h"
+
 #if HYDRA_SIMD_LEVEL >= 1
 #include <immintrin.h>
 #endif
@@ -377,28 +379,41 @@ bool BlockPredicate::MatchesRow(const RowBlock& block, int64_t row) const {
   return false;
 }
 
-void BlockPredicate::SelectRuns(const RowBlock& block, SelVector* sel) const {
-  sel->clear();
+void BlockPredicate::SelectRunHeads(const RowBlock& block, SelVector* heads,
+                                    std::vector<uint32_t>* weights) const {
+  HYDRA_DCHECK(block.has_runs() && !ReadsColumn(block.run_key_column()));
+  heads->clear();
+  weights->clear();
+  if (is_false()) return;
   int64_t begin = 0;
   for (const int64_t end : block.run_ends()) {
-    if (end > begin && MatchesRow(block, begin)) {
-      const size_t base = sel->size();
-      sel->resize(base + static_cast<size_t>(end - begin));
-      int32_t* out = sel->data() + base;
-      for (int64_t r = begin; r < end; ++r) *out++ = static_cast<int32_t>(r);
+    if (end > begin && (is_true_ || MatchesRow(block, begin))) {
+      heads->push_back(static_cast<int32_t>(begin));
+      weights->push_back(static_cast<uint32_t>(end - begin));
     }
     begin = end;
   }
 }
 
 void BlockPredicate::Select(const RowBlock& block, SelVector* sel) const {
-  if (!is_true_ && !is_false() && block.has_runs() &&
-      !std::binary_search(columns_.begin(), columns_.end(),
-                          block.run_key_column())) {
-    SelectRuns(block, sel);
+  if (is_true_ || is_false() || !block.has_runs() ||
+      ReadsColumn(block.run_key_column())) {
+    SelectRange(block, 0, block.num_rows(), sel);
     return;
   }
-  SelectRange(block, 0, block.num_rows(), sel);
+  // thread_local scratch, as in SelectRange.
+  thread_local SelVector heads;
+  thread_local std::vector<uint32_t> weights;
+  SelectRunHeads(block, &heads, &weights);
+  size_t rows = 0;
+  for (const uint32_t w : weights) rows += w;
+  sel->resize(rows);
+  int32_t* out = sel->data();
+  for (size_t i = 0; i < heads.size(); ++i) {
+    for (uint32_t r = 0; r < weights[i]; ++r) {
+      *out++ = heads[i] + static_cast<int32_t>(r);
+    }
+  }
 }
 
 void BlockPredicate::SelectRange(const RowBlock& block, int64_t begin,

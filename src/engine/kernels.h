@@ -20,11 +20,13 @@
 // BlockPredicate is the compiled form of a DnfPredicate over a columnar
 // RowBlock: atoms become interval-mask kernels, conjuncts AND masks,
 // disjuncts OR them, and the result leaves as a selection vector. Over a
-// block with summary runs it decides once per run instead.
+// block with summary runs it decides once per run instead, and can hand the
+// runs back as head rows weighted by their lengths.
 
 #ifndef HYDRA_ENGINE_KERNELS_H_
 #define HYDRA_ENGINE_KERNELS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -117,10 +119,18 @@ class BlockPredicate {
   // Clears *sel and fills it with the indices of `block`'s passing rows,
   // ascending. Every atom's column index must be < block.num_columns().
   // When the block has summary runs and no atom reads the run key column,
-  // each run's first row decides the whole run and passing runs are
-  // emitted whole; otherwise the mask kernels decide every row. Both give
-  // the same selection.
+  // the passing runs of SelectRunHeads are emitted whole; otherwise the
+  // mask kernels decide every row. Both give the same selection.
   void Select(const RowBlock& block, SelVector* sel) const;
+
+  // The per-run selection over a block with summary runs whose run key
+  // column no atom reads: clears *heads and *weights, then appends, per
+  // passing run in block order, the run's first row to *heads and its row
+  // count to *weights. Within a run every column but the key holds one
+  // value, so the first row decides the run. Expanding each head into its
+  // run's rows gives Select()'s selection.
+  void SelectRunHeads(const RowBlock& block, SelVector* heads,
+                      std::vector<uint32_t>* weights) const;
 
   // Select() restricted to rows [begin, end): masks are evaluated over the
   // sub-range only, and the emitted indices stay absolute (in [begin, end)),
@@ -139,8 +149,10 @@ class BlockPredicate {
 
   // Whether row `row` of `block` passes.
   bool MatchesRow(const RowBlock& block, int64_t row) const;
-  // Select() over `block`'s summary runs.
-  void SelectRuns(const RowBlock& block, SelVector* sel) const;
+  // Whether some atom reads column `c`.
+  bool ReadsColumn(int c) const {
+    return std::binary_search(columns_.begin(), columns_.end(), c);
+  }
 
   std::vector<std::vector<AtomPlan>> conjuncts_;
   std::vector<int> columns_;  // every atom's column, ascending, distinct

@@ -188,9 +188,11 @@ class JoinIndex {
   enum class Layout { kDense, kHashed };
 
   // A key's build rows: row_ids()[begin, begin + len); len == 0 = no match.
+  // No member initializers: Span{} is the empty span, and a default-
+  // initialized span buffer is left unwritten for Probe to fill.
   struct Span {
-    uint32_t begin = 0;
-    uint32_t len = 0;
+    uint32_t begin;
+    uint32_t len;
   };
 
   // The largest key range the scanned-rows arm of the layout rule admits.

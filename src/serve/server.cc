@@ -212,6 +212,16 @@ StatusOr<CursorHandle> RegenServer::OpenCursor(SessionHandle session_handle,
       return Status::InvalidArgument("cursor filter column out of range");
     }
   }
+  // Bounds one grant's filter work.
+  int64_t intervals = 0;
+  for (const Conjunct& conjunct : spec.filter.conjuncts()) {
+    for (const Atom& atom : conjunct.atoms) {
+      intervals += static_cast<int64_t>(atom.values.intervals().size());
+    }
+  }
+  if (intervals > CursorSpec::kMaxFilterIntervals) {
+    return Status::InvalidArgument("cursor filter has too many intervals");
+  }
   // Bounds what one frame can make every batch allocate: the output block
   // has one column per projection entry.
   if (spec.projection.size() > static_cast<size_t>(width)) {

@@ -1,12 +1,13 @@
-// Unit + property tests for engine/: tables, database, executor AQPs.
+// Unit + property tests for engine/: tables, database, executor AQPs over
+// client databases and over generated tuples.
 
 #include <gtest/gtest.h>
 
-#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "engine/executor.h"
 #include "engine/table.h"
+#include "hydra/tuple_generator.h"
 #include "workload/datagen.h"
 #include "workload/toy.h"
 
@@ -387,15 +388,16 @@ std::vector<uint64_t> OracleCardinalities(const Schema& schema,
   return out;
 }
 
-// Executes `query` at {1, 2, 8} threads × {1, 3, 4096}-row morsels and
-// checks every step against the oracle.
-void ExpectMatchesOracle(const Schema& schema, const Database& db,
-                         const Query& query) {
+// Executes `query` over `source` at {1, 2, 8} threads × {1, 3, 4096}-row
+// morsels and checks every step against the oracle over `db`, which holds
+// the rows `source` serves.
+void ExpectMatchesOracle(const Schema& schema, const TableSource& source,
+                         const Database& db, const Query& query) {
   const std::vector<uint64_t> want = OracleCardinalities(schema, db, query);
   for (const int threads : {1, 2, 8}) {
     for (const int64_t morsel_rows : {1, 3, 4096}) {
       Executor ex(schema, ExecOptions{threads, morsel_rows});
-      auto aqp = ex.Execute(query, db);
+      auto aqp = ex.Execute(query, source);
       ASSERT_TRUE(aqp.ok()) << aqp.status().ToString();
       std::vector<uint64_t> got;
       for (const AqpStep& step : aqp->steps) got.push_back(step.cardinality);
@@ -404,17 +406,91 @@ void ExpectMatchesOracle(const Schema& schema, const Database& db,
   }
 }
 
+// The same over a TupleGenerator of `summary`, whose root blocks carry
+// summary runs, against the oracle over the database materialized from it.
+void ExpectGeneratedMatchesOracle(const DatabaseSummary& summary,
+                                  const Query& query) {
+  auto db = MaterializeDatabase(summary);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const TupleGenerator gen(summary);
+  ExpectMatchesOracle(summary.schema, gen, *db, query);
+}
+
+// A hand-built summary of `schema` whose runs sit every way against the
+// {1, 3, 4096}-row morsels. Each relation gets summary rows of 1–5 tuples
+// up to its schema row count: shorter than, as long as and straddling a
+// 3-row morsel. `long_relation` also gets one run of 4,097–4,196 tuples at
+// a random position, longer than a 4,096-row morsel and straddling its
+// boundary. Foreign keys draw from their target's ranks and data
+// attributes from their domains.
+DatabaseSummary RunsSummary(const Schema& schema, uint64_t seed,
+                            int long_relation) {
+  Rng rng(seed);
+  const int num_relations = schema.num_relations();
+  std::vector<std::vector<int64_t>> lengths(num_relations);
+  for (int r = 0; r < num_relations; ++r) {
+    const int64_t target = static_cast<int64_t>(schema.relation(r).row_count());
+    for (int64_t rows = 0; rows < target;) {
+      lengths[r].push_back(rng.NextInt(1, 6));
+      rows += lengths[r].back();
+    }
+    if (r == long_relation) {
+      const size_t at = rng.NextBounded(lengths[r].size() + 1);
+      lengths[r].insert(lengths[r].begin() + at, rng.NextInt(4097, 4197));
+    }
+  }
+  DatabaseSummary summary;
+  summary.schema = schema;
+  for (int r = 0; r < num_relations; ++r) {
+    int64_t total = 0;
+    for (const int64_t len : lengths[r]) total += len;
+    summary.schema.mutable_relation(r).set_row_count(total);
+  }
+  for (int r = 0; r < num_relations; ++r) {
+    const Relation& rel = summary.schema.relation(r);
+    RelationSummary rs;
+    rs.relation = r;
+    for (int a = 0; a < rel.num_attributes(); ++a) {
+      if (a != rel.PrimaryKeyIndex()) rs.attr_indices.push_back(a);
+    }
+    for (const int64_t len : lengths[r]) {
+      SolutionRow row;
+      row.count = len;
+      for (const int a : rs.attr_indices) {
+        const Attribute& attr = rel.attribute(a);
+        Interval domain = attr.domain;
+        if (attr.kind == AttributeKind::kForeignKey) {
+          const Relation& target = summary.schema.relation(attr.fk_target);
+          domain = Interval(0, static_cast<int64_t>(target.row_count()));
+        }
+        row.values.push_back(rng.NextInt(domain.lo, domain.hi));
+      }
+      rs.rows.push_back(std::move(row));
+    }
+    rs.Finalize();
+    summary.relations.push_back(std::move(rs));
+  }
+  summary.extra_tuples.assign(num_relations, 0);
+  return summary;
+}
+
 // Property sweep: executing the toy query and the snowflake shapes on
-// databases generated with many seeds always produces join cardinalities
-// that match a brute-force join.
+// databases generated with many seeds, and over tuples generated from
+// summaries built with the same seeds, always produces join cardinalities
+// that match a brute-force join. Over generated tuples a root whose chain
+// reads no PK joins per summary run (the F- and R-rooted shapes); one whose
+// PK is probed joins per row (the D1- and D2-rooted ones).
 class ExecutorPropertyTest : public ::testing::TestWithParam<uint64_t> {
  protected:
-  // The snowflake's client database for this test's seed.
-  Database SnowflakeDatabase() const {
+  // Checks `query` over the snowflake's client database and over a
+  // generator of its runs summary, both for this test's seed.
+  void ExpectSnowflakeMatchesOracle(const Query& query) const {
     const DataGenOptions options{.seed = GetParam()};
     auto db = GenerateClientDatabase(snowflake_.schema, options);
-    HYDRA_CHECK(db.ok());
-    return std::move(*db);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ExpectMatchesOracle(snowflake_.schema, *db, *db, query);
+    ExpectGeneratedMatchesOracle(
+        RunsSummary(snowflake_.schema, GetParam(), snowflake_.f), query);
   }
 
   const SnowflakeEnvironment snowflake_ = MakeSnowflake();
@@ -455,6 +531,7 @@ TEST_P(ExecutorPropertyTest, ThreeWayJoinMatchesBruteForce) {
     if (s_keys.count(row[sfk]) && t_keys.count(row[tfk])) ++expected;
   });
   EXPECT_EQ(aqp->steps.back().cardinality, expected);
+  ExpectGeneratedMatchesOracle(RunsSummary(schema, GetParam(), r), env.query);
 }
 
 TEST_P(ExecutorPropertyTest, FkSideJoinThenPkSideJoinKeyedOnIt) {
@@ -470,7 +547,7 @@ TEST_P(ExecutorPropertyTest, FkSideJoinThenPkSideJoinKeyedOnIt) {
   q.joins.push_back(JoinEdge{1, e.f_d1, 0});
   q.joins.push_back(JoinEdge{1, e.f_d3, 2});
   q.joins.push_back(JoinEdge{0, e.d1_d2, 3});
-  ExpectMatchesOracle(e.schema, SnowflakeDatabase(), q);
+  ExpectSnowflakeMatchesOracle(q);
 }
 
 TEST_P(ExecutorPropertyTest, ChainedFkSideJoins) {
@@ -486,7 +563,7 @@ TEST_P(ExecutorPropertyTest, ChainedFkSideJoins) {
   q.joins.push_back(JoinEdge{1, e.d1_d2, 0});
   q.joins.push_back(JoinEdge{2, e.f_d1, 1});
   q.joins.push_back(JoinEdge{2, e.f_d3, 3});
-  ExpectMatchesOracle(e.schema, SnowflakeDatabase(), q);
+  ExpectSnowflakeMatchesOracle(q);
 }
 
 TEST_P(ExecutorPropertyTest, SnowflakeProbeKeyOnNonRootTable) {
@@ -502,7 +579,7 @@ TEST_P(ExecutorPropertyTest, SnowflakeProbeKeyOnNonRootTable) {
   q.joins.push_back(JoinEdge{0, e.f_d1, 1});
   q.joins.push_back(JoinEdge{1, e.d1_d2, 2});
   q.joins.push_back(JoinEdge{0, e.f_d3, 3});
-  ExpectMatchesOracle(e.schema, SnowflakeDatabase(), q);
+  ExpectSnowflakeMatchesOracle(q);
 }
 
 TEST_P(ExecutorPropertyTest, FilteredDimensionKeepsNoRows) {
@@ -515,7 +592,7 @@ TEST_P(ExecutorPropertyTest, FilteredDimensionKeepsNoRows) {
   q.tables.push_back(QueryTable{e.d3, DnfPredicate::True()});
   q.joins.push_back(JoinEdge{0, e.f_d1, 1});
   q.joins.push_back(JoinEdge{0, e.f_d3, 2});
-  ExpectMatchesOracle(e.schema, SnowflakeDatabase(), q);
+  ExpectSnowflakeMatchesOracle(q);
 }
 
 TEST_P(ExecutorPropertyTest, RootFilterKeepsNoRows) {
@@ -528,7 +605,7 @@ TEST_P(ExecutorPropertyTest, RootFilterKeepsNoRows) {
   q.tables.push_back(QueryTable{e.d2, DnfPredicate::True()});
   q.joins.push_back(JoinEdge{0, e.f_d1, 1});
   q.joins.push_back(JoinEdge{1, e.d1_d2, 2});
-  ExpectMatchesOracle(e.schema, SnowflakeDatabase(), q);
+  ExpectSnowflakeMatchesOracle(q);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorPropertyTest,

@@ -1,18 +1,20 @@
 // Tests for engine/kernels: scalar-vs-SIMD bit-identity of every dispatched
 // kernel (over lengths that exercise the vector tails), selection-vector
 // mechanics, BlockPredicate compilation semantics against
-// DnfPredicate::Eval as the oracle, its per-run path, and the live columns
-// and summary runs a RowBlock carries.
+// DnfPredicate::Eval as the oracle, its per-run path and run heads, and the
+// live columns and summary runs a RowBlock carries.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "engine/kernels.h"
 #include "engine/row_block.h"
+#include "hydra/tuple_generator.h"
 #include "query/predicate.h"
 
 namespace hydra {
@@ -324,6 +326,85 @@ TEST(BlockPredicateTest, PerRunSelectFallsBackOnKeyColumnAtoms) {
       PredicateAllOf({AtomRange(1, 7, 8), AtomRange(0, 2, 4)});
   BlockPredicate(mixed).Select(block, &sel);
   EXPECT_EQ(sel, (SelVector{2}));
+}
+
+// A block a TupleGenerator fills with every tuple of T(id, a, b), whose
+// summary row k holds lengths[k] tuples with a = k % 5 and b = k % 3.
+RowBlock GeneratedBlock(const std::vector<int64_t>& lengths) {
+  RelationSummary rs;
+  rs.relation = 0;
+  rs.attr_indices = {1, 2};
+  int64_t rows = 0;
+  for (size_t k = 0; k < lengths.size(); ++k) {
+    SolutionRow row;
+    row.values = {static_cast<Value>(k % 5), static_cast<Value>(k % 3)};
+    row.count = lengths[k];
+    rs.rows.push_back(std::move(row));
+    rows += lengths[k];
+  }
+  rs.Finalize();
+  Relation t("T", static_cast<uint64_t>(rows));
+  t.AddPrimaryKey("id");
+  t.AddDataAttribute("a", Interval(0, 5));
+  t.AddDataAttribute("b", Interval(0, 3));
+  DatabaseSummary summary;
+  summary.schema.AddRelation(std::move(t));
+  summary.relations.push_back(std::move(rs));
+  summary.extra_tuples = {0};
+  RowBlock block(3);
+  TupleGenerator(summary).FillBlockRange(0, 0, rows, &block);
+  return block;
+}
+
+TEST(BlockPredicateTest, RunHeadsAreTheSelectionGroupedByRun) {
+  const std::vector<std::pair<std::string, DnfPredicate>> filters = {
+      {"TRUE", DnfPredicate::True()},
+      {"FALSE", DnfPredicate::False()},
+      {"one atom", PredicateOf(AtomRange(1, 1, 3))},
+      {"two-conjunct DNF",
+       PredicateAllOf({AtomRange(1, 0, 2), AtomEqual(2, 1)})
+           .Or(PredicateOf(AtomEqual(1, 4)))},
+      {"no run passes", PredicateOf(AtomRange(2, 3, 10))},
+  };
+  const std::vector<std::vector<int64_t>> layouts = {
+      std::vector<int64_t>(15, 1), std::vector<int64_t>(15, 2),
+      std::vector<int64_t>(15, 4096), {1, 2, 4096, 2, 1, 4096, 1}};
+  for (const std::vector<int64_t>& lengths : layouts) {
+    const RowBlock block = GeneratedBlock(lengths);
+    ASSERT_TRUE(block.has_runs());
+    for (const auto& [name, dnf] : filters) {
+      const BlockPredicate pred(dnf);
+      // The mask kernels decide every row, runs or not.
+      SelVector masked;
+      pred.SelectRange(block, 0, block.num_rows(), &masked);
+      SelVector sel;
+      pred.Select(block, &sel);
+      EXPECT_EQ(sel, masked) << name;
+      // Group the selection by run: a run is selected whole or not at all.
+      SelVector want_heads;
+      std::vector<uint32_t> want_weights;
+      int64_t run_begin = 0;
+      size_t next = 0;
+      for (const int64_t len : lengths) {
+        size_t in_run = 0;
+        while (next < masked.size() && masked[next] < run_begin + len) {
+          ++next;
+          ++in_run;
+        }
+        if (in_run > 0) {
+          ASSERT_EQ(in_run, static_cast<size_t>(len)) << name;
+          want_heads.push_back(static_cast<int32_t>(run_begin));
+          want_weights.push_back(static_cast<uint32_t>(len));
+        }
+        run_begin += len;
+      }
+      SelVector heads = {99};  // cleared
+      std::vector<uint32_t> weights = {99};
+      pred.SelectRunHeads(block, &heads, &weights);
+      EXPECT_EQ(heads, want_heads) << name << ", " << lengths.size();
+      EXPECT_EQ(weights, want_weights) << name << ", " << lengths.size();
+    }
+  }
 }
 
 }  // namespace

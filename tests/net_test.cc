@@ -610,6 +610,38 @@ TEST_F(NetTest, OverlongProjectionFailsTheOpenNotTheConnection) {
   EXPECT_TRUE(client.CloseSession(*sid).ok());
 }
 
+TEST_F(NetTest, OverlongFilterFailsTheOpenNotTheConnection) {
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port()).ok());
+  auto sid = client.OpenSession(OpenSessionRequest{"alpha"});
+  ASSERT_TRUE(sid.ok());
+  CursorSpec spec;
+  spec.relation = env_.schema.RelationIndex("R");
+  // n one-interval atoms over S_fk, one conjunct each.
+  const auto filter_of = [](int64_t n) {
+    DnfPredicate filter;
+    for (int64_t i = 0; i < n; ++i) {
+      filter.AddConjunct(Conjunct{{AtomEqual(1, i)}});
+    }
+    return filter;
+  };
+  // One interval past the limit, and a 2.8 MB frame of 100,000 conjuncts:
+  // both are refused before any grant runs the filter.
+  const int64_t too_long[] = {CursorSpec::kMaxFilterIntervals + 1, 100000};
+  for (const int64_t n : too_long) {
+    spec.filter = filter_of(n);
+    EXPECT_EQ(client.OpenCursor(*sid, spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << n << " intervals";
+  }
+  spec.filter = filter_of(CursorSpec::kMaxFilterIntervals);
+  auto cursor = client.OpenCursor(*sid, spec);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  EXPECT_TRUE(client.NextBatch(*sid, *cursor).ok());
+  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_TRUE(client.CloseSession(*sid).ok());
+}
+
 TEST_F(NetTest, DisconnectReapsTheConnectionsSessions) {
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", port()).ok());

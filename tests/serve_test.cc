@@ -1508,6 +1508,25 @@ TEST_F(ServeTest, ErrorPaths) {
             StatusCode::kInvalidArgument);
   long_proj.projection.pop_back();
   EXPECT_TRUE(server.OpenCursor(*sid, long_proj).ok());
+  // The filter limit counts intervals summed over every atom: n intervals
+  // over column 1 of S, split across two conjuncts.
+  const auto filter_of = [](int64_t n) {
+    std::vector<Interval> even, odd;
+    for (int64_t i = 0; i < n; ++i) {
+      (i % 2 == 0 ? even : odd).push_back(Interval(2 * i, 2 * i + 1));
+    }
+    return PredicateOf(Atom{1, IntervalSet(even)})
+        .Or(PredicateOf(Atom{1, IntervalSet(odd)}));
+  };
+  CursorSpec long_filter;
+  long_filter.relation = 0;
+  long_filter.filter = filter_of(CursorSpec::kMaxFilterIntervals + 1);
+  EXPECT_EQ(server.OpenCursor(*sid, long_filter).status().code(),
+            StatusCode::kInvalidArgument);
+  long_filter.filter = filter_of(CursorSpec::kMaxFilterIntervals);
+  auto at_limit = server.OpenCursor(*sid, long_filter);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_TRUE(server.NextBatch(*sid, *at_limit).ok());
   EXPECT_EQ(server.NextBatch(*sid, CursorHandle{12345}).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(server.Lookup(*sid, 0, int64_t{1} << 40).status().code(),
