@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <mutex>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -258,6 +259,10 @@ StatusOr<uint64_t> MaterializeToDisk(const DatabaseSummary& summary,
                                      const GenerationOptions& options) {
   const TupleGenerator gen(summary);
   const Schema& schema = summary.schema;
+  // Every table is emptied to its in-progress header before any is
+  // reserved: a rewrite frees the previous run's blocks before it allocates
+  // its own, and a failed reservation leaves no table of the directory
+  // scanning as the previous run's.
   std::vector<std::string> paths(schema.num_relations());
   for (int r = 0; r < schema.num_relations(); ++r) {
     const Relation& rel = schema.relation(r);
@@ -265,11 +270,19 @@ StatusOr<uint64_t> MaterializeToDisk(const DatabaseSummary& summary,
     HYDRA_RETURN_IF_ERROR(
         PreallocateDiskTable(paths[r], rel.num_attributes()));
   }
+  for (int r = 0; r < schema.num_relations(); ++r) {
+    HYDRA_RETURN_IF_ERROR(PreallocateDiskTable(
+        paths[r], schema.relation(r).num_attributes(), gen.RowCount(r)));
+  }
   // One flat shard list across all relations keeps every worker busy even
   // when a single relation dominates the row count.
   const std::vector<Shard> shards = PlanShards(summary, options);
   ThreadPool pool(ResolveThreads(options, shards.size()));
   std::vector<Status> statuses(shards.size(), Status::OK());
+  // The table lock: shards of one table generate in parallel but write one
+  // block at a time. Concurrent writes to one file serialize on its inode
+  // lock in the kernel anyway; waiting here costs the workers less CPU.
+  std::vector<std::mutex> table_locks(schema.num_relations());
   // One failed shard (disk full, deleted file) aborts the fleet: shards not
   // yet started bail before generating their ranges. An in-flight shard
   // still finishes generating its (shard_rows-bounded) range — its callback
@@ -284,9 +297,10 @@ StatusOr<uint64_t> MaterializeToDisk(const DatabaseSummary& summary,
     if (status.ok()) {
       gen.ScanBlocksRange(s.relation, s.begin, s.end, options.block_rows,
                           [&](const Value* rows, int64_t n) {
-                            if (status.ok()) {
-                              status = writer.AppendBlock(rows, n);
-                            }
+                            if (!status.ok()) return;
+                            std::lock_guard<std::mutex> lock(
+                                table_locks[s.relation]);
+                            status = writer.AppendBlock(rows, n);
                           });
       const Status close_status = writer.Close();
       if (status.ok()) status = close_status;

@@ -30,8 +30,12 @@ struct GenerationOptions {
   // byte-identical regardless of the setting — every shard owns a disjoint
   // rank range whose storage offset is fixed by the rank→offset map.
   int num_threads = 0;
-  // Rows per generation block handed from ScanBlocksRange to the writer.
-  int64_t block_rows = 512;
+  // Rows per generation block handed from ScanBlocksRange to the writer:
+  // one pwrite per block, under the table's lock. 16,384 rows of a
+  // 13-column relation are 1.7 MB per worker. On a 3.95M-row
+  // materialization, 512- and 65,536-row blocks took ~0.1 and ~0.04 CPU-s
+  // more (docs/generation.md "Parallel materialization").
+  int64_t block_rows = 1 << 14;
   // Rows per shard: the unit of parallel work. One relation is split into
   // ceil(rows / shard_rows) independently generated shards.
   int64_t shard_rows = 1 << 18;
@@ -119,9 +123,11 @@ StatusOr<Database> MaterializeDatabase(const DatabaseSummary& summary,
                                        const GenerationOptions& options = {});
 
 // Streams every relation to disk as `<dir>/<relation>.tbl` in the binary
-// format of storage/disk_table.h. Returns total bytes written. With
-// options.num_threads != 1 each relation's shards are generated and written
-// concurrently at their fixed byte offsets into a single .tbl file.
+// format of storage/disk_table.h. Returns total bytes written. Every table
+// is reserved at its final size before any row is generated, so a full disk
+// fails the call up front. With options.num_threads != 1 each relation's
+// shards are generated concurrently and written at their fixed byte offsets
+// into a single .tbl file, one block at a time per table.
 StatusOr<uint64_t> MaterializeToDisk(const DatabaseSummary& summary,
                                      const std::string& dir,
                                      const GenerationOptions& options = {});

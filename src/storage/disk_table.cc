@@ -1,8 +1,13 @@
 #include "storage/disk_table.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/failpoint.h"
@@ -10,10 +15,11 @@
 
 namespace hydra {
 
-// Chaos hooks over the writer's failure surface: file creation, shard
-// positioning, the data-path writes (disk full), and the close/finalize
-// step. tests/storage_test.cc drives each; the materialization fleet's
-// one-failed-shard-aborts-all contract is tested through them.
+// Chaos hooks over the writer's failure surface: file creation (Open and
+// PreallocateDiskTable), shard positioning, the data-path writes (disk
+// full), and the close/finalize step. tests/storage_test.cc drives each; the
+// materialization fleet's one-failed-shard-aborts-all contract is tested
+// through them.
 HYDRA_FAILPOINT_DEFINE(g_fp_table_open, "disk_table/open");
 HYDRA_FAILPOINT_DEFINE(g_fp_table_open_shard, "disk_table/open_shard");
 HYDRA_FAILPOINT_DEFINE(g_fp_table_append, "disk_table/append");
@@ -37,13 +43,7 @@ constexpr uint64_t kMaxColumns = 1 << 16;
 // Size of the open file `f` in bytes, or -1; leaves the position at the end.
 int64_t FileEnd(std::FILE* f) {
   if (std::fseek(f, 0, SEEK_END) != 0) return -1;
-  // ftell returns a long (32-bit on LLP64) — multi-GiB tables need the
-  // 64-bit variants, same as OpenShard's seek.
-#ifdef _WIN32
-  return ::_ftelli64(f);
-#else
   return static_cast<int64_t>(::ftello(f));
-#endif
 }
 
 // Reads the header of the table file `f` (at `path`) and leaves `f` at the
@@ -80,12 +80,78 @@ void ForEachTile(uint64_t rows, Fn fn) {
   }
 }
 
-#ifndef _WIN32
-// OpenShard seeks with fseeko; an ILP32 build without 64-bit file offsets
-// would wrap multi-GiB shard offsets.
+// Row offsets are computed in int64_t and handed to pwrite as off_t; an
+// ILP32 build without 64-bit file offsets would wrap multi-GiB tables.
 static_assert(sizeof(off_t) == sizeof(int64_t),
               "need 64-bit file offsets; build with -D_FILE_OFFSET_BITS=64");
-#endif
+
+// open(2) flags that create a table file, or truncate an existing one, for
+// writing.
+constexpr int kCreateFlags = O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC;
+
+std::string ErrnoText() { return std::strerror(errno); }
+
+// Writes `bytes` bytes of `data` at byte `offset` of `fd`: one pwrite,
+// repeated only past EINTR and short writes.
+Status WriteAt(int fd, const void* data, size_t bytes, int64_t offset,
+               const std::string& path) {
+  const char* p = static_cast<const char*>(data);
+  while (bytes > 0) {
+    const ssize_t n = ::pwrite(fd, p, bytes, offset);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      return Status::IoError("cannot write " + path + ": " +
+                             (n < 0 ? ErrnoText() : "no progress"));
+    }
+    p += n;
+    bytes -= static_cast<size_t>(n);
+    offset += n;
+  }
+  return Status::OK();
+}
+
+// Opens the existing table at `path` for writing and checks that its header
+// is a `num_columns`-wide table's. Guards against stale or foreign files at a
+// reused <relation>.tbl path: a width mismatch would put every computed row
+// offset at the wrong byte, and a valid row count must never be stamped onto
+// bytes that are not a matching in-progress table.
+StatusOr<int> OpenTable(const std::string& path, int num_columns,
+                        const std::string& purpose) {
+  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError("cannot open " + path + " for " + purpose + ": " +
+                           ErrnoText());
+  }
+  Header h{};
+  if (::pread(fd, &h, sizeof(h), 0) != static_cast<ssize_t>(sizeof(h)) ||
+      h.magic != kMagic ||
+      h.num_columns != static_cast<uint64_t>(num_columns)) {
+    ::close(fd);
+    return Status::IoError("bad header in " + path + " for " + purpose);
+  }
+  return fd;
+}
+
+// Closes `fd`. A failed close becomes `status` unless it already holds an
+// error.
+Status CloseFd(int fd, const std::string& path, Status status) {
+  if (::close(fd) != 0 && status.ok()) {
+    status = Status::IoError("close failed on " + path + ": " + ErrnoText());
+  }
+  return status;
+}
+
+// Allocates bytes [0, bytes) of `fd` (the reservation); see
+// PreallocateDiskTable. EOPNOTSUPP leaves the writes to extend the file.
+Status Reserve(int fd, uint64_t bytes, const std::string& path) {
+  int rc = 0;
+  do {
+    rc = ::fallocate(fd, 0, 0, static_cast<off_t>(bytes));
+  } while (rc != 0 && errno == EINTR);
+  if (rc == 0 || errno == EOPNOTSUPP) return Status::OK();
+  return Status::IoError("cannot reserve " + std::to_string(bytes) +
+                         " bytes for " + path + ": " + ErrnoText());
+}
 
 }  // namespace
 
@@ -93,59 +159,31 @@ DiskTableWriter::DiskTableWriter(std::string path, int num_columns)
     : path_(std::move(path)), num_columns_(num_columns) {}
 
 DiskTableWriter::~DiskTableWriter() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-  }
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status DiskTableWriter::Open() {
   HYDRA_FAILPOINT(g_fp_table_open);
-  file_ = std::fopen(path_.c_str(), "wb");
-  if (file_ == nullptr) {
-    return Status::IoError("cannot open " + path_ + " for writing");
+  fd_ = ::open(path_.c_str(), kCreateFlags, 0666);
+  if (fd_ < 0) {
+    return Status::IoError("cannot open " + path_ + " for writing: " +
+                           ErrnoText());
   }
-  Header h{kMagic, static_cast<uint64_t>(num_columns_), 0};
-  if (std::fwrite(&h, sizeof(h), 1, file_) != 1) {
-    return Status::IoError("cannot write header to " + path_);
-  }
+  const Header h{kMagic, static_cast<uint64_t>(num_columns_), 0};
+  HYDRA_RETURN_IF_ERROR(WriteAt(fd_, &h, sizeof(h), 0, path_));
+  offset_ = sizeof(Header);
   return Status::OK();
 }
 
 Status DiskTableWriter::OpenShard(int64_t begin_row) {
   HYDRA_FAILPOINT(g_fp_table_open_shard);
   HYDRA_CHECK_MSG(begin_row >= 0, "negative shard start " << begin_row);
-  // "r+b": the file (and its header) must already exist, and writes land at
-  // the seek position instead of truncating. Writing past the current end is
-  // fine — shards may finish out of order and the gap is filled when the
-  // preceding shards land.
-  file_ = std::fopen(path_.c_str(), "r+b");
-  if (file_ == nullptr) {
-    return Status::IoError("cannot open " + path_ + " for shard writing");
-  }
-  // Guard against stale/foreign files at the reused <relation>.tbl path: a
-  // width mismatch would put every computed row offset at the wrong byte.
-  Header h;
-  if (std::fread(&h, sizeof(h), 1, file_) != 1 || h.magic != kMagic ||
-      h.num_columns != static_cast<uint64_t>(num_columns_)) {
-    std::fclose(file_);
-    file_ = nullptr;
-    return Status::IoError("bad header in " + path_ + " for shard writing");
-  }
-  const int64_t offset =
-      static_cast<int64_t>(sizeof(Header)) +
-      begin_row * num_columns_ * static_cast<int64_t>(sizeof(Value));
-  // Plain fseek takes a long, which is 32-bit on LLP64/ILP32 platforms —
-  // shard offsets of multi-GiB relations would wrap.
-#ifdef _WIN32
-  const int seek_rc = ::_fseeki64(file_, offset, SEEK_SET);
-#else
-  const int seek_rc = ::fseeko(file_, static_cast<off_t>(offset), SEEK_SET);
-#endif
-  if (seek_rc != 0) {
-    std::fclose(file_);
-    file_ = nullptr;
-    return Status::IoError("seek to shard offset failed on " + path_);
-  }
+  // The file (and its header) must already exist, and nothing truncates it.
+  // Writing past the current end is fine — shards may finish out of order
+  // and the gap is filled when the preceding shards land.
+  HYDRA_ASSIGN_OR_RETURN(fd_, OpenTable(path_, num_columns_, "shard writing"));
+  offset_ = static_cast<int64_t>(sizeof(Header)) +
+            begin_row * num_columns_ * static_cast<int64_t>(sizeof(Value));
   shard_mode_ = true;
   return Status::OK();
 }
@@ -165,14 +203,11 @@ Status DiskTableWriter::Append(const Row& row) {
 
 Status DiskTableWriter::AppendBlock(const Value* rows, int64_t num_rows) {
   // A block skips the per-row buffering: drain whatever is buffered, then
-  // hand the caller's contiguous rows straight to the (already buffered)
-  // stdio stream in one write.
+  // write the caller's contiguous rows in one pwrite.
   HYDRA_RETURN_IF_ERROR(FlushBuffer());
   HYDRA_FAILPOINT(g_fp_table_append);
-  const size_t count = static_cast<size_t>(num_rows) * num_columns_;
-  if (count > 0 && std::fwrite(rows, sizeof(Value), count, file_) != count) {
-    return Status::IoError("short write to " + path_);
-  }
+  HYDRA_RETURN_IF_ERROR(
+      Write(rows, static_cast<size_t>(num_rows) * num_columns_));
   rows_written_ += num_rows;
   return Status::OK();
 }
@@ -180,78 +215,69 @@ Status DiskTableWriter::AppendBlock(const Value* rows, int64_t num_rows) {
 Status DiskTableWriter::FlushBuffer() {
   if (buffer_.empty()) return Status::OK();
   HYDRA_FAILPOINT(g_fp_table_append);
-  if (std::fwrite(buffer_.data(), sizeof(Value), buffer_.size(), file_) !=
-      buffer_.size()) {
-    return Status::IoError("short write to " + path_);
-  }
+  HYDRA_RETURN_IF_ERROR(Write(buffer_.data(), buffer_.size()));
   buffer_.clear();
   return Status::OK();
 }
 
+Status DiskTableWriter::Write(const Value* values, size_t count) {
+  const size_t bytes = count * sizeof(Value);
+  HYDRA_RETURN_IF_ERROR(WriteAt(fd_, values, bytes, offset_, path_));
+  offset_ += static_cast<int64_t>(bytes);
+  return Status::OK();
+}
+
 Status DiskTableWriter::Close() {
-  if (file_ == nullptr) {
+  if (fd_ < 0) {
     return Status::IoError(path_ + " is not open");
   }
   Status status = FlushBuffer();
-  // Injected inline (not via the early-return macro) so the fclose below
-  // still runs: a chaos-injected close failure must not leak the handle.
+  // Injected inline (not via the early-return macro) so the close below
+  // still runs: a chaos-injected close failure must not leak the descriptor.
   if (status.ok() && g_fp_table_close.armed()) status = g_fp_table_close.Fire();
   // Patch the row count into the header — unless this is a shard, whose
-  // file already carries the finalized header from PreallocateDiskTable.
+  // table is finalized by FinalizeDiskTable once every shard has landed.
   if (status.ok() && !shard_mode_) {
-    if (std::fseek(file_, 0, SEEK_SET) != 0) {
-      status = Status::IoError("seek failed on " + path_);
-    } else {
-      Header h{kMagic, static_cast<uint64_t>(num_columns_), rows_written_};
-      if (std::fwrite(&h, sizeof(h), 1, file_) != 1) {
-        status = Status::IoError("cannot rewrite header of " + path_);
-      }
-    }
+    const Header h{kMagic, static_cast<uint64_t>(num_columns_), rows_written_};
+    status = WriteAt(fd_, &h, sizeof(h), 0, path_);
   }
-  // Close unconditionally: an early return on a failed header rewrite would
-  // leave file_ set and lean on the destructor for the fclose.
-  if (std::fclose(file_) != 0 && status.ok()) {
-    status = Status::IoError("close failed on " + path_);
-  }
-  file_ = nullptr;
+  status = CloseFd(fd_, path_, std::move(status));
+  fd_ = -1;
   return status;
 }
 
-Status PreallocateDiskTable(const std::string& path, int num_columns) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + path + " for writing");
+Status PreallocateDiskTable(const std::string& path, int num_columns,
+                            uint64_t reserve_rows) {
+  HYDRA_FAILPOINT(g_fp_table_open);
+  const uint64_t row_bytes = static_cast<uint64_t>(num_columns) * sizeof(Value);
+  constexpr uint64_t kMaxBytes = std::numeric_limits<int64_t>::max();
+  if (row_bytes > 0 &&
+      reserve_rows > (kMaxBytes - sizeof(Header)) / row_bytes) {
+    return Status::OutOfRange("cannot reserve " + std::to_string(reserve_rows) +
+                              " rows for " + path +
+                              ": the table would pass 2^63 bytes");
   }
-  Header h{kMagic, static_cast<uint64_t>(num_columns), 0};
-  const bool wrote = std::fwrite(&h, sizeof(h), 1, f) == 1;
-  if (std::fclose(f) != 0 || !wrote) {
-    return Status::IoError("cannot write header to " + path);
+  const int fd = ::open(path.c_str(), kCreateFlags, 0666);
+  if (fd < 0) {
+    return Status::IoError("cannot open " + path + " for writing: " +
+                           ErrnoText());
   }
-  return Status::OK();
+  // The zero-row header lands before the reservation, so a table whose
+  // reservation fails still scans as empty.
+  const Header h{kMagic, static_cast<uint64_t>(num_columns), 0};
+  Status status = WriteAt(fd, &h, sizeof(h), 0, path);
+  if (status.ok() && reserve_rows > 0) {
+    status = Reserve(fd, sizeof(Header) + reserve_rows * row_bytes, path);
+  }
+  return CloseFd(fd, path, std::move(status));
 }
 
 Status FinalizeDiskTable(const std::string& path, int num_columns,
                          uint64_t num_rows) {
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + path + " for finalizing");
-  }
-  // Same stale/foreign-file guard as OpenShard: never stamp a valid header
-  // onto bytes that are not a matching in-progress table.
-  Header existing;
-  if (std::fread(&existing, sizeof(existing), 1, f) != 1 ||
-      existing.magic != kMagic ||
-      existing.num_columns != static_cast<uint64_t>(num_columns)) {
-    std::fclose(f);
-    return Status::IoError("bad header in " + path + " for finalizing");
-  }
-  Header h{kMagic, static_cast<uint64_t>(num_columns), num_rows};
-  const bool wrote = std::fseek(f, 0, SEEK_SET) == 0 &&
-                     std::fwrite(&h, sizeof(h), 1, f) == 1;
-  if (std::fclose(f) != 0 || !wrote) {
-    return Status::IoError("cannot rewrite header of " + path);
-  }
-  return Status::OK();
+  HYDRA_ASSIGN_OR_RETURN(const int fd,
+                         OpenTable(path, num_columns, "finalizing"));
+  const Header h{kMagic, static_cast<uint64_t>(num_columns), num_rows};
+  return CloseFd(fd, path, WriteAt(fd, &h, sizeof(h), 0, path));
 }
 
 StatusOr<uint64_t> ScanDiskTable(const std::string& path,

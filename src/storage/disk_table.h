@@ -1,5 +1,6 @@
 // Disk-backed table storage: a flat binary row-major format with a small
-// header, plus buffered writer/reader.
+// header, written through positional writes on a file descriptor and read
+// back through buffered stdio.
 //
 // Used by the materialization experiments (Figure 14: time to produce a fully
 // materialized database) and the supply-time experiment (Figure 15: classic
@@ -18,18 +19,22 @@
 
 namespace hydra {
 
-// Streaming writer. Rows are buffered and flushed in large chunks.
+// Streaming writer over a file descriptor. Append() buffers rows and
+// flushes them in large chunks; AppendBlock() hands the caller's rows to the
+// kernel directly. Either way the bytes reach the file as one pwrite at the
+// writer's own offset, repeated only past EINTR and short writes, so no
+// stdio stream sits in between and no seek position is shared.
 //
 // Two modes:
 //  * Open() creates the file and appends from row 0; Close() patches the
 //    final row count into the header.
-//  * OpenShard(begin_row) opens an existing file whose header was already
-//    finalized by PreallocateDiskTable() and appends starting at the fixed
-//    byte offset of `begin_row` (rows are fixed-width, so the offset is
+//  * OpenShard(begin_row) opens an existing table created by
+//    PreallocateDiskTable() and writes from the fixed byte offset of
+//    `begin_row` on (rows are fixed-width, so the offset is
 //    header + begin_row * num_columns * sizeof(Value)). Multiple shard
 //    writers on the same file may run concurrently as long as their row
-//    ranges are disjoint — each holds its own stream/descriptor; Close()
-//    then leaves the header untouched.
+//    ranges are disjoint — each holds its own descriptor and offset;
+//    Close() then leaves the header untouched.
 class DiskTableWriter {
  public:
   DiskTableWriter(std::string path, int num_columns);
@@ -54,24 +59,42 @@ class DiskTableWriter {
 
  private:
   Status FlushBuffer();
+  // Writes `count` values at offset_ and advances it past them.
+  Status Write(const Value* values, size_t count);
 
   std::string path_;
   int num_columns_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
+  int64_t offset_ = 0;  // file offset of the next row
   bool shard_mode_ = false;
   std::vector<Value> buffer_;
   uint64_t rows_written_ = 0;
 };
 
-// Creates `path` holding only the header of a `num_columns`-wide table with
-// a zero row count (the same in-progress marker a sequential Open() leaves
-// until Close() patches it); the data bytes are filled in afterwards by
-// shard writers (DiskTableWriter::OpenShard) at their computed offsets.
-// Once every row range has been written, FinalizeDiskTable stamps the real
-// row count, making the file byte-identical to one produced by a single
-// sequential Open()/Append/Close() pass — a crashed or failed parallel run
-// therefore still scans as empty, never as a table with zero-filled holes.
-Status PreallocateDiskTable(const std::string& path, int num_columns);
+// Creates (or truncates) `path` holding the header of a `num_columns`-wide
+// table with a zero row count (the same in-progress marker a sequential
+// Open() leaves until Close() patches it); the data bytes are filled in
+// afterwards by shard writers (DiskTableWriter::OpenShard) at their computed
+// offsets. Once every row range has been written, FinalizeDiskTable stamps
+// the real row count, making the file byte-identical to one produced by a
+// single sequential Open()/Append/Close() pass — a crashed or failed
+// parallel run therefore still scans as empty, never as a table with
+// zero-filled holes.
+//
+// With `reserve_rows` > 0 the table's final size, header + reserve_rows *
+// num_columns * sizeof(Value) bytes, is also allocated up front with
+// fallocate (the reservation), after the header is written: shard writers
+// then fill allocated blocks instead of extending the file page by page,
+// and a full disk fails here, before any row is generated. The file is
+// that size from the start and still scans as empty until finalized. A
+// filesystem without fallocate (EOPNOTSUPP) gets no reservation and the
+// writes extend the file as without one; posix_fallocate is never used,
+// because its fallback writes zeros over the whole table. A reservation
+// that fails leaves the zero-row header in place and returns kIoError
+// naming the table; a size past 2^63 bytes is kOutOfRange before the file is
+// touched.
+Status PreallocateDiskTable(const std::string& path, int num_columns,
+                            uint64_t reserve_rows = 0);
 
 // Patches the header of a preallocated table with its final row count.
 Status FinalizeDiskTable(const std::string& path, int num_columns,

@@ -200,6 +200,47 @@ TEST_F(GenerationRangeTest, ParallelMaterializeToDiskByteIdentical) {
   }
 }
 
+// An oracle that shares neither MaterializeToDisk's row-major fill nor its
+// shard writers: MaterializeDatabase fills the columns in memory, and
+// WriteDiskTable writes each table sequentially, unreserved.
+TEST_F(GenerationRangeTest, MaterializeToDiskMatchesWrittenDatabase) {
+  GenerationOptions in_memory;
+  in_memory.num_threads = 1;
+  auto db = MaterializeDatabase(summary_, in_memory);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const std::string oracle_dir = Dir("oracle");
+  uint64_t oracle_bytes = 0;
+  for (int r = 0; r < env_.schema.num_relations(); ++r) {
+    const std::string path =
+        oracle_dir + "/" + env_.schema.relation(r).name() + ".tbl";
+    ASSERT_TRUE(WriteDiskTable(db->table(r), path).ok());
+    oracle_bytes += ReadFileBytes(path).size();
+  }
+
+  // Defaults, then 1, 2 and 4 threads with shards and blocks that cut
+  // through summary runs and several shards per table sharing its lock.
+  std::vector<GenerationOptions> configs(1);
+  for (const int threads : {1, 2, 4}) {
+    GenerationOptions options;
+    options.num_threads = threads;
+    options.shard_rows = 1009;
+    options.block_rows = 100;
+    configs.push_back(options);
+  }
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const std::string dir = Dir("config" + std::to_string(c));
+    auto bytes = MaterializeToDisk(summary_, dir, configs[c]);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    EXPECT_EQ(*bytes, oracle_bytes) << "config " << c;
+    for (int r = 0; r < env_.schema.num_relations(); ++r) {
+      const std::string name = env_.schema.relation(r).name() + ".tbl";
+      EXPECT_EQ(ReadFileBytes(dir + "/" + name),
+                ReadFileBytes(oracle_dir + "/" + name))
+          << name << " differs from the oracle in config " << c;
+    }
+  }
+}
+
 TEST_F(GenerationRangeTest, ShardsSmallerThanSummaryRowsRoundTrip) {
   const DatabaseSummary hand = MakeHandSummary();
   TupleGenerator gen(hand);

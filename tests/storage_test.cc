@@ -1,5 +1,8 @@
 // Unit tests for storage/disk_table.
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -7,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "common/logging.h"
 #include "hydra/regenerator.h"
 #include "hydra/tuple_generator.h"
 #include "storage/disk_table.h"
@@ -32,6 +36,41 @@ class DiskTableTest : public ::testing::Test {
 
   std::filesystem::path dir_;
 };
+
+// Lowers this process's file-size limit (RLIMIT_FSIZE) for its lifetime and
+// ignores SIGXFSZ, so that a reservation or write past the limit fails with
+// EFBIG instead of killing the process. Stands in for a full disk: the
+// kernel refuses a reservation past the limit before allocating anything.
+class ScopedFileSizeLimit {
+ public:
+  explicit ScopedFileSizeLimit(rlim_t bytes) {
+    saved_ok_ = ::getrlimit(RLIMIT_FSIZE, &saved_) == 0;
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    ok_ = saved_ok_ && ::setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  }
+  ~ScopedFileSizeLimit() {
+    if (saved_ok_) (void)::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  ScopedFileSizeLimit(const ScopedFileSizeLimit&) = delete;
+  ScopedFileSizeLimit& operator=(const ScopedFileSizeLimit&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool saved_ok_ = false;
+  bool ok_ = false;
+  void (*previous_handler_)(int) = SIG_DFL;
+};
+
+std::vector<char> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
 
 TEST_F(DiskTableTest, WriteScanRoundTrip) {
   const std::string path = Path("t1.tbl");
@@ -245,6 +284,86 @@ TEST_F(DiskTableTest, ShardBlocksScanBack) {
   EXPECT_EQ(*rows, 10u);
 }
 
+TEST_F(DiskTableTest, ReservedTableScansAsEmptyUntilFinalized) {
+  // The reservation gives the table its final size at once; the zero-row
+  // header still marks it in progress for both readers.
+  const std::string path = Path("reserved.tbl");
+  ASSERT_TRUE(PreallocateDiskTable(path, 3, 500).ok());
+  auto bytes = DiskTableBytes(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(*bytes, 24u + 500u * 3 * sizeof(Value));
+  auto rows = ScanDiskTable(path, [](const Row&) { FAIL(); });
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(*rows, 0u);
+  auto table = ReadDiskTable(path);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table->num_columns(), 3);
+  EXPECT_EQ(table->num_rows(), 0u);
+}
+
+TEST_F(DiskTableTest, ReservedShardWritersProduceSequentialBytes) {
+  // ShardWritersProduceSequentialBytes over a reserved table: the shards
+  // overwrite reserved bytes instead of extending the file, out of order,
+  // through both the buffered and the block path.
+  const std::string seq_path = Path("seq.tbl");
+  DiskTableWriter seq(seq_path, 2);
+  ASSERT_TRUE(seq.Open().ok());
+  for (int64_t i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(seq.Append({i, i * 3}).ok());
+  }
+  ASSERT_TRUE(seq.Close().ok());
+
+  const std::string shard_path = Path("reserved_shard.tbl");
+  ASSERT_TRUE(PreallocateDiskTable(shard_path, 2, 1000).ok());
+  for (const auto& [begin, end] : std::vector<std::pair<int64_t, int64_t>>{
+           {700, 1000}, {0, 333}, {333, 700}}) {
+    DiskTableWriter writer(shard_path, 2);
+    ASSERT_TRUE(writer.OpenShard(begin).ok());
+    if (begin == 0) {
+      std::vector<Value> block;
+      for (int64_t i = begin; i < end; ++i) {
+        block.insert(block.end(), {i, i * 3});
+      }
+      ASSERT_TRUE(writer.AppendBlock(block.data(), end - begin).ok());
+    } else {
+      for (int64_t i = begin; i < end; ++i) {
+        ASSERT_TRUE(writer.Append({i, i * 3}).ok());
+      }
+    }
+    ASSERT_TRUE(writer.Close().ok());
+    EXPECT_EQ(writer.rows_written(), static_cast<uint64_t>(end - begin));
+    // Every row may be in place; only finalization makes them readable.
+    EXPECT_EQ(FileBytes(shard_path).size(), 24u + 1000u * 2 * sizeof(Value));
+    auto in_progress = ScanDiskTable(shard_path, [](const Row&) { FAIL(); });
+    ASSERT_TRUE(in_progress.ok());
+    EXPECT_EQ(*in_progress, 0u);
+  }
+  ASSERT_TRUE(FinalizeDiskTable(shard_path, 2, 1000).ok());
+  EXPECT_EQ(FileBytes(shard_path), FileBytes(seq_path));
+}
+
+TEST_F(DiskTableTest, FailedReservationLeavesTableInProgress) {
+  const std::string path = Path("unreservable.tbl");
+  // Past 2^63 bytes: refused before the file is touched.
+  EXPECT_EQ(PreallocateDiskTable(path, 3, uint64_t{1} << 62).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_FALSE(std::filesystem::exists(path));
+
+  Status status;
+  {
+    ScopedFileSizeLimit limit(4096);
+    ASSERT_TRUE(limit.ok());
+    status = PreallocateDiskTable(path, 3, 1000);  // 24,024 bytes
+  }
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find(path), std::string::npos)
+      << status.ToString();
+  // The header landed before the reservation failed.
+  auto rows = ScanDiskTable(path, [](const Row&) { FAIL(); });
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(*rows, 0u);
+}
+
 TEST_F(DiskTableTest, OpenShardRequiresExistingFile) {
   DiskTableWriter writer(Path("absent.tbl"), 2);
   EXPECT_EQ(writer.OpenShard(0).code(), StatusCode::kIoError);
@@ -284,6 +403,10 @@ TEST_F(DiskTableTest, InjectedOpenFailureSurfacesCleanly) {
   // The writer was never opened; closing is still safe and the failure left
   // no half-created file behind the caller's back.
   (void)writer.Close();
+  // Preallocation creates tables through the same point.
+  EXPECT_EQ(PreallocateDiskTable(Path("never_created.tbl"), 2, 10).code(),
+            StatusCode::kIoError);
+  EXPECT_FALSE(std::filesystem::exists(Path("never_created.tbl")));
 }
 
 TEST_F(DiskTableTest, DiskFullMidWriteLeavesFileScanningAsEmpty) {
@@ -316,41 +439,125 @@ TEST_F(DiskTableTest, InjectedShardOpenFailure) {
   EXPECT_EQ(writer.OpenShard(0).code(), StatusCode::kIoError);
 }
 
+// Asserts that every table of `summary` under `dir` scans as empty (the
+// in-progress marker).
+void ExpectEveryTableEmpty(const DatabaseSummary& summary,
+                           const std::filesystem::path& dir) {
+  for (int r = 0; r < summary.schema.num_relations(); ++r) {
+    const std::string path =
+        (dir / (summary.schema.relation(r).name() + ".tbl")).string();
+    auto rows = ScanDiskTable(path, [](const Row&) { FAIL(); });
+    ASSERT_TRUE(rows.ok()) << path << ": " << rows.status().ToString();
+    EXPECT_EQ(*rows, 0u) << path << " scanned rows after an aborted fleet";
+  }
+}
+
+DatabaseSummary ToySummary() {
+  const ToyEnvironment env = MakeToyEnvironment();
+  HydraRegenerator hydra(env.schema);
+  auto regen = hydra.Regenerate(env.ccs);
+  HYDRA_CHECK_MSG(regen.ok(), regen.status().ToString());
+  return std::move(regen->summary);
+}
+
+// Arms disk_table/open_shard with a zero delay: every shard open is counted
+// in hits() and none fails.
+const Failpoint& CountShardOpens() {
+  EXPECT_TRUE(Failpoint::ArmFromString("disk_table/open_shard=delay(0)").ok());
+  const Failpoint* point = Failpoint::Find("disk_table/open_shard");
+  HYDRA_CHECK(point != nullptr);
+  return *point;
+}
+
+GenerationOptions FleetOptions() {
+  GenerationOptions options;
+  options.num_threads = 4;
+  options.shard_rows = 256;  // many shards per relation: a real fleet
+  return options;
+}
+
 // One failed shard aborts the whole materialization fleet cleanly: the
 // error propagates, no header is ever finalized, and every output file
 // scans as empty — never as a table with zero-filled holes
 // (the MaterializeToDisk contract in tuple_generator.cc).
 TEST_F(DiskTableTest, FailedShardAbortsMaterializationFleet) {
-  const ToyEnvironment env = MakeToyEnvironment();
-  HydraRegenerator hydra(env.schema);
-  auto regen = hydra.Regenerate(env.ccs);
-  ASSERT_TRUE(regen.ok()) << regen.status().ToString();
-  const DatabaseSummary& summary = regen->summary;
+  const DatabaseSummary summary = ToySummary();
+  const GenerationOptions options = FleetOptions();
+  const auto expect_abort_then_retry = [&](const std::string& fault) {
+    SCOPED_TRACE(fault);
+    ASSERT_TRUE(Failpoint::ArmFromString(fault).ok());
+    const auto bytes = MaterializeToDisk(summary, dir_.string(), options);
+    ASSERT_FALSE(bytes.ok());
+    EXPECT_EQ(bytes.status().code(), StatusCode::kIoError);
+    Failpoint::DisarmAll();
+    ExpectEveryTableEmpty(summary, dir_);
 
-  GenerationOptions options;
-  options.num_threads = 4;
-  options.shard_rows = 256;  // many shards per relation: a real fleet
+    // The same summary materializes fine once the fault clears — the
+    // aborted run left nothing poisoned behind.
+    const auto retry = MaterializeToDisk(summary, dir_.string(), options);
+    ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+    EXPECT_GT(*retry, 0u);
+  };
+  expect_abort_then_retry("disk_table/open_shard=error(IO_ERROR,times=1)");
+  // A failed pwrite under the table lock.
+  expect_abort_then_retry("disk_table/append=error(IO_ERROR,times=1)");
+
+  // A table that cannot be created fails the fleet in its preallocation.
+  // The fault fires on the first table, before anything is truncated, so
+  // the directory still holds the last retry's tables whole, and no shard
+  // opened its table.
+  const Failpoint& open_shard = CountShardOpens();
+  const uint64_t shards_before = open_shard.hits();
   ASSERT_TRUE(
-      Failpoint::ArmFromString("disk_table/open_shard=error(IO_ERROR,times=1)")
-          .ok());
+      Failpoint::ArmFromString("disk_table/open=error(IO_ERROR,times=1)").ok());
   const auto bytes = MaterializeToDisk(summary, dir_.string(), options);
   ASSERT_FALSE(bytes.ok());
   EXPECT_EQ(bytes.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(open_shard.hits(), shards_before);
   Failpoint::DisarmAll();
-
+  const TupleGenerator gen(summary);
   for (int r = 0; r < summary.schema.num_relations(); ++r) {
     const std::string path =
         (dir_ / (summary.schema.relation(r).name() + ".tbl")).string();
-    auto rows = ScanDiskTable(path, [](const Row&) { FAIL(); });
+    auto rows = ScanDiskTable(path, [](const Row&) {});
     ASSERT_TRUE(rows.ok()) << path << ": " << rows.status().ToString();
-    EXPECT_EQ(*rows, 0u) << path << " scanned rows after an aborted fleet";
+    EXPECT_EQ(*rows, gen.RowCount(r)) << path;
   }
-
-  // The same summary materializes fine once the fault clears — the aborted
-  // run left nothing poisoned behind.
   const auto retry = MaterializeToDisk(summary, dir_.string(), options);
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_GT(*retry, 0u);
+}
+
+// A reservation that fails (past a lowered file-size limit, standing in for
+// a full disk) fails the fleet before any shard opens its table. Every
+// table is emptied before any is reserved, so all of them scan as empty,
+// the one named in the error included.
+TEST_F(DiskTableTest, FailedReservationAbortsFleetBeforeAnyShard) {
+  const DatabaseSummary summary = ToySummary();
+  const GenerationOptions options = FleetOptions();
+  // A complete run first: the failed one must not leave it readable.
+  ASSERT_TRUE(MaterializeToDisk(summary, dir_.string(), options).ok());
+
+  const Failpoint& open_shard = CountShardOpens();
+  const uint64_t shards_before = open_shard.hits();
+  StatusOr<uint64_t> bytes = Status::Internal("not run");
+  {
+    // S, the first table (700 x 3 values, 16.8 KB), cannot be reserved
+    // under 4 KiB; T and R, after it, still hold the complete run.
+    ScopedFileSizeLimit limit(4096);
+    ASSERT_TRUE(limit.ok());
+    bytes = MaterializeToDisk(summary, dir_.string(), options);
+  }
+  ASSERT_FALSE(bytes.ok());
+  EXPECT_EQ(bytes.status().code(), StatusCode::kIoError);
+  EXPECT_NE(bytes.status().message().find((dir_ / "S.tbl").string()),
+            std::string::npos)
+      << bytes.status().ToString();
+  EXPECT_EQ(open_shard.hits(), shards_before);
+  Failpoint::DisarmAll();
+  ExpectEveryTableEmpty(summary, dir_);
+
+  const auto retry = MaterializeToDisk(summary, dir_.string(), options);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
 }
 
 }  // namespace
