@@ -239,8 +239,8 @@ void BM_TupleGenerationThroughput(benchmark::State& state) {
 BENCHMARK(BM_TupleGenerationThroughput);
 
 void BM_ExecutorAqp(benchmark::State& state) {
-  // Full AQP collection over the toy query: morsel-parallel scan+filter
-  // through SourceScanOp, then the probe chain's join cardinalities.
+  // Full AQP collection over the toy query: the non-root tables' filtered
+  // scans (ScanFiltered), then the probe chain over the root's morsels.
   ToyEnvironment env = MakeToyEnvironment();
   HydraRegenerator hydra(env.schema);
   auto result = hydra.Regenerate(env.ccs);

@@ -3,10 +3,11 @@
 // A CancelToken is a shared flag the owner trips to revoke in-flight work;
 // a Deadline is a monotonic-clock expiry. Neither preempts anything —
 // long-running paths poll a CancelScope at their natural batch boundaries
-// (one morsel, one admission grant) and unwind with kCancelled /
-// kDeadlineExceeded, so a slow scan stops within one batch of the signal
-// rather than instantly but also rather than never. Nothing polls inside a
-// generation fill: a serving grant fills at most batch_rows ranks, and
+// (before each morsel a scan fills or a ParallelFor claims, before each
+// admission grant) and unwind with kCancelled / kDeadlineExceeded, so a
+// slow query stops within one morsel per worker of the signal rather than
+// instantly but also rather than never. Nothing polls inside a generation
+// fill: a serving grant fills at most batch_rows ranks, and
 // FairScheduler::Admit checks the scope before every grant.
 //
 // CancelScope is a non-owning view combining up to two tokens (e.g. the

@@ -1,21 +1,26 @@
-// A small fixed-size thread pool for embarrassingly parallel pipeline
-// stages (one task per view in HydraRegenerator::Regenerate).
+// A small fixed-size thread pool, and ParallelFor: the codebase's one
+// fan-out. Regeneration runs one index per view, materialization one per
+// shard, and the engine one per root morsel, per query of a batch, or per
+// partition of a large hashed join-index build (docs/engine.md "Morsel
+// dispatch").
 //
 // Determinism contract: the pool runs tasks, it never orders results. A
-// caller that wants deterministic output gives every task its own output
-// slot, submits in a fixed order, calls Wait(), and then reduces the slots
-// sequentially — the reduction order, not the execution order, defines the
-// result.
+// caller that wants deterministic output gives every index its own output
+// slot and reduces the slots sequentially after ParallelFor returns — the
+// reduction order, not the execution order, defines the result.
 
 #ifndef HYDRA_COMMON_THREAD_POOL_H_
 #define HYDRA_COMMON_THREAD_POOL_H_
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "common/cancel.h"
 
 namespace hydra {
 
@@ -34,7 +39,8 @@ class ThreadPool {
   // whatever output slot the task writes.
   void Submit(std::function<void()> fn);
 
-  // Blocks until every submitted task has finished running.
+  // Blocks until every submitted task has finished running, whoever
+  // submitted it.
   void Wait();
 
   int num_threads() const { return num_threads_; }
@@ -56,39 +62,22 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
-// Runs fn(i) for i in [0, count) on `pool`, blocking until all complete.
-// Iteration-to-thread assignment is unspecified; determinism comes from each
-// iteration owning its own slot (see the class comment).
+// Runs fn(i) for i in [0, count) and returns once every call has finished.
+// It puts min(width, count, pool->num_threads()) tasks on `pool`; each task
+// claims the next unclaimed index until none is left, so at most that many
+// calls are in flight. The calling thread only waits, and only for its own
+// tasks (never ThreadPool::Wait), so concurrent callers can share a pool.
+// A null pool, or one task, runs the loop on the calling thread. Once
+// `cancel` (optional) trips, no index is claimed any more: the calls in
+// flight finish, the rest never run, and the caller reports the scope's
+// status. `fn` must not wait on other tasks of `pool`.
+void ParallelFor(ThreadPool* pool, int width, int64_t count,
+                 const std::function<void(int64_t)>& fn,
+                 const CancelScope* cancel = nullptr);
+
+// ParallelFor over every worker of `pool`.
 void ParallelFor(ThreadPool& pool, int count,
                  const std::function<void(int)>& fn);
-
-// Tracks a caller's own in-flight tasks: Add() before submitting, Done() at
-// task end, Wait() blocks until the count returns to zero. Unlike
-// ThreadPool::Wait — which is global to the pool — a WaitGroup scopes
-// completion to one caller's submissions, so nested parallel operators can
-// share a pool without waiting on each other's work.
-class WaitGroup {
- public:
-  void Add(int n = 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_ += n;
-  }
-  void Done() {
-    std::lock_guard<std::mutex> lock(mu_);
-    --pending_;
-    cv_.notify_all();
-  }
-  // Blocks until every Add()ed task has Done()d.
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return pending_ == 0; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int pending_ = 0;
-};
 
 }  // namespace hydra
 

@@ -1,7 +1,6 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <unordered_set>
 
@@ -228,28 +227,21 @@ StatusOr<std::vector<AnnotatedQueryPlan>> Executor::ExecuteAll(
     return plans;
   }
 
-  // Each worker claims the next unclaimed query until none is left or the
-  // cancel scope trips. A query's morsels run sequentially on a private
+  // The workers claim whole queries. Each runs on a private sequential
   // context that shares the cancel scope, so no task ever waits on another
   // pool task.
   std::vector<Status> statuses(n);
-  std::atomic<int> next{0};
-  WaitGroup wg;
-  wg.Add(workers);
-  for (int w = 0; w < workers; ++w) {
-    ctx->pool()->Submit([&] {
-      ExecContext sequential(ExecOptions{1, ctx->morsel_rows()});
-      sequential.set_cancel(ctx->cancel());
-      for (int i = next++; i < n && !ctx->cancelled(); i = next++) {
+  ParallelFor(
+      ctx->pool(), ctx->parallelism(), n,
+      [&](int64_t i) {
+        ExecContext sequential(ExecOptions{1, ctx->morsel_rows()});
+        sequential.set_cancel(ctx->cancel());
         StatusOr<AnnotatedQueryPlan> plan =
             Run(queries[i], source, &sequential);
         statuses[i] = plan.status();
         if (plan.ok()) plans[i] = std::move(plan).value();
-      }
-      wg.Done();
-    });
-  }
-  wg.Wait();
+      },
+      ctx->cancel());
   // A tripped scope may have left queries unclaimed.
   HYDRA_RETURN_IF_ERROR(ctx->CheckCancel());
   for (const Status& status : statuses) HYDRA_RETURN_IF_ERROR(status);
@@ -316,20 +308,18 @@ StatusOr<AnnotatedQueryPlan> Executor::Run(const Query& query,
     if (probe_t == 0) chain.root_live.push_back(probe_attr);
   }
   // Each scan fills only what the plan reads: the table's filter columns
-  // plus its join keys (docs/engine.md "What a scan reads").
-  const auto with_filter_columns = [&](int t, std::vector<int> columns) {
-    for (const int c : query.tables[t].filter.Columns()) columns.push_back(c);
-    return columns;
-  };
-  chain.root_live = with_filter_columns(0, std::move(chain.root_live));
+  // plus its join keys (docs/engine.md "What a scan reads"). ScanFiltered
+  // adds the filter's columns itself.
+  for (const int c : query.tables[0].filter.Columns()) {
+    chain.root_live.push_back(c);
+  }
 
-  // Scan + filter each non-root table once through the morsel-driven
-  // SourceScanOp, keep only block_attrs, and index its build key. Buffers
-  // are thread_local so a workload loop reuses them across queries instead
-  // of first-touching fresh storage per query.
+  // Scan + filter each non-root table once on this thread, keep only
+  // block_attrs, and index its build key. Buffers are thread_local so a
+  // workload loop reuses them across queries instead of first-touching
+  // fresh storage per query.
   thread_local std::vector<RowBlock> blocks;
   thread_local std::vector<JoinIndex> indexes;
-  thread_local RowBlock drain;
   if (static_cast<int>(blocks.size()) < num_tables) {
     blocks.resize(num_tables);
     indexes.resize(num_tables);
@@ -338,29 +328,15 @@ StatusOr<AnnotatedQueryPlan> Executor::Run(const Query& query,
   chain.indexes = indexes.data();
   std::vector<uint64_t> filtered_rows(num_tables);
   for (int t = 1; t < num_tables; ++t) {
-    // Stage boundary: a tripped CancelScope unwinds here (and within one
-    // morsel of the chain below) — the partial blocks are simply dropped.
-    HYDRA_RETURN_IF_ERROR(ctx->CheckCancel());
-    const QueryTable& qt = query.tables[t];
-    const Relation& rel = schema_.relation(qt.relation);
-    const std::vector<int>& attrs = block_attrs[t];
-    const int width = static_cast<int>(attrs.size());
+    // A tripped CancelScope unwinds within one morsel of the scan (and of
+    // the chain below); the partial blocks are simply dropped.
+    const int relation = query.tables[t].relation;
     RowBlock& block = blocks[t];
-    block.Reset(width);
-    SourceScanOp scan(&source, qt.relation, rel.num_attributes(), qt.filter,
-                      ctx, with_filter_columns(t, attrs));
-    scan.Open();
-    while (scan.NextBatch(&drain)) {
-      const int64_t base = block.num_rows();
-      const int64_t rows = drain.num_rows();
-      block.ResizeUninitialized(base + rows);
-      for (int c = 0; c < width; ++c) {
-        const Value* src = drain.Column(attrs[c]);
-        std::copy(src, src + rows, block.MutableColumn(c) + base);
-      }
-    }
+    HYDRA_RETURN_IF_ERROR(ScanFiltered(
+        source, relation, schema_.relation(relation).num_attributes(),
+        query.tables[t].filter, block_attrs[t], ctx, &block));
     filtered_rows[t] = static_cast<uint64_t>(block.num_rows());
-    const int64_t scanned = static_cast<int64_t>(source.RowCount(qt.relation));
+    const int64_t scanned = static_cast<int64_t>(source.RowCount(relation));
     indexes[t].Build(block.Column(0), block.num_rows(), scanned, ctx);
   }
   HYDRA_RETURN_IF_ERROR(ctx->CheckCancel());

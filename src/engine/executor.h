@@ -44,10 +44,11 @@ class Executor {
  public:
   // The executor owns one ExecContext (thread pool + morsel knobs) reused
   // across every Execute and ExecuteAll call. Non-root relations are
-  // scanned and filtered by the morsel-parallel SourceScanOp and indexed on
-  // their join keys; the joins then run as a probe chain inside the root
-  // relation's morsel tasks (docs/engine.md "The executor's probe chain").
-  // Results are byte-identical at any num_threads.
+  // scanned and filtered morsel by morsel on the query's own thread
+  // (ScanFiltered) and indexed on their join keys; the joins then run as a
+  // probe chain inside the root relation's morsels, which the context's
+  // workers claim (docs/engine.md "The executor's probe chain"). Results
+  // are byte-identical at any num_threads.
   explicit Executor(const Schema& schema, ExecOptions options = {})
       : schema_(schema), owned_ctx_(std::make_unique<ExecContext>(options)) {}
 
@@ -62,15 +63,15 @@ class Executor {
   StatusOr<AnnotatedQueryPlan> Execute(const Query& query,
                                        const TableSource& source) const;
 
-  // Executes a batch of queries against `source`: one whole query per task
-  // on the context's workers, each running its morsels sequentially inside
-  // its task (docs/engine.md "Query batches"). A batch of one query, or a
-  // sequential context, runs its queries in turn through Execute's
-  // dispatch. Returns the plans in query order, each identical to a lone
-  // Execute of its query. Every query is checked before any runs, so an
-  // invalid batch fails with the first invalid query's status in query
-  // order; a tripped cancel scope fails it with the scope's status. Must
-  // not be called from a task of the context's own pool.
+  // Executes a batch of queries against `source`: the context's workers
+  // claim whole queries, each running its morsels sequentially on the
+  // claiming worker (docs/engine.md "Query batches"). A batch of one
+  // query, or a sequential context, runs its queries in turn through
+  // Execute's dispatch. Returns the plans in query order, each identical
+  // to a lone Execute of its query. Every query is checked before any
+  // runs, so an invalid batch fails with the first invalid query's status
+  // in query order; a tripped cancel scope fails it with the scope's
+  // status. Must not be called from a task of the context's own pool.
   StatusOr<std::vector<AnnotatedQueryPlan>> ExecuteAll(
       const std::vector<Query>& queries, const TableSource& source) const;
 

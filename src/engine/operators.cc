@@ -1,8 +1,6 @@
 #include "engine/operators.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -20,140 +18,7 @@ int64_t MorselRows(const ExecContext* ctx) {
       1, ctx == nullptr ? ExecOptions{}.morsel_rows : ctx->morsel_rows());
 }
 
-// Runs fn(i) for i in [0, count) on the context's pool and blocks until all
-// complete. Completion is tracked by a private WaitGroup (not via
-// ThreadPool::Wait) so unrelated work in flight on the shared pool is never
-// waited on.
-void RunTasks(ExecContext* ctx, int count,
-              const std::function<void(int)>& fn) {
-  ThreadPool* pool = ctx == nullptr ? nullptr : ctx->pool();
-  if (pool == nullptr) {
-    for (int i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  WaitGroup wg;
-  wg.Add(count);
-  for (int i = 0; i < count; ++i) {
-    pool->Submit([&, i] {
-      fn(i);
-      wg.Done();
-    });
-  }
-  wg.Wait();
-}
-
 }  // namespace
-
-namespace internal {
-
-// Plans [0, total_rows) into morsel_rows-sized rank ranges and emits one
-// filled RowBlock per non-empty morsel, in rank order. With a parallel
-// context up to 2*parallelism morsels are filled concurrently ahead of the
-// consumer; emission order is fixed by morsel index, never by completion
-// order, so the concatenated row stream is identical at any thread count.
-class MorselPipeline {
- public:
-  // fill(begin, end, out) produces rank range [begin, end) into `out`
-  // (already Reset to the right width). It runs on pool workers and must
-  // only read state that is immutable while the pipeline is live.
-  using Fill = std::function<void(int64_t, int64_t, RowBlock*)>;
-
-  MorselPipeline(ExecContext* ctx, int64_t total_rows, int num_columns,
-                 Fill fill)
-      : ctx_(ctx),
-        total_rows_(total_rows),
-        num_columns_(num_columns),
-        fill_(std::move(fill)) {
-    morsel_rows_ = MorselRows(ctx_);
-    num_morsels_ = NumMorsels(ctx_, total_rows_);
-    if (ctx_ != nullptr && ctx_->parallelism() > 1 && num_morsels_ > 1) {
-      slots_.resize(static_cast<size_t>(
-          std::min<int64_t>(num_morsels_, 2 * ctx_->parallelism())));
-      for (size_t i = 0; i < slots_.size(); ++i) SubmitNext();
-    }
-  }
-
-  // Waits out in-flight morsels: tasks capture `this` and the fill state,
-  // so a scan destroyed mid-stream (a consumer that stops early, or a
-  // cancel) must drain.
-  ~MorselPipeline() { wg_.Wait(); }
-
-  bool Next(RowBlock* out) {
-    if (slots_.empty()) {  // sequential: fill straight into the caller
-      while (next_emit_ < num_morsels_) {
-        if (Cancelled()) return false;
-        const int64_t begin = next_emit_ * morsel_rows_;
-        const int64_t end = std::min(total_rows_, begin + morsel_rows_);
-        ++next_emit_;
-        out->Reset(num_columns_);
-        fill_(begin, end, out);
-        if (!out->empty()) return true;
-      }
-      return false;
-    }
-    while (next_emit_ < num_morsels_) {
-      // Cancelled: stop emitting. In-flight workers see the same flag,
-      // leave their blocks empty, and the destructor drains them — the
-      // truncated stream is reported by the caller's CheckCancel, never
-      // consumed as a complete result.
-      if (Cancelled()) return false;
-      Slot& slot = slots_[next_emit_ % slots_.size()];
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&slot] { return slot.done; });
-        out->Reset(num_columns_);
-        std::swap(*out, slot.block);
-        slot.done = false;
-      }
-      ++next_emit_;
-      SubmitNext();  // refill the just-freed slot
-      if (!out->empty()) return true;
-    }
-    return false;
-  }
-
- private:
-  struct Slot {
-    RowBlock block;
-    bool done = false;
-  };
-
-  bool Cancelled() const { return ctx_ != nullptr && ctx_->cancelled(); }
-
-  void SubmitNext() {
-    if (next_submit_ >= num_morsels_) return;
-    const int64_t m = next_submit_++;
-    Slot* slot = &slots_[m % slots_.size()];
-    wg_.Add();
-    ctx_->pool()->Submit([this, m, slot] {
-      const int64_t begin = m * morsel_rows_;
-      const int64_t end = std::min(total_rows_, begin + morsel_rows_);
-      slot->block.Reset(num_columns_);
-      if (!Cancelled()) fill_(begin, end, &slot->block);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        slot->done = true;
-        cv_.notify_all();
-      }
-      wg_.Done();
-    });
-  }
-
-  ExecContext* ctx_;
-  int64_t total_rows_;
-  int num_columns_;
-  Fill fill_;
-  int64_t morsel_rows_ = 1;
-  int64_t num_morsels_ = 0;
-  int64_t next_emit_ = 0;
-  int64_t next_submit_ = 0;
-  std::vector<Slot> slots_;  // empty = sequential mode
-  std::mutex mu_;            // guards the slots' done flags
-  std::condition_variable cv_;
-  WaitGroup wg_;
-};
-
-}  // namespace internal
 
 // --- ExecContext ---------------------------------------------------------
 
@@ -176,62 +41,67 @@ ExecContext::ExecContext(ExecOptions options, ThreadPool* shared_pool,
 }
 
 int64_t NumMorsels(const ExecContext* ctx, int64_t total_rows) {
+  // Not (total_rows + rows - 1) / rows, which wraps for rows near
+  // INT64_MAX.
   const int64_t rows = MorselRows(ctx);
-  return (total_rows + rows - 1) / rows;
+  return total_rows / rows + (total_rows % rows != 0 ? 1 : 0);
 }
 
 void ForEachMorsel(ExecContext* ctx, int64_t total_rows,
                    const MorselTask& task) {
   const int64_t morsel_rows = MorselRows(ctx);
-  internal::MorselPipeline morsels(
-      ctx, total_rows, /*num_columns=*/0,
-      [&task, morsel_rows](int64_t begin, int64_t end, RowBlock*) {
-        task(begin / morsel_rows, begin, end);
-      });
-  // The tasks leave their blocks empty, so one Next call paces the window
-  // through every morsel (or stops at a cancel) and returns false.
-  RowBlock none;
-  morsels.Next(&none);
+  // Morsel m starts at m × morsel_rows <= total_rows - 1, and ends at most
+  // morsel_rows later: neither sum can overflow.
+  const auto run = [&](int64_t m) {
+    const int64_t begin = m * morsel_rows;
+    task(m, begin, begin + std::min(morsel_rows, total_rows - begin));
+  };
+  ParallelFor(ctx == nullptr ? nullptr : ctx->pool(),
+              ctx == nullptr ? 1 : ctx->parallelism(),
+              NumMorsels(ctx, total_rows), run,
+              ctx == nullptr ? nullptr : ctx->cancel());
 }
 
-// --- SourceScanOp --------------------------------------------------------
-
-SourceScanOp::SourceScanOp(const TableSource* source, int relation,
-                           int num_columns, DnfPredicate filter,
-                           ExecContext* ctx, std::vector<int> live_columns)
-    : source_(source),
-      relation_(relation),
-      num_columns_(num_columns),
-      filter_(filter),
-      filter_is_true_(filter_.is_true()),
-      ctx_(ctx),
-      live_columns_(std::move(live_columns)) {}
-
-SourceScanOp::~SourceScanOp() = default;
-
-void SourceScanOp::Open() {
-  morsels_ = std::make_unique<internal::MorselPipeline>(
-      ctx_, static_cast<int64_t>(source_->RowCount(relation_)), num_columns_,
-      [this](int64_t begin, int64_t end, RowBlock* out) {
-        if (!live_columns_.empty()) out->SetLiveColumns(live_columns_);
-        source_->FillBlockRange(relation_, begin, end, out);
-        if (filter_is_true_) return;
-        // Select the rows, then compact each live column in place through
-        // the selection vector (ascending, so reads stay ahead of writes).
-        thread_local SelVector sel;
-        filter_.Select(*out, &sel);
-        const int64_t kept = static_cast<int64_t>(sel.size());
-        if (kept == out->num_rows()) return;
-        for (int c = 0; c < out->num_columns(); ++c) {
-          if (!out->IsLive(c)) continue;
-          Value* col = out->MutableColumn(c);
-          kernels::Gather(col, sel.data(), kept, col);
-        }
-        out->Truncate(kept);
-      });
+Status ScanFiltered(const TableSource& source, int relation, int width,
+                    const DnfPredicate& filter,
+                    const std::vector<int>& columns, const ExecContext* ctx,
+                    RowBlock* out) {
+  const kernels::BlockPredicate predicate(filter);
+  std::vector<int> live = columns;
+  for (const int c : filter.Columns()) live.push_back(c);
+  const int64_t total_rows = static_cast<int64_t>(source.RowCount(relation));
+  const int64_t morsel_rows = MorselRows(ctx);
+  const int num_kept = static_cast<int>(columns.size());
+  out->Reset(num_kept);
+  // Reused across scans, so a workload loop fills one set of buffers.
+  thread_local RowBlock morsel;
+  thread_local SelVector sel;
+  for (int64_t m = 0, n = NumMorsels(ctx, total_rows); m < n; ++m) {
+    if (ctx != nullptr) HYDRA_RETURN_IF_ERROR(ctx->CheckCancel());
+    const int64_t begin = m * morsel_rows;
+    const int64_t end = begin + std::min(morsel_rows, total_rows - begin);
+    morsel.Reset(width);
+    morsel.SetLiveColumns(live);
+    source.FillBlockRange(relation, begin, end, &morsel);
+    // The selection is ascending, so the kept rows stay in rank order.
+    const bool keep_all = predicate.is_true();
+    if (!keep_all) predicate.Select(morsel, &sel);
+    const int64_t kept =
+        keep_all ? morsel.num_rows() : static_cast<int64_t>(sel.size());
+    const int64_t base = out->num_rows();
+    out->ResizeUninitialized(base + kept);
+    for (int c = 0; c < num_kept; ++c) {
+      const Value* src = morsel.Column(columns[c]);
+      Value* dst = out->MutableColumn(c) + base;
+      if (keep_all) {
+        std::copy(src, src + kept, dst);
+      } else {
+        kernels::Gather(src, sel.data(), kept, dst);
+      }
+    }
+  }
+  return Status::OK();
 }
-
-bool SourceScanOp::NextBatch(RowBlock* out) { return morsels_->Next(out); }
 
 // --- JoinIndex -----------------------------------------------------------
 
@@ -379,7 +249,7 @@ void JoinIndex::BuildHashed(const Value* keys, int64_t n, ExecContext* ctx) {
     std::vector<std::vector<std::vector<uint32_t>>> buckets(
         num_chunks, std::vector<std::vector<uint32_t>>(num_parts));
     const int64_t chunk_rows = (n + num_chunks - 1) / num_chunks;
-    RunTasks(ctx, num_chunks, [&](int c) {
+    ParallelFor(ctx->pool(), ctx->parallelism(), num_chunks, [&](int64_t c) {
       auto& mine = buckets[c];
       const int64_t begin = c * chunk_rows;
       const int64_t end = std::min(n, begin + chunk_rows);
@@ -395,7 +265,7 @@ void JoinIndex::BuildHashed(const Value* keys, int64_t n, ExecContext* ctx) {
         base[p + 1] += static_cast<int64_t>(buckets[c][p].size());
       }
     }
-    RunTasks(ctx, num_parts, [&](int p) {
+    ParallelFor(ctx->pool(), ctx->parallelism(), num_parts, [&](int64_t p) {
       build_partition(
           p,
           [&buckets, num_chunks, p](const auto& fn) {

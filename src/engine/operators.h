@@ -1,20 +1,18 @@
 // Morsel-driven scan layer of the execution engine. Section 6's `datagen`
-// feature is realized by swapping the source: SourceScanOp scans any
+// feature is realized by swapping the source: every scan reads any
 // TableSource — a materialized Database, or a TupleGenerator pulling tuples
 // straight out of the database summary — and the executor above it is
 // oblivious to where the rows come from.
 //
-// Scans emit columnar RowBlock batches; the hot loops — predicate
-// evaluation, join-key hashing, generator fills — run as per-column kernels
-// (engine/kernels.h) over the blocks' contiguous column buffers, with
-// filters communicating through selection vectors. A scan fans morsels
-// (fixed-size rank ranges of FillBlockRange) out over an ExecContext's
-// thread pool and emits the filled blocks in rank order, so the
-// concatenated row stream — and therefore every cardinality — is
-// byte-identical at any thread count and at either kernel dispatch path.
-// ForEachMorsel runs the same dispatch for work that emits no rows (the
-// executor's probe chain), and JoinIndex is the key index that chain
-// probes (docs/engine.md).
+// Scans fill columnar RowBlock morsels (fixed-size rank ranges of
+// FillBlockRange); the hot loops — predicate evaluation, join-key hashing,
+// generator fills — run as per-column kernels (engine/kernels.h) over the
+// blocks' contiguous column buffers, with filters communicating through
+// selection vectors. ScanFiltered fills, filters and keeps a non-root
+// table's columns morsel by morsel on the calling thread; ForEachMorsel
+// runs the root's morsels through ParallelFor (common/thread_pool.h) on an
+// ExecContext's pool, each writing only its own slot; JoinIndex is the key
+// index the executor's probe chain probes (docs/engine.md).
 
 #ifndef HYDRA_ENGINE_OPERATORS_H_
 #define HYDRA_ENGINE_OPERATORS_H_
@@ -35,13 +33,13 @@ namespace hydra {
 // Knobs of the parallel engine, threaded from the workload drivers down to
 // the morsel sources.
 struct ExecOptions {
-  // Worker threads: a lone query fans its morsels out over them, and a
-  // query batch (Executor::ExecuteAll) runs whole queries on them. 0 (the
-  // default) = one per hardware thread; 1 = fully sequential (no pool, no
-  // handoff machinery).
+  // Worker threads: a lone query runs its root morsels on them, a query
+  // batch (Executor::ExecuteAll) runs whole queries on them, and a large
+  // hashed join-index build runs its partitions on them. 0 (the default) =
+  // one per hardware thread; 1 = fully sequential (no pool).
   int num_threads = 0;
-  // Rows per morsel: the unit of scan parallel work and the batch size a
-  // scan emits before its filter.
+  // Rows per morsel: the rank range one fill covers, and the unit of the
+  // root's parallel work.
   int64_t morsel_rows = 4096;
 
   int ResolvedThreads() const {
@@ -51,8 +49,8 @@ struct ExecOptions {
 };
 
 // Shared execution state for one executor (reused across the queries of a
-// workload): the options plus the pool morsel work fans out on. Scans given
-// no context — or a 1-thread context — run fully sequentially.
+// workload): the options plus the pool morsel work fans out on. Work given
+// no context — or a 1-thread context — runs fully sequentially.
 //
 // Two ownership modes:
 //  * owning (the classic constructor): the context spawns its own pool of
@@ -60,9 +58,9 @@ struct ExecOptions {
 //  * external slot: the context borrows a caller-owned shared pool and caps
 //    its fan-out at `slot_parallelism` — the serving layer's "scheduler
 //    slot", letting many concurrent pipelines share one pool with bounded
-//    per-pipeline width. Tasks submitted through a slot must never block on
-//    other pool tasks (the engine's morsel tasks never do), so slots cannot
-//    deadlock a shared pool.
+//    per-pipeline width. Tasks run through a slot must never block on
+//    other pool tasks (the engine's ParallelFor tasks never do), so slots
+//    cannot deadlock a shared pool.
 class ExecContext {
  public:
   explicit ExecContext(ExecOptions options);
@@ -83,13 +81,12 @@ class ExecContext {
     return external_pool_ != nullptr ? external_pool_ : pool_.get();
   }
 
-  // Failure domain (docs/robustness.md): a non-null scope makes morsel
-  // sources stop planning new morsels once it trips — a pipeline unwinds
-  // within one morsel of the signal. The caller sets it around a request
+  // Failure domain (docs/robustness.md): a non-null scope makes scans stop
+  // claiming new morsels once it trips — a pipeline unwinds within one
+  // morsel per worker of the signal. The caller sets it around a request
   // and must keep the scope alive while set; never owned.
   void set_cancel(const CancelScope* cancel) { cancel_ = cancel; }
   const CancelScope* cancel() const { return cancel_; }
-  bool cancelled() const { return cancel_ != nullptr && cancel_->cancelled(); }
   // OK, or why execution must stop (kCancelled / kDeadlineExceeded).
   Status CheckCancel() const {
     return cancel_ != nullptr ? cancel_->Check() : Status::OK();
@@ -105,67 +102,32 @@ class ExecContext {
 
 // The number of morsel_rows-sized rank ranges [0, total_rows) splits into
 // under `ctx` (ExecOptions' default morsel size without one): the morsels
-// ForEachMorsel and SourceScanOp run.
+// ForEachMorsel and ScanFiltered run.
 int64_t NumMorsels(const ExecContext* ctx, int64_t total_rows);
 
 // Runs task(morsel, begin, end) once per morsel of [0, total_rows) through
-// the scans' dispatch: at most 2 × parallelism morsels in flight on the
-// context's pool, and a cancel check before each one, so a tripped scope
-// stops it within one morsel (the caller reports that through
-// CheckCancel). Morsel m covers [m × morsel_rows, ...), and m runs over
-// [0, NumMorsels(ctx, total_rows)). Tasks run concurrently and must write
+// ParallelFor on the context's pool, at most parallelism() at a time.
+// Morsel m covers [m × morsel_rows, ...), and m runs over
+// [0, NumMorsels(ctx, total_rows)). A tripped cancel scope stops the
+// claiming, so at most one morsel per worker starts after it (the caller
+// reports that through CheckCancel). Tasks run concurrently and must write
 // only state private to their morsel; all have finished when this returns.
 using MorselTask = std::function<void(int64_t, int64_t, int64_t)>;
 void ForEachMorsel(ExecContext* ctx, int64_t total_rows,
                    const MorselTask& task);
 
-namespace internal {
-class MorselPipeline;
-}  // namespace internal
-
-// Morsel-driven scan over any TableSource (a materialized Database or a
-// TupleGenerator), with an optional pushed-down filter evaluated inside the
-// morsel workers — the executor's scan+filter unit of parallelism. The
-// workers fill their morsel columnar (FillBlockRange), run the compiled
-// predicate over the columns, and compact in place through the selection
-// vector. Destroying a scan mid-stream waits out its in-flight morsels,
-// whose tasks hold its address, so a scan is neither copied nor moved.
-//
-// `live_columns` projects the scan: only those columns (which must include
-// every column the filter reads) are filled and compacted, and the emitted
-// batches hold unspecified values in the others. Empty = every column.
-class SourceScanOp {
- public:
-  SourceScanOp(const TableSource* source, int relation, int num_columns,
-               DnfPredicate filter = DnfPredicate::True(),
-               ExecContext* ctx = nullptr,
-               std::vector<int> live_columns = {});
-  ~SourceScanOp();
-  SourceScanOp(const SourceScanOp&) = delete;
-  SourceScanOp& operator=(const SourceScanOp&) = delete;
-
-  // Starts a scan from rank 0; call again to rescan.
-  void Open();
-
-  // Fills `out` with the next non-empty batch and returns true, or returns
-  // false at end of stream (or once the context's cancel scope trips). The
-  // callee Resets `out`; batch boundaries are an implementation detail —
-  // only the concatenated row stream is contractual, and it is identical
-  // at any thread count.
-  bool NextBatch(RowBlock* out);
-
-  int num_columns() const { return num_columns_; }
-
- private:
-  const TableSource* source_;
-  int relation_;
-  int num_columns_;
-  kernels::BlockPredicate filter_;
-  bool filter_is_true_;
-  ExecContext* ctx_;
-  std::vector<int> live_columns_;
-  std::unique_ptr<internal::MorselPipeline> morsels_;
-};
+// Scans `relation` of `source` (`width` columns) morsel by morsel on the
+// calling thread: fills each morsel's `columns` and `filter`'s columns
+// (FillBlockRange) and selects its rows through the compiled filter. `out`
+// is Reset to columns.size() columns and receives the passing rows in rank
+// order, at any morsel size: its column c holds the relation's column
+// columns[c]. A tripped cancel scope on `ctx` stops the scan before its
+// next morsel and is returned, with `out` partial. A null `ctx` means the
+// default morsel size and no cancel scope.
+Status ScanFiltered(const TableSource& source, int relation, int width,
+                    const DnfPredicate& filter,
+                    const std::vector<int>& columns, const ExecContext* ctx,
+                    RowBlock* out);
 
 // Join-key index: maps a key to the contiguous span of build row ids holding
 // it, in build order — the table behind the executor's probe chain. Two
@@ -180,7 +142,7 @@ class SourceScanOp {
 //    filling the array costs no more than the scan that fed the build, and
 //    the cap holds it to 512 KiB however large the relation.
 //  * hashed — CSR over flat open-addressing {key, begin, len} slots,
-//    hash-partitioned across the pool for large builds.
+//    hash-partitioned across the pool (ParallelFor) for large builds.
 // Every build counts in the metric registry as engine/join_index_dense or
 // engine/join_index_hashed.
 class JoinIndex {

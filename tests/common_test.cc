@@ -1,13 +1,25 @@
-// Unit tests for common/: Status, intervals, RNG, text tables.
+// Unit tests for common/: Status, intervals, RNG, text tables, and
+// ParallelFor's contract.
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cancel.h"
+#include "common/failpoint.h"
 #include "common/interval.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/text_table.h"
+#include "common/thread_pool.h"
 
 namespace hydra {
 namespace {
@@ -336,6 +348,151 @@ TEST(FormatTest, Count) {
   EXPECT_EQ(FormatCount(0), "0");
   EXPECT_EQ(FormatCount(999), "999");
   EXPECT_EQ(FormatCount(5500000), "5,500,000");
+}
+
+// --- ParallelFor -----------------------------------------------------------
+
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
+  ThreadPool pool(4);
+  for (const int width : {1, 2, 3, 4}) {
+    for (const int64_t count :
+         {int64_t{0}, int64_t{1}, int64_t{width - 1}, int64_t{1000}}) {
+      std::vector<std::atomic<int>> runs(static_cast<size_t>(count));
+      ParallelFor(&pool, width, count, [&](int64_t i) { ++runs[i]; });
+      for (int64_t i = 0; i < count; ++i) {
+        EXPECT_EQ(runs[i].load(), 1)
+            << "index " << i << " of " << count << " at width " << width;
+      }
+    }
+  }
+  // The pool-wide form covers every index too.
+  std::vector<std::atomic<int>> runs(1000);
+  ParallelFor(pool, 1000, [&](int i) { ++runs[i]; });
+  for (const std::atomic<int>& r : runs) EXPECT_EQ(r.load(), 1);
+}
+
+TEST(ParallelForTest, AtMostWidthCallsInFlight) {
+  ThreadPool pool(4);
+  for (const int width : {2, 3}) {
+    std::mutex mu;
+    std::condition_variable cv;
+    int arrived = 0;
+    int in_flight = 0;
+    int high_water = 0;
+    ParallelFor(&pool, width, 40, [&](int64_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      ++arrived;
+      high_water = std::max(high_water, ++in_flight);
+      cv.notify_all();
+      // Rendezvous: the first `width` calls wait for each other, so the
+      // width is reached; then they leave an extra call time to start, as
+      // it could if more than `width` tasks were claiming.
+      cv.wait_for(lock, std::chrono::seconds(5),
+                  [&] { return arrived >= width; });
+      cv.wait_for(lock, std::chrono::milliseconds(50),
+                  [&] { return arrived > width; });
+      --in_flight;
+    });
+    EXPECT_EQ(high_water, width) << "width " << width;
+  }
+}
+
+TEST(ParallelForTest, NullPoolOrWidthOneRunsOnTheCallingThread) {
+  ThreadPool pool(4);
+  const std::pair<ThreadPool*, int> cases[] = {
+      {nullptr, 1}, {nullptr, 4}, {&pool, 1}};
+  for (const auto& [p, width] : cases) {
+    std::vector<std::thread::id> ran_on;
+    ParallelFor(p, width, 50, [&](int64_t) {
+      ran_on.push_back(std::this_thread::get_id());
+    });
+    ASSERT_EQ(ran_on.size(), 50u);
+    for (const std::thread::id id : ran_on) {
+      EXPECT_EQ(id, std::this_thread::get_id()) << "width " << width;
+    }
+  }
+}
+
+TEST(ParallelForTest, CompletionIsScopedToTheCall) {
+  // An unrelated task blocks one worker on a latch. ParallelFor must return
+  // without waiting for it; the latch opens after a bounded wait, so a
+  // ParallelFor that waited on the whole pool fails here instead of hanging.
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false;
+  bool released = false;
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    started = true;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(2), [&] { return released; });
+    released = true;
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started; });
+  }
+  std::atomic<int> calls{0};
+  ParallelFor(&pool, 2, 100, [&](int64_t) { ++calls; });
+  bool returned_before_release = false;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    returned_before_release = !released;
+    released = true;
+    cv.notify_all();
+  }
+  EXPECT_TRUE(returned_before_release)
+      << "ParallelFor waited for an unrelated pool task";
+  EXPECT_EQ(calls.load(), 100);
+  pool.Wait();
+}
+
+TEST(ParallelForTest, TrippedScopeStopsTheClaiming) {
+  ThreadPool pool(4);
+  ThreadPool* const pools[] = {nullptr, &pool};
+  for (ThreadPool* p : pools) {
+    for (const int width : {1, 4}) {
+      // Tripped before the call: nothing is claimed.
+      CancelToken tripped;
+      tripped.Cancel();
+      const CancelScope tripped_scope(&tripped, Deadline::Infinite());
+      std::atomic<int64_t> calls{0};
+      ParallelFor(p, width, 1000, [&](int64_t) { ++calls; }, &tripped_scope);
+      EXPECT_EQ(calls.load(), 0);
+
+      // Tripped inside call k: each task claims no index after it sees the
+      // scope tripped, so at most one more call per other task starts.
+      constexpr int64_t kTripAt = 10;
+      CancelToken token;
+      const CancelScope scope(&token, Deadline::Infinite());
+      calls = 0;
+      ParallelFor(
+          p, width, 1000,
+          [&](int64_t) {
+            if (++calls == kTripAt) token.Cancel();
+          },
+          &scope);
+      const int tasks = p == nullptr ? 1 : width;
+      EXPECT_GE(calls.load(), kTripAt);
+      EXPECT_LE(calls.load(), kTripAt + tasks - 1)
+          << (p == nullptr ? "no pool" : "pool") << ", width " << width;
+    }
+  }
+}
+
+TEST(ParallelForTest, DispatchHookFiresBeforeEveryClaimedIndex) {
+  // The chaos hook sits before each index a task claims, not only at task
+  // start, so a delay schedule can reorder the indices of one call. Armed
+  // with a zero delay it only counts.
+  ASSERT_TRUE(Failpoint::ArmFromString("thread_pool/dispatch=delay(0)").ok());
+  const Failpoint* point = Failpoint::Find("thread_pool/dispatch");
+  ASSERT_NE(point, nullptr);
+  ThreadPool pool(4);
+  const uint64_t before = point->hits();
+  ParallelFor(&pool, 2, 100, [](int64_t) {});
+  EXPECT_GE(point->hits() - before, 100u);
+  Failpoint::DisarmAll();
 }
 
 }  // namespace

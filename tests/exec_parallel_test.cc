@@ -1,20 +1,24 @@
 // Parallel-vs-sequential identity of the morsel-driven execution engine:
-// AQP cardinalities, similarity reports, and SourceScanOp row streams must
+// AQP cardinalities, similarity reports, and ScanFiltered row streams must
 // be byte-identical at any {num_threads, morsel_rows} setting and at either
 // kernel dispatch path, over both materialized (Database) and dynamically
 // generated (TupleGenerator) sources. Query batches (Executor::ExecuteAll)
 // must return exactly the plans of lone Execute calls, in query order, and
 // the first invalid query's status. Also covers the morsel edge cases:
-// empty relation, relation smaller than one morsel, 1-row morsels, pushed
-// filters that keep nothing, everything or every other row, and a scan
-// destroyed mid-stream. Projected scans (each filling only the columns its
-// plan reads) must return the plans of unprojected ones.
+// empty relation, relation smaller than one morsel, 1-row morsels, morsels
+// of nearly INT64_MAX rows, and pushed filters that keep nothing,
+// everything or every other row; and a cancel that trips mid-query, which
+// stops a lone query within one morsel per worker. Projected scans (each
+// filling only the columns its plan reads) must return the plans of
+// unprojected ones.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -33,19 +37,20 @@
 namespace hydra {
 namespace {
 
-// The scan's whole output as row-major values: order-sensitive, so equality
-// means an identical row stream.
-std::vector<Value> Drain(SourceScanOp* scan) {
-  scan->Open();
-  std::vector<Value> values;
+// ScanFiltered's output over every column, as row-major values: order-
+// sensitive, so equality means an identical row stream.
+std::vector<Value> Drain(const TableSource& source, int relation, int width,
+                         const DnfPredicate& filter = DnfPredicate::True(),
+                         const ExecContext* ctx = nullptr) {
+  std::vector<int> columns(width);
+  std::iota(columns.begin(), columns.end(), 0);
   RowBlock block;
-  while (scan->NextBatch(&block)) {
-    EXPECT_GT(block.num_rows(), 0) << "NextBatch must not emit empty batches";
-    for (int64_t r = 0; r < block.num_rows(); ++r) {
-      const size_t base = values.size();
-      values.resize(base + block.num_columns());
-      block.CopyRowTo(r, values.data() + base);
-    }
+  const Status status =
+      ScanFiltered(source, relation, width, filter, columns, ctx, &block);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  std::vector<Value> values(static_cast<size_t>(block.num_rows() * width));
+  for (int64_t r = 0; r < block.num_rows(); ++r) {
+    block.CopyRowTo(r, values.data() + r * width);
   }
   return values;
 }
@@ -445,13 +450,12 @@ TEST(ParallelScanTest, GeneratorSourceRowOrderIdentical) {
   const int s = env.schema.RelationIndex("S");
   const int cols = env.schema.relation(s).num_attributes();
 
-  SourceScanOp sequential(&gen, s, cols);
-  const std::vector<Value> base = Drain(&sequential);
+  const std::vector<Value> base = Drain(gen, s, cols);
   ASSERT_EQ(base.size(), gen.RowCount(s) * cols);
   for (int threads : {1, 2, 8}) {
     ExecContext ctx(ExecOptions{threads, 13});
-    SourceScanOp scan(&gen, s, cols, DnfPredicate::True(), &ctx);
-    EXPECT_EQ(Drain(&scan), base) << threads << " threads";
+    EXPECT_EQ(Drain(gen, s, cols, DnfPredicate::True(), &ctx), base)
+        << threads << " threads";
   }
 }
 
@@ -459,11 +463,8 @@ TEST(MorselEdgeCaseTest, EmptyRelation) {
   const Sources sources(RunSummary({}));
   ExecContext ctx(ExecOptions{8, 16});
   for (const TableSource* source : sources.all()) {
-    SourceScanOp scan(source, 0, 2, DnfPredicate::True(), &ctx);
-    scan.Open();
-    RowBlock block;
-    EXPECT_FALSE(scan.NextBatch(&block)) << SourceName(sources, source);
-    EXPECT_TRUE(Drain(&scan).empty()) << SourceName(sources, source);
+    EXPECT_TRUE(Drain(*source, 0, 2, DnfPredicate::True(), &ctx).empty())
+        << SourceName(sources, source);
   }
 }
 
@@ -471,8 +472,8 @@ TEST(MorselEdgeCaseTest, RelationSmallerThanOneMorsel) {
   const Sources sources(RunSummary({{7, 2}, {9, 3}}));
   ExecContext ctx(ExecOptions{8, 1 << 20});
   for (const TableSource* source : sources.all()) {
-    SourceScanOp scan(source, 0, 2, DnfPredicate::True(), &ctx);
-    EXPECT_EQ(Drain(&scan), (std::vector<Value>{0, 7, 1, 7, 2, 9, 3, 9, 4, 9}))
+    EXPECT_EQ(Drain(*source, 0, 2, DnfPredicate::True(), &ctx),
+              (std::vector<Value>{0, 7, 1, 7, 2, 9, 3, 9, 4, 9}))
         << SourceName(sources, source);
   }
 }
@@ -486,15 +487,57 @@ TEST(MorselEdgeCaseTest, SingleRowMorsels) {
   }
   ExecContext ctx(ExecOptions{4, 1});
   for (const TableSource* source : sources.all()) {
-    SourceScanOp scan(source, 0, 2, DnfPredicate::True(), &ctx);
-    EXPECT_EQ(Drain(&scan), want) << SourceName(sources, source);
+    EXPECT_EQ(Drain(*source, 0, 2, DnfPredicate::True(), &ctx), want)
+        << SourceName(sources, source);
+  }
+}
+
+TEST(MorselEdgeCaseTest, MorselRowsNearInt64Max) {
+  // Rounding the morsel count up as (rows + morsel_rows - 1) / morsel_rows
+  // wraps here, which once planned no morsel and returned 0 for every step.
+  ToyEnvironment env = MakeToyEnvironment();
+  auto result = HydraRegenerator(env.schema).Regenerate(env.ccs);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const Sources sources(result->summary);
+  const int s = env.schema.RelationIndex("S");
+  const int cols = env.schema.relation(s).num_attributes();
+  for (const TableSource* source : sources.all()) {
+    SCOPED_TRACE(SourceName(sources, source));
+    auto want = Executor(env.schema).Execute(env.query, *source);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(AqpSignature(*want),
+              (std::vector<std::pair<std::string, uint64_t>>{
+                  {"toy_q1/filter(S)", 400},
+                  {"toy_q1/filter(T)", 900},
+                  {"toy_q1/join0", 50000},
+                  {"toy_q1/join1", 30000}}));
+    const std::vector<Value> rows = Drain(*source, s, cols);
+    ASSERT_EQ(rows.size(), source->RowCount(s) * cols);
+    for (const int64_t morsel_rows : {INT64_MAX, INT64_MAX / 2}) {
+      for (const int threads : {1, 2}) {
+        const ExecOptions exec{threads, morsel_rows};
+        SCOPED_TRACE(SettingName(exec));
+        const Executor executor(env.schema, exec);
+        auto lone = executor.Execute(env.query, *source);
+        ASSERT_TRUE(lone.ok()) << lone.status().ToString();
+        EXPECT_EQ(PlanText(*lone), PlanText(*want));
+        auto batch = executor.ExecuteAll({env.query, env.query}, *source);
+        ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+        ASSERT_EQ(batch->size(), 2u);
+        for (const AnnotatedQueryPlan& plan : *batch) {
+          EXPECT_EQ(PlanText(plan), PlanText(*want));
+        }
+        ExecContext ctx(exec);
+        EXPECT_EQ(Drain(*source, s, cols, DnfPredicate::True(), &ctx), rows);
+      }
+    }
   }
 }
 
 TEST(SelectionVectorTest, PushedFilterEdgeCases) {
-  // The selection-vector path through SourceScanOp's pushed filter: empty
-  // input, no row passes, all pass, and every other row, sequentially and
-  // over 1- and 3-row morsels on a pool.
+  // The selection-vector path through ScanFiltered's pushed filter: empty
+  // input, no row passes, all pass, and every other row, over default, 1-
+  // and 3-row morsels.
   std::vector<std::pair<Value, int64_t>> alternating;
   for (int64_t i = 0; i < 23; ++i) alternating.push_back({i % 2, 1});
   const Sources empty(RunSummary({}));
@@ -507,8 +550,7 @@ TEST(SelectionVectorTest, PushedFilterEdgeCases) {
   }
   const auto filtered = [](const TableSource* source, DnfPredicate pred,
                            ExecContext* ctx) {
-    SourceScanOp scan(source, 0, 2, std::move(pred), ctx);
-    return Drain(&scan);
+    return Drain(*source, 0, 2, pred, ctx);
   };
   ExecContext single_row_morsels(ExecOptions{4, 1});
   ExecContext three_row_morsels(ExecOptions{4, 3});
@@ -557,8 +599,8 @@ TEST(CrossLayoutIdentityTest, ScalarVsSimdAcrossThreadsAndMorsels) {
     ExecContext ctx(ExecOptions{threads, morsel_rows});
     auto aqp = Executor(env.schema, &ctx).Execute(env.query, *source);
     EXPECT_TRUE(aqp.ok()) << aqp.status().ToString();
-    SourceScanOp scan(source, s, cols, pred, &ctx);
-    return Signature{AqpSignature(*aqp), StreamHash(Drain(&scan))};
+    return Signature{AqpSignature(*aqp),
+                     StreamHash(Drain(*source, s, cols, pred, &ctx))};
   };
 
   kernels::SetSimdEnabled(true);
@@ -580,26 +622,115 @@ TEST(CrossLayoutIdentityTest, ScalarVsSimdAcrossThreadsAndMorsels) {
   }
 }
 
-TEST(MorselEdgeCaseTest, DestroyMidStreamDrainsInFlightMorsels) {
-  // A consumer that stops early leaves morsels in flight; the scan must
-  // drain them cleanly on destruction after emitting the correct prefix.
-  const Sources sources(RunSummary({{3, 1000}}));
-  ExecContext ctx(ExecOptions{8, 3});
-  for (const TableSource* source : sources.all()) {
-    SourceScanOp scan(source, 0, 2, DnfPredicate::True(), &ctx);
-    scan.Open();
-    std::vector<Value> prefix;
-    RowBlock block;
-    while (prefix.size() < 2 * 10 && scan.NextBatch(&block)) {
-      for (int64_t r = 0; r < block.num_rows(); ++r) {
-        prefix.push_back(block.Column(0)[r]);
-        prefix.push_back(block.Column(1)[r]);
+// A ForwardingSource that also counts the block fills of each relation,
+// and trips `token` inside the k-th fill (counting from 1) of
+// `trip_relation`.
+class TrippingSource : public ForwardingSource {
+ public:
+  TrippingSource(const TableSource& inner, int trip_relation, int64_t k,
+                 CancelToken* token)
+      : ForwardingSource(inner, /*unprojected=*/false),
+        trip_relation_(trip_relation),
+        k_(k),
+        token_(token) {}
+
+  void FillBlockRange(int relation, int64_t begin, int64_t end,
+                      RowBlock* out) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (++fills_[relation] == k_ && relation == trip_relation_) {
+        token_->Cancel();
       }
     }
-    ASSERT_GE(prefix.size(), 2u * 10);
-    for (int64_t i = 0; i < 10; ++i) {
-      EXPECT_EQ(prefix[2 * i], i) << SourceName(sources, source);
-      EXPECT_EQ(prefix[2 * i + 1], 3) << SourceName(sources, source);
+    ForwardingSource::FillBlockRange(relation, begin, end, out);
+  }
+
+  int64_t fills(int relation) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = fills_.find(relation);
+    return it == fills_.end() ? 0 : it->second;
+  }
+
+ private:
+  const int trip_relation_;
+  const int64_t k_;
+  CancelToken* const token_;
+  mutable std::mutex mu_;
+  mutable std::map<int, int64_t> fills_;
+};
+
+// The cancel bound (docs/robustness.md): a scope that trips inside the
+// k-th root morsel's fill stops a lone query after at most
+// k + parallelism - 1 root fills, because each worker claims no morsel
+// once it sees the scope tripped.
+TEST(MidQueryCancelTest, RootTripStopsWithinOneMorselPerWorker) {
+  const TpcdsSources& sources = SharedTpcdsSources();
+  const Schema& schema = sources.site.schema;
+  const Query& query = sources.site.queries[0];
+  const int root = query.tables[0].relation;
+  constexpr int64_t kMorselRows = 16;
+  constexpr int64_t kTripAt = 5;
+  for (const TableSource* inner : sources.all()) {
+    ASSERT_GT(static_cast<int64_t>(inner->RowCount(root)),
+              kMorselRows * (kTripAt + 8));
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(sources.Name(inner)) + " at " +
+                   std::to_string(threads) + " threads");
+      CancelToken token;
+      const CancelScope scope(&token, Deadline::Infinite());
+      const TrippingSource source(*inner, root, kTripAt, &token);
+      ExecContext ctx(ExecOptions{threads, kMorselRows});
+      ctx.set_cancel(&scope);
+      auto aqp = Executor(schema, &ctx).Execute(query, source);
+      EXPECT_EQ(aqp.status().code(), StatusCode::kCancelled)
+          << aqp.status().ToString();
+      EXPECT_GE(source.fills(root), kTripAt);
+      EXPECT_LE(source.fills(root), kTripAt + threads - 1);
+    }
+  }
+}
+
+// A non-root scan runs on the query's thread and checks the scope before
+// every morsel, so it stops at the morsel that tripped it, and the root's
+// morsels never start.
+TEST(MidQueryCancelTest, NonRootTripStopsWithinOneMorsel) {
+  const TpcdsSources& sources = SharedTpcdsSources();
+  const Schema& schema = sources.site.schema;
+  const Query& query = sources.site.queries[0];
+  ASSERT_GE(query.tables.size(), 2u);
+  const int root = query.tables[0].relation;
+  const int scanned = query.tables[1].relation;
+  const int width = schema.relation(scanned).num_attributes();
+  constexpr int64_t kMorselRows = 16;
+  constexpr int64_t kTripAt = 3;
+  for (const TableSource* inner : sources.all()) {
+    ASSERT_GT(static_cast<int64_t>(inner->RowCount(scanned)),
+              kMorselRows * (kTripAt + 1));
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(sources.Name(inner)) + " at " +
+                   std::to_string(threads) + " threads");
+      CancelToken token;
+      const CancelScope scope(&token, Deadline::Infinite());
+      ExecContext ctx(ExecOptions{threads, kMorselRows});
+      ctx.set_cancel(&scope);
+
+      const TrippingSource direct(*inner, scanned, kTripAt, &token);
+      RowBlock block;
+      const Status status = ScanFiltered(direct, scanned, width,
+                                         DnfPredicate::True(), {0}, &ctx,
+                                         &block);
+      EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
+      EXPECT_EQ(direct.fills(scanned), kTripAt);
+
+      CancelToken query_token;
+      const CancelScope query_scope(&query_token, Deadline::Infinite());
+      ctx.set_cancel(&query_scope);
+      const TrippingSource source(*inner, scanned, kTripAt, &query_token);
+      auto aqp = Executor(schema, &ctx).Execute(query, source);
+      EXPECT_EQ(aqp.status().code(), StatusCode::kCancelled)
+          << aqp.status().ToString();
+      EXPECT_EQ(source.fills(scanned), kTripAt);
+      EXPECT_EQ(source.fills(root), 0);
     }
   }
 }

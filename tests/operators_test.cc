@@ -1,4 +1,4 @@
-// Tests for engine/operators: SourceScanOp over materialized and
+// Tests for engine/operators: ScanFiltered over materialized and
 // dynamically generated sources, and the JoinIndex layouts behind the
 // executor's probe chain.
 
@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "engine/operators.h"
@@ -17,24 +18,24 @@
 namespace hydra {
 namespace {
 
-// The scan's whole output as row-major values: order-sensitive, so equality
-// means an identical row stream.
-std::vector<Value> Drain(SourceScanOp* scan) {
-  scan->Open();
-  std::vector<Value> values;
+// ScanFiltered's output over every column, as row-major values: order-
+// sensitive, so equality means an identical row stream.
+std::vector<Value> Drain(const TableSource& source, int relation, int width,
+                         const DnfPredicate& filter = DnfPredicate::True()) {
+  std::vector<int> columns(width);
+  std::iota(columns.begin(), columns.end(), 0);
   RowBlock block;
-  while (scan->NextBatch(&block)) {
-    EXPECT_GT(block.num_rows(), 0) << "NextBatch must not emit empty batches";
-    for (int64_t r = 0; r < block.num_rows(); ++r) {
-      const size_t base = values.size();
-      values.resize(base + block.num_columns());
-      block.CopyRowTo(r, values.data() + base);
-    }
+  EXPECT_TRUE(
+      ScanFiltered(source, relation, width, filter, columns, nullptr, &block)
+          .ok());
+  std::vector<Value> values(static_cast<size_t>(block.num_rows() * width));
+  for (int64_t r = 0; r < block.num_rows(); ++r) {
+    block.CopyRowTo(r, values.data() + r * width);
   }
   return values;
 }
 
-class SourceScanOpTest : public ::testing::Test {
+class ScanFilteredTest : public ::testing::Test {
  protected:
   void SetUp() override {
     env_ = MakeToyEnvironment();
@@ -62,10 +63,9 @@ class SourceScanOpTest : public ::testing::Test {
   int cols_ = 0;
 };
 
-TEST_F(SourceScanOpTest, EmitsEveryRowOfEitherSource) {
+TEST_F(ScanFilteredTest, EmitsEveryRowOfEitherSource) {
   for (const TableSource* source : Sources()) {
-    SourceScanOp scan(source, s_, cols_);
-    const std::vector<Value> got = Drain(&scan);
+    const std::vector<Value> got = Drain(*source, s_, cols_);
     ASSERT_EQ(got.size(), source->RowCount(s_) * cols_);
     std::vector<Value> want;
     source->Scan(s_, [&](const Row& row) {
@@ -74,68 +74,47 @@ TEST_F(SourceScanOpTest, EmitsEveryRowOfEitherSource) {
     EXPECT_EQ(got, want);
   }
   // Both sources serve the same summary, so the same stream.
-  SourceScanOp from_db(db_.get(), s_, cols_);
-  SourceScanOp from_gen(gen_.get(), s_, cols_);
-  EXPECT_EQ(Drain(&from_db), Drain(&from_gen));
+  EXPECT_EQ(Drain(*db_, s_, cols_), Drain(*gen_, s_, cols_));
 }
 
-TEST_F(SourceScanOpTest, ReopenRestarts) {
-  SourceScanOp scan(db_.get(), s_, cols_);
-  const std::vector<Value> first = Drain(&scan);
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(Drain(&scan), first);
-}
-
-TEST_F(SourceScanOpTest, PushedFilterMatchesRowWiseEval) {
-  // The pushed filter runs the BlockPredicate + in-place Gather kernels; the
-  // oracle is DnfPredicate::Eval applied row by row to the unfiltered scan.
+TEST_F(ScanFilteredTest, PushedFilterMatchesRowWiseEval) {
+  // The pushed filter runs the BlockPredicate + Gather kernels; the oracle
+  // is DnfPredicate::Eval applied row by row to the unfiltered scan.
   const int a = env_.schema.relation(s_).AttrIndex("A");
   const DnfPredicate pred = PredicateOf(AtomRange(a, 20, 60));
   for (const TableSource* source : Sources()) {
-    SourceScanOp unfiltered(source, s_, cols_);
-    const std::vector<Value> all = Drain(&unfiltered);
+    const std::vector<Value> all = Drain(*source, s_, cols_);
     std::vector<Value> want;
     for (size_t r = 0; r < all.size(); r += cols_) {
       if (pred.Eval(all.data() + r)) {
         want.insert(want.end(), all.begin() + r, all.begin() + r + cols_);
       }
     }
-    SourceScanOp pushed(source, s_, cols_, pred);
-    EXPECT_EQ(Drain(&pushed), want);
+    EXPECT_EQ(Drain(*source, s_, cols_, pred), want);
     // |σ_{A∈[20,60)}(S)| = 400 (the Figure 1d constraint).
     EXPECT_EQ(want.size() / cols_, 400u);
   }
 }
 
-TEST_F(SourceScanOpTest, ProjectedScanMatchesFullScanOnLiveColumns) {
-  // Projected onto A (the filter column) and the PK, a filtered scan emits
-  // the full scan's rows on those columns; its compacted batches carry no
-  // runs.
+TEST_F(ScanFilteredTest, ProjectedScanMatchesFullScanOnLiveColumns) {
+  // Kept columns {PK, A} (A is the filter column): a filtered scan emits
+  // the full scan's rows on those columns, in that order.
   const Relation& rel = env_.schema.relation(s_);
   const int a = rel.AttrIndex("A");
   const int pk = rel.PrimaryKeyIndex();
   const DnfPredicate pred = PredicateOf(AtomRange(a, 20, 60));
   for (const TableSource* source : Sources()) {
-    SourceScanOp full(source, s_, cols_, pred);
-    const std::vector<Value> want = Drain(&full);
-    SourceScanOp projected(source, s_, cols_, pred, nullptr, {a, pk});
-    projected.Open();
-    std::vector<Value> got;
+    const std::vector<Value> want = Drain(*source, s_, cols_, pred);
     RowBlock block;
-    while (projected.NextBatch(&block)) {
-      EXPECT_FALSE(block.IsLive(rel.AttrIndex("B")));
-      // S fits one morsel, and the filter drops 300 of its 700 rows.
-      EXPECT_EQ(block.num_rows(), 400);
-      EXPECT_FALSE(block.has_runs()) << "a compacted batch kept its runs";
-      for (int64_t r = 0; r < block.num_rows(); ++r) {
-        got.push_back(block.At(r, pk));
-        got.push_back(block.At(r, a));
-      }
-    }
-    ASSERT_EQ(got.size() / 2, want.size() / cols_);
-    for (size_t r = 0; r < got.size() / 2; ++r) {
-      EXPECT_EQ(got[2 * r], want[r * cols_ + pk]) << "row " << r;
-      EXPECT_EQ(got[2 * r + 1], want[r * cols_ + a]) << "row " << r;
+    ASSERT_TRUE(
+        ScanFiltered(*source, s_, cols_, pred, {pk, a}, nullptr, &block).ok());
+    ASSERT_EQ(block.num_columns(), 2);
+    // The filter drops 300 of S's 700 rows.
+    ASSERT_EQ(block.num_rows(), 400);
+    ASSERT_EQ(static_cast<size_t>(block.num_rows()), want.size() / cols_);
+    for (int64_t r = 0; r < block.num_rows(); ++r) {
+      EXPECT_EQ(block.At(r, 0), want[r * cols_ + pk]) << "row " << r;
+      EXPECT_EQ(block.At(r, 1), want[r * cols_ + a]) << "row " << r;
     }
   }
 }
