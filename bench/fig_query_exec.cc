@@ -11,14 +11,14 @@
 // Results must be identical at every thread count (verified here); wall
 // clock should scale with cores. A third surface times the lone-query path
 // that serving's ExecuteQuery runs:
-//   lone_gen_t1/t4     — the same queries as a loop of lone Execute calls
-//                        over the generator, at 1 and 4 threads (root
-//                        morsels on the workers); every plan must equal the
-//                        batch's. Each record runs kPasses back-to-back
-// passes over the query set and reports kPasses × the median pass: as long
-// as the kPasses sum, so it stays above tools/compare_bench.py's 10 ms
-// noise floor even where one pass takes a few milliseconds, but one slow
-// pass (a descheduled worker) cannot move it.
+//   lone_gen_t1        — the same queries as a loop of lone Execute calls
+//                        over the generator, each on the calling thread;
+//                        every plan must equal the batch's.
+// Each record runs kPasses back-to-back passes over the query set and
+// reports kPasses × the median pass: as long as the kPasses sum, so it
+// stays above tools/compare_bench.py's 10 ms noise floor even where one
+// pass takes a few milliseconds, but one slow pass (a descheduled worker)
+// cannot move it.
 
 #include <algorithm>
 #include <thread>
@@ -119,41 +119,33 @@ int main(int argc, char** argv) {
   }
 
   // Lone queries over the generator: the batch's plans are the reference.
-  auto batch_plans =
-      Executor(site.schema, ExecOptions{1, 4096}).ExecuteAll(site.queries,
-                                                             generator);
+  const Executor lone(site.schema, ExecOptions{1, 4096});
+  auto batch_plans = lone.ExecuteAll(site.queries, generator);
   HYDRA_CHECK_MSG(batch_plans.ok(), batch_plans.status().ToString());
-  std::vector<std::pair<int, double>> lone_samples;
-  for (int threads : {1, 4}) {
-    const Executor executor(site.schema, ExecOptions{threads, 4096});
-    std::vector<AnnotatedQueryPlan> plans(site.queries.size());
-    std::vector<double> passes;
-    for (int pass = 0; pass < kPasses; ++pass) {
-      Timer pass_timer;
-      for (size_t q = 0; q < site.queries.size(); ++q) {
-        auto aqp = executor.Execute(site.queries[q], generator);
-        HYDRA_CHECK_MSG(aqp.ok(), aqp.status().ToString());
-        plans[q] = std::move(aqp).value();
-      }
-      passes.push_back(pass_timer.Seconds());
-      for (size_t q = 0; q < plans.size(); ++q) {
-        const std::vector<AqpStep>& want = (*batch_plans)[q].steps;
-        HYDRA_CHECK_MSG(plans[q].steps.size() == want.size(),
-                        "lone plan of query " << q << " diverges");
-        for (size_t i = 0; i < want.size(); ++i) {
-          HYDRA_CHECK_MSG(plans[q].steps[i].label == want[i].label &&
-                              plans[q].steps[i].cardinality ==
-                                  want[i].cardinality,
-                          "lone plan of query " << q << " diverges at "
-                                                << threads << " threads");
-        }
+  std::vector<AnnotatedQueryPlan> plans(site.queries.size());
+  std::vector<double> lone_passes;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    Timer pass_timer;
+    for (size_t q = 0; q < site.queries.size(); ++q) {
+      auto aqp = lone.Execute(site.queries[q], generator);
+      HYDRA_CHECK_MSG(aqp.ok(), aqp.status().ToString());
+      plans[q] = std::move(aqp).value();
+    }
+    lone_passes.push_back(pass_timer.Seconds());
+    for (size_t q = 0; q < plans.size(); ++q) {
+      const std::vector<AqpStep>& want = (*batch_plans)[q].steps;
+      HYDRA_CHECK_MSG(plans[q].steps.size() == want.size(),
+                      "lone plan of query " << q << " diverges");
+      for (size_t i = 0; i < want.size(); ++i) {
+        const AqpStep& got = plans[q].steps[i];
+        const bool same = got.label == want[i].label &&
+                          got.cardinality == want[i].cardinality;
+        HYDRA_CHECK_MSG(same, "lone plan of query " << q << " diverges");
       }
     }
-    const double seconds = passes_at_median(passes);
-    json.Record("lone_gen_t" + std::to_string(threads), seconds,
-                kPasses * site.queries.size());
-    lone_samples.push_back({threads, seconds});
   }
+  const double lone_seconds = passes_at_median(lone_passes);
+  json.Record("lone_gen_t1", lone_seconds, kPasses * site.queries.size());
 
   TextTable table({"threads", "AQP collection", "speedup",
                    "similarity (datagen)", "speedup"});
@@ -167,12 +159,8 @@ int main(int argc, char** argv) {
                       2)});
   }
   std::printf("%s\n", table.Render().c_str());
-  TextTable lone_table({"threads", "lone queries (datagen)", "speedup"});
-  for (const auto& [threads, seconds] : lone_samples) {
-    lone_table.AddRow({std::to_string(threads), FormatDuration(seconds),
-                       TextTable::Cell(lone_samples[0].second / seconds, 2)});
-  }
-  std::printf("%s\n", lone_table.Render().c_str());
+  std::printf("lone queries (datagen, each on the calling thread): %s\n\n",
+              FormatDuration(lone_seconds).c_str());
   std::printf(
       "Each time is %d x the median of %d passes over the query set.\n"
       "All cardinalities verified identical across thread counts.\n"

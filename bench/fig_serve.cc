@@ -3,10 +3,11 @@
 // one RegenServer process, N concurrent clients, mixed point-lookup /
 // range-scan / full-pipeline workloads over the TPC-DS and toy summaries.
 //
-// Sweeps the worker-thread and client-count axes and, at every
-// configuration — including an eviction-heavy cache and odd batch sizes —
-// asserts that each client's result stream hashes byte-identically to the
-// reference configuration. A cursor interrupted by summary eviction must
+// Sweeps the admission window (max_inflight, the "t" of the serve_t*
+// record names) and the client count and, at every configuration —
+// including an eviction-heavy cache and odd batch sizes — asserts that
+// each client's result stream hashes byte-identically to the reference
+// configuration. A cursor interrupted by summary eviction must
 // resume byte-identically after the reload; that is checked explicitly.
 
 #include <algorithm>
@@ -204,7 +205,7 @@ int main(int argc, char** argv) {
   using namespace hydra::bench;
 
   JsonReporter json("fig_serve", argc, argv);
-  PrintHeader("Dynamic-regeneration serving — throughput vs threads/clients",
+  PrintHeader("Dynamic-regeneration serving — throughput vs inflight/clients",
               "Sections 6, 7.4: summaries served multi-tenant; every stream "
               "byte-identical at any configuration");
 
@@ -317,15 +318,15 @@ int main(int argc, char** argv) {
   const uint64_t tiny_cache = std::max(toy_bytes, tpcds_bytes) + 64;
   struct Config {
     std::string name;
-    int threads;
+    int inflight;
     int clients;
     uint64_t cache_bytes;
     int64_t batch_rows;
   };
   std::vector<Config> configs;
-  for (int threads : {1, 2, 4, 8}) {
-    configs.push_back({"serve_t" + std::to_string(threads) + "_c16", threads,
-                       16, big_cache, 4096});
+  for (int inflight : {1, 2, 4, 8}) {
+    configs.push_back({"serve_t" + std::to_string(inflight) + "_c16",
+                       inflight, 16, big_cache, 4096});
   }
   configs.push_back({"serve_t8_c1", 8, 1, big_cache, 4096});
   configs.push_back({"serve_t8_c4", 8, 4, big_cache, 4096});
@@ -334,7 +335,7 @@ int main(int argc, char** argv) {
 
   struct Sample {
     std::string name;
-    int threads;
+    int inflight;
     int clients;
     double seconds;
     uint64_t rows;
@@ -345,7 +346,7 @@ int main(int argc, char** argv) {
   std::vector<uint64_t> reference;
   for (const Config& config : configs) {
     ServeOptions options;
-    options.num_threads = config.threads;
+    options.max_inflight = config.inflight;
     options.cache_bytes = config.cache_bytes;
     options.batch_rows = config.batch_rows;
     RegenServer server(options);
@@ -365,7 +366,7 @@ int main(int argc, char** argv) {
     }
     const ServeStats stats = server.stats();
     json.Record(config.name, seconds, stats.rows_served);
-    samples.push_back({config.name, config.threads, config.clients, seconds,
+    samples.push_back({config.name, config.inflight, config.clients, seconds,
                        stats.rows_served, stats.evictions,
                        stats.admission_waits});
   }
@@ -373,7 +374,7 @@ int main(int argc, char** argv) {
   // --- explicit eviction-resume check --------------------------------------
   {
     ServeOptions options;
-    options.num_threads = 1;
+    options.max_inflight = 1;
     options.cache_bytes = tiny_cache;
     options.batch_rows = 1000;
     RegenServer server(options);
@@ -407,7 +408,7 @@ int main(int argc, char** argv) {
     }
     // Reference: the same scan on an untouched server with a huge cache.
     ServeOptions ref_options;
-    ref_options.num_threads = 1;
+    ref_options.max_inflight = 1;
     ref_options.cache_bytes = big_cache;
     RegenServer ref_server(ref_options);
     HYDRA_CHECK_OK(ref_server.RegisterSummary("toy", toy_path));
@@ -448,7 +449,6 @@ int main(int argc, char** argv) {
   std::vector<OverloadSample> overload_samples;
   for (const int clients : {8, 32}) {
     ServeOptions options;
-    options.num_threads = 2;
     options.max_inflight = 2;
     options.max_queued = 2;
     options.cache_bytes = big_cache;
@@ -606,7 +606,6 @@ int main(int argc, char** argv) {
 
     const auto make_server = [&](bool shared) {
       ServeOptions options;
-      options.num_threads = 4;
       options.max_inflight = 8;
       options.cache_bytes = big_cache;
       options.batch_rows = batch;
@@ -757,7 +756,6 @@ int main(int argc, char** argv) {
 
     const auto make_server = [&]() {
       ServeOptions options;
-      options.num_threads = 4;
       options.max_inflight = 8;
       options.cache_bytes = big_cache;
       // Wire serving wants larger batches than the in-process sweeps: the
@@ -942,11 +940,11 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(dir);
 
   // --- report --------------------------------------------------------------
-  TextTable table({"config", "threads", "clients", "wall", "rows/s",
+  TextTable table({"config", "inflight", "clients", "wall", "rows/s",
                    "evictions", "adm. waits", "speedup vs t1"});
   const double t1 = samples[0].seconds;
   for (const Sample& s : samples) {
-    table.AddRow({s.name, std::to_string(s.threads),
+    table.AddRow({s.name, std::to_string(s.inflight),
                   std::to_string(s.clients), FormatDuration(s.seconds),
                   TextTable::Cell(s.rows / std::max(1e-9, s.seconds), 0),
                   std::to_string(s.evictions), std::to_string(s.waits),
@@ -955,7 +953,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.Render().c_str());
   std::printf(
       "All 16 client streams hashed byte-identical across every "
-      "configuration\n(threads x clients x cache budget x batch size).\n\n");
+      "configuration\n(inflight x clients x cache budget x batch size).\n\n");
 
   TextTable overload_table({"overload config", "clients", "attempts", "served",
                             "shed", "reject %", "p50 ms", "p95 ms", "p99 ms"});
@@ -1017,8 +1015,8 @@ int main(int argc, char** argv) {
   if (hw >= 4 && speedup < 1.2) {
     std::printf(
         "\nWARNING: %u hardware threads but only %.2fx speedup from 1 -> 8 "
-        "worker\nthreads at 16 clients — admission or the shared pool may "
-        "have lost parallelism.\n",
+        "admitted\nrequests at 16 clients — admission may have lost "
+        "parallelism.\n",
         hw, speedup);
   } else if (hw < 4) {
     std::printf(

@@ -255,7 +255,7 @@ void BM_ExecutorAqp(benchmark::State& state) {
     benchmark::DoNotOptimize(aqp->steps);
   }
 }
-BENCHMARK(BM_ExecutorAqp)->Arg(1)->Arg(4);
+BENCHMARK(BM_ExecutorAqp)->Arg(1);
 
 // The robustness contract for failpoints (docs/robustness.md): a disabled
 // point costs one relaxed atomic load, so production-path instrumentation

@@ -64,7 +64,7 @@ int main() {
   // --- Fidelity check -------------------------------------------------------
   // The similarity evaluation re-runs the whole workload on the vendor
   // side; ExecOptions spreads its queries over the workers, and the report
-  // is identical at any thread count.
+  // must be identical at any thread count (checked below).
   auto db = MaterializeDatabase(result->summary);
   if (!db.ok()) return 1;
   const auto measure = [&](ExecOptions exec, double* seconds) {
@@ -83,6 +83,21 @@ int main() {
               "(%.2fx)\n",
               FormatDuration(t1_seconds).c_str(),
               FormatDuration(tn_seconds).c_str(), t1_seconds / tn_seconds);
+  if (report->entries.size() != report_t1->entries.size()) {
+    std::printf("the reports differ in size: %zu vs %zu CCs\n",
+                report->entries.size(), report_t1->entries.size());
+    return 1;
+  }
+  for (size_t i = 0; i < report->entries.size(); ++i) {
+    const SimilarityEntry& a = report->entries[i];
+    const SimilarityEntry& b = report_t1->entries[i];
+    if (a.label != b.label || a.client_cardinality != b.client_cardinality ||
+        a.vendor_cardinality != b.vendor_cardinality ||
+        a.signed_relative_error != b.signed_relative_error) {
+      std::printf("the reports differ at CC %zu (%s)\n", i, a.label.c_str());
+      return 1;
+    }
+  }
   std::printf("volumetric similarity on %zu CCs:\n", report->entries.size());
   for (double err : {0.0, 0.01, 0.1}) {
     std::printf("  within %4.0f%% error: %5.1f%% of CCs\n", err * 100,

@@ -3,16 +3,16 @@
 // A CancelToken is a shared flag the owner trips to revoke in-flight work;
 // a Deadline is a monotonic-clock expiry. Neither preempts anything —
 // long-running paths poll a CancelScope at their natural batch boundaries
-// (before each morsel a scan fills or a ParallelFor claims, before each
-// admission grant) and unwind with kCancelled / kDeadlineExceeded, so a
-// slow query stops within one morsel per worker of the signal rather than
-// instantly but also rather than never. Nothing polls inside a generation
-// fill: a serving grant fills at most batch_rows ranks, and
+// (before each morsel a query fills, before each index a ParallelFor
+// claims, before each admission grant) and unwind with kCancelled /
+// kDeadlineExceeded, so a slow query stops within one morsel of the signal
+// rather than instantly but also rather than never. Nothing polls inside a
+// generation fill: a serving grant fills at most batch_rows ranks, and
 // FairScheduler::Admit checks the scope before every grant.
 //
 // CancelScope is a non-owning view combining up to two tokens (e.g. the
 // client's own token plus the server's shutdown token) with a deadline; it
-// is what gets threaded through ExecContext, serve sessions and the
+// is what gets threaded through the executor, serve sessions and the
 // scheduler's admission. Checks are single relaxed atomic loads plus, when
 // a deadline is set, one steady_clock read — cheap enough for per-batch
 // polling.

@@ -1,8 +1,7 @@
 // A small fixed-size thread pool, and ParallelFor: the codebase's one
 // fan-out. Regeneration runs one index per view, materialization one per
-// shard, and the engine one per root morsel, per query of a batch, or per
-// partition of a large hashed join-index build (docs/engine.md "Morsel
-// dispatch").
+// shard, and the engine one per query of a batch (docs/engine.md "Query
+// batches"); a lone query never fans out.
 //
 // Determinism contract: the pool runs tasks, it never orders results. A
 // caller that wants deterministic output gives every index its own output

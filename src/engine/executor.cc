@@ -47,8 +47,7 @@ void BuildCcPredicate(const Schema& schema, const Query& query,
 template <typename T>
 using Scratch = std::vector<T, internal::DefaultInitAllocator<T>>;
 
-// The probe chain of one query: the plan every root morsel runs, read-only
-// while the morsels are in flight.
+// The probe chain of one query: the plan each root morsel runs.
 struct ProbeChain {
   // Join j probes indexes[j + 1] with the key column `probe_col` of an
   // already-joined table: a root attribute, or a column of that table's
@@ -81,15 +80,15 @@ struct ProbeChain {
 
   // Fills root ranks [begin, end), selects them through the root filter,
   // and probes steps 0..J-1 in order, carrying row ids rather than values.
-  // counts[0] = rows passing the root filter, counts[1 + j] = rows after
-  // join j. Over a root block with summary runs that no root column the
-  // chain reads varies in, the chain carries one head row per passing run,
-  // weighted by the run's row count, instead of every row.
+  // Adds the rows passing the root filter to counts[0] and the rows after
+  // join j to counts[1 + j]. Over a root block with summary runs that no
+  // root column the chain reads varies in, the chain carries one head row
+  // per passing run, weighted by the run's row count, instead of every row.
   void Run(int64_t begin, int64_t end, uint64_t* counts) const;
 };
 
 void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
-  // Per-worker scratch, reused across morsels and queries. ids[t] holds,
+  // Per-thread scratch, reused across morsels and queries. ids[t] holds,
   // per row of the partial join, its row in table t (root: in `root`); on
   // the per-run path weights[i] is the number of root rows partial row i
   // stands for.
@@ -125,9 +124,10 @@ void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
     root_ids.assign(sel.begin(), sel.end());
   }
   int64_t n = static_cast<int64_t>(root_ids.size());
-  counts[0] = static_cast<uint64_t>(n);
   if (per_run) {
-    counts[0] = std::accumulate(weights.begin(), weights.end(), uint64_t{0});
+    counts[0] += std::accumulate(weights.begin(), weights.end(), uint64_t{0});
+  } else {
+    counts[0] += static_cast<uint64_t>(n);
   }
 
   const int num_steps = static_cast<int>(steps.size());
@@ -149,9 +149,9 @@ void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
       for (int64_t i = 0; i < n; ++i) {
         count += uint64_t{spans[i].len} * weights[i];
       }
-      counts[1 + j] = count;
+      counts[1 + j] += count;
     } else {
-      counts[1 + j] = static_cast<uint64_t>(out_n);
+      counts[1 + j] += static_cast<uint64_t>(out_n);
     }
     if (j + 1 == num_steps) break;  // the last join only counts
 
@@ -205,52 +205,48 @@ Status Executor::Check(const Query& query) const {
   return Status::OK();
 }
 
+Executor::Executor(const Schema& schema, ExecOptions options)
+    : schema_(schema), options_(options) {
+  if (options_.morsel_rows < 1) options_.morsel_rows = 1;
+  const int threads = options_.ResolvedThreads();
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+}
+
 StatusOr<AnnotatedQueryPlan> Executor::Execute(
-    const Query& query, const TableSource& source) const {
+    const Query& query, const TableSource& source,
+    const CancelScope* cancel) const {
   HYDRA_RETURN_IF_ERROR(Check(query));
-  return Run(query, source, ctx());
+  return Run(query, source, cancel);
 }
 
 StatusOr<std::vector<AnnotatedQueryPlan>> Executor::ExecuteAll(
-    const std::vector<Query>& queries, const TableSource& source) const {
+    const std::vector<Query>& queries, const TableSource& source,
+    const CancelScope* cancel) const {
   for (const Query& query : queries) {
     HYDRA_RETURN_IF_ERROR(Check(query));
   }
-  ExecContext* const ctx = this->ctx();
-  const int n = static_cast<int>(queries.size());
+  // The workers claim whole queries (inline without a pool, or for one
+  // query); a tripped scope stops the claiming.
+  const int64_t n = static_cast<int64_t>(queries.size());
   std::vector<AnnotatedQueryPlan> plans(n);
-  const int workers = std::min(ctx->parallelism(), n);
-  if (workers <= 1) {
-    for (int i = 0; i < n; ++i) {
-      HYDRA_ASSIGN_OR_RETURN(plans[i], Run(queries[i], source, ctx));
-    }
-    return plans;
-  }
-
-  // The workers claim whole queries. Each runs on a private sequential
-  // context that shares the cancel scope, so no task ever waits on another
-  // pool task.
   std::vector<Status> statuses(n);
   ParallelFor(
-      ctx->pool(), ctx->parallelism(), n,
+      pool_.get(), options_.ResolvedThreads(), n,
       [&](int64_t i) {
-        ExecContext sequential(ExecOptions{1, ctx->morsel_rows()});
-        sequential.set_cancel(ctx->cancel());
-        StatusOr<AnnotatedQueryPlan> plan =
-            Run(queries[i], source, &sequential);
+        StatusOr<AnnotatedQueryPlan> plan = Run(queries[i], source, cancel);
         statuses[i] = plan.status();
         if (plan.ok()) plans[i] = std::move(plan).value();
       },
-      ctx->cancel());
+      cancel);
   // A tripped scope may have left queries unclaimed.
-  HYDRA_RETURN_IF_ERROR(ctx->CheckCancel());
+  if (cancel != nullptr) HYDRA_RETURN_IF_ERROR(cancel->Check());
   for (const Status& status : statuses) HYDRA_RETURN_IF_ERROR(status);
   return plans;
 }
 
 StatusOr<AnnotatedQueryPlan> Executor::Run(const Query& query,
                                            const TableSource& source,
-                                           ExecContext* ctx) const {
+                                           const CancelScope* cancel) const {
   const int num_tables = static_cast<int>(query.tables.size());
   const int num_joins = num_tables - 1;  // Validate: one join per table
 
@@ -334,32 +330,25 @@ StatusOr<AnnotatedQueryPlan> Executor::Run(const Query& query,
     RowBlock& block = blocks[t];
     HYDRA_RETURN_IF_ERROR(ScanFiltered(
         source, relation, schema_.relation(relation).num_attributes(),
-        query.tables[t].filter, block_attrs[t], ctx, &block));
+        query.tables[t].filter, block_attrs[t], options_.morsel_rows, cancel,
+        &block));
     filtered_rows[t] = static_cast<uint64_t>(block.num_rows());
     const int64_t scanned = static_cast<int64_t>(source.RowCount(relation));
-    indexes[t].Build(block.Column(0), block.num_rows(), scanned, ctx);
+    indexes[t].Build(block.Column(0), block.num_rows(), scanned);
   }
-  HYDRA_RETURN_IF_ERROR(ctx->CheckCancel());
 
-  // The root is never copied: each of its morsels runs the whole chain in
-  // its own task and writes its counts to its own slot; the slots are
-  // summed in morsel order.
+  // The root is never copied: the chain runs over its morsels in rank
+  // order, each adding its counts. Morsel sizes are min(morsel_rows, rows
+  // left), so no sum wraps even for a morsel size near INT64_MAX.
   const int64_t root_rows =
       static_cast<int64_t>(source.RowCount(chain.root_relation));
-  const int64_t num_morsels = NumMorsels(ctx, root_rows);
-  const int num_counts = 1 + num_joins;
-  std::vector<uint64_t> morsel_counts(num_morsels * num_counts, 0);
-  ForEachMorsel(ctx, root_rows, [&](int64_t m, int64_t begin, int64_t end) {
-    chain.Run(begin, end, morsel_counts.data() + m * num_counts);
-  });
-  // A cancellation that tripped inside the chain left morsels unrun;
-  // report it rather than returning a silently-partial plan.
-  HYDRA_RETURN_IF_ERROR(ctx->CheckCancel());
-  std::vector<uint64_t> counts(num_counts, 0);
-  for (int64_t m = 0; m < num_morsels; ++m) {
-    for (int s = 0; s < num_counts; ++s) {
-      counts[s] += morsel_counts[m * num_counts + s];
-    }
+  std::vector<uint64_t> counts(1 + num_joins, 0);
+  for (int64_t begin = 0; begin < root_rows;) {
+    if (cancel != nullptr) HYDRA_RETURN_IF_ERROR(cancel->Check());
+    const int64_t end =
+        begin + std::min(options_.morsel_rows, root_rows - begin);
+    chain.Run(begin, end, counts.data());
+    begin = end;
   }
   filtered_rows[0] = counts[0];
 

@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "catalog/schema.h"
+#include "common/cancel.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "engine/operators.h"
 #include "engine/table.h"
 #include "query/constraint.h"
@@ -42,56 +44,49 @@ struct AnnotatedQueryPlan {
 
 class Executor {
  public:
-  // The executor owns one ExecContext (thread pool + morsel knobs) reused
-  // across every Execute and ExecuteAll call. Non-root relations are
-  // scanned and filtered morsel by morsel on the query's own thread
-  // (ScanFiltered) and indexed on their join keys; the joins then run as a
-  // probe chain inside the root relation's morsels, which the context's
-  // workers claim (docs/engine.md "The executor's probe chain"). Results
-  // are byte-identical at any num_threads.
-  explicit Executor(const Schema& schema, ExecOptions options = {})
-      : schema_(schema), owned_ctx_(std::make_unique<ExecContext>(options)) {}
+  // Every query runs on the thread that calls it: each non-root relation
+  // is scanned and filtered morsel by morsel (ScanFiltered) and indexed on
+  // its join key, then the joins run as a probe chain over the root
+  // relation's morsels, one after another (docs/engine.md "The executor's
+  // probe chain"). The executor owns ExecuteAll's pool of
+  // options.ResolvedThreads() workers, which run whole queries. Results
+  // are byte-identical at any ExecOptions.
+  explicit Executor(const Schema& schema, ExecOptions options = {});
 
-  // Runs on a caller-owned context instead (e.g. a serving-layer scheduler
-  // slot over a shared pool — docs/serve.md). `ctx` must outlive the
-  // executor; results are identical to the owning mode.
-  Executor(const Schema& schema, ExecContext* ctx)
-      : schema_(schema), external_ctx_(ctx) {}
+  // Executes `query` against `source` on the calling thread and returns
+  // the annotated plan. Requires the query's relations to be distinct (no
+  // self-joins). A non-null `cancel` is checked before every morsel, and
+  // a tripped scope fails the query with its status before the next
+  // morsel runs.
+  StatusOr<AnnotatedQueryPlan> Execute(
+      const Query& query, const TableSource& source,
+      const CancelScope* cancel = nullptr) const;
 
-  // Executes `query` against `source` and returns the annotated plan.
-  // Requires the query's relations to be distinct (no self-joins).
-  StatusOr<AnnotatedQueryPlan> Execute(const Query& query,
-                                       const TableSource& source) const;
-
-  // Executes a batch of queries against `source`: the context's workers
-  // claim whole queries, each running its morsels sequentially on the
-  // claiming worker (docs/engine.md "Query batches"). A batch of one
-  // query, or a sequential context, runs its queries in turn through
-  // Execute's dispatch. Returns the plans in query order, each identical
-  // to a lone Execute of its query. Every query is checked before any
-  // runs, so an invalid batch fails with the first invalid query's status
-  // in query order; a tripped cancel scope fails it with the scope's
-  // status. Must not be called from a task of the context's own pool.
+  // Executes a batch of queries against `source`: the pool's workers claim
+  // whole queries, each running as Execute would (docs/engine.md "Query
+  // batches"); a batch of one query, or a 1-thread executor, runs its
+  // queries in turn on the calling thread. Returns the plans in query
+  // order, each identical to a lone Execute of its query. Every query is
+  // checked before any runs, so an invalid batch fails with the first
+  // invalid query's status in query order; a tripped `cancel` fails it
+  // with the scope's status.
   StatusOr<std::vector<AnnotatedQueryPlan>> ExecuteAll(
-      const std::vector<Query>& queries, const TableSource& source) const;
+      const std::vector<Query>& queries, const TableSource& source,
+      const CancelScope* cancel = nullptr) const;
 
-  const ExecOptions& options() const { return ctx()->options(); }
+  const ExecOptions& options() const { return options_; }
 
  private:
-  ExecContext* ctx() const {
-    return external_ctx_ != nullptr ? external_ctx_ : owned_ctx_.get();
-  }
-
   // OK, or why `query` cannot run: invalid for the schema, or a self-join.
   Status Check(const Query& query) const;
-  // Runs a checked query on `ctx`; fails only when its cancel scope trips.
+  // Runs a checked query; fails only when `cancel` trips.
   StatusOr<AnnotatedQueryPlan> Run(const Query& query,
                                    const TableSource& source,
-                                   ExecContext* ctx) const;
+                                   const CancelScope* cancel) const;
 
   const Schema& schema_;
-  std::unique_ptr<ExecContext> owned_ctx_;
-  ExecContext* external_ctx_ = nullptr;  // non-owning
+  ExecOptions options_;
+  std::unique_ptr<ThreadPool> pool_;  // ExecuteAll's; null when sequential
 };
 
 // The client-site Parser: converts an AQP into cardinality constraints

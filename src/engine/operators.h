@@ -9,16 +9,13 @@
 // generator fills — run as per-column kernels (engine/kernels.h) over the
 // blocks' contiguous column buffers, with filters communicating through
 // selection vectors. ScanFiltered fills, filters and keeps a non-root
-// table's columns morsel by morsel on the calling thread; ForEachMorsel
-// runs the root's morsels through ParallelFor (common/thread_pool.h) on an
-// ExecContext's pool, each writing only its own slot; JoinIndex is the key
-// index the executor's probe chain probes (docs/engine.md).
+// table's columns morsel by morsel on the calling thread, as the executor's
+// probe chain walks the root's morsels; JoinIndex is the key index that
+// chain probes (docs/engine.md).
 
 #ifndef HYDRA_ENGINE_OPERATORS_H_
 #define HYDRA_ENGINE_OPERATORS_H_
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/cancel.h"
@@ -30,16 +27,16 @@
 
 namespace hydra {
 
-// Knobs of the parallel engine, threaded from the workload drivers down to
-// the morsel sources.
+// Knobs of the engine, threaded from the workload drivers down to the
+// morsel loops.
 struct ExecOptions {
-  // Worker threads: a lone query runs its root morsels on them, a query
-  // batch (Executor::ExecuteAll) runs whole queries on them, and a large
-  // hashed join-index build runs its partitions on them. 0 (the default) =
-  // one per hardware thread; 1 = fully sequential (no pool).
+  // Worker threads of a query batch (Executor::ExecuteAll), which runs
+  // whole queries on them; a lone query runs on its caller's thread. 0
+  // (the default) = one per hardware thread; 1 = fully sequential (no
+  // pool).
   int num_threads = 0;
-  // Rows per morsel: the rank range one fill covers, and the unit of the
-  // root's parallel work.
+  // Rows per morsel: the rank range one fill covers, and the unit at which
+  // a query checks its cancel scope.
   int64_t morsel_rows = 4096;
 
   int ResolvedThreads() const {
@@ -48,86 +45,19 @@ struct ExecOptions {
   }
 };
 
-// Shared execution state for one executor (reused across the queries of a
-// workload): the options plus the pool morsel work fans out on. Work given
-// no context — or a 1-thread context — runs fully sequentially.
-//
-// Two ownership modes:
-//  * owning (the classic constructor): the context spawns its own pool of
-//    options.ResolvedThreads() workers;
-//  * external slot: the context borrows a caller-owned shared pool and caps
-//    its fan-out at `slot_parallelism` — the serving layer's "scheduler
-//    slot", letting many concurrent pipelines share one pool with bounded
-//    per-pipeline width. Tasks run through a slot must never block on
-//    other pool tasks (the engine's ParallelFor tasks never do), so slots
-//    cannot deadlock a shared pool.
-class ExecContext {
- public:
-  explicit ExecContext(ExecOptions options);
-  // External-slot mode: non-owning. With slot_parallelism <= 1 (or a null
-  // pool) the context is fully sequential and never touches `shared_pool`.
-  ExecContext(ExecOptions options, ThreadPool* shared_pool,
-              int slot_parallelism);
-
-  const ExecOptions& options() const { return options_; }
-  int64_t morsel_rows() const { return options_.morsel_rows; }
-  // Workers available for fan-out; 1 means sequential.
-  int parallelism() const {
-    if (external_pool_ != nullptr) return slot_parallelism_;
-    return pool_ ? pool_->num_threads() : 1;
-  }
-  // Null when sequential.
-  ThreadPool* pool() {
-    return external_pool_ != nullptr ? external_pool_ : pool_.get();
-  }
-
-  // Failure domain (docs/robustness.md): a non-null scope makes scans stop
-  // claiming new morsels once it trips — a pipeline unwinds within one
-  // morsel per worker of the signal. The caller sets it around a request
-  // and must keep the scope alive while set; never owned.
-  void set_cancel(const CancelScope* cancel) { cancel_ = cancel; }
-  const CancelScope* cancel() const { return cancel_; }
-  // OK, or why execution must stop (kCancelled / kDeadlineExceeded).
-  Status CheckCancel() const {
-    return cancel_ != nullptr ? cancel_->Check() : Status::OK();
-  }
-
- private:
-  ExecOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
-  ThreadPool* external_pool_ = nullptr;  // non-owning slot mode
-  int slot_parallelism_ = 1;
-  const CancelScope* cancel_ = nullptr;
-};
-
-// The number of morsel_rows-sized rank ranges [0, total_rows) splits into
-// under `ctx` (ExecOptions' default morsel size without one): the morsels
-// ForEachMorsel and ScanFiltered run.
-int64_t NumMorsels(const ExecContext* ctx, int64_t total_rows);
-
-// Runs task(morsel, begin, end) once per morsel of [0, total_rows) through
-// ParallelFor on the context's pool, at most parallelism() at a time.
-// Morsel m covers [m × morsel_rows, ...), and m runs over
-// [0, NumMorsels(ctx, total_rows)). A tripped cancel scope stops the
-// claiming, so at most one morsel per worker starts after it (the caller
-// reports that through CheckCancel). Tasks run concurrently and must write
-// only state private to their morsel; all have finished when this returns.
-using MorselTask = std::function<void(int64_t, int64_t, int64_t)>;
-void ForEachMorsel(ExecContext* ctx, int64_t total_rows,
-                   const MorselTask& task);
-
 // Scans `relation` of `source` (`width` columns) morsel by morsel on the
-// calling thread: fills each morsel's `columns` and `filter`'s columns
-// (FillBlockRange) and selects its rows through the compiled filter. `out`
-// is Reset to columns.size() columns and receives the passing rows in rank
-// order, at any morsel size: its column c holds the relation's column
-// columns[c]. A tripped cancel scope on `ctx` stops the scan before its
-// next morsel and is returned, with `out` partial. A null `ctx` means the
-// default morsel size and no cancel scope.
+// calling thread: fills each morsel_rows-sized rank range's `columns` and
+// `filter`'s columns (FillBlockRange) and selects its rows through the
+// compiled filter. `out` is Reset to columns.size() columns and receives
+// the passing rows in rank order, at any morsel size: its column c holds
+// the relation's column columns[c]. A morsel size below 1 counts as 1. A
+// non-null `cancel` is checked before every morsel: a tripped scope stops
+// the scan before its next morsel, and its status is returned with `out`
+// partial.
 Status ScanFiltered(const TableSource& source, int relation, int width,
                     const DnfPredicate& filter,
-                    const std::vector<int>& columns, const ExecContext* ctx,
-                    RowBlock* out);
+                    const std::vector<int>& columns, int64_t morsel_rows,
+                    const CancelScope* cancel, RowBlock* out);
 
 // Join-key index: maps a key to the contiguous span of build row ids holding
 // it, in build order — the table behind the executor's probe chain. Two
@@ -141,8 +71,7 @@ Status ScanFiltered(const TableSource& source, int relation, int width,
 //    ranks (PK and FK values are implicit ranks, the TableSource contract):
 //    filling the array costs no more than the scan that fed the build, and
 //    the cap holds it to 512 KiB however large the relation.
-//  * hashed — CSR over flat open-addressing {key, begin, len} slots,
-//    hash-partitioned across the pool (ParallelFor) for large builds.
+//  * hashed — CSR over flat open-addressing {key, begin, len} slots.
 // Every build counts in the metric registry as engine/join_index_dense or
 // engine/join_index_hashed.
 class JoinIndex {
@@ -167,10 +96,8 @@ class JoinIndex {
                              int64_t scanned_rows);
 
   // Indexes keys[0, n). `scanned_rows` is the row count of the relation the
-  // keys were scanned from, before any filter. A parallel `ctx` partitions
-  // a large hashed build across its pool.
-  void Build(const Value* keys, int64_t n, int64_t scanned_rows,
-             ExecContext* ctx = nullptr);
+  // keys were scanned from, before any filter.
+  void Build(const Value* keys, int64_t n, int64_t scanned_rows);
 
   Layout layout() const { return layout_; }
   const uint32_t* row_ids() const { return row_ids_.data(); }
@@ -179,33 +106,23 @@ class JoinIndex {
   void Probe(const Value* keys, int64_t n, Span* spans) const;
 
  private:
-  // Open-addressing key -> span map with power-of-two capacity and linear
-  // probing; len == 0 marks an empty slot (every present key spans >= 1
-  // row). The bucket comes from the *high* hash bits — the partition index
-  // consumed the low bits — which keeps probe chains short.
+  // A hashed layout's slot: a key and its span; len == 0 marks an empty
+  // slot (every present key spans >= 1 row).
   struct KeySlot {
     Value key = 0;
     uint32_t begin = 0;
     uint32_t len = 0;
   };
-  struct KeyMap {
-    std::vector<KeySlot> slots;
-    uint32_t mask = 0;
-
-    void Init(int64_t distinct_upper_bound);
-    KeySlot* FindOrInsert(Value key, uint64_t hash);
-    const KeySlot* Find(Value key, uint64_t hash) const {
-      uint32_t i = static_cast<uint32_t>(hash >> 32) & mask;
-      while (slots[i].len != 0) {
-        if (slots[i].key == key) return &slots[i];
-        i = (i + 1) & mask;
-      }
-      return nullptr;
-    }
-  };
 
   void BuildDense(const Value* keys, int64_t n, Value min, uint64_t range);
-  void BuildHashed(const Value* keys, int64_t n, ExecContext* ctx);
+  void BuildHashed(const Value* keys, int64_t n);
+  // The slot holding `key`, or the empty slot where it would go: linear
+  // probing from the bucket the high bits of its hash pick.
+  uint32_t FindSlot(Value key, uint64_t hash) const {
+    uint32_t i = static_cast<uint32_t>(hash >> 32) & mask_;
+    while (slots_[i].len != 0 && slots_[i].key != key) i = (i + 1) & mask_;
+    return i;
+  }
 
   Layout layout_ = Layout::kDense;
   // Dense: key k's span starts at offsets_[k - min_]; one trailing pair of
@@ -213,9 +130,10 @@ class JoinIndex {
   Value min_ = 0;
   uint64_t range_ = 0;
   std::vector<uint32_t> offsets_;
-  // Hashed: a key's slot lives in exactly one partition; slot begins index
-  // the shared row_ids_ array.
-  std::vector<KeyMap> partitions_;
+  // Hashed: open addressing over a power-of-two slot array; slot begins
+  // index row_ids_.
+  std::vector<KeySlot> slots_;
+  uint32_t mask_ = 0;
   // Build row ids grouped by key, in build order within each key.
   std::vector<uint32_t> row_ids_;
 };

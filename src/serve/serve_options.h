@@ -1,7 +1,6 @@
 // Configuration and observability types of the dynamic-regeneration service
-// (docs/serve.md). One ServeOptions configures the whole server: the shared
-// worker pool, the summary cache budget, the admission window, and the
-// per-request work bound.
+// (docs/serve.md). One ServeOptions configures the whole server: the summary
+// cache budget, the admission window, and the per-request work bound.
 
 #ifndef HYDRA_SERVE_SERVE_OPTIONS_H_
 #define HYDRA_SERVE_SERVE_OPTIONS_H_
@@ -11,9 +10,6 @@
 namespace hydra {
 
 struct ServeOptions {
-  // Workers in the shared pool engine pipelines fan out on. 0 = one per
-  // hardware thread; 1 = fully sequential serving.
-  int num_threads = 0;
   // Byte budget of the summary cache. Unpinned summaries beyond the budget
   // are evicted LRU-first and transparently reloaded from disk on the next
   // acquire; pinned (in-use) summaries are never evicted, so the resident
@@ -23,16 +19,11 @@ struct ServeOptions {
   // NextBatch admission buys, and therefore the granularity at which the
   // scheduler interleaves sessions. Stream *content* never depends on it.
   int64_t batch_rows = 4096;
-  // Concurrently admitted requests; 0 = the resolved pool width. This is
-  // the backpressure knob: clients beyond the window queue in the fair
-  // round-robin admission queue.
+  // Concurrently admitted requests; 0 = one per hardware thread. Every
+  // request runs on the thread that called the server, so this bounds the
+  // work running at once and is the backpressure knob: clients beyond the
+  // window queue in the fair round-robin admission queue.
   int max_inflight = 0;
-  // Fan-out width of one session's engine-pipeline scheduler slot
-  // (ExecContext external-slot mode over the shared pool). 1 = pipelines
-  // run sequentially on the client's thread.
-  int query_parallelism = 2;
-  // Morsel size inside engine pipelines (ExecOptions::morsel_rows).
-  int64_t morsel_rows = 4096;
 
   // --- shared scan (docs/serve.md) ---------------------------------------
   // Multicast regeneration: cursors over the same (summary, relation) form

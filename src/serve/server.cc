@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "hydra/tuple_generator.h"
 
@@ -20,14 +21,8 @@ HYDRA_METRIC_COUNTER(g_slow_ops, "serve/slow_ops");
 
 namespace {
 
-int ResolvePoolThreads(const ServeOptions& options) {
-  const int threads = options.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                               : options.num_threads;
-  return std::max(1, threads);
-}
-
-int ResolveInflight(const ServeOptions& options, int pool_threads) {
-  return options.max_inflight == 0 ? pool_threads
+int ResolveInflight(const ServeOptions& options) {
+  return options.max_inflight == 0 ? ThreadPool::DefaultThreads()
                                    : std::max(1, options.max_inflight);
 }
 
@@ -50,8 +45,7 @@ RegenServer::RegenServer(ServeOptions options)
     : options_(options),
       scope_("serve"),
       store_(scope_, options.cache_bytes, ResolveRetryPolicy(options)),
-      scheduler_(scope_, ResolveInflight(options, ResolvePoolThreads(options)),
-                 options.max_queued),
+      scheduler_(scope_, ResolveInflight(options), options.max_queued),
       scan_groups_(scope_, std::max<int64_t>(1, options.batch_rows),
                    options.shared_scan_chunks),
       batches_served_(scope_.Name("batches_served")),
@@ -62,8 +56,6 @@ RegenServer::RegenServer(ServeOptions options)
       degraded_batches_(scope_.Name("degraded_batches")),
       cancelled_requests_(scope_.Name("cancelled_requests")) {
   if (options_.batch_rows < 1) options_.batch_rows = 1;
-  const int threads = ResolvePoolThreads(options_);
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
 
 RegenServer::~RegenServer() {
@@ -106,9 +98,6 @@ StatusOr<SessionHandle> RegenServer::OpenSession(
   (void)lease;
   auto session = std::make_shared<Session>();
   session->summary_id = request.summary_id;
-  session->slot = std::make_unique<ExecContext>(
-      ExecOptions{options_.query_parallelism, options_.morsel_rows},
-      pool_.get(), options_.query_parallelism);
   session->user_cancel = request.cancel;
   session->deadline = request.deadline_ms > 0
                           ? Deadline::After(request.deadline_ms)
@@ -184,7 +173,6 @@ Status RegenServer::Shutdown() {
   for (const auto& session : sessions) session->server_cancel.Cancel();
   scheduler_.Kick();
   scheduler_.Drain();
-  if (pool_ != nullptr) pool_->Wait();
   return Status::OK();
 }
 
@@ -520,15 +508,11 @@ StatusOr<AnnotatedQueryPlan> RegenServer::ExecuteQuery(
       result = lease.status();
       return;
     }
-    // The whole pipeline runs under one grant on this client's thread; its
-    // intra-query fan-out goes to the shared pool through the session's
-    // scheduler slot. Pool tasks never block on other pool tasks, so slots
-    // cannot deadlock the pool. The slot polls the scope at morsel
-    // boundaries, so a long pipeline unwinds within one morsel of cancel.
-    session->slot->set_cancel(&scope);
-    const Executor executor(lease->summary().schema, session->slot.get());
-    result = executor.Execute(query, lease->generator());
-    session->slot->set_cancel(nullptr);
+    // The whole pipeline runs under one grant on this client's thread and
+    // polls the scope before every morsel, so a long pipeline unwinds
+    // within one morsel of a cancel.
+    const Executor executor(lease->summary().schema, ExecOptions{1});
+    result = executor.Execute(query, lease->generator(), &scope);
   }, scope);
   if (!admitted.ok()) result = admitted;  // fn never ran; this is the reason
   if (!result.ok()) return TallyTerminal(result.status());

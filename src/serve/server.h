@@ -4,9 +4,9 @@
 // databases: a client opens a session on a registered summary id, then
 // streams rows through cursors (bounded filtered/projected rank scans over
 // the TupleGenerator), issues point lookups, or runs full engine pipelines
-// (the morsel-driven executor on a scheduler slot over the server's shared
-// pool). Nothing is materialized — every served row is generated on demand
-// from the summary, the paper's Section 6 `datagen` path made multi-tenant.
+// (the morsel-driven executor). Nothing is materialized — every served row
+// is generated on demand from the summary, the paper's Section 6 `datagen`
+// path made multi-tenant.
 //
 // API contract (serve_api.h): this class and the TCP front end
 // (src/net/) expose the same typed surface — SessionHandle/CursorHandle,
@@ -16,15 +16,17 @@
 //
 // Determinism contract: a cursor's concatenated row stream is a pure
 // function of (summary file, CursorSpec) — identical across any
-// {num_threads, max_inflight, cache_bytes, batch_rows} configuration, any
+// {max_inflight, cache_bytes, batch_rows} configuration, any
 // interleaving with other sessions, and across evictions: cursors address
 // the rank space, so a cursor whose summary was evicted and reloaded (or a
 // brand-new cursor opened at BatchResult::rank) continues byte-identically.
 //
-// Threading: the server is thread-safe; each session is a single-client
-// object (concurrent calls into one session serialize on its lock). All
-// work is admission-controlled by the FairScheduler, so total concurrent
-// work never exceeds ServeOptions::max_inflight. Per-session QoS
+// Threading: the server is thread-safe and starts no thread of its own:
+// every request runs on the thread that calls it, inside an admission
+// grant. Each session is a single-client object (concurrent calls into one
+// session serialize on its lock). All work is admission-controlled by the
+// FairScheduler, so total concurrent work never exceeds
+// ServeOptions::max_inflight. Per-session QoS
 // (OpenSessionRequest::priority / rate_limit_rows_per_sec) weights and
 // paces that admission; see scheduler.h.
 //
@@ -50,7 +52,6 @@
 #include "common/cancel.h"
 #include "common/metrics.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "engine/executor.h"
 #include "engine/operators.h"
 #include "query/predicate.h"
@@ -121,9 +122,10 @@ class RegenServer {
   StatusOr<Row> Lookup(SessionHandle session, int relation, int64_t pk);
 
   // Full engine pipeline over the session's virtual database: executes
-  // `query` with the morsel-driven executor on this session's scheduler
-  // slot (ExecContext external-slot mode over the shared pool) and returns
-  // the annotated plan. Results are identical at any server configuration.
+  // `query` with the morsel-driven executor on the calling thread, under
+  // one admission grant, and returns the annotated plan. The query checks
+  // the session's scope before every morsel. Results are identical at any
+  // server configuration.
   StatusOr<AnnotatedQueryPlan> ExecuteQuery(SessionHandle session,
                                             const Query& query);
 
@@ -135,8 +137,6 @@ class RegenServer {
   // "serve/group/<summary>/<relation>/..." metrics.
   std::vector<ScanGroupInfo> scan_group_infos() const;
   const ServeOptions& options() const { return options_; }
-  // Resolved worker count of the shared pool (1 = sequential serving).
-  int pool_threads() const { return pool_ ? pool_->num_threads() : 1; }
 
  private:
   struct Cursor {
@@ -172,8 +172,6 @@ class RegenServer {
     std::mutex mu;  // serializes calls into this session
     std::unordered_map<uint64_t, Cursor> cursors;
     uint64_t next_cursor_id = 1;
-    // This session's engine-pipeline slot over the server's shared pool.
-    std::unique_ptr<ExecContext> slot;
     // Failure domain: the client's token (may be null), the session
     // deadline, and the server-side flag Shutdown()/CancelSession() trip.
     std::shared_ptr<CancelToken> user_cancel;
@@ -230,7 +228,6 @@ class RegenServer {
   // of this server, its store, scheduler and scan groups is a metric under
   // it; declared before them all, so it is released after they unregister.
   MetricScope scope_;
-  std::unique_ptr<ThreadPool> pool_;  // null when serving sequentially
   SummaryStore store_;
   FairScheduler scheduler_;
   ScanGroupRegistry scan_groups_;

@@ -193,7 +193,7 @@ std::vector<ItemResult> RunClients(RegenServer& server,
 
 ServeOptions ChaosOptions(uint64_t summary_bytes) {
   ServeOptions options;
-  options.num_threads = 4;
+  options.max_inflight = 4;
   options.cache_bytes = summary_bytes + 64;  // one summary: constant churn
   options.batch_rows = 700;
   options.load_retries = 4;
@@ -222,8 +222,9 @@ TEST_F(ChaosServeTest, MixedWorkloadSurvivesSeededFaultSchedule) {
   }
 
   // Chaos run: transient load errors (within the retry budget, so loads
-  // recover), grant delays stretching held slots, dispatch delays skewing
-  // pool timing. All probabilistic decisions hash off the fixed seed.
+  // recover), grant delays stretching held slots, and dispatch delays,
+  // which in serving reach only the wire front end's worker tasks (none
+  // run here). All probabilistic decisions hash off the fixed seed.
   const std::string schedule =
       "serve/summary_load=error(UNAVAILABLE,p=0.4,seed=" +
       std::to_string(seed) +
@@ -384,7 +385,7 @@ TEST_F(ChaosServeTest, SharedChunkFaultFailsOnlyTheProducingGrant) {
   // slot resets, and the very next grant (failpoint exhausted) re-produces
   // the same chunk — both members' streams stay byte-identical.
   ServeOptions options;
-  options.num_threads = 1;
+  options.max_inflight = 1;
   options.batch_rows = 8192;
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
@@ -437,7 +438,7 @@ TEST_F(ChaosServeTest, SharedScanSurvivesSeededChunkFaultSchedule) {
   const uint64_t seed = ChaosSeed();
   SCOPED_TRACE("HYDRA_CHAOS_SEED=" + std::to_string(seed));
   ServeOptions options;
-  options.num_threads = 4;
+  options.max_inflight = 4;
   options.batch_rows = 1024;
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
@@ -513,7 +514,7 @@ TEST_F(ChaosServeTest, SharedScanSurvivesSeededChunkFaultSchedule) {
 
 TEST_F(ChaosServeTest, CancelledSessionStopsWithinOneBatch) {
   ServeOptions options;
-  options.num_threads = 1;
+  options.max_inflight = 1;
   options.batch_rows = 500;
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
@@ -551,7 +552,7 @@ TEST_F(ChaosServeTest, CancelledSessionStopsWithinOneBatch) {
 
 TEST_F(ChaosServeTest, SessionDeadlineExpiresMidStream) {
   ServeOptions options;
-  options.num_threads = 1;
+  options.max_inflight = 1;
   options.batch_rows = 200;
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
@@ -585,7 +586,7 @@ TEST_F(ChaosServeTest, SessionDeadlineExpiresMidStream) {
 
 TEST_F(ChaosServeTest, CancelCutsShortAnEngineQuery) {
   ServeOptions options;
-  options.num_threads = 2;
+  options.max_inflight = 2;
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
   OpenSessionRequest request{"alpha"};
@@ -603,7 +604,6 @@ TEST_F(ChaosServeTest, CancelCutsShortAnEngineQuery) {
 TEST_F(ChaosServeTest, OverloadShedsCleanlyAndServedStreamsStayIdentical) {
   const uint64_t seed = ChaosSeed();
   ServeOptions options;
-  options.num_threads = 2;
   options.max_inflight = 1;
   options.max_queued = 2;
   options.batch_rows = 700;
@@ -637,7 +637,7 @@ TEST_F(ChaosServeTest, OverloadShedsCleanlyAndServedStreamsStayIdentical) {
 
 TEST_F(ChaosServeTest, SessionCapShedsOpens) {
   ServeOptions options;
-  options.num_threads = 1;
+  options.max_inflight = 1;
   options.max_sessions = 2;
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
@@ -657,7 +657,7 @@ TEST_F(ChaosServeTest, SessionCapShedsOpens) {
 
 TEST_F(ChaosServeTest, OvercommitDegradesBatchSizeNotContent) {
   ServeOptions options;
-  options.num_threads = 1;
+  options.max_inflight = 1;
   options.cache_bytes = 1;  // every resident summary overcommits the budget
   options.batch_rows = 4096;
   options.min_degraded_batch_rows = 64;
@@ -679,7 +679,7 @@ TEST_F(ChaosServeTest, OvercommitDegradesBatchSizeNotContent) {
 
 TEST_F(ChaosServeTest, ShutdownUnderLoadDrainsCleanly) {
   ServeOptions options;
-  options.num_threads = 4;
+  options.max_inflight = 4;
   options.batch_rows = 300;
   auto server = std::make_unique<RegenServer>(options);
   ASSERT_TRUE(server->RegisterSummary("alpha", path_).ok());
@@ -820,7 +820,7 @@ bool StreamOverWireWithResume(int port, const CursorSpec& spec,
 
 TEST_F(ChaosServeTest, NetKillMidStreamResumesByteIdentical) {
   ServeOptions options;
-  options.num_threads = 2;
+  options.max_inflight = 2;
   options.batch_rows = 1024;
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
@@ -895,7 +895,7 @@ TEST_F(ChaosServeTest, NetSeededKillScheduleConvergesByteIdentical) {
   const uint64_t seed = ChaosSeed();
   SCOPED_TRACE("HYDRA_CHAOS_SEED=" + std::to_string(seed));
   ServeOptions options;
-  options.num_threads = 2;
+  options.max_inflight = 2;
   options.batch_rows = 1024;
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());

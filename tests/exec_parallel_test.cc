@@ -1,16 +1,17 @@
 // Parallel-vs-sequential identity of the morsel-driven execution engine:
-// AQP cardinalities, similarity reports, and ScanFiltered row streams must
-// be byte-identical at any {num_threads, morsel_rows} setting and at either
-// kernel dispatch path, over both materialized (Database) and dynamically
-// generated (TupleGenerator) sources. Query batches (Executor::ExecuteAll)
-// must return exactly the plans of lone Execute calls, in query order, and
-// the first invalid query's status. Also covers the morsel edge cases:
-// empty relation, relation smaller than one morsel, 1-row morsels, morsels
-// of nearly INT64_MAX rows, and pushed filters that keep nothing,
-// everything or every other row; and a cancel that trips mid-query, which
-// stops a lone query within one morsel per worker. Projected scans (each
-// filling only the columns its plan reads) must return the plans of
-// unprojected ones.
+// AQP cardinalities and similarity reports must be byte-identical at any
+// {num_threads, morsel_rows} setting, and ScanFiltered row streams at any
+// morsel size, at either kernel dispatch path, over both materialized
+// (Database) and dynamically generated (TupleGenerator) sources. Query
+// batches (Executor::ExecuteAll) must return exactly the plans of lone
+// Execute calls, in query order, and the first invalid query's status; a
+// lone query runs on its caller's thread and puts nothing on the pool.
+// Also covers the morsel edge cases: empty relation, relation smaller than
+// one morsel, 1-row morsels, morsels of nearly INT64_MAX rows, and pushed
+// filters that keep nothing, everything or every other row; and a cancel
+// that trips mid-query, which stops a lone query within one morsel.
+// Projected scans (each filling only the columns its plan reads) must
+// return the plans of unprojected ones.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/failpoint.h"
 #include "common/logging.h"
 #include "engine/executor.h"
 #include "engine/operators.h"
@@ -41,12 +43,12 @@ namespace {
 // sensitive, so equality means an identical row stream.
 std::vector<Value> Drain(const TableSource& source, int relation, int width,
                          const DnfPredicate& filter = DnfPredicate::True(),
-                         const ExecContext* ctx = nullptr) {
+                         int64_t morsel_rows = ExecOptions{}.morsel_rows) {
   std::vector<int> columns(width);
   std::iota(columns.begin(), columns.end(), 0);
   RowBlock block;
-  const Status status =
-      ScanFiltered(source, relation, width, filter, columns, ctx, &block);
+  const Status status = ScanFiltered(source, relation, width, filter, columns,
+                                     morsel_rows, nullptr, &block);
   EXPECT_TRUE(status.ok()) << status.ToString();
   std::vector<Value> values(static_cast<size_t>(block.num_rows() * width));
   for (int64_t r = 0; r < block.num_rows(); ++r) {
@@ -282,13 +284,42 @@ TEST(QueryBatchTest, TrippedCancelScopeFailsTheBatch) {
   token.Cancel();
   const CancelScope scope(&token, Deadline::Infinite());
   for (const ExecOptions& exec : kBatchSettings) {
-    ExecContext ctx(exec);
-    ctx.set_cancel(&scope);
-    auto plans = Executor(sources.site.schema, &ctx)
-                     .ExecuteAll(sources.site.queries, sources.site.database);
+    auto plans = Executor(sources.site.schema, exec)
+                     .ExecuteAll(sources.site.queries, sources.site.database,
+                                 &scope);
     EXPECT_EQ(plans.status().code(), StatusCode::kCancelled)
         << SettingName(exec) << ": " << plans.status().ToString();
   }
+}
+
+// A lone query runs on its caller's thread: Execute at 4 threads puts no
+// task on the executor's pool, while a batch of two still hands its
+// queries to the pool's workers. Armed with a zero delay, the chaos hook
+// thread_pool/dispatch only counts the pool's task starts and claimed
+// indices.
+TEST(LoneQueryTest, ExecuteStartsNoPoolTask) {
+  const TpcdsSources& sources = SharedTpcdsSources();
+  const ClientSite& site = sources.site;
+  ASSERT_GE(site.queries.size(), 2u);
+  ASSERT_TRUE(Failpoint::ArmFromString("thread_pool/dispatch=delay(0)").ok());
+  const Failpoint* point = Failpoint::Find("thread_pool/dispatch");
+  ASSERT_NE(point, nullptr);
+  const Executor executor(site.schema, ExecOptions{4});
+  for (const TableSource* source : sources.all()) {
+    SCOPED_TRACE(sources.Name(source));
+    const uint64_t before_lone = point->hits();
+    for (const Query& query : site.queries) {
+      auto aqp = executor.Execute(query, *source);
+      ASSERT_TRUE(aqp.ok()) << aqp.status().ToString();
+    }
+    EXPECT_EQ(point->hits(), before_lone);
+    const uint64_t before_batch = point->hits();
+    auto plans =
+        executor.ExecuteAll({site.queries[0], site.queries[1]}, *source);
+    ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+    EXPECT_GT(point->hits(), before_batch);
+  }
+  Failpoint::DisarmAll();
 }
 
 TEST(ParallelExecutorTest, GeneratorSourceIdenticalAcrossThreadCounts) {
@@ -452,27 +483,21 @@ TEST(ParallelScanTest, GeneratorSourceRowOrderIdentical) {
 
   const std::vector<Value> base = Drain(gen, s, cols);
   ASSERT_EQ(base.size(), gen.RowCount(s) * cols);
-  for (int threads : {1, 2, 8}) {
-    ExecContext ctx(ExecOptions{threads, 13});
-    EXPECT_EQ(Drain(gen, s, cols, DnfPredicate::True(), &ctx), base)
-        << threads << " threads";
-  }
+  EXPECT_EQ(Drain(gen, s, cols, DnfPredicate::True(), 13), base);
 }
 
 TEST(MorselEdgeCaseTest, EmptyRelation) {
   const Sources sources(RunSummary({}));
-  ExecContext ctx(ExecOptions{8, 16});
   for (const TableSource* source : sources.all()) {
-    EXPECT_TRUE(Drain(*source, 0, 2, DnfPredicate::True(), &ctx).empty())
+    EXPECT_TRUE(Drain(*source, 0, 2, DnfPredicate::True(), 16).empty())
         << SourceName(sources, source);
   }
 }
 
 TEST(MorselEdgeCaseTest, RelationSmallerThanOneMorsel) {
   const Sources sources(RunSummary({{7, 2}, {9, 3}}));
-  ExecContext ctx(ExecOptions{8, 1 << 20});
   for (const TableSource* source : sources.all()) {
-    EXPECT_EQ(Drain(*source, 0, 2, DnfPredicate::True(), &ctx),
+    EXPECT_EQ(Drain(*source, 0, 2, DnfPredicate::True(), 1 << 20),
               (std::vector<Value>{0, 7, 1, 7, 2, 9, 3, 9, 4, 9}))
         << SourceName(sources, source);
   }
@@ -485,9 +510,8 @@ TEST(MorselEdgeCaseTest, SingleRowMorsels) {
     want.push_back(i);
     want.push_back(i < 6 ? 5 : 6);
   }
-  ExecContext ctx(ExecOptions{4, 1});
   for (const TableSource* source : sources.all()) {
-    EXPECT_EQ(Drain(*source, 0, 2, DnfPredicate::True(), &ctx), want)
+    EXPECT_EQ(Drain(*source, 0, 2, DnfPredicate::True(), 1), want)
         << SourceName(sources, source);
   }
 }
@@ -527,8 +551,8 @@ TEST(MorselEdgeCaseTest, MorselRowsNearInt64Max) {
         for (const AnnotatedQueryPlan& plan : *batch) {
           EXPECT_EQ(PlanText(plan), PlanText(*want));
         }
-        ExecContext ctx(exec);
-        EXPECT_EQ(Drain(*source, s, cols, DnfPredicate::True(), &ctx), rows);
+        EXPECT_EQ(Drain(*source, s, cols, DnfPredicate::True(), morsel_rows),
+                  rows);
       }
     }
   }
@@ -549,28 +573,25 @@ TEST(SelectionVectorTest, PushedFilterEdgeCases) {
     if (i % 2 == 1) odd_rows.insert(odd_rows.end(), {i, 1});
   }
   const auto filtered = [](const TableSource* source, DnfPredicate pred,
-                           ExecContext* ctx) {
-    return Drain(*source, 0, 2, pred, ctx);
+                           int64_t morsel_rows) {
+    return Drain(*source, 0, 2, pred, morsel_rows);
   };
-  ExecContext single_row_morsels(ExecOptions{4, 1});
-  ExecContext three_row_morsels(ExecOptions{4, 3});
-  ExecContext* const contexts[] = {nullptr, &single_row_morsels,
-                                   &three_row_morsels};
-  for (ExecContext* ctx : contexts) {
+  for (const int64_t rows :
+       {ExecOptions{}.morsel_rows, int64_t{1}, int64_t{3}}) {
     for (const TableSource* source : empty.all()) {
       EXPECT_TRUE(
-          filtered(source, PredicateOf(AtomRange(1, 0, 100)), ctx).empty());
+          filtered(source, PredicateOf(AtomRange(1, 0, 100)), rows).empty());
     }
     for (const TableSource* source : sources.all()) {
       SCOPED_TRACE(SourceName(sources, source));
       // No row passes.
       EXPECT_TRUE(
-          filtered(source, PredicateOf(AtomRange(1, 500, 600)), ctx).empty());
+          filtered(source, PredicateOf(AtomRange(1, 500, 600)), rows).empty());
       // All pass: every row survives, in order.
-      EXPECT_EQ(filtered(source, PredicateOf(AtomRange(1, 0, 100)), ctx),
+      EXPECT_EQ(filtered(source, PredicateOf(AtomRange(1, 0, 100)), rows),
                 all_rows);
       // Alternating: every other row survives.
-      EXPECT_EQ(filtered(source, PredicateOf(AtomRange(1, 1, 2)), ctx),
+      EXPECT_EQ(filtered(source, PredicateOf(AtomRange(1, 1, 2)), rows),
                 odd_rows);
     }
   }
@@ -596,11 +617,11 @@ TEST(CrossLayoutIdentityTest, ScalarVsSimdAcrossThreadsAndMorsels) {
       std::pair<std::vector<std::pair<std::string, uint64_t>>, uint64_t>;
   const auto run = [&](const TableSource* source, int threads,
                        int64_t morsel_rows) {
-    ExecContext ctx(ExecOptions{threads, morsel_rows});
-    auto aqp = Executor(env.schema, &ctx).Execute(env.query, *source);
+    auto aqp = Executor(env.schema, ExecOptions{threads, morsel_rows})
+                   .Execute(env.query, *source);
     EXPECT_TRUE(aqp.ok()) << aqp.status().ToString();
     return Signature{AqpSignature(*aqp),
-                     StreamHash(Drain(*source, s, cols, pred, &ctx))};
+                     StreamHash(Drain(*source, s, cols, pred, morsel_rows))};
   };
 
   kernels::SetSimdEnabled(true);
@@ -659,11 +680,11 @@ class TrippingSource : public ForwardingSource {
   mutable std::map<int, int64_t> fills_;
 };
 
-// The cancel bound (docs/robustness.md): a scope that trips inside the
-// k-th root morsel's fill stops a lone query after at most
-// k + parallelism - 1 root fills, because each worker claims no morsel
-// once it sees the scope tripped.
-TEST(MidQueryCancelTest, RootTripStopsWithinOneMorselPerWorker) {
+// The cancel bound (docs/robustness.md): a lone query walks its root's
+// morsels on the calling thread and checks the scope before each, so a
+// scope that trips inside the k-th root morsel's fill stops it after
+// exactly k root fills, at any thread count.
+TEST(MidQueryCancelTest, RootTripStopsWithinOneMorsel) {
   const TpcdsSources& sources = SharedTpcdsSources();
   const Schema& schema = sources.site.schema;
   const Query& query = sources.site.queries[0];
@@ -679,13 +700,11 @@ TEST(MidQueryCancelTest, RootTripStopsWithinOneMorselPerWorker) {
       CancelToken token;
       const CancelScope scope(&token, Deadline::Infinite());
       const TrippingSource source(*inner, root, kTripAt, &token);
-      ExecContext ctx(ExecOptions{threads, kMorselRows});
-      ctx.set_cancel(&scope);
-      auto aqp = Executor(schema, &ctx).Execute(query, source);
+      auto aqp = Executor(schema, ExecOptions{threads, kMorselRows})
+                     .Execute(query, source, &scope);
       EXPECT_EQ(aqp.status().code(), StatusCode::kCancelled)
           << aqp.status().ToString();
-      EXPECT_GE(source.fills(root), kTripAt);
-      EXPECT_LE(source.fills(root), kTripAt + threads - 1);
+      EXPECT_EQ(source.fills(root), kTripAt);
     }
   }
 }
@@ -711,22 +730,19 @@ TEST(MidQueryCancelTest, NonRootTripStopsWithinOneMorsel) {
                    std::to_string(threads) + " threads");
       CancelToken token;
       const CancelScope scope(&token, Deadline::Infinite());
-      ExecContext ctx(ExecOptions{threads, kMorselRows});
-      ctx.set_cancel(&scope);
-
       const TrippingSource direct(*inner, scanned, kTripAt, &token);
       RowBlock block;
-      const Status status = ScanFiltered(direct, scanned, width,
-                                         DnfPredicate::True(), {0}, &ctx,
-                                         &block);
+      const Status status =
+          ScanFiltered(direct, scanned, width, DnfPredicate::True(), {0},
+                       kMorselRows, &scope, &block);
       EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
       EXPECT_EQ(direct.fills(scanned), kTripAt);
 
       CancelToken query_token;
       const CancelScope query_scope(&query_token, Deadline::Infinite());
-      ctx.set_cancel(&query_scope);
       const TrippingSource source(*inner, scanned, kTripAt, &query_token);
-      auto aqp = Executor(schema, &ctx).Execute(query, source);
+      auto aqp = Executor(schema, ExecOptions{threads, kMorselRows})
+                     .Execute(query, source, &query_scope);
       EXPECT_EQ(aqp.status().code(), StatusCode::kCancelled)
           << aqp.status().ToString();
       EXPECT_EQ(source.fills(scanned), kTripAt);

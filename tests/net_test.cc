@@ -331,7 +331,7 @@ class NetTest : public ::testing::Test {
     ASSERT_TRUE(WriteSummary(summary_, path_).ok());
 
     ServeOptions options;
-    options.num_threads = 2;
+    options.max_inflight = 2;
     options.batch_rows = 1024;
     server_ = std::make_unique<RegenServer>(options);
     ASSERT_TRUE(server_->RegisterSummary("alpha", path_).ok());

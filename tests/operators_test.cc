@@ -25,9 +25,9 @@ std::vector<Value> Drain(const TableSource& source, int relation, int width,
   std::vector<int> columns(width);
   std::iota(columns.begin(), columns.end(), 0);
   RowBlock block;
-  EXPECT_TRUE(
-      ScanFiltered(source, relation, width, filter, columns, nullptr, &block)
-          .ok());
+  EXPECT_TRUE(ScanFiltered(source, relation, width, filter, columns,
+                           ExecOptions{}.morsel_rows, nullptr, &block)
+                  .ok());
   std::vector<Value> values(static_cast<size_t>(block.num_rows() * width));
   for (int64_t r = 0; r < block.num_rows(); ++r) {
     block.CopyRowTo(r, values.data() + r * width);
@@ -106,8 +106,9 @@ TEST_F(ScanFilteredTest, ProjectedScanMatchesFullScanOnLiveColumns) {
   for (const TableSource* source : Sources()) {
     const std::vector<Value> want = Drain(*source, s_, cols_, pred);
     RowBlock block;
-    ASSERT_TRUE(
-        ScanFiltered(*source, s_, cols_, pred, {pk, a}, nullptr, &block).ok());
+    ASSERT_TRUE(ScanFiltered(*source, s_, cols_, pred, {pk, a},
+                             ExecOptions{}.morsel_rows, nullptr, &block)
+                    .ok());
     ASSERT_EQ(block.num_columns(), 2);
     // The filter drops 300 of S's 700 rows.
     ASSERT_EQ(block.num_rows(), 400);
@@ -134,11 +135,10 @@ std::vector<uint32_t> RowsOf(const JoinIndex& index, Value key) {
 // Builds an index over `keys` and checks its layout, and that every probe
 // returns exactly the rows holding that key, in build order.
 void ExpectIndex(const std::vector<Value>& keys, int64_t scanned_rows,
-                 ExecContext* ctx, Layout layout,
-                 const std::vector<Value>& probes) {
+                 Layout layout, const std::vector<Value>& probes) {
   const int64_t n = static_cast<int64_t>(keys.size());
   JoinIndex index;
-  index.Build(keys.data(), n, scanned_rows, ctx);
+  index.Build(keys.data(), n, scanned_rows);
   EXPECT_EQ(index.layout(), layout);
   for (const Value probe : probes) {
     std::vector<uint32_t> want;
@@ -158,21 +158,18 @@ Value Spread(Value v) {
 }
 
 // Checks the dense layout over `keys` (scanned rows = their range), then
-// the hashed layout — sequential and partitioned across a pool — over the
-// same keys spread apart.
+// the hashed layout over the same keys spread apart.
 void ExpectLayoutsAgree(const std::vector<Value>& keys,
                         const std::vector<Value>& probes) {
   ASSERT_FALSE(keys.empty());
   const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
-  ExpectIndex(keys, *hi - *lo + 1, nullptr, Layout::kDense, probes);
+  ExpectIndex(keys, *hi - *lo + 1, Layout::kDense, probes);
   std::vector<Value> spread_keys(keys.size());
   std::vector<Value> spread_probes(probes.size());
   std::transform(keys.begin(), keys.end(), spread_keys.begin(), Spread);
   std::transform(probes.begin(), probes.end(), spread_probes.begin(), Spread);
-  const int64_t n = static_cast<int64_t>(keys.size());
-  ExecContext pool(ExecOptions{4, 4096});
-  ExpectIndex(spread_keys, n, nullptr, Layout::kHashed, spread_probes);
-  ExpectIndex(spread_keys, n, &pool, Layout::kHashed, spread_probes);
+  ExpectIndex(spread_keys, static_cast<int64_t>(keys.size()), Layout::kHashed,
+              spread_probes);
 }
 
 TEST(JoinIndexTest, LayoutsAgreeOnDuplicateAndNegativeKeys) {
@@ -182,7 +179,7 @@ TEST(JoinIndexTest, LayoutsAgreeOnDuplicateAndNegativeKeys) {
 }
 
 TEST(JoinIndexTest, LayoutsAgreeOnLargeBuild) {
-  // Large enough for the hashed build to partition across the pool.
+  // 5,000 rows over 1,301 distinct keys: most keys span several rows.
   std::vector<Value> keys;
   for (int64_t i = 0; i < 5000; ++i) keys.push_back((i * 7919) % 1301 - 650);
   std::vector<Value> probes;
@@ -192,7 +189,7 @@ TEST(JoinIndexTest, LayoutsAgreeOnLargeBuild) {
 
 TEST(JoinIndexTest, EmptyBuildMatchesNothing) {
   // No key range: an empty build always takes the (two-entry) dense layout.
-  ExpectIndex({}, 0, nullptr, Layout::kDense, {0, 1, -1, INT64_MIN, INT64_MAX});
+  ExpectIndex({}, 0, Layout::kDense, {0, 1, -1, INT64_MIN, INT64_MAX});
 }
 
 TEST(JoinIndexTest, DenseUpToTheThresholdExactly) {

@@ -1,7 +1,7 @@
 // Tests for the dynamic-regeneration service (src/serve/): summary-cache
 // LRU/pinning behavior, fair-scheduler backpressure, and — the serving
 // contract — byte-identical per-client streams across every
-// {threads, clients, cache_bytes, batch_rows} configuration, including
+// {max_inflight, clients, cache_bytes, batch_rows} configuration, including
 // cursors that survive LRU eviction and reload of their summary.
 
 #include <gtest/gtest.h>
@@ -183,15 +183,15 @@ TEST_F(ServeTest, StreamsByteIdenticalAcrossConfigurations) {
   const uint64_t big = 64ull << 20;
   const uint64_t tiny = summary_bytes_ + 64;  // fits exactly one summary
   struct Config {
-    int threads;
+    int inflight;
     int clients;
     uint64_t cache_bytes;
     int64_t batch_rows;
   };
   std::vector<Config> configs;
-  for (int threads : {1, 2, 8}) {
+  for (int inflight : {1, 2, 8}) {
     for (int clients : {1, 4, 16}) {
-      configs.push_back({threads, clients, big, 4096});
+      configs.push_back({inflight, clients, big, 4096});
     }
   }
   configs.push_back({8, 16, tiny, 513});   // evicting cache, odd batches
@@ -200,7 +200,7 @@ TEST_F(ServeTest, StreamsByteIdenticalAcrossConfigurations) {
   std::vector<uint64_t> reference;
   for (const Config& config : configs) {
     ServeOptions options;
-    options.num_threads = config.threads;
+    options.max_inflight = config.inflight;
     options.cache_bytes = config.cache_bytes;
     options.batch_rows = config.batch_rows;
     RegenServer server(options);
@@ -214,7 +214,7 @@ TEST_F(ServeTest, StreamsByteIdenticalAcrossConfigurations) {
       continue;
     }
     EXPECT_EQ(hashes, reference)
-        << "streams diverged at threads=" << config.threads
+        << "streams diverged at inflight=" << config.inflight
         << " clients=" << config.clients
         << " cache=" << config.cache_bytes
         << " batch=" << config.batch_rows;
@@ -343,7 +343,7 @@ TEST_F(ServeTest, PrivateGrantsMatchTheGeneratorScan) {
 
 TEST_F(ServeTest, CursorSurvivesEvictionAndReload) {
   ServeOptions options;
-  options.num_threads = 1;
+  options.max_inflight = 1;
   options.cache_bytes = summary_bytes_ + 64;  // room for one summary only
   options.batch_rows = 1000;
   RegenServer server(options);
@@ -463,6 +463,28 @@ TEST_F(ServeTest, ExecuteQueryMatchesDirectExecutor) {
   }
 }
 
+// A served query runs on the thread that called ExecuteQuery: the server
+// owns no pool, so the query starts no pool task. Armed with a zero delay,
+// the chaos hook thread_pool/dispatch only counts pool task starts and
+// claimed ParallelFor indices.
+TEST_F(ServeTest, ExecuteQueryStartsNoPoolTask) {
+  ServeOptions options;
+  options.max_inflight = 4;
+  RegenServer server(options);
+  RegisterBoth(server);
+  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  ASSERT_TRUE(sid.ok());
+  ASSERT_TRUE(Failpoint::ArmFromString("thread_pool/dispatch=delay(0)").ok());
+  const Failpoint* point = Failpoint::Find("thread_pool/dispatch");
+  ASSERT_NE(point, nullptr);
+  const uint64_t before = point->hits();
+  auto served = server.ExecuteQuery(*sid, env_.query);
+  const uint64_t after = point->hits();
+  Failpoint::DisarmAll();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(after, before);
+}
+
 // ---- shared scans ---------------------------------------------------------
 //
 // Multicast contract (docs/serve.md): cursors co-resident on one
@@ -534,14 +556,14 @@ TEST_F(ServeTest, SharedScanStreamsIdenticalToSolo) {
   }
 
   struct Config {
-    int threads;
+    int inflight;
     int clients;
     int64_t batch_rows;
   };
   for (const Config& config : std::vector<Config>{
            {1, 4, 512}, {4, 8, 1000}, {8, 12, 4096}, {2, 6, 257}}) {
     ServeOptions options;
-    options.num_threads = config.threads;
+    options.max_inflight = config.inflight;
     options.batch_rows = config.batch_rows;
     RegenServer server(options);
     RegisterBoth(server);
@@ -558,7 +580,7 @@ TEST_F(ServeTest, SharedScanStreamsIdenticalToSolo) {
     for (std::thread& th : threads) th.join();
     for (const std::string& e : errors) EXPECT_EQ(e, "");
     EXPECT_EQ(hashes, reference)
-        << "multicast diverged at threads=" << config.threads
+        << "multicast diverged at inflight=" << config.inflight
         << " clients=" << config.clients << " batch=" << config.batch_rows;
     const ServeStats stats = server.stats();
     EXPECT_GE(stats.scan_groups_formed, 1u);
@@ -572,7 +594,7 @@ TEST_F(ServeTest, TwoCursorsShareOneGenerationPass) {
   // batch-by-batch — the follower must ride the leader's chunks (one fill,
   // one hit per chunk) and both streams must equal the generator scan.
   ServeOptions options;
-  options.num_threads = 1;
+  options.max_inflight = 1;
   options.batch_rows = 8192;
   RegenServer server(options);
   RegisterBoth(server);
@@ -617,7 +639,7 @@ TEST_F(ServeTest, ScanGroupIntrospectionMatchesServerCounters) {
   // introspection surface (docs/observability.md): live rows carry group
   // identity and fan-out, and the server-wide counters outlive the group.
   ServeOptions options;
-  options.num_threads = 1;
+  options.max_inflight = 1;
   options.batch_rows = 8192;
   RegenServer server(options);
   RegisterBoth(server);
@@ -683,7 +705,7 @@ TEST_F(ServeTest, ScanGroupChurnIsSafeUnderConcurrentSnapshots) {
   // one forming on the same key must never collide on metric names (a
   // duplicate aborts), and each group's rows leave with the group.
   ServeOptions options;
-  options.num_threads = 2;
+  options.max_inflight = 2;
   options.batch_rows = 1024;
   RegenServer server(options);
   RegisterBoth(server);
@@ -735,7 +757,7 @@ TEST_F(ServeTest, StatsFieldsEqualTheirSnapshotEntries) {
   // so stats() and the snapshot cannot disagree. Counts are counters,
   // levels are gauges.
   ServeOptions options;
-  options.num_threads = 2;
+  options.max_inflight = 2;
   options.batch_rows = 1024;
   options.cache_bytes = summary_bytes_ + 64;  // one summary: evictions
   options.max_sessions = 1;
@@ -854,7 +876,7 @@ TEST_F(ServeTest, SlowOpLogIsGatedAndCounted) {
 
 TEST_F(ServeTest, LateJoinerCatchesUpWithoutDisturbingTheGroup) {
   ServeOptions options;
-  options.num_threads = 1;
+  options.max_inflight = 1;
   options.batch_rows = 4096;  // default shared_scan_chunks = 4 slots
   RegenServer server(options);
   RegisterBoth(server);
@@ -901,7 +923,7 @@ TEST_F(ServeTest, LateJoinerCatchesUpWithoutDisturbingTheGroup) {
 
 TEST_F(ServeTest, MemberCancelDetachesWithoutDisturbingTheGroup) {
   ServeOptions options;
-  options.num_threads = 4;
+  options.max_inflight = 4;
   options.batch_rows = 2048;
   RegenServer server(options);
   RegisterBoth(server);
@@ -975,7 +997,7 @@ TEST_F(ServeTest, MemberCancelDetachesWithoutDisturbingTheGroup) {
 
 TEST_F(ServeTest, SharedScanSurvivesEvictionMidGroup) {
   ServeOptions options;
-  options.num_threads = 1;
+  options.max_inflight = 1;
   options.cache_bytes = summary_bytes_ + 64;  // room for one summary only
   options.batch_rows = 4096;
   RegenServer server(options);
