@@ -822,9 +822,7 @@ int main(int argc, char** argv) {
       std::vector<double> pooled;
       {
         auto server = make_server();
-        NetServerOptions net_options;
-        net_options.worker_threads = 4;
-        NetServer net(server.get(), net_options);
+        NetServer net(server.get());
         HYDRA_CHECK_OK(net.Start());
         const int port = net.port();
         std::mutex mu;

@@ -42,15 +42,8 @@ void ThreadPool::Submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(fn));
-    ++in_flight_;
   }
   work_ready_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  if (workers_.empty()) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 int ThreadPool::DefaultThreads() {
@@ -70,10 +63,6 @@ void ThreadPool::WorkerLoop() {
     }
     HYDRA_FAILPOINT_HIT(g_fp_dispatch);
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 

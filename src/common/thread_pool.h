@@ -1,7 +1,8 @@
 // A small fixed-size thread pool, and ParallelFor: the codebase's one
-// fan-out. Regeneration runs one index per view, materialization one per
-// shard, and the engine one per query of a batch (docs/engine.md "Query
-// batches"); a lone query never fans out.
+// fan-out, and the pool's one submitter. Regeneration runs one index per
+// view, materialization one per shard, and the engine one per query of a
+// batch (docs/engine.md "Query batches"); a lone query never fans out, and
+// no serving path starts a pool task.
 //
 // Determinism contract: the pool runs tasks, it never orders results. A
 // caller that wants deterministic output gives every index its own output
@@ -35,12 +36,10 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   // Enqueues `fn`. Tasks must not throw; error reporting goes through
-  // whatever output slot the task writes.
+  // whatever output slot the task writes. The pool tracks no completion:
+  // a submitter that needs one waits on its own tasks, as ParallelFor does,
+  // and the destructor runs every queued task before it returns.
   void Submit(std::function<void()> fn);
-
-  // Blocks until every submitted task has finished running, whoever
-  // submitted it.
-  void Wait();
 
   int num_threads() const { return num_threads_; }
 
@@ -56,8 +55,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::mutex mu_;
   std::condition_variable work_ready_;
-  std::condition_variable all_done_;
-  int in_flight_ = 0;  // queued + currently running tasks
   bool shutdown_ = false;
 };
 
@@ -65,7 +62,7 @@ class ThreadPool {
 // It puts min(width, count, pool->num_threads()) tasks on `pool`; each task
 // claims the next unclaimed index until none is left, so at most that many
 // calls are in flight. The calling thread only waits, and only for its own
-// tasks (never ThreadPool::Wait), so concurrent callers can share a pool.
+// tasks, so concurrent callers can share a pool.
 // A null pool, or one task, runs the loop on the calling thread. Once
 // `cancel` (optional) trips, no index is claimed any more: the calls in
 // flight finish, the rest never run, and the caller reports the scope's

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -11,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <system_error>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -28,34 +28,12 @@ HYDRA_FAILPOINT_DEFINE(g_fp_read_frame, "net/read_frame");
 HYDRA_FAILPOINT_DEFINE(g_fp_write_frame, "net/write_frame");
 
 // Frame lifecycle latency, split at the seams a wire request crosses: time
-// queued for a worker, time executing, time writing the response. The
-// kGetMetrics opcode skips handle/write recording — its response must be
-// byte-identical to the snapshot it serialized, so it must not mutate the
-// registry after serializing (tests/net_test.cc).
-HYDRA_METRIC_HISTOGRAM(g_dispatch_wait_us, "net/dispatch_wait_us");
+// executing and time writing the response. The kGetMetrics opcode skips
+// both records — its response must be byte-identical to the snapshot it
+// serialized, so it must not mutate the registry after serializing
+// (tests/net_test.cc).
 HYDRA_METRIC_HISTOGRAM(g_handle_us, "net/handle_us");
 HYDRA_METRIC_HISTOGRAM(g_write_us, "net/write_us");
-
-namespace {
-
-Status SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::Internal("fcntl(O_NONBLOCK) failed");
-  }
-  return Status::OK();
-}
-
-int ResolveWorkers(const NetServerOptions& options) {
-  const int requested = options.worker_threads == 0
-                            ? ThreadPool::DefaultThreads()
-                            : options.worker_threads;
-  // Floor of 2: handlers block on admission, and a width-1 pool runs
-  // inline — on the IO thread, which must never block.
-  return std::max(2, requested);
-}
-
-}  // namespace
 
 NetServer::NetServer(RegenServer* server, NetServerOptions options)
     : server_(server),
@@ -66,15 +44,15 @@ NetServer::NetServer(RegenServer* server, NetServerOptions options)
       frames_received_(scope_.Name("frames_received")),
       frames_sent_(scope_.Name("frames_sent")),
       protocol_errors_(scope_.Name("protocol_errors")),
-      sessions_reaped_(scope_.Name("sessions_reaped")) {
-  if (options_.max_buffered_frames < 1) options_.max_buffered_frames = 1;
-}
+      sessions_reaped_(scope_.Name("sessions_reaped")) {}
 
 NetServer::~NetServer() { Stop(); }
 
 Status NetServer::Start() {
   if (started_) return Status::FailedPrecondition("already started");
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  // Nonblocking, so AcceptReady stops at EAGAIN. Accepted sockets do not
+  // inherit the flag: a connection's thread blocks on its own fd.
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listen_fd_ < 0) return Status::Unavailable("socket() failed");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -99,97 +77,71 @@ Status NetServer::Start() {
   socklen_t addr_len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
   port_ = ntohs(addr.sin_port);
-  if (::pipe(wake_fds_) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal("pipe() failed");
-  }
-  HYDRA_RETURN_IF_ERROR(SetNonBlocking(listen_fd_));
-  HYDRA_RETURN_IF_ERROR(SetNonBlocking(wake_fds_[0]));
-  HYDRA_RETURN_IF_ERROR(SetNonBlocking(wake_fds_[1]));
-  workers_ = std::make_unique<ThreadPool>(ResolveWorkers(options_));
-  stopping_.store(false, std::memory_order_relaxed);
-  io_thread_ = std::thread([this] { IoLoop(); });
+  stopping_ = false;
+  watcher_ = std::thread([this] { Watch(); });
   started_ = true;
   return Status::OK();
 }
 
 void NetServer::Stop() {
   if (!started_) return;
-  stopping_.store(true, std::memory_order_relaxed);
-  WakeIoThread();
-  io_thread_.join();
-  // Kill every connection: cancels owned sessions, which unblocks any
-  // handler stuck in the admission queue; its response write then fails on
-  // the shut-down socket and the worker unwinds.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::shared_ptr<Connection>> conns;
-    conns.reserve(connections_.size());
-    for (const auto& [fd, conn] : connections_) conns.push_back(conn);
-    for (const auto& conn : conns) KillLocked(conn);
+    stopping_ = true;
   }
-  workers_->Wait();
-  // Workers are quiet now; reap anything a busy flag kept alive.
+  // A shut-down listener polls POLLHUP, which wakes the watcher.
+  ::shutdown(listen_fd_, SHUT_RDWR);
+  watcher_.join();
+  // Kill every connection: cancelling its sessions unblocks a request stuck
+  // in the admission queue, whose response write then fails on the
+  // shut-down socket, so every thread exits.
+  std::list<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    while (!connections_.empty()) {
-      ReapLocked(connections_.begin()->second);
-    }
+    for (Connection& conn : connections_) KillLocked(&conn);
+    connections.swap(connections_);
   }
-  workers_.reset();
+  for (Connection& conn : connections) conn.thread.join();
   ::close(listen_fd_);
-  ::close(wake_fds_[0]);
-  ::close(wake_fds_[1]);
-  listen_fd_ = wake_fds_[0] = wake_fds_[1] = -1;
+  listen_fd_ = -1;
   started_ = false;
 }
 
-void NetServer::WakeIoThread() {
-  const char byte = 0;
-  // Nonblocking: a full pipe already guarantees a pending wake.
-  (void)!::write(wake_fds_[1], &byte, 1);
-}
-
-void NetServer::IoLoop() {
+void NetServer::Watch() {
   std::vector<pollfd> fds;
-  std::vector<std::shared_ptr<Connection>> polled;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    fds.clear();
+  std::vector<Connection*> polled;
+  for (;;) {
+    fds.assign(1, pollfd{listen_fd_, POLLIN, 0});
     polled.clear();
-    fds.push_back({wake_fds_[0], POLLIN, 0});
-    fds.push_back({listen_fd_, POLLIN, 0});
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& [fd, conn] : connections_) {
-        if (conn->dead) continue;
-        // Backpressure: a connection that pipelined up to the buffer cap
-        // is not read from until its queue drains (POLLERR/POLLHUP still
-        // report, so a dropped client is noticed).
-        const bool want_read =
-            static_cast<int>(conn->pending.size()) <
-            options_.max_buffered_frames;
-        fds.push_back({fd, static_cast<short>(want_read ? POLLIN : 0), 0});
-        polled.push_back(conn);
+      if (stopping_) return;
+      for (auto it = connections_.begin(); it != connections_.end();) {
+        if (it->fd < 0) {
+          // Ended: its thread released mu_ for good when it closed the fd,
+          // so joining it here cannot deadlock.
+          it->thread.join();
+          it = connections_.erase(it);
+          continue;
+        }
+        if (!it->killed) {
+          // POLLHUP and POLLERR report whatever the events ask for.
+          fds.push_back(pollfd{it->fd, POLLRDHUP, 0});
+          polled.push_back(&*it);
+        }
+        ++it;
       }
     }
-    if (::poll(fds.data(), fds.size(), /*timeout_ms=*/200) < 0) {
+    if (::poll(fds.data(), fds.size(), /*timeout=*/-1) < 0) {
       if (errno == EINTR) continue;
-      break;  // poll itself failed; the server is wedged, bail out
+      return;  // poll itself failed; Stop() still kills and joins
     }
-    if (fds[0].revents != 0) {
-      char drain[64];
-      while (::read(wake_fds_[0], drain, sizeof(drain)) > 0) {
-      }
-    }
-    if (fds[1].revents != 0) AcceptReady();
-    for (size_t i = 2; i < fds.size(); ++i) {
-      const std::shared_ptr<Connection>& conn = polled[i - 2];
-      if (fds[i].revents == 0) continue;
-      if (!ReadReady(conn)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        KillLocked(conn);
-      }
+    if (fds[0].revents != 0) AcceptReady();
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 1; i < fds.size(); ++i) {
+      // The peer hung up. A connection whose thread killed it since the
+      // poll set was built is left alone (KillLocked is a no-op).
+      if (fds[i].revents != 0) KillLocked(polled[i - 1]);
     }
   }
 }
@@ -208,146 +160,92 @@ void NetServer::AcceptReady() {
       connections_dropped_.Inc();
       continue;
     }
-    if (!SetNonBlocking(fd).ok()) {
-      ::close(fd);
-      continue;
-    }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      connections_.emplace(fd, conn);
-    }
     connections_accepted_.Inc();
+    std::lock_guard<std::mutex> lock(mu_);
+    Connection& conn = connections_.emplace_back();
+    conn.fd = fd;
+    try {
+      conn.thread = std::thread([this, &conn] { Serve(&conn); });
+    } catch (const std::system_error&) {
+      // No thread to serve it: drop the connection.
+      connections_.pop_back();
+      ::close(fd);
+      connections_dropped_.Inc();
+    }
   }
 }
 
-bool NetServer::ReadReady(const std::shared_ptr<Connection>& conn) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (conn->dead || conn->fd < 0) return true;  // raced a reap; no-op
-  }
-  if (g_fp_read_frame.armed() && !g_fp_read_frame.Fire().ok()) {
-    return false;  // injected read failure == the socket died mid-frame
-  }
-  // Drain everything readable (edge-agnostic: we re-poll level-triggered,
-  // but draining now saves wakeups).
-  char buf[1 << 16];
-  while (true) {
-    const ssize_t got = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (got > 0) {
-      conn->read_buffer.append(buf, static_cast<size_t>(got));
-      if (static_cast<size_t>(got) < sizeof(buf)) break;
-      continue;
+void NetServer::Serve(Connection* conn) {
+  // Only this thread closes the fd, so it stays valid until the end.
+  const int fd = conn->fd;
+  std::string payload;
+  std::string frame;
+  for (;;) {
+    uint8_t raw[kFrameHeaderBytes];
+    if (!ReadExact(fd, raw, sizeof(raw)).ok()) break;  // EOF, error or kill
+    if (g_fp_read_frame.armed() && !g_fp_read_frame.Fire().ok()) {
+      break;  // injected read failure == the socket died mid-frame
     }
-    if (got == 0) return false;  // orderly EOF
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    return false;
-  }
-  // Parse complete frames off the front.
-  std::vector<std::pair<FrameHeader, std::string>> frames;
-  size_t consumed = 0;
-  while (conn->read_buffer.size() - consumed >= kFrameHeaderBytes) {
-    const uint8_t* base =
-        reinterpret_cast<const uint8_t*>(conn->read_buffer.data()) + consumed;
-    const FrameHeader header = DecodeFrameHeader(base);
+    const FrameHeader header = DecodeFrameHeader(raw);
     if (!ValidateFrameHeader(header).ok()) {
       // The stream has no trustworthy frame boundary anymore; drop it.
       protocol_errors_.Inc();
-      return false;
+      break;
     }
-    if (conn->read_buffer.size() - consumed <
-        kFrameHeaderBytes + header.payload_len) {
-      break;  // torn frame: wait for the rest
-    }
-    frames.emplace_back(
-        header,
-        conn->read_buffer.substr(consumed + kFrameHeaderBytes,
-                                 header.payload_len));
-    consumed += kFrameHeaderBytes + header.payload_len;
+    payload.resize(header.payload_len);
+    if (!ReadExact(fd, payload.data(), payload.size()).ok()) break;
     frames_received_.Inc();
-  }
-  if (consumed > 0) conn->read_buffer.erase(0, consumed);
-  if (!frames.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& frame : frames) conn->pending.push_back(std::move(frame));
-    if (!conn->busy && !conn->dead) DispatchLocked(conn);
-  }
-  return true;
-}
 
-void NetServer::DispatchLocked(const std::shared_ptr<Connection>& conn) {
-  if (conn->pending.empty()) return;
-  conn->busy = true;
-  FrameHeader header = conn->pending.front().first;
-  std::string payload = std::move(conn->pending.front().second);
-  conn->pending.pop_front();
-  std::shared_ptr<Connection> shared = conn;
-  const uint64_t enqueue_us =
-      metrics::TimingEnabled() ? metrics::MonotonicMicros() : 0;
-  workers_->Submit([this, shared, header, payload, enqueue_us]() mutable {
-    HandleFrame(std::move(shared), header, std::move(payload), enqueue_us);
-  });
-}
-
-void NetServer::HandleFrame(std::shared_ptr<Connection> conn,
-                            FrameHeader header, std::string payload,
-                            uint64_t enqueue_us) {
-  if (enqueue_us != 0 && metrics::TimingEnabled()) {
-    g_dispatch_wait_us.Record(metrics::MonotonicMicros() - enqueue_us);
-  }
-  // Snapshot self-consistency: a GetMetrics response serializes the
-  // registry inside Execute, so every effect of serving it must land
-  // *before* that point (the dispatch wait above, the pre-counted
-  // frames_sent below) or not at all (handle/write records skipped).
-  const bool is_metrics =
-      static_cast<Opcode>(header.opcode) == Opcode::kGetMetrics;
-  if (is_metrics) frames_sent_.Add(1);
-  // Build the whole response frame in one buffer (header patched last), so
-  // it goes out in one write — no torn frame on a concurrent kill.
-  std::string frame(kFrameHeaderBytes, '\0');
-  WireReader reader(payload);
-  {
-    ScopedLatencyTimer handle_timer(is_metrics ? nullptr : &g_handle_us);
-    Execute(conn, static_cast<Opcode>(header.opcode), &reader, &frame);
-  }
-  FrameHeader response;
-  response.opcode = header.opcode;
-  response.request_id = header.request_id;
-  response.payload_len =
-      static_cast<uint32_t>(frame.size() - kFrameHeaderBytes);
-  EncodeFrameHeader(response, reinterpret_cast<uint8_t*>(&frame[0]));
-  Status write_status;
-  if (g_fp_write_frame.armed()) write_status = g_fp_write_frame.Fire();
-  if (write_status.ok()) {
-    ScopedLatencyTimer write_timer(is_metrics ? nullptr : &g_write_us);
-    write_status = WriteAll(conn->fd, frame.data(), frame.size());
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
+    // Snapshot self-consistency: a GetMetrics response serializes the
+    // registry inside Execute, so every effect of serving it must land
+    // *before* that point (the pre-counted frames_sent below) or not at all
+    // (handle/write records skipped).
+    const auto opcode = static_cast<Opcode>(header.opcode);
+    const bool is_metrics = opcode == Opcode::kGetMetrics;
+    if (is_metrics) frames_sent_.Add(1);
+    // Build the whole response frame in one buffer (header patched last),
+    // so it goes out in one write.
+    frame.assign(kFrameHeaderBytes, '\0');
+    WireReader reader(payload);
+    {
+      ScopedLatencyTimer handle_timer(is_metrics ? nullptr : &g_handle_us);
+      Execute(conn, opcode, &reader, &frame);
+    }
+    FrameHeader response;
+    response.opcode = header.opcode;
+    response.request_id = header.request_id;
+    response.payload_len =
+        static_cast<uint32_t>(frame.size() - kFrameHeaderBytes);
+    EncodeFrameHeader(response, reinterpret_cast<uint8_t*>(frame.data()));
+    Status write_status;
+    if (g_fp_write_frame.armed()) write_status = g_fp_write_frame.Fire();
     if (write_status.ok()) {
-      if (!is_metrics) frames_sent_.Add(1);
-    } else {
+      ScopedLatencyTimer write_timer(is_metrics ? nullptr : &g_write_us);
+      write_status = WriteAll(fd, frame.data(), frame.size());
+    }
+    if (!write_status.ok()) {
       // The pre-count assumed the response would reach the wire.
       if (is_metrics) frames_sent_.Add(-1);
-      KillLocked(conn);
+      break;
     }
-    conn->busy = false;
-    if (conn->dead) {
-      ReapLocked(conn);
-    } else if (!conn->pending.empty()) {
-      DispatchLocked(conn);
-    }
+    if (!is_metrics) frames_sent_.Add(1);
   }
-  // The poll set may need rebuilding (backpressure lifted, conn died).
-  WakeIoThread();
+  // No request of this connection is in flight any more: reap its sessions.
+  std::lock_guard<std::mutex> lock(mu_);
+  KillLocked(conn);
+  for (const SessionHandle session : conn->sessions) {
+    if (server_->CloseSession(session).ok()) sessions_reaped_.Inc();
+  }
+  conn->sessions.clear();
+  ::close(fd);
+  conn->fd = -1;
+  connections_dropped_.Inc();
 }
 
-void NetServer::Execute(const std::shared_ptr<Connection>& conn, Opcode opcode,
-                        WireReader* reader, std::string* out) {
+void NetServer::Execute(Connection* conn, Opcode opcode, WireReader* reader,
+                        std::string* out) {
   WireWriter writer(out);
   switch (opcode) {
     case Opcode::kOpenSession: {
@@ -484,8 +382,8 @@ void NetServer::Execute(const std::shared_ptr<Connection>& conn, Opcode opcode,
     }
     case Opcode::kGetMetrics: {
       // The one source of truth: the same registry snapshot an in-process
-      // embedder reads, serialized with the same encoder. HandleFrame
-      // already pre-counted this frame and suppresses its own latency
+      // embedder reads, serialized with the same encoder. Serve already
+      // pre-counted this frame and suppresses its own latency
       // records, so these bytes equal a quiesced in-process snapshot.
       AppendStatusEnvelope(Status::OK(), out);
       writer.LengthPrefixed(
@@ -499,44 +397,25 @@ void NetServer::Execute(const std::shared_ptr<Connection>& conn, Opcode opcode,
   AppendStatusEnvelope(Status::Unimplemented("unknown opcode"), out);
 }
 
-bool NetServer::OwnsSession(const std::shared_ptr<Connection>& conn,
-                            SessionHandle session) {
+bool NetServer::OwnsSession(Connection* conn, SessionHandle session) {
   std::lock_guard<std::mutex> lock(mu_);
   return std::find(conn->sessions.begin(), conn->sessions.end(), session) !=
          conn->sessions.end();
 }
 
-void NetServer::KillLocked(const std::shared_ptr<Connection>& conn) {
-  if (conn->dead) return;
-  conn->dead = true;
-  // Shutdown (not close) while a worker may still hold the fd: the write
-  // fails cleanly, and the fd number cannot be reused for a new accept
-  // until ReapLocked actually closes it.
-  if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
+void NetServer::KillLocked(Connection* conn) {
+  if (conn->killed) return;
+  conn->killed = true;
+  // Shutdown, not close: the connection's thread may be blocked on the fd,
+  // and the fd number must not be reused for a new accept until that
+  // thread closes it.
+  ::shutdown(conn->fd, SHUT_RDWR);
   // Disconnect triggers CancelSession (docs/net.md): any request of these
   // sessions — queued, admitted, or mid-stream — unwinds at its next
   // cancellation poll.
   for (const SessionHandle session : conn->sessions) {
     (void)server_->CancelSession(session);
   }
-  if (!conn->busy) ReapLocked(conn);
-}
-
-void NetServer::ReapLocked(const std::shared_ptr<Connection>& conn) {
-  if (conn->fd >= 0) {
-    connections_.erase(conn->fd);
-    ::close(conn->fd);
-    conn->fd = -1;
-    connections_dropped_.Inc();
-  }
-  conn->dead = true;
-  for (const SessionHandle session : conn->sessions) {
-    (void)server_->CancelSession(session);
-    if (server_->CloseSession(session).ok()) {
-      sessions_reaped_.Inc();
-    }
-  }
-  conn->sessions.clear();
 }
 
 NetStats NetServer::stats() const {

@@ -1,19 +1,20 @@
 // NetServer — the TCP front end of RegenServer (docs/net.md).
 //
-// One IO thread runs a poll() event loop over the listening socket and
-// every connection; request execution runs on a thread-per-core worker
-// pool (src/common/thread_pool.h), so a handler blocking in the fair
-// scheduler's admission queue never stalls the loop. The protocol is
-// strictly request/response per connection: one frame is in flight at a
-// time, later frames buffer until the response is written (arrival-order
-// execution, which is what makes a wire cursor stream deterministic).
+// Each connection has a thread of its own: it reads a frame, executes it,
+// writes the response, and only then reads the next frame. The protocol is
+// strictly request/response per connection, so frames execute in arrival
+// order with no queue (which is what makes a wire cursor stream
+// deterministic), and the socket buffer holds back a pipelining client. A
+// watcher thread accepts connections and polls the live ones for hangups;
+// it never reads. Only a connection's own thread closes its fd; the watcher
+// and Stop() only shut it down, which fails the thread's read or write.
 //
 // Sessions are connection-owned: a session opened on a connection is
 // addressable only from it, and when the connection drops — client close,
 // socket error, or an injected net/* failpoint — the server immediately
 // CancelSession()s everything the connection owns (unblocking any
-// in-flight request at its next cancellation poll) and CloseSession()s it
-// once the in-flight handler unwinds. Resumption is the serve layer's
+// in-flight request at its next cancellation poll), and the connection's
+// thread CloseSession()s it as it exits. Resumption is the serve layer's
 // rank-cursor contract: the client reconnects, reopens a session, and
 // opens a cursor at its last BatchResult::rank — the stream continues
 // byte-identically (tests/net_test.cc, tests/chaos_serve_test.cc).
@@ -25,19 +26,15 @@
 #ifndef HYDRA_NET_NET_SERVER_H_
 #define HYDRA_NET_NET_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "net/wire.h"
 #include "serve/server.h"
 
@@ -47,16 +44,6 @@ struct NetServerOptions {
   std::string bind_address = "127.0.0.1";
   // 0 = ephemeral; the bound port is readable via port() after Start().
   int port = 0;
-  // Workers executing request handlers. 0 = one per hardware thread, with
-  // a floor of 2: handlers block (admission, rate limits), and the pool
-  // inlines work at width 1 — which would block the caller. The floor also
-  // keeps one worker free to process a CancelSession that unblocks another
-  // connection's stalled request.
-  int worker_threads = 0;
-  // Complete frames a connection may buffer behind its in-flight request
-  // before the loop stops reading from it (backpressure on pipelining
-  // clients).
-  int max_buffered_frames = 16;
 };
 
 // NetServer::stats(): plain reads of the server's "net/<field>" metrics.
@@ -80,13 +67,13 @@ class NetServer {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  // Binds, listens, and launches the IO thread + worker pool. Fails with
+  // Binds, listens, and launches the watcher thread. Fails with
   // kUnavailable when the address can't be bound.
   Status Start();
 
-  // Drops every connection (reaping their sessions), joins the IO thread,
-  // and drains the workers. Idempotent; the destructor calls it. The
-  // underlying RegenServer is left running — it may be shared.
+  // Drops every connection, joins the watcher and every connection thread
+  // (each reaps its sessions as it exits). Idempotent; the destructor calls
+  // it. The underlying RegenServer is left running — it may be shared.
   void Stop();
 
   // The bound port (resolved from an ephemeral request); 0 before Start().
@@ -96,45 +83,37 @@ class NetServer {
 
  private:
   struct Connection {
+    // Open until the connection's own thread closes it (under mu_), -1
+    // after: the watcher then joins the thread.
     int fd = -1;
-    std::string read_buffer;  // raw bytes, frames parsed off the front
-    // Complete frames (header + payload) waiting behind the in-flight
-    // request. Bounded by max_buffered_frames.
-    std::deque<std::pair<FrameHeader, std::string>> pending;
-    bool busy = false;  // a worker is executing this connection's request
-    bool dead = false;  // socket gone; close + reap once not busy
+    // Shut down and its sessions cancelled, by the watcher on a hangup, by
+    // Stop(), or by the connection's own thread as it exits.
+    bool killed = false;
     // Sessions opened over this connection, reaped on disconnect.
     std::vector<SessionHandle> sessions;
+    std::thread thread;
   };
 
-  void IoLoop();
-  // Accepts as many pending connections as the listener holds.
+  // The watcher thread: accepts connections, kills those whose peer hung
+  // up, and joins the threads of ended ones.
+  void Watch();
+  // Accepts as many pending connections as the listener holds, starting a
+  // thread for each.
   void AcceptReady();
-  // Drains readable bytes, parses frames, dispatches if idle. Returns
-  // false when the connection died (EOF, error, protocol error).
-  bool ReadReady(const std::shared_ptr<Connection>& conn);
-  // Hands the next pending frame to the worker pool. mu_ held.
-  void DispatchLocked(const std::shared_ptr<Connection>& conn);
-  // Worker entry: decode, execute against server_, write the response.
-  // `enqueue_us` is the dispatch timestamp (0 when timing is disabled) —
-  // the worker records its queue wait against it.
-  void HandleFrame(std::shared_ptr<Connection> conn, FrameHeader header,
-                   std::string payload, uint64_t enqueue_us);
+  // A connection's thread: reads a frame, executes it against server_,
+  // writes the response, until the connection dies; then reaps its
+  // sessions and closes its fd.
+  void Serve(Connection* conn);
   // Executes one request, appending the response payload (status envelope
   // + body) to `out`.
-  void Execute(const std::shared_ptr<Connection>& conn, Opcode opcode,
-               WireReader* reader, std::string* out);
-  // Marks the connection dead, shuts the socket down, and cancels its
-  // sessions (close + full reap happen once no worker holds it). mu_ held.
-  void KillLocked(const std::shared_ptr<Connection>& conn);
-  // Closes the fd and cancels+closes owned sessions; called when a dead
-  // connection is no longer busy. mu_ held.
-  void ReapLocked(const std::shared_ptr<Connection>& conn);
+  void Execute(Connection* conn, Opcode opcode, WireReader* reader,
+               std::string* out);
+  // Shuts the socket down and cancels the connection's sessions; its
+  // thread then fails its read or write, and exits. mu_ held.
+  void KillLocked(Connection* conn);
   // True when `session` was opened over `conn` (wire sessions are
   // connection-scoped).
-  bool OwnsSession(const std::shared_ptr<Connection>& conn,
-                   SessionHandle session);
-  void WakeIoThread();
+  bool OwnsSession(Connection* conn, SessionHandle session);
 
   RegenServer* const server_;
   NetServerOptions options_;
@@ -142,15 +121,13 @@ class NetServer {
   // before the metrics named under it.
   MetricScope scope_;
   int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  // self-pipe: [0] polled, [1] written
   int port_ = 0;
-  std::thread io_thread_;
-  std::unique_ptr<ThreadPool> workers_;
-  std::atomic<bool> stopping_{false};
   bool started_ = false;
 
-  mutable std::mutex mu_;  // guards connections_ and Connection state
-  std::unordered_map<int, std::shared_ptr<Connection>> connections_;
+  mutable std::mutex mu_;  // guards stopping_, connections_ and their state
+  bool stopping_ = false;
+  // A list: each connection's thread holds its element's address.
+  std::list<Connection> connections_;
 
   Counter connections_accepted_;
   Counter connections_dropped_;
@@ -158,6 +135,8 @@ class NetServer {
   Gauge frames_sent_;
   Counter protocol_errors_;
   Counter sessions_reaped_;
+
+  std::thread watcher_;
 };
 
 }  // namespace hydra

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -339,15 +338,6 @@ Status WriteAll(int fd, const void* buf, size_t n) {
       continue;
     }
     if (wrote < 0 && errno == EINTR) continue;
-    if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Nonblocking fd with a full socket buffer (server side): wait for
-      // drain. A peer that never drains eventually fails the write with
-      // EPIPE/ECONNRESET when the connection is killed, so this cannot
-      // spin forever on a live server.
-      pollfd pfd{fd, POLLOUT, 0};
-      (void)::poll(&pfd, 1, /*timeout_ms=*/1000);
-      continue;
-    }
     return Status::Unavailable(std::strerror(errno));
   }
   return Status::OK();

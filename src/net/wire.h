@@ -163,9 +163,11 @@ void AppendRowBlock(const RowBlock& block, std::string* out);
 Status ReadRowBlock(WireReader* reader, RowBlock* block);
 
 // --- blocking socket helpers -------------------------------------------
-// Shared by the blocking client and the server's response writes. Both
-// retry EINTR and treat any other failure (including EOF mid-buffer) as
-// kUnavailable — the caller's signal to drop the connection.
+// Every frame either end reads or writes goes through these, on a blocking
+// fd: the client's requests and responses, and each server connection
+// thread's frames. Both retry EINTR and treat any other failure (including
+// EOF mid-buffer) as kUnavailable — the caller's signal to drop the
+// connection.
 Status ReadExact(int fd, void* buf, size_t n);
 Status WriteAll(int fd, const void* buf, size_t n);
 

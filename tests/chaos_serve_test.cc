@@ -1,8 +1,8 @@
 // Chaos harness for the dynamic-regeneration service (docs/robustness.md):
 // the fig_serve-style mixed workload runs under a seeded random failpoint
-// schedule — injected load errors, scheduler-grant delays, dispatch delays —
-// plus cancellation, deadlines, shedding, and graceful shutdown. The
-// invariants under fault:
+// schedule — injected load errors and scheduler-grant delays — plus
+// cancellation, deadlines, shedding, and graceful shutdown. The invariants
+// under fault:
 //
 //   * every client finishes with OK or a clean failure-domain Status —
 //     no crash, no deadlock (ctest TIMEOUT guards), no leak (ASan/TSan
@@ -204,6 +204,40 @@ ServeOptions ChaosOptions(uint64_t summary_bytes) {
 
 // ---- chaos schedules ------------------------------------------------------
 
+// The mixed workload's storm: transient load errors (within the retry
+// budget, so loads recover) and grant delays stretching held slots. All
+// probabilistic decisions hash off the seed. No serving path starts a pool
+// task, so a thread_pool/dispatch arm would never fire. Shared-chunk fills
+// are no arm here either: this workload forms no scan group at all in a few
+// percent of runs (SharedScanSurvivesSeededChunkFaultSchedule storms them
+// in lockstep instead).
+std::string StormSchedule(uint64_t seed) {
+  return "serve/summary_load=error(UNAVAILABLE,p=0.4,seed=" +
+         std::to_string(seed) +
+         ");serve/grant=delay(1,p=0.1,seed=" + std::to_string(seed + 1) +
+         ")";
+}
+
+// Every point StormSchedule arms. A storm must hit each of them, so an arm
+// that no serving path reaches any more cannot go dead unnoticed.
+const char* const kStormPoints[] = {"serve/summary_load", "serve/grant"};
+
+std::vector<uint64_t> StormHits() {
+  std::vector<uint64_t> hits;
+  for (const char* name : kStormPoints) {
+    const Failpoint* point = Failpoint::Find(name);
+    hits.push_back(point == nullptr ? 0 : point->hits());
+  }
+  return hits;
+}
+
+void ExpectEveryStormPointHit(const std::vector<uint64_t>& before) {
+  const std::vector<uint64_t> after = StormHits();
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_GT(after[i], before[i]) << kStormPoints[i] << " was never hit";
+  }
+}
+
 TEST_F(ChaosServeTest, MixedWorkloadSurvivesSeededFaultSchedule) {
   const uint64_t seed = ChaosSeed();
   SCOPED_TRACE("HYDRA_CHAOS_SEED=" + std::to_string(seed));
@@ -221,23 +255,16 @@ TEST_F(ChaosServeTest, MixedWorkloadSurvivesSeededFaultSchedule) {
     }
   }
 
-  // Chaos run: transient load errors (within the retry budget, so loads
-  // recover), grant delays stretching held slots, and dispatch delays,
-  // which in serving reach only the wire front end's worker tasks (none
-  // run here). All probabilistic decisions hash off the fixed seed.
-  const std::string schedule =
-      "serve/summary_load=error(UNAVAILABLE,p=0.4,seed=" +
-      std::to_string(seed) +
-      ");serve/grant=delay(1,p=0.1,seed=" + std::to_string(seed + 1) +
-      ");thread_pool/dispatch=delay(1,p=0.02,seed=" + std::to_string(seed + 2) +
-      ")";
+  // Chaos run under the seeded storm.
   {
     RegenServer server(ChaosOptions(summary_bytes_));
     ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
     ASSERT_TRUE(server.RegisterSummary("beta", path_).ok());
-    ASSERT_TRUE(Failpoint::ArmFromString(schedule).ok());
+    const std::vector<uint64_t> hits_before = StormHits();
+    ASSERT_TRUE(Failpoint::ArmFromString(StormSchedule(seed)).ok());
     const std::vector<ItemResult> chaos = RunClients(server, env_, 8);
     Failpoint::DisarmAll();
+    ExpectEveryStormPointHit(hits_before);
 
     int succeeded = 0;
     for (int c = 0; c < kNumItems; ++c) {
@@ -275,15 +302,11 @@ TEST_F(ChaosServeTest, MetricInvariantsHoldUnderFaultStorm) {
   RegenServer server(ChaosOptions(summary_bytes_));
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
   ASSERT_TRUE(server.RegisterSummary("beta", path_).ok());
-  const std::string schedule =
-      "serve/summary_load=error(UNAVAILABLE,p=0.4,seed=" +
-      std::to_string(seed) +
-      ");serve/grant=delay(1,p=0.1,seed=" + std::to_string(seed + 1) +
-      ");thread_pool/dispatch=delay(1,p=0.02,seed=" + std::to_string(seed + 2) +
-      ")";
-  ASSERT_TRUE(Failpoint::ArmFromString(schedule).ok());
+  const std::vector<uint64_t> hits_before = StormHits();
+  ASSERT_TRUE(Failpoint::ArmFromString(StormSchedule(seed)).ok());
   (void)RunClients(server, env_, /*clients=*/8);
   Failpoint::DisarmAll();
+  ExpectEveryStormPointHit(hits_before);
 
   const ServeStats stats = server.stats();
   EXPECT_GT(stats.batches_served, 0u);

@@ -417,11 +417,13 @@ TEST(ParallelForTest, CompletionIsScopedToTheCall) {
   // An unrelated task blocks one worker on a latch. ParallelFor must return
   // without waiting for it; the latch opens after a bounded wait, so a
   // ParallelFor that waited on the whole pool fails here instead of hanging.
-  ThreadPool pool(4);
+  // The pool is declared after the latch state, so its destructor runs the
+  // latch task out before that state goes.
   std::mutex mu;
   std::condition_variable cv;
   bool started = false;
   bool released = false;
+  ThreadPool pool(4);
   pool.Submit([&] {
     std::unique_lock<std::mutex> lock(mu);
     started = true;
@@ -445,7 +447,6 @@ TEST(ParallelForTest, CompletionIsScopedToTheCall) {
   EXPECT_TRUE(returned_before_release)
       << "ParallelFor waited for an unrelated pool task";
   EXPECT_EQ(calls.load(), 100);
-  pool.Wait();
 }
 
 TEST(ParallelForTest, TrippedScopeStopsTheClaiming) {

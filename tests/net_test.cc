@@ -2,9 +2,10 @@
 // round trips, the stable ServeErrorCode mapping, protocol hardening (torn
 // frames, oversized payloads, bad magic/version, unknown opcodes, a seeded
 // malformed-frame fuzz sweep — none may crash or wedge the server), session
-// scoping and disconnect reaping, QoS fields riding the open frame, and the
-// headline contract: a NetClient stream is byte-identical to the in-process
-// stream, including resume-after-drop.
+// scoping and disconnect reaping (a request parked in admission included),
+// QoS fields riding the open frame, a wire stream starting no pool task, and
+// the headline contract: a NetClient stream is byte-identical to the
+// in-process stream, including resume-after-drop.
 
 #include <gtest/gtest.h>
 
@@ -18,11 +19,14 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/metrics.h"
 #include "hydra/regenerator.h"
 #include "hydra/summary_io.h"
@@ -309,8 +313,8 @@ TEST(MetricsRegistration, LinkedSubsystemMetricsAreRegistered) {
   for (const char* name :
        {"serve/next_batch_us", "serve/open_session_us",
         "serve/admission_wait_us", "serve/summary_load_us", "lp/formulate_us",
-        "lp/solve_us", "lp/refactorize_us", "gen/fill_us",
-        "net/dispatch_wait_us", "net/handle_us", "net/write_us"}) {
+        "lp/solve_us", "lp/refactorize_us", "gen/fill_us", "net/handle_us",
+        "net/write_us"}) {
     EXPECT_NE(MetricRegistry::FindHistogram(name), nullptr) << name;
   }
   EXPECT_NE(MetricRegistry::FindCounter("serve/slow_ops"), nullptr);
@@ -480,8 +484,8 @@ TEST_F(NetTest, GetMetricsIsByteConsistentWithInProcessSnapshot) {
 
   // One connection, synchronous requests: when the GetMetrics response is
   // on the wire, the server has fully accounted the traffic above, and the
-  // request's own footprint landed before serialization (dispatch wait,
-  // pre-counted frames_sent) or not at all (handle/write records). So the
+  // request's own footprint landed before serialization (pre-counted
+  // frames_sent) or not at all (handle/write records). So the
   // wire bytes must equal a local snapshot taken right after — same
   // registry, same encoder, no tolerance.
   auto wire_bytes = client.MetricsSerialized();
@@ -651,7 +655,8 @@ TEST_F(NetTest, DisconnectReapsTheConnectionsSessions) {
   spec.relation = env_.schema.RelationIndex("R");
   ASSERT_TRUE(client.OpenCursor(*sid, spec).ok());
   client.Disconnect();  // abrupt: no goodbye frames
-  // The IO loop notices the EOF and cancels + closes the orphaned session.
+  // The server notices the hangup and cancels + closes the orphaned
+  // session.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (net_->stats().sessions_reaped == 0 &&
@@ -659,6 +664,102 @@ TEST_F(NetTest, DisconnectReapsTheConnectionsSessions) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_GE(net_->stats().sessions_reaped, 1u);
+}
+
+TEST_F(NetTest, DisconnectCancelsARequestParkedInAdmission) {
+  // A session limited to 1 row/s overdraws its bucket with its first
+  // 1,024-row batch, so its second NextBatch parks behind the token bucket
+  // for ~17 minutes. Dropping the connection must cancel that request at
+  // once and reap the session; other connections are served meanwhile.
+  auto conn = std::make_unique<RawConn>(port());
+  ASSERT_TRUE(conn->connected());
+  uint64_t request_id = 0;
+  // One round trip: the response body after an OK status envelope, or
+  // nullopt.
+  const auto round_trip =
+      [&](Opcode opcode,
+          const std::string& body) -> std::optional<std::string> {
+    FrameHeader header;
+    std::string payload;
+    if (!conn->Send(Frame(opcode, ++request_id, body)) ||
+        !conn->ReadFrame(&header, &payload)) {
+      return std::nullopt;
+    }
+    WireReader reader(payload);
+    Status status;
+    if (!ReadStatusEnvelope(&reader, &status).ok() || !status.ok()) {
+      return std::nullopt;
+    }
+    return payload.substr(payload.size() - reader.remaining());
+  };
+  const auto read_id = [](const std::string& body) {
+    uint64_t id = 0;
+    WireReader reader(body);
+    EXPECT_TRUE(reader.U64(&id).ok());
+    return id;
+  };
+
+  OpenSessionRequest request{"alpha"};
+  request.rate_limit_rows_per_sec = 1;
+  std::string body;
+  AppendOpenSessionRequest(request, &body);
+  const auto session = round_trip(Opcode::kOpenSession, body);
+  ASSERT_TRUE(session.has_value());
+  const uint64_t session_id = read_id(*session);
+  body.clear();
+  WireWriter(&body).U64(session_id);
+  CursorSpec spec;
+  spec.relation = env_.schema.RelationIndex("R");
+  AppendCursorSpec(spec, &body);
+  const auto cursor = round_trip(Opcode::kOpenCursor, body);
+  ASSERT_TRUE(cursor.has_value());
+  std::string next_batch;
+  WireWriter writer(&next_batch);
+  writer.U64(session_id);
+  writer.U64(read_id(*cursor));
+  ASSERT_TRUE(round_trip(Opcode::kNextBatch, next_batch).has_value());
+
+  const ServeStats before = server_->stats();
+  ASSERT_TRUE(conn->Send(Frame(Opcode::kNextBatch, ++request_id, next_batch)));
+  const auto parked_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server_->stats().rate_deferrals == before.rate_deferrals &&
+         std::chrono::steady_clock::now() < parked_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(server_->stats().rate_deferrals, before.rate_deferrals);
+  NetClient other;
+  ASSERT_TRUE(other.Connect("127.0.0.1", port()).ok());
+  EXPECT_TRUE(other.Ping().ok());
+
+  conn.reset();  // abrupt close with the request parked
+  const auto reaped_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((net_->stats().sessions_reaped == 0 ||
+          server_->stats().cancelled_requests == before.cancelled_requests) &&
+         std::chrono::steady_clock::now() < reaped_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(net_->stats().sessions_reaped, 1u);
+  EXPECT_GT(server_->stats().cancelled_requests, before.cancelled_requests);
+}
+
+TEST_F(NetTest, WireStartsNoPoolTask) {
+  // Each connection's thread executes its own frames, so a wire stream,
+  // like an in-process request (ServeTest.ExecuteQueryStartsNoPoolTask),
+  // starts no pool task.
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port()).ok());
+  CursorSpec spec;
+  spec.relation = env_.schema.RelationIndex("R");
+  ASSERT_TRUE(Failpoint::ArmFromString("thread_pool/dispatch=delay(0)").ok());
+  const Failpoint* point = Failpoint::Find("thread_pool/dispatch");
+  const uint64_t before = point == nullptr ? 0 : point->hits();
+  StreamHash(client, spec);
+  const uint64_t after = point == nullptr ? 0 : point->hits();
+  Failpoint::DisarmAll();
+  ASSERT_NE(point, nullptr);
+  EXPECT_EQ(after, before);
 }
 
 TEST_F(NetTest, NetStatsFieldsEqualTheirSnapshotEntries) {
