@@ -434,6 +434,27 @@ void BM_GeneratorFill(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneratorFill)->Arg(0)->Arg(1);
 
+// Row-major generator fill of a whole relation into one reused buffer: the
+// tiled FillRange behind ScanBlocksRange and MaterializeToDisk.
+void BM_GeneratorFillRows(benchmark::State& state) {
+  ToyEnvironment env = MakeToyEnvironment();
+  HydraRegenerator hydra(env.schema);
+  auto result = hydra.Regenerate(env.ccs);
+  HYDRA_CHECK_MSG(result.ok(), result.status().ToString());
+  TupleGenerator gen(result->summary);
+  const int r = env.schema.RelationIndex("R");
+  const int64_t n = static_cast<int64_t>(gen.RowCount(r));
+  const int width = env.schema.relation(r).num_attributes();
+  std::vector<Value> rows(static_cast<size_t>(n * width));
+  for (auto _ : state) {
+    gen.FillRange(r, 0, n, rows.data());
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_GeneratorFillRows);
+
 // The shared-scan multicast core (src/serve/scan_group.h): one generator
 // pass fills a chunk-sized block, then every co-resident member derives its
 // own bytes from it with its compiled predicate over the chunk slice plus a

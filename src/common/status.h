@@ -109,6 +109,7 @@ class [[nodiscard]] StatusOr {
 
   const T& operator*() const& { return *value_; }
   T& operator*() & { return *value_; }
+  T&& operator*() && { return *std::move(value_); }
   const T* operator->() const { return &*value_; }
   T* operator->() { return &*value_; }
 

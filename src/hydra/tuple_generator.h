@@ -65,16 +65,19 @@ class TupleGenerator : public TableSource {
   // Batched generation of the rank range [begin, end): fills each slice of
   // up to `block_rows` ranks into one reused row-major buffer with
   // FillRange and invokes `fn` with it (width = the relation's attribute
-  // count). Block boundaries are an implementation detail; concatenating
-  // the blocks over any split of [0, RowCount) yields exactly the Scan()
-  // sequence. Used by the disk materialization path to write in blocks
-  // instead of per row.
+  // count). The buffer is allocated once per call and never zero-filled,
+  // since FillRange writes every value of it. Block boundaries are an
+  // implementation detail; concatenating the blocks over any split of
+  // [0, RowCount) yields exactly the Scan() sequence. Used by the disk
+  // materialization path to write in blocks instead of per row.
   void ScanBlocksRange(
       int relation, int64_t begin, int64_t end, int64_t block_rows,
       const std::function<void(const Value*, int64_t)>& fn) const;
   // Generates the rank range [begin, end) row-major straight into `dst`,
-  // which must hold (end - begin) * num_attributes Values. Single pass, no
-  // callback or intermediate block.
+  // which must hold (end - begin) * num_attributes Values, and writes every
+  // one of them and nothing past them. Each summary run is written as
+  // copies of an L1-sized tile of its template row, with the PK column of
+  // each copy rewritten, not tuple by tuple.
   void FillRange(int relation, int64_t begin, int64_t end, Value* dst) const;
   // Columnar generation of the rank range [begin, end) into rows
   // [begin, end) of `table` (the relation's width, holding at least `end`

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -118,13 +119,35 @@ class ChaosServeTest : public ::testing::Test {
 
 constexpr int kNumItems = 16;
 
+bool IsCursorItem(int c) { return c % 3 == 0; }
+
+// Cursor item c streams R's ranks [c * 4500, c * 4500 + 9000), so the
+// windows spread over all of R's summary runs, through a 200-wide S_fk
+// filter placed to hold the S_fk value at the window's first rank: every
+// window streams rows.
+CursorSpec ItemCursor(const ToyEnvironment& env,
+                      const DatabaseSummary& summary, int c) {
+  CursorSpec spec;
+  spec.relation = env.schema.RelationIndex("R");
+  spec.begin_rank = c * 4500;
+  spec.end_rank = spec.begin_rank + 9000;
+  Row first;
+  TupleGenerator(summary).GetTuple(spec.relation, spec.begin_rank, &first);
+  const int s_fk = env.schema.relation(spec.relation).AttrIndex("S_fk");
+  const int64_t lo = std::max<int64_t>(0, first[s_fk] - (c * 37) % 200);
+  spec.filter = PredicateOf(AtomRange(s_fk, lo, lo + 200));
+  spec.projection = {0, s_fk};
+  return spec;
+}
+
 struct ItemResult {
   bool ok = false;
   uint64_t hash = 0;
   Status error;  // meaningful when !ok
 };
 
-ItemResult RunItem(RegenServer& server, const ToyEnvironment& env, int c) {
+ItemResult RunItem(RegenServer& server, const ToyEnvironment& env,
+                   const DatabaseSummary& summary, int c) {
   ItemResult result;
   const auto fail = [&](const Status& s) {
     result.ok = false;
@@ -135,16 +158,8 @@ ItemResult RunItem(RegenServer& server, const ToyEnvironment& env, int c) {
       OpenSessionRequest{c % 2 == 0 ? "alpha" : "beta"});
   if (!sid.ok()) return fail(sid.status());
   uint64_t h = kFnvSeed;
-  const int kind = c % 3;
-  if (kind == 0) {
-    CursorSpec spec;
-    spec.relation = env.schema.RelationIndex("R");
-    const int64_t lo = (c * 37) % 300;
-    spec.filter = PredicateOf(AtomRange(/*column=*/1, lo, lo + 200));
-    spec.projection = {0, 1};
-    spec.begin_rank = c * 1000;
-    spec.end_rank = spec.begin_rank + 9000;
-    auto cid = server.OpenCursor(*sid, spec);
+  if (IsCursorItem(c)) {
+    auto cid = server.OpenCursor(*sid, ItemCursor(env, summary, c));
     if (!cid.ok()) return fail(cid.status());
     RowBlock block;
     for (;;) {
@@ -154,7 +169,7 @@ ItemResult RunItem(RegenServer& server, const ToyEnvironment& env, int c) {
       h = HashBlock(h, batch->rows);
       block = std::move(batch->rows);
     }
-  } else if (kind == 1) {
+  } else if (c % 3 == 1) {
     const int rel = env.schema.RelationIndex(c % 2 == 0 ? "S" : "T");
     const int64_t rows = c % 2 == 0 ? 700 : 1500;
     for (int i = 0; i < 100; ++i) {
@@ -176,14 +191,16 @@ ItemResult RunItem(RegenServer& server, const ToyEnvironment& env, int c) {
 }
 
 std::vector<ItemResult> RunClients(RegenServer& server,
-                                   const ToyEnvironment& env, int clients) {
+                                   const ToyEnvironment& env,
+                                   const DatabaseSummary& summary,
+                                   int clients) {
   std::vector<ItemResult> results(kNumItems);
   std::vector<std::thread> threads;
   threads.reserve(clients);
   for (int t = 0; t < clients; ++t) {
     threads.emplace_back([&, t] {
       for (int c = t; c < kNumItems; c += clients) {
-        results[c] = RunItem(server, env, c);
+        results[c] = RunItem(server, env, summary, c);
       }
     });
   }
@@ -248,10 +265,14 @@ TEST_F(ChaosServeTest, MixedWorkloadSurvivesSeededFaultSchedule) {
     RegenServer server(ChaosOptions(summary_bytes_));
     ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
     ASSERT_TRUE(server.RegisterSummary("beta", path_).ok());
-    reference = RunClients(server, env_, /*clients=*/8);
+    reference = RunClients(server, env_, summary_, /*clients=*/8);
     for (int c = 0; c < kNumItems; ++c) {
       ASSERT_TRUE(reference[c].ok)
           << "fault-free item " << c << ": " << reference[c].error.ToString();
+      if (IsCursorItem(c)) {
+        EXPECT_NE(reference[c].hash, kFnvSeed)
+            << "fault-free cursor item " << c << " streamed no row";
+      }
     }
   }
 
@@ -262,7 +283,7 @@ TEST_F(ChaosServeTest, MixedWorkloadSurvivesSeededFaultSchedule) {
     ASSERT_TRUE(server.RegisterSummary("beta", path_).ok());
     const std::vector<uint64_t> hits_before = StormHits();
     ASSERT_TRUE(Failpoint::ArmFromString(StormSchedule(seed)).ok());
-    const std::vector<ItemResult> chaos = RunClients(server, env_, 8);
+    const std::vector<ItemResult> chaos = RunClients(server, env_, summary_, 8);
     Failpoint::DisarmAll();
     ExpectEveryStormPointHit(hits_before);
 
@@ -304,7 +325,7 @@ TEST_F(ChaosServeTest, MetricInvariantsHoldUnderFaultStorm) {
   ASSERT_TRUE(server.RegisterSummary("beta", path_).ok());
   const std::vector<uint64_t> hits_before = StormHits();
   ASSERT_TRUE(Failpoint::ArmFromString(StormSchedule(seed)).ok());
-  (void)RunClients(server, env_, /*clients=*/8);
+  (void)RunClients(server, env_, summary_, /*clients=*/8);
   Failpoint::DisarmAll();
   ExpectEveryStormPointHit(hits_before);
 
@@ -375,14 +396,15 @@ TEST_F(ChaosServeTest, TransientLoadFaultsAreRetriedToSuccess) {
   ASSERT_TRUE(
       Failpoint::ArmFromString("serve/summary_load=error(UNAVAILABLE,times=2)")
           .ok());
-  const ItemResult faulted = RunItem(server, env_, 0);
+  const ItemResult faulted = RunItem(server, env_, summary_, 0);
   ASSERT_TRUE(faulted.ok) << faulted.error.ToString();
   const ServeStats stats = server.stats();
   EXPECT_GE(stats.load_retries, 2u);
 
   Failpoint::DisarmAll();
-  const ItemResult clean = RunItem(server, env_, 0);
+  const ItemResult clean = RunItem(server, env_, summary_, 0);
   ASSERT_TRUE(clean.ok);
+  EXPECT_NE(clean.hash, kFnvSeed);
   EXPECT_EQ(faulted.hash, clean.hash);  // retries never changed the stream
 }
 
@@ -640,7 +662,8 @@ TEST_F(ChaosServeTest, OverloadShedsCleanlyAndServedStreamsStayIdentical) {
   ASSERT_TRUE(Failpoint::ArmFromString("serve/grant=delay(2,p=0.5,seed=" +
                                        std::to_string(seed) + ")")
                   .ok());
-  const std::vector<ItemResult> results = RunClients(server, env_, 16);
+  const std::vector<ItemResult> results =
+      RunClients(server, env_, summary_, 16);
   Failpoint::DisarmAll();
 
   RegenServer clean_server(ChaosOptions(summary_bytes_));
@@ -648,8 +671,11 @@ TEST_F(ChaosServeTest, OverloadShedsCleanlyAndServedStreamsStayIdentical) {
   ASSERT_TRUE(clean_server.RegisterSummary("beta", path_).ok());
   for (int c = 0; c < kNumItems; ++c) {
     if (results[c].ok) {
-      const ItemResult reference = RunItem(clean_server, env_, c);
+      const ItemResult reference = RunItem(clean_server, env_, summary_, c);
       ASSERT_TRUE(reference.ok);
+      if (IsCursorItem(c)) {
+        EXPECT_NE(reference.hash, kFnvSeed) << "item " << c;
+      }
       EXPECT_EQ(results[c].hash, reference.hash) << "item " << c;
     } else {
       EXPECT_EQ(results[c].error.code(), StatusCode::kResourceExhausted)
@@ -687,14 +713,15 @@ TEST_F(ChaosServeTest, OvercommitDegradesBatchSizeNotContent) {
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
 
-  const ItemResult degraded = RunItem(server, env_, 0);
+  const ItemResult degraded = RunItem(server, env_, summary_, 0);
   ASSERT_TRUE(degraded.ok) << degraded.error.ToString();
   EXPECT_GT(server.stats().degraded_batches, 0u);
 
   RegenServer roomy(ChaosOptions(summary_bytes_));
   ASSERT_TRUE(roomy.RegisterSummary("alpha", path_).ok());
-  const ItemResult reference = RunItem(roomy, env_, 0);
+  const ItemResult reference = RunItem(roomy, env_, summary_, 0);
   ASSERT_TRUE(reference.ok);
+  EXPECT_NE(reference.hash, kFnvSeed);
   EXPECT_EQ(degraded.hash, reference.hash);  // smaller quanta, same stream
 }
 

@@ -77,6 +77,26 @@ TEST(StatusOrTest, AssignOrReturnPropagates) {
   EXPECT_FALSE(UseHalf(3, &out).ok());
 }
 
+// Counts how often it is copied and moved.
+struct CopyCounter {
+  CopyCounter() = default;
+  CopyCounter(const CopyCounter& other)
+      : copies(other.copies + 1), moves(other.moves) {}
+  CopyCounter(CopyCounter&& other) noexcept
+      : copies(other.copies), moves(other.moves + 1) {}
+  int copies = 0;
+  int moves = 0;
+};
+
+TEST(StatusOrTest, DereferencingAnRvalueMoves) {
+  StatusOr<CopyCounter> so = CopyCounter();
+  ASSERT_TRUE(so.ok());
+  const int moves_held = so->moves;
+  const CopyCounter taken = *std::move(so);
+  EXPECT_EQ(taken.copies, 0);
+  EXPECT_EQ(taken.moves, moves_held + 1);
+}
+
 // --- Interval --------------------------------------------------------------
 
 TEST(IntervalTest, BasicProperties) {

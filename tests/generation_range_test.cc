@@ -60,6 +60,64 @@ DatabaseSummary MakeHandSummary() {
   return summary;
 }
 
+// Run lengths 2^k - 1, 2^k and 2^k + 1 for k = 0..12, then one 10,007-tuple
+// run: whatever FillRange's tile size, some run ends just before, on and just
+// after a tile boundary, and one run fills many tiles.
+std::vector<int64_t> TileProbeRunLengths() {
+  std::vector<int64_t> lengths;
+  for (int k = 0; k <= 12; ++k) {
+    const int64_t p = int64_t{1} << k;
+    lengths.insert(lengths.end(), {p - 1, p, p + 1});
+  }
+  lengths.push_back(10007);
+  return lengths;
+}
+
+// Three relations over TileProbeRunLengths, each run with its own values:
+// `PkSecond` (X, PK, an attribute no summary column covers, Z), `PkOnly`
+// and `NoPk` (two data attributes, no PK).
+DatabaseSummary MakeTileSummary() {
+  Schema schema;
+  Relation pk_second("PkSecond", 0);
+  pk_second.AddDataAttribute("X", Interval(0, 1 << 20));
+  pk_second.AddPrimaryKey("PkSecond_pk");
+  pk_second.AddDataAttribute("Uncovered", Interval(0, 10));
+  pk_second.AddDataAttribute("Z", Interval(0, 1 << 20));
+  schema.AddRelation(std::move(pk_second));
+  Relation pk_only("PkOnly", 0);
+  pk_only.AddPrimaryKey("PkOnly_pk");
+  schema.AddRelation(std::move(pk_only));
+  Relation no_pk("NoPk", 0);
+  no_pk.AddDataAttribute("A", Interval(0, 1 << 20));
+  no_pk.AddDataAttribute("B", Interval(0, 1 << 20));
+  schema.AddRelation(std::move(no_pk));
+  const std::vector<std::vector<int>> covered = {{0, 3}, {}, {0, 1}};
+
+  DatabaseSummary summary;
+  const std::vector<int64_t> lengths = TileProbeRunLengths();
+  for (int r = 0; r < schema.num_relations(); ++r) {
+    RelationSummary rs;
+    rs.relation = r;
+    rs.attr_indices = covered[r];
+    int64_t total = 0;
+    for (size_t i = 0; i < lengths.size(); ++i) {
+      SolutionRow row;
+      for (size_t a = 0; a < covered[r].size(); ++a) {
+        row.values.push_back(static_cast<Value>(1000 * (a + 1) + i));
+      }
+      row.count = lengths[i];
+      total += lengths[i];
+      rs.rows.push_back(std::move(row));
+    }
+    rs.Finalize();
+    schema.mutable_relation(r).set_row_count(total);
+    summary.relations.push_back(std::move(rs));
+  }
+  summary.schema = std::move(schema);
+  summary.extra_tuples.assign(summary.schema.num_relations(), 0);
+  return summary;
+}
+
 std::vector<Row> CollectScan(const TableSource& source, int relation) {
   std::vector<Row> rows;
   source.Scan(relation, [&](const Row& r) { rows.push_back(r); });
@@ -171,6 +229,85 @@ TEST_F(GenerationRangeTest, FillRangeMatchesScan) {
                       buf.begin() + (i - begin + 1) * width);
         ASSERT_EQ(got, full[i]) << "rank " << i;
       }
+    }
+  }
+}
+
+// FillRange against GetTuple, rank by rank, on ranges that start on a prime
+// stride and at every run start, and end inside runs and past several. The
+// buffer starts as a sentinel and runs on past the range for more rows than
+// an L1-sized tile holds, so a value FillRange leaves unwritten, or one it
+// writes past the range, shows.
+TEST_F(GenerationRangeTest, TiledFillRangeMatchesGetTuple) {
+  const DatabaseSummary tiles = MakeTileSummary();
+  const TupleGenerator gen(tiles);
+  constexpr Value kSentinel = -7;
+  constexpr int64_t kGuardRows = 8192;
+  for (int rel = 0; rel < tiles.schema.num_relations(); ++rel) {
+    const int width = tiles.schema.relation(rel).num_attributes();
+    const int64_t n = static_cast<int64_t>(gen.RowCount(rel));
+    std::vector<int64_t> begins = tiles.relations[rel].prefix_counts;
+    for (int64_t b = 0; b < n; b += 613) begins.push_back(b);
+    Row expected;
+    for (const int64_t begin : begins) {
+      for (const int64_t span : {int64_t{1}, int64_t{97}, int64_t{1021},
+                                 int64_t{8999}, n}) {
+        const int64_t end = std::min(n, begin + span);
+        std::vector<Value> buf((end - begin + kGuardRows) * width, kSentinel);
+        gen.FillRange(rel, begin, end, buf.data());
+        for (int64_t r = begin; r < end; ++r) {
+          gen.GetTuple(rel, r, &expected);
+          const Row got(buf.begin() + (r - begin) * width,
+                        buf.begin() + (r - begin + 1) * width);
+          ASSERT_EQ(got, expected) << tiles.schema.relation(rel).name()
+                                   << " range [" << begin << ", " << end
+                                   << ") rank " << r;
+        }
+        for (size_t i = (end - begin) * width; i < buf.size(); ++i) {
+          ASSERT_EQ(buf[i], kSentinel)
+              << tiles.schema.relation(rel).name() << " range [" << begin
+              << ", " << end << ") wrote past its end";
+        }
+      }
+    }
+  }
+  // PkSecond's PK is its rank, and the attribute no summary column covers
+  // reads 0.
+  const int64_t n = static_cast<int64_t>(gen.RowCount(0));
+  const int width = tiles.schema.relation(0).num_attributes();
+  std::vector<Value> rows(n * width, kSentinel);
+  gen.FillRange(0, 0, n, rows.data());
+  for (int64_t r = 0; r < n; ++r) {
+    ASSERT_EQ(rows[r * width + 1], r);
+    ASSERT_EQ(rows[r * width + 2], 0) << "rank " << r;
+  }
+}
+
+// MaterializeToDisk's tiled fill against the columnar oracle
+// (WriteDiskTable over MaterializeDatabase), byte for byte.
+TEST_F(GenerationRangeTest, TiledMaterializeToDiskMatchesWrittenDatabase) {
+  const DatabaseSummary tiles = MakeTileSummary();
+  auto db = MaterializeDatabase(tiles);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const std::string oracle_dir = Dir("tile_oracle");
+  for (int r = 0; r < tiles.schema.num_relations(); ++r) {
+    const std::string path =
+        oracle_dir + "/" + tiles.schema.relation(r).name() + ".tbl";
+    ASSERT_TRUE(WriteDiskTable(db->table(r), path).ok());
+  }
+  GenerationOptions cut;
+  cut.shard_rows = 1009;
+  cut.block_rows = 100;
+  const std::vector<GenerationOptions> configs = {GenerationOptions{}, cut};
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const std::string dir = Dir("tile_config" + std::to_string(c));
+    auto bytes = MaterializeToDisk(tiles, dir, configs[c]);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    for (int r = 0; r < tiles.schema.num_relations(); ++r) {
+      const std::string name = tiles.schema.relation(r).name() + ".tbl";
+      EXPECT_EQ(ReadFileBytes(dir + "/" + name),
+                ReadFileBytes(oracle_dir + "/" + name))
+          << name << " differs from the oracle in config " << c;
     }
   }
 }
