@@ -9,8 +9,6 @@
 // (b) Label-merging (Algorithm 1 step 4): number of blocks of the valid
 //     partition versus the final region (LP variable) count.
 // (c) Both compared against the grid cell count (DataSynth).
-// (d) Solver canonicalization axis: the full WLc regeneration with and
-//     without SimplexOptions::canonicalize (Devex pricing either way).
 
 #include <chrono>
 #include <cstdio>
@@ -18,7 +16,6 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/text_table.h"
-#include "hydra/regenerator.h"
 #include "partition/grid_partition.h"
 #include "partition/region_partition.h"
 
@@ -113,38 +110,6 @@ int main(int argc, char** argv) {
       "Reading: lazy tracking keeps the valid partition orders of magnitude\n"
       "below the naive variant (which tracks the grid); label-merging then\n"
       "collapses blocks into the optimal region count — the LP only ever\n"
-      "sees the last column.\n\n");
-
-  // ---- (d) solver canonicalization axis ----------------------------------
-  std::printf(
-      "==================================================================\n"
-      "Ablation — simplex canonicalization on WLc (Devex pricing)\n"
-      "==================================================================\n\n");
-  const ClientSite wlc =
-      BuildTpcdsSite(/*scale_factor=*/4.0, TpcdsWorkloadKind::kComplex, 131);
-  TextTable lp_table({"canonicalize", "LP time", "iterations"});
-  for (const bool canonicalize : {false, true}) {
-    HydraOptions options;
-    options.num_threads = 1;  // summed per-view durations, no contention
-    options.simplex.canonicalize = canonicalize;
-    HydraRegenerator hydra(wlc.schema, options);
-    auto result = hydra.Regenerate(wlc.ccs);
-    HYDRA_CHECK_MSG(result.ok(), result.status().ToString());
-    double lp_seconds = 0;
-    uint64_t iters = 0;
-    for (const ViewReport& v : result->views) {
-      lp_seconds += v.formulate_seconds + v.solve_seconds;
-      iters += v.lp_iterations;
-    }
-    json.Record(canonicalize ? "lp_devex_canonical" : "lp_devex", lp_seconds,
-                iters);
-    lp_table.AddRow({canonicalize ? "yes" : "no", FormatDuration(lp_seconds),
-                     FormatCount(iters)});
-  }
-  std::printf("%s\n", lp_table.Render().c_str());
-  std::printf(
-      "Reading: canonicalization costs roughly one extra solve and buys\n"
-      "solutions that are byte-identical across warm/cold starts and\n"
-      "refactorization schedules.\n");
+      "sees the last column.\n");
   return 0;
 }

@@ -2,7 +2,9 @@
 // an exabyte-scale database; AQP row counts from the base instance are
 // multiplied by the scale factor; Hydra builds the summary in minutes —
 // its cost is independent of the data scale — and the Tuple Generator can
-// immediately serve queries against the virtual exabyte database.
+// immediately serve queries against the virtual exabyte database. Past
+// factor 1e12 the largest relations outgrow int64 row counts, and
+// Regenerate must refuse them with OUT_OF_RANGE, naming the first one.
 
 #include "bench_util.h"
 #include "codd/metadata.h"
@@ -22,6 +24,7 @@ int main() {
 
   TextTable table({"scale factor", "modeled size", "summary time",
                    "summary bytes", "total rows"});
+  uint64_t base_bytes = 0;  // the factor-1 summary's size
   for (const double factor : {1.0, 1e3, 1e6, 1e9, 1e12}) {
     // CODD: scale the metadata and the AQP cardinalities.
     Schema scaled_schema = site.schema;
@@ -35,6 +38,11 @@ int main() {
     auto result = hydra.Regenerate(scaled_ccs);
     HYDRA_CHECK_MSG(result.ok(), result.status().ToString());
     const double seconds = timer.Seconds();
+    // The summary must not grow with the modeled volume.
+    const uint64_t bytes = result->summary.ByteSize();
+    if (factor == 1.0) base_bytes = bytes;
+    HYDRA_CHECK_MSG(bytes == base_bytes,
+                    "summary grew at factor " << factor << ": " << bytes);
 
     uint64_t total_rows = 0;
     for (const auto& rs : result->summary.relations) {
@@ -67,6 +75,22 @@ int main() {
   std::printf("%s\n", table.Render().c_str());
   std::printf(
       "Shape check vs paper: summary construction time and size are flat\n"
-      "across 12 orders of magnitude of modeled data volume.\n");
+      "across 12 orders of magnitude of modeled data volume.\n\n");
+
+  // Past INT64_MAX rows: the scaled counts saturate instead of wrapping,
+  // and Regenerate refuses them before building any view.
+  TextTable over({"scale factor", "Regenerate"});
+  for (const double factor : {1e14, 1e15, 1e16}) {
+    Schema scaled_schema = site.schema;
+    const DatabaseMetadata scaled_md =
+        ScaleMetadata(CaptureMetadata(site.database), factor);
+    HYDRA_CHECK_OK(ApplyMetadata(scaled_md, &scaled_schema));
+    const HydraRegenerator hydra(scaled_schema);
+    auto result = hydra.Regenerate(ScaleConstraints(site.ccs, factor));
+    HYDRA_CHECK_MSG(result.status().code() == StatusCode::kOutOfRange,
+                    "factor " << factor << ": " << result.status().ToString());
+    over.AddRow({TextTable::Cell(factor, 0), result.status().ToString()});
+  }
+  std::printf("%s\n", over.Render().c_str());
   return 0;
 }

@@ -2,11 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <unordered_set>
 
 #include "common/logging.h"
 
 namespace hydra {
+
+namespace {
+
+// count * factor rounded to the nearest integer. std::llround covers only
+// products below 2^63; at or above it the product (an integer there, as is
+// every double past 2^53) is converted directly and saturates at
+// UINT64_MAX, so a count past INT64_MAX stays past it instead of wrapping.
+uint64_t ScaleCount(uint64_t count, double factor) {
+  const double scaled = static_cast<double>(count) * factor;
+  if (scaled < 0x1p63) return static_cast<uint64_t>(std::llround(scaled));
+  if (scaled >= 0x1p64) return UINT64_MAX;
+  return static_cast<uint64_t>(scaled);
+}
+
+}  // namespace
 
 uint64_t DatabaseMetadata::EstimatedBytes(const Schema& schema) const {
   uint64_t bytes = 0;
@@ -78,8 +94,7 @@ DatabaseMetadata ScaleMetadata(const DatabaseMetadata& metadata,
   HYDRA_CHECK(factor > 0);
   DatabaseMetadata scaled = metadata;
   for (RelationMetadata& rm : scaled.relations) {
-    rm.row_count = static_cast<uint64_t>(
-        std::llround(static_cast<double>(rm.row_count) * factor));
+    rm.row_count = ScaleCount(rm.row_count, factor);
   }
   return scaled;
 }
@@ -89,8 +104,7 @@ std::vector<CardinalityConstraint> ScaleConstraints(
   HYDRA_CHECK(factor > 0);
   std::vector<CardinalityConstraint> scaled = ccs;
   for (CardinalityConstraint& cc : scaled) {
-    cc.cardinality = static_cast<uint64_t>(
-        std::llround(static_cast<double>(cc.cardinality) * factor));
+    cc.cardinality = ScaleCount(cc.cardinality, factor);
   }
   return scaled;
 }

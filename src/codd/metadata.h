@@ -49,13 +49,16 @@ DatabaseMetadata CaptureMetadata(const Database& db);
 // `metadata` onto `schema` (by relation order). Fails on arity mismatch.
 Status ApplyMetadata(const DatabaseMetadata& metadata, Schema* schema);
 
-// Scale modeling: multiplies every row count by `factor`.
+// Scale modeling: multiplies every row count by `factor`, rounding to the
+// nearest integer. A product past UINT64_MAX saturates there; it never
+// wraps back into the int64 range HydraRegenerator accepts.
 DatabaseMetadata ScaleMetadata(const DatabaseMetadata& metadata,
                                double factor);
 
 // Scales the cardinality of every CC by `factor` (the paper's §7.4
 // methodology: plans are executed at the base scale and intermediate row
-// counts are multiplied up to the target scale).
+// counts are multiplied up to the target scale). Rounds and saturates as
+// ScaleMetadata does.
 std::vector<CardinalityConstraint> ScaleConstraints(
     const std::vector<CardinalityConstraint>& ccs, double factor);
 

@@ -182,6 +182,7 @@ Failpoint::~Failpoint() {
 void Failpoint::ArmLocked(const FailpointSpec& spec) {
   spec_ = spec;
   remaining_ = spec.times;
+  armed_hits_ = 0;
   armed_.store(spec.kind == FailpointSpec::Kind::kOff ? 0 : 1,
                std::memory_order_relaxed);
 }
@@ -205,12 +206,14 @@ Status Failpoint::Fire() {
   Status injected;
   {
     std::lock_guard<std::mutex> lock(registry.mu);
-    const uint64_t hit = hits_++;
+    ++hits_;
+    const uint64_t hit = armed_hits_++;
     if (spec_.kind == FailpointSpec::Kind::kOff) return Status::OK();
     bool fires = true;
     if (spec_.probability < 1) {
-      // Deterministic per (seed, hit index): the same seed replays the
-      // same fire schedule for a serialized hit sequence.
+      // Deterministic per (seed, hit index since arming): re-arming a spec
+      // replays the same fire schedule for a serialized hit sequence,
+      // whatever the point saw before.
       const double u =
           static_cast<double>(Mix64(spec_.seed ^ Mix64(hit)) >> 11) *
           0x1p-53;

@@ -29,7 +29,9 @@
 //            | 'delay(' MILLIS (',' arg)* ')'
 //   arg     := 'times=' N        fire only the first N hits, then disarm
 //            | 'p=' FLOAT        fire each hit with probability p
-//            | 'seed=' N         seed of the deterministic probability hash
+//            | 'seed=' N         seed of the deterministic probability hash,
+//                                which is keyed on the hit index since the
+//                                point was last armed
 //
 // CODE is a StatusCode name (IO_ERROR, UNAVAILABLE, INTERNAL, ...).
 // Example: HYDRA_FAILPOINTS='serve/summary_load=error(UNAVAILABLE,times=2);
@@ -90,7 +92,8 @@ class Failpoint {
   void FireIgnoreError();
 
   const std::string& name() const { return name_; }
-  // Hits while armed (every Fire call) and hits that actually fired.
+  // Hits while armed (every Fire call) and hits that actually fired, over
+  // the point's lifetime; re-arming does not reset them.
   uint64_t hits() const;
   uint64_t triggered() const;
 
@@ -119,7 +122,8 @@ class Failpoint {
   // one global lock keeps per-point state trivially consistent).
   FailpointSpec spec_;
   int64_t remaining_ = -1;
-  uint64_t hits_ = 0;
+  uint64_t hits_ = 0;        // lifetime, for hits()
+  uint64_t armed_hits_ = 0;  // since the last arm: keys the p= decision
   uint64_t triggered_ = 0;
 };
 

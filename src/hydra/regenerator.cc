@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <map>
+#include <string>
 #include <tuple>
 
 #include "common/metrics.h"
@@ -36,6 +38,30 @@ Status ViewError(const Schema& schema, const View& view, const Status& error) {
   return Status(error.code(), "view " + name + ": " + error.message());
 }
 
+// Regeneration carries row counts as int64 (PK domains, relation totals,
+// summary prefix sums), so a relation or CC past INT64_MAX rows is refused
+// before any view is built, naming the first one, instead of wrapping.
+Status CheckCountsInRange(const Schema& schema,
+                          const std::vector<CardinalityConstraint>& ccs) {
+  constexpr uint64_t kMaxCount = INT64_MAX;
+  for (int r = 0; r < schema.num_relations(); ++r) {
+    const Relation& rel = schema.relation(r);
+    if (rel.row_count() > kMaxCount) {
+      return Status::OutOfRange("relation " + rel.name() + " has " +
+                                std::to_string(rel.row_count()) +
+                                " rows, past INT64_MAX");
+    }
+  }
+  for (const CardinalityConstraint& cc : ccs) {
+    if (cc.cardinality > kMaxCount) {
+      return Status::OutOfRange("CC " + cc.label + " has cardinality " +
+                                std::to_string(cc.cardinality) +
+                                ", past INT64_MAX");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 uint64_t RegenerationResult::TotalLpVariables() const {
@@ -54,6 +80,7 @@ StatusOr<RegenerationResult> HydraRegenerator::Regenerate(
     const std::vector<CardinalityConstraint>& ccs) const {
   const auto t0 = std::chrono::steady_clock::now();
   RegenerationResult result;
+  HYDRA_RETURN_IF_ERROR(CheckCountsInRange(schema_, ccs));
 
   Preprocessor pre(schema_);
   HYDRA_ASSIGN_OR_RETURN(std::vector<View> views, pre.BuildViews());

@@ -37,9 +37,10 @@ struct HydraOptions {
   // survives validation and skips most of phase I. Views with distinct
   // signatures solve cold, and an incompatible basis falls back to the
   // cold start inside the solver. Summaries are byte-identical at any
-  // num_threads either way (chains are static and solved in view order);
-  // set simplex.canonicalize for summaries that are also identical across
-  // warm and cold starts.
+  // num_threads either way (chains are static and solved in view order).
+  // On the toy and TPC-DS sites tests/regenerator_parallel_test.cc runs,
+  // they are also byte-identical with warm starts on and off; only the
+  // views' pivot counts differ.
   bool warm_start = true;
   // Extra repair passes for LP integerization.
   int integerize_passes = 8;

@@ -60,10 +60,9 @@ class LpProblem {
 
 struct LpSolution {
   std::vector<double> values;
-  // Total pivots: phase-I feasibility plus the canonicalization phase.
+  // Phase-I pivots spent reaching feasibility (0 when an accepted warm
+  // start is already feasible).
   int iterations = 0;
-  // Pivots spent reaching feasibility (<= iterations).
-  int phase1_iterations = 0;
   // True when an imported warm-start basis was accepted (the solve did not
   // start from the all-artificial basis).
   bool warm_started = false;

@@ -89,26 +89,11 @@ ColumnMatrix BuildColumns(const LpProblem& p) {
   return cm;
 }
 
-// Fixed pseudo-random positive objective for the canonicalization phase:
-// a deterministic hash of the column index mapped into [1, 2). Generic
-// weights make the minimizer over { Ax = b, x >= 0 } a unique vertex, so
-// the polished solution is a function of the problem alone.
-double CanonicalWeight(int j) {
-  uint64_t z = static_cast<uint64_t>(j) + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  z ^= z >> 31;
-  return 1.0 + static_cast<double>(z >> 11) * 0x1.0p-53;
-}
-
-// Revised simplex over a Markowitz sparse LU of the basis with
-// Forrest-Tomlin updates (lp/basis_lu.h). Phase I minimizes the artificial
-// mass to find a feasible point; the optional canonicalization phase then
-// minimizes a fixed generic objective so the reported solution does not
-// depend on warm starts or refactorization timing. Phase I prices Devex,
-// the canonicalization phase plain most-negative reduced cost; both work a
-// bounded candidate list so wide problems never pay full n-column scans
-// per pivot. See docs/solver.md.
+// Phase-I revised simplex over a Markowitz sparse LU of the basis with
+// Forrest-Tomlin updates (lp/basis_lu.h): it minimizes the artificial mass
+// until a feasible point is found. Pricing is Devex over a bounded
+// candidate list, so wide problems never pay full n-column scans per
+// pivot. See docs/solver.md.
 class RevisedSimplex {
  public:
   RevisedSimplex(ColumnMatrix cm, const SimplexOptions& options)
@@ -121,15 +106,6 @@ class RevisedSimplex {
     double bmax = 1.0;
     for (double v : cm_.b) bmax = std::max(bmax, std::fabs(v));
     tol_ = kTolerance * bmax;
-    // When canonicalizing, phase I pivots until the artificial mass is
-    // zero at the working precision (a few ulps of the b scale), not
-    // merely under tol_: the leftover mass is exactly the solution's
-    // infeasibility, and pinning near-zero artificials keeps the
-    // canonicalization phase exact. Without it, stopping at tol_ (the PR 1
-    // behaviour) saves the grinding tail pivots. The looser tol_ always
-    // decides feasible-vs-infeasible when pricing runs out of improving
-    // columns first.
-    feas_zero_ = options_.canonicalize ? 1e-14 * bmax : tol_;
     work_.assign(m_, 0.0);
     rho_.assign(m_, 0.0);
     y_.assign(m_, 0.0);
@@ -147,37 +123,14 @@ class RevisedSimplex {
   }
 
   StatusOr<LpSolution> Solve() {
-    max_iters_ = 80 * m_ + 10000;  // pivot budget across both phases
+    max_iters_ = 80 * m_ + 10000;  // pivot budget
     const bool warm = TryWarmStart();
-    HYDRA_RETURN_IF_ERROR(RunPhase(/*phase=*/1));
-    const int phase1 = iter_;
-    if (options_.canonicalize) {
-      StartCanonicalPhase();
-      HYDRA_RETURN_IF_ERROR(RunPhase(/*phase=*/2));
-    }
-    return Export(phase1, warm);
+    HYDRA_RETURN_IF_ERROR(Run());
+    return Export(warm);
   }
 
  private:
   // ---- costs ------------------------------------------------------------
-  // Phase I: artificials cost 1, structurals 0. Phase II: structurals get
-  // the fixed generic weights, artificials 0 (they are pinned at zero by
-  // the ratio test and barred from entering).
-  double StructuralCost(int j) const {
-    return phase_ == 1 ? 0.0 : CanonicalWeight(j);
-  }
-  double BasisCost(int var) const {
-    if (var >= n_) return phase_ == 1 ? 1.0 : 0.0;
-    return StructuralCost(var);
-  }
-
-  // Phase I prices Devex. The canonicalization phase prices plain
-  // most-negative reduced cost: its endpoint is the unique canonical vertex
-  // whichever rule walks there, so the Devex weight maintenance (whose
-  // pivot-row pass grows expensive on the denser phase-II bases) buys
-  // nothing — and Devex there measured more pivots (docs/solver.md).
-  bool UseDevex() const { return phase_ == 1; }
-
   // Phase-I objective: total value of artificial basis variables, summed
   // in ascending row order over the rows that hold one.
   double Objective() const {
@@ -194,8 +147,9 @@ class RevisedSimplex {
     }
   }
 
+  // Structurals cost 0 and artificials 1, so d_j = -y . A_j.
   double ReducedCost(int j) const {
-    double d = StructuralCost(j);
+    double d = 0.0;
     for (int t = cm_.col_ptr[j]; t < cm_.col_ptr[j + 1]; ++t) {
       d -= y_[cm_.row_idx[t]] * cm_.val[t];
     }
@@ -203,12 +157,11 @@ class RevisedSimplex {
   }
 
   // ---- main loop --------------------------------------------------------
-  Status RunPhase(int phase) {
-    phase_ = phase;
+  Status Run() {
     int degenerate_streak = 0;
     bool was_bland = false;
     while (true) {
-      if (phase_ == 1 && Objective() <= feas_zero_) return Status::OK();
+      if (Objective() <= tol_) return Status::OK();
       if (++iter_ > max_iters_) {
         return Status::ResourceExhausted(
             "simplex iteration budget exceeded (" +
@@ -233,7 +186,6 @@ class RevisedSimplex {
         }
         if (entering < 0) {
           --iter_;  // no pivot happened
-          if (phase_ == 2) return Status::OK();  // canonical optimum
           if (Objective() <= tol_) return Status::OK();
           return Status::FailedPrecondition(
               "LP infeasible (phase-I objective " +
@@ -248,14 +200,11 @@ class RevisedSimplex {
           leaving = RatioTest(bland);
         }
         if (leaving < 0) {
-          // Phase I cannot be unbounded and phase II minimizes a positive
-          // objective over x >= 0; a missing leaving row is numerics.
+          // Phase I cannot be unbounded; a missing leaving row is numerics.
           return Status::Internal("simplex unbounded — numerical failure");
         }
       }
-      const double theta = (phase_ == 2 && basis_[leaving] >= n_)
-                               ? 0.0
-                               : xb_[leaving] / work_[leaving];
+      const double theta = xb_[leaving] / work_[leaving];
       if (theta <= tol_ * 1e-3) {
         ++degenerate_streak;
       } else {
@@ -270,19 +219,17 @@ class RevisedSimplex {
   // re-price the cached candidates first and enter the best; only when the
   // list runs dry (or has gone stale), scan structural columns in rotating
   // blocks from the cursor, refilling the list with every improving column
-  // of the first block that has one. The per-column merit is Devex
-  // (d^2 / gamma) in phase I and plain most-negative in phase II. Under
-  // Bland's rule, scan everything in index order and take the first
-  // improving column. Returns -1 if no column prices out.
+  // of the first block that has one. The per-column merit is Devex's
+  // d^2 / gamma. Under Bland's rule, scan everything in index order and
+  // take the first improving column. Returns -1 if no column prices out.
   int PickEntering(bool bland, double* d_entering, double* gamma_entering) {
-    const bool devex = UseDevex();
     if (bland) {
       for (int j = 0; j < n_; ++j) {
         if (in_basis_[j]) continue;
         const double d = ReducedCost(j);
         if (d < -kTolerance) {
           *d_entering = d;
-          *gamma_entering = devex ? devex_[j] : 1.0;
+          *gamma_entering = devex_[j];
           return j;
         }
       }
@@ -307,7 +254,7 @@ class RevisedSimplex {
         continue;
       }
       candidates_[w++] = j;
-      const double s = Merit(devex, j, d);
+      const double s = Merit(j, d);
       if (best < 0 || s > best_score) {
         best_score = s;
         best_d = d;
@@ -315,12 +262,10 @@ class RevisedSimplex {
       }
     }
     candidates_.resize(w);
-    // Squared Devex merits decay faster than plain reduced costs, so the
-    // suboptimization threshold is looser there (0.25 ~= 0.5^2).
-    const double keep_factor = devex ? 0.25 : 0.5;
-    if (best >= 0 && best_score >= keep_factor * refill_best_score_) {
+    // Devex merits are squared reduced costs, so the threshold is 0.5^2.
+    if (best >= 0 && best_score >= 0.25 * refill_best_score_) {
       *d_entering = best_d;
-      *gamma_entering = devex ? devex_[best] : 1.0;
+      *gamma_entering = devex_[best];
       return best;
     }
     // Otherwise rotate fresh blocks from the cursor until one prices an
@@ -331,30 +276,28 @@ class RevisedSimplex {
     while (scanned < n_) {
       const int begin = cursor_;
       const int len = std::min(block, n_ - scanned);
-      ScanPricingBlock(begin, len, devex, &best, &best_d, &best_score);
+      ScanPricingBlock(begin, len, &best, &best_d, &best_score);
       scanned += len;
       cursor_ = (begin + len) % n_;
       if (best >= 0) {
         refill_best_score_ = best_score;
         *d_entering = best_d;
-        *gamma_entering = devex ? devex_[best] : 1.0;
+        *gamma_entering = devex_[best];
         return best;
       }
     }
     return -1;
   }
 
-  // The per-column pricing merit.
-  double Merit(bool devex, int j, double d) const {
-    return devex ? d * d / devex_[j] : -d;
-  }
+  // The per-column pricing merit (Devex).
+  double Merit(int j, double d) const { return d * d / devex_[j]; }
 
   // Scans the rotating block [begin, begin + len) (mod n_) for improving
   // columns: appends them to candidates_ (dedup + cap) and folds the best
   // merit into (*best, *best_d, *best_score) with the strict-> first-best
   // rule.
-  void ScanPricingBlock(int begin, int len, bool devex, int* best,
-                        double* best_d, double* best_score) {
+  void ScanPricingBlock(int begin, int len, int* best, double* best_d,
+                        double* best_score) {
     for (int t = 0; t < len; ++t) {
       int j = begin + t;
       if (j >= n_) j -= n_;
@@ -365,7 +308,7 @@ class RevisedSimplex {
         candidate_flag_[j] = 1;
         candidates_.push_back(j);
       }
-      const double s = Merit(devex, j, d);
+      const double s = Merit(j, d);
       if (*best < 0 || s > *best_score) {
         *best_score = s;
         *best_d = d;
@@ -395,19 +338,9 @@ class RevisedSimplex {
     int leaving = -1;
     double best_theta = 0;
     for (int k : work_support_) {
+      if (work_[k] <= kTolerance) continue;
+      const double theta = xb_[k] / work_[k];
       const bool artificial = basis_[k] >= n_;
-      double theta;
-      if (phase_ == 2 && artificial) {
-        // Canonicalization pins basic artificials at zero (their residual
-        // mass was folded into b when the phase started): any significant
-        // pivot-column entry in their row caps the step at zero, and the
-        // tied ratio test then kicks the artificial out of the basis.
-        if (std::fabs(work_[k]) <= kTolerance) continue;
-        theta = 0.0;
-      } else {
-        if (work_[k] <= kTolerance) continue;
-        theta = xb_[k] / work_[k];
-      }
       if (leaving < 0 || theta < best_theta - 1e-12 ||
           (theta < best_theta + 1e-12 &&
            (bland ? basis_[k] < basis_[leaving]
@@ -446,7 +379,6 @@ class RevisedSimplex {
     in_basis_[entering] = true;
     ++pivots_since_refactor_;
 
-    const bool devex = UseDevex();
     if (!lu_.Update(leaving, spike_)) {
       // Unstable replacement: rebuild the factors from the (already
       // updated) basis columns. The Devex pass is skipped — weights are
@@ -471,7 +403,7 @@ class RevisedSimplex {
     for (int i : rho_support_) {
       if (rho_[i] != 0.0) y_[i] += d_entering * rho_[i];
     }
-    if (devex) UpdateDevexWeights(leaving_var, alpha_q, gamma_entering);
+    UpdateDevexWeights(leaving_var, alpha_q, gamma_entering);
 
     if (pivots_since_refactor_ >= refactor_interval_ ||
         lu_.TotalNnz() > max_lu_nnz_) {
@@ -588,9 +520,9 @@ class RevisedSimplex {
     return true;
   }
 
-  // y^T = c_B^T B^-1 under the current phase's costs.
+  // y^T = c_B^T B^-1, with c_B 1 on artificials and 0 on structurals.
   void ComputeDuals() {
-    for (int i = 0; i < m_; ++i) y_[i] = BasisCost(basis_[i]);
+    for (int i = 0; i < m_; ++i) y_[i] = basis_[i] >= n_ ? 1.0 : 0.0;
     lu_.Btran(y_);
   }
 
@@ -604,7 +536,6 @@ class RevisedSimplex {
   // Imports options_.warm_start when it matches this problem's shape and
   // yields a factorizable basis with x_B >= 0; otherwise cold-starts.
   bool TryWarmStart() {
-    phase_ = 1;
     const SimplexBasis* warm = options_.warm_start;
     if (warm == nullptr || warm->empty() || warm->num_rows != m_ ||
         warm->num_vars != n_ ||
@@ -636,38 +567,15 @@ class RevisedSimplex {
     return true;
   }
 
-  void StartCanonicalPhase() {
-    phase_ = 2;
-    // Freeze whatever infeasibility phase I could not remove: each basic
-    // artificial's residual moves from x_B into the right-hand side, so
-    // from here on artificials sit at exactly zero, every refactorization
-    // (x_B = B^-1 b) reproduces that, and the ratio test can pin them
-    // without drift. For exactly-solved systems (the Hydra LPs) the
-    // residuals are zero and b is untouched, which is what makes the
-    // canonical vertex a function of the problem alone.
-    for (int k = 0; k < m_; ++k) {
-      if (basis_[k] >= n_ && xb_[k] != 0.0) {
-        cm_.b[basis_[k] - n_] -= xb_[k];
-        xb_[k] = 0.0;
-      }
-    }
-    // New objective: exact duals and a fresh candidate list.
-    ComputeDuals();
-    for (int j : candidates_) candidate_flag_[j] = 0;
-    candidates_.clear();
-    refill_best_score_ = 0;
-  }
-
   // ---- solution export --------------------------------------------------
   // The final values are recomputed through one factorization of the final
   // basis taken in a canonical column order (structurals ascending, then
   // artificials), so byte-identical basis sets give byte-identical values
   // no matter which pivot path produced them.
-  StatusOr<LpSolution> Export(int phase1_iters, bool warm) {
+  StatusOr<LpSolution> Export(bool warm) {
     LpSolution sol;
     sol.values.assign(n_, 0.0);
     sol.iterations = iter_;
-    sol.phase1_iterations = phase1_iters;
     sol.warm_started = warm;
 
     std::vector<int> vars(basis_.begin(), basis_.end());
@@ -693,9 +601,9 @@ class RevisedSimplex {
       if (v < 0) v = 0;
       // Snap values that are integral up to roundoff: the common case for
       // these 0/1 systems, and it absorbs last-ulp differences between
-      // alternative optimal bases of a degenerate canonical vertex. The
-      // window sits well above one ulp but far below any genuine
-      // fractional vertex component.
+      // alternative bases of a degenerate vertex. The window sits well
+      // above one ulp but far below any genuine fractional vertex
+      // component.
       const double r = std::round(v);
       if (std::fabs(v - r) <= 1e-12 * std::max(1.0, std::fabs(v))) v = r;
       sol.values[var] = v;
@@ -719,7 +627,6 @@ class RevisedSimplex {
   SimplexOptions options_;
   int m_ = 0;
   int n_ = 0;
-  int phase_ = 1;
   int iter_ = 0;
   int max_iters_ = 0;
   BasisLu lu_;
@@ -742,7 +649,7 @@ class RevisedSimplex {
   std::vector<bool> in_basis_;
   std::vector<int> art_rows_;    // identity slices for artificial columns
   std::vector<double> art_vals_;
-  std::vector<double> devex_;    // phase-I Devex weights
+  std::vector<double> devex_;    // Devex reference-framework weights
   std::vector<double> alpha_;    // sparse pivot-row accumulator, size n
   std::vector<int> alpha_touched_;
   int cursor_ = 0;            // rotating block-scan position
@@ -751,7 +658,6 @@ class RevisedSimplex {
   std::vector<char> candidate_flag_;  // j is in candidates_ (dedup)
   double refill_best_score_ = 0;  // best merit at the last refilling scan
   double tol_ = kTolerance;
-  double feas_zero_ = 1e-21;
 };
 
 }  // namespace

@@ -7,11 +7,10 @@
 // (lp/basis_lu.h), FTRAN/BTRAN run against the L/U factors plus update file,
 // the dual vector is maintained incrementally across pivots, and phase I
 // prices Devex (reference-framework weights, updated sparsely through the
-// pivot row) over a rotating candidate list. After feasibility is reached,
-// an optional canonicalization phase drives the point to the unique
-// minimizer of a fixed pseudo-random objective so the reported solution
-// does not depend on the warm start, the refactorization schedule, or any
-// other search-path detail. See docs/solver.md. The LPs have few
+// pivot row) over a rotating candidate list. The solver has one phase and
+// one pricing rule; the final values are recomputed through a factorization
+// of the final basis in canonical column order, so the same basis always
+// reports the same values. See docs/solver.md. The LPs have few
 // constraints — tens to a few thousand — while the variable count ranges
 // from a handful for Hydra's region partitioning to millions for DataSynth's
 // grid partitioning, which the pricing candidate lists absorb gracefully.
@@ -50,18 +49,6 @@ struct SimplexOptions {
   // The factorization is also rebuilt early if the update file's nonzero
   // count outgrows the basis.
   int refactor_interval = 0;
-  // After phase I, polish the feasible point to the unique minimizer of a
-  // fixed pseudo-random positive objective. This makes the reported
-  // solution a function of the problem alone — identical across warm vs
-  // cold starts and refactorization schedules — at the cost of roughly one
-  // extra solve (the polish is a full phase II walk to the canonical
-  // vertex, and phase I must first grind the artificial mass to the fp
-  // floor instead of stopping at the feasibility tolerance). Off by
-  // default: regeneration wants the fast path, and its output is already
-  // byte-identical across runs and thread counts for a fixed
-  // configuration. The identity tests and the ablation bench turn it on to
-  // compare solutions across solver configurations.
-  bool canonicalize = false;
   // Optional warm start (not owned; may be null or empty). Incompatible or
   // numerically unusable bases fall back to the cold start.
   const SimplexBasis* warm_start = nullptr;
@@ -73,7 +60,7 @@ struct SimplexOptions {
 // Returns a basic feasible solution of { Ax = b, x >= 0 }, or:
 //  * FAILED_PRECONDITION if the system is infeasible,
 //  * RESOURCE_EXHAUSTED if it exceeds the variable budget or the pivoting
-//    budget of 80*m + 10000 iterations across both phases.
+//    budget of 80*m + 10000 iterations.
 StatusOr<LpSolution> SolveFeasibility(const LpProblem& problem,
                                       const SimplexOptions& options = {});
 

@@ -1,5 +1,8 @@
 // Tests for codd/metadata: capture, matching, scale modeling.
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "codd/metadata.h"
@@ -67,6 +70,31 @@ TEST(CoddTest, ScaleConstraintsToExabyteCardinalities) {
   // Labels and structure preserved.
   EXPECT_EQ(scaled[0].label, env.ccs[0].label);
   EXPECT_EQ(scaled.back().relations, env.ccs.back().relations);
+}
+
+TEST(CoddTest, ScalingPastInt64NeverWrapsBackIntoRange) {
+  // 115,000 x 1e14 = 1.15e19 lies between 2^63 and 2^64 and is exact in a
+  // double; x 1e15 lies past 2^64 and saturates. Neither may come back at
+  // or below INT64_MAX, which Regenerate would accept.
+  constexpr uint64_t kInt64Max = INT64_MAX;
+  DatabaseMetadata md;
+  md.relations.push_back(RelationMetadata{"x", 115000, {}});
+  std::vector<CardinalityConstraint> ccs(1);
+  ccs[0].cardinality = 115000;
+  for (const double factor : {1e14, 1e15, 1e16}) {
+    const uint64_t rows = ScaleMetadata(md, factor).relations[0].row_count;
+    const uint64_t card = ScaleConstraints(ccs, factor)[0].cardinality;
+    EXPECT_GT(rows, kInt64Max) << factor;
+    EXPECT_GT(card, kInt64Max) << factor;
+    EXPECT_EQ(rows, card) << factor;
+  }
+  EXPECT_EQ(ScaleMetadata(md, 1e14).relations[0].row_count,
+            11'500'000'000'000'000'000u);
+  EXPECT_EQ(ScaleConstraints(ccs, 1e15)[0].cardinality, UINT64_MAX);
+  // Below 2^63 the count is still rounded to the nearest integer.
+  EXPECT_EQ(ScaleMetadata(md, 1e13).relations[0].row_count,
+            1'150'000'000'000'000'000u);
+  EXPECT_EQ(ScaleConstraints(ccs, 0.5)[0].cardinality, 57500u);
 }
 
 TEST(CoddTest, EstimatedBytes) {

@@ -120,6 +120,28 @@ TEST_F(FailpointTest, ProbabilityIsDeterministicPerSeed) {
   EXPECT_NE(a.find('.'), std::string::npos);
 }
 
+TEST_F(FailpointTest, ReArmingReplaysTheProbabilitySchedule) {
+  // The p= decision is keyed on the hit index since the point was armed,
+  // not on its lifetime hit count: re-arming the same spec after further
+  // hits replays the first arm's fire pattern.
+  Failpoint fp("test/rearm");
+  const auto arm_and_record = [&fp] {
+    const Status armed =
+        Failpoint::ArmFromString("test/rearm=error(UNAVAILABLE,p=0.5,seed=7)");
+    EXPECT_TRUE(armed.ok()) << armed.ToString();
+    std::string fired;
+    for (int i = 0; i < 64; ++i) fired += HitPoint(fp).ok() ? '.' : 'X';
+    return fired;
+  };
+  const std::string first = arm_and_record();
+  for (int i = 0; i < 37; ++i) (void)HitPoint(fp);
+  EXPECT_EQ(first, arm_and_record());
+  EXPECT_NE(first.find('X'), std::string::npos);
+  EXPECT_NE(first.find('.'), std::string::npos);
+  // hits() stays a lifetime count across the re-arm.
+  EXPECT_EQ(fp.hits(), 64u + 37u + 64u);
+}
+
 TEST_F(FailpointTest, DelayBlocksForConfiguredTime) {
   Failpoint fp("test/delay");
   ASSERT_TRUE(Failpoint::ArmFromString("test/delay=delay(20)").ok());

@@ -1,6 +1,9 @@
 // Integration tests for the end-to-end HydraRegenerator API on the paper's
 // running example.
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "engine/executor.h"
@@ -117,6 +120,33 @@ TEST(RegeneratorTest, ContradictoryTotalSizeCcsReportError) {
       << result.status().ToString();
   EXPECT_EQ(result.status().message(),
             "view S: total-size CCs disagree: |S| = 700, |S| again = 701");
+}
+
+TEST(RegeneratorTest, CcPastInt64IsOutOfRange) {
+  ToyEnvironment env = MakeToyEnvironment();
+  std::vector<CardinalityConstraint> ccs = env.ccs;
+  CardinalityConstraint& join = ccs.back();  // |σ_{A∧C}(R⋈S⋈T)|
+  join.cardinality = uint64_t{1} << 63;      // INT64_MAX + 1
+  HydraRegenerator hydra(env.schema);
+  auto result = hydra.Regenerate(ccs);
+  ASSERT_EQ(result.status().code(), StatusCode::kOutOfRange)
+      << result.status().ToString();
+  EXPECT_EQ(result.status().message(),
+            "CC " + join.label +
+                " has cardinality 9223372036854775808, past INT64_MAX");
+}
+
+TEST(RegeneratorTest, RelationPastInt64IsOutOfRange) {
+  ToyEnvironment env = MakeToyEnvironment();
+  Schema big = env.schema;
+  big.mutable_relation(big.RelationIndex("S"))
+      .set_row_count(uint64_t{1} << 63);
+  HydraRegenerator hydra(big);
+  auto result = hydra.Regenerate(env.ccs);
+  ASSERT_EQ(result.status().code(), StatusCode::kOutOfRange)
+      << result.status().ToString();
+  EXPECT_EQ(result.status().message(),
+            "relation S has 9223372036854775808 rows, past INT64_MAX");
 }
 
 TEST(RegeneratorTest, PositiveOnlyErrors) {

@@ -105,8 +105,6 @@ TEST(SimplexStressTest, TwoThousandVariableIterationBound) {
   // find a feasible point in a small multiple of m iterations — candidate
   // list pricing trades per-iteration cost for slightly more pivots, and
   // this pins the trade at <= 5m for phase I (observed ~3m across seeds).
-  // A second solve with canonicalization on then walks on to the unique
-  // canonical vertex; its total over both phases gets a looser bound.
   const int n = 2000;
   const int m = 200;
   Rng rng(7);
@@ -130,23 +128,14 @@ TEST(SimplexStressTest, TwoThousandVariableIterationBound) {
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
   EXPECT_LT(p.MaxViolation(sol->values), 1e-4);
   for (double v : sol->values) EXPECT_GE(v, -1e-9);
-  EXPECT_LE(sol->phase1_iterations, 5 * m);
-
-  SimplexOptions canonical;
-  canonical.canonicalize = true;
-  auto canon = SolveFeasibility(p, canonical);
-  ASSERT_TRUE(canon.ok()) << canon.status().ToString();
-  EXPECT_LT(p.MaxViolation(canon->values), 1e-4);
-  EXPECT_GT(canon->iterations, canon->phase1_iterations);
-  EXPECT_LE(canon->iterations, 20 * m);
+  EXPECT_LE(sol->iterations, 5 * m);
 }
 
 TEST(SimplexStressTest, WideAndShallowStaysFast) {
   // 20k variables over 20 rows: the regime DataSynth's grid formulations
-  // live in. Feasibility plus the iteration bounds double as a smoke test
+  // live in. Feasibility plus the iteration bound double as a smoke test
   // that candidate-list pricing never degenerates into full n-column scans
-  // per pivot (which would time out the suite long before failing). The
-  // canonicalized solve's total over both phases gets the looser bound.
+  // per pivot (which would time out the suite long before failing).
   const int n = 20000;
   const int m = 20;
   Rng rng(13);
@@ -169,15 +158,7 @@ TEST(SimplexStressTest, WideAndShallowStaysFast) {
   auto sol = SolveFeasibility(p);
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
   EXPECT_LT(p.MaxViolation(sol->values), 1e-5);
-  EXPECT_LE(sol->phase1_iterations, 10 * m);
-
-  SimplexOptions canonical;
-  canonical.canonicalize = true;
-  auto canon = SolveFeasibility(p, canonical);
-  ASSERT_TRUE(canon.ok()) << canon.status().ToString();
-  EXPECT_LT(p.MaxViolation(canon->values), 1e-5);
-  EXPECT_GT(canon->iterations, canon->phase1_iterations);
-  EXPECT_LE(canon->iterations, 40 * m);
+  EXPECT_LE(sol->iterations, 10 * m);
 }
 
 }  // namespace

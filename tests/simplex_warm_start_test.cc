@@ -1,10 +1,9 @@
 // Warm starts, Devex edge cases, LU recovery, and cross-configuration
 // solution identity for the revised simplex.
 //
-// The identity tests pin the canonicalization contract: with
-// SimplexOptions::canonicalize on, the reported solution is a function of
-// the problem alone — byte-identical across warm vs cold starts and
-// refactorization schedules.
+// The identity tests pin the default solver's path independence: the
+// reported solution stays byte-identical across refactorization schedules
+// and when a solve is re-seeded with its own final basis.
 
 #include <cmath>
 #include <filesystem>
@@ -71,10 +70,9 @@ LpProblem RandomFeasible(int n, int m, double density, uint64_t seed,
 
 // ---- cross-configuration identity ----------------------------------------
 
-TEST(SimplexCanonicalTest, SolutionsIdenticalAcrossRefactorSchedules) {
+TEST(SimplexPathIndependenceTest, SolutionsIdenticalAcrossRefactorSchedules) {
   LpProblem p = RandomFeasible(200, 40, 0.25, 99);
   SimplexOptions base;
-  base.canonicalize = true;
   auto a = SolveFeasibility(p, base);
   SimplexOptions frequent = base;
   frequent.refactor_interval = 3;
@@ -83,11 +81,10 @@ TEST(SimplexCanonicalTest, SolutionsIdenticalAcrossRefactorSchedules) {
   EXPECT_EQ(a->values, b->values);
 }
 
-TEST(SimplexCanonicalTest, WarmAndColdStartsAgreeByteForByte) {
+TEST(SimplexPathIndependenceTest, WarmAndColdStartsAgreeByteForByte) {
   for (uint64_t seed = 0; seed < 10; ++seed) {
     LpProblem p = RandomFeasible(90, 20, 0.35, seed * 31 + 11);
     SimplexOptions cold;
-    cold.canonicalize = true;
     SimplexBasis exported;
     cold.export_basis = &exported;
     auto first = SolveFeasibility(p, cold);
@@ -97,14 +94,13 @@ TEST(SimplexCanonicalTest, WarmAndColdStartsAgreeByteForByte) {
     // Re-solve the same problem seeded with its own final basis: the warm
     // start must be accepted and the solution must not move.
     SimplexOptions warm;
-    warm.canonicalize = true;
     warm.warm_start = &exported;
     auto second = SolveFeasibility(p, warm);
     ASSERT_TRUE(second.ok());
     EXPECT_TRUE(second->warm_started) << "seed " << seed;
     EXPECT_EQ(first->values, second->values) << "seed " << seed;
-    // A basis that is already canonical-feasible skips phase I outright.
-    EXPECT_EQ(second->phase1_iterations, 0) << "seed " << seed;
+    // A basis that is already feasible skips phase I outright.
+    EXPECT_EQ(second->iterations, 0) << "seed " << seed;
   }
 }
 
@@ -265,10 +261,9 @@ TEST(SimplexLuTest, TinyPivotsSurviveForrestTomlinRejection) {
 
 // ---- end-to-end: hydra pipeline determinism -------------------------------
 
-TEST(HydraWarmStartTest, SummariesIdenticalWarmVsColdWithCanonicalSolver) {
+TEST(HydraWarmStartTest, SummariesIdenticalWarmVsCold) {
   ToyEnvironment env = MakeToyEnvironment();
   HydraOptions warm;
-  warm.simplex.canonicalize = true;
   warm.warm_start = true;
   HydraOptions cold = warm;
   cold.warm_start = false;
