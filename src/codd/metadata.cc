@@ -24,14 +24,15 @@ uint64_t ScaleCount(uint64_t count, double factor) {
 
 }  // namespace
 
-uint64_t DatabaseMetadata::EstimatedBytes(const Schema& schema) const {
-  uint64_t bytes = 0;
+double DatabaseMetadata::EstimatedBytes(const Schema& schema) const {
+  double bytes = 0;
   for (int r = 0;
        r < std::min<int>(schema.num_relations(),
                          static_cast<int>(relations.size()));
        ++r) {
-    bytes += relations[r].row_count *
-             schema.relation(r).num_attributes() * sizeof(Value);
+    bytes += static_cast<double>(relations[r].row_count) *
+             static_cast<double>(schema.relation(r).num_attributes() *
+                                 sizeof(Value));
   }
   return bytes;
 }

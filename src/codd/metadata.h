@@ -37,8 +37,9 @@ struct DatabaseMetadata {
   std::vector<RelationMetadata> relations;
 
   // Estimated byte size of the database the metadata describes (8 bytes per
-  // value in this all-numeric setting).
-  uint64_t EstimatedBytes(const Schema& schema) const;
+  // value in this all-numeric setting). A double, since a scaled model can
+  // pass 2^64 bytes: the exabyte model at factor 1e12 holds ~29 EiB.
+  double EstimatedBytes(const Schema& schema) const;
 };
 
 // Captures metadata from a materialized database (the client-site catalog

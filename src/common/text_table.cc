@@ -72,9 +72,9 @@ std::string RenderHistogram(const std::vector<std::string>& labels,
   return out;
 }
 
-std::string FormatBytes(uint64_t bytes) {
+std::string FormatBytes(double bytes) {
   const char* units[] = {"B", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB"};
-  double v = static_cast<double>(bytes);
+  double v = bytes;
   int u = 0;
   while (v >= 1024.0 && u < 6) {
     v /= 1024.0;

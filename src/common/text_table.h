@@ -39,8 +39,9 @@ std::string RenderHistogram(const std::vector<std::string>& labels,
                             const std::vector<int64_t>& counts,
                             int max_bar_width = 50);
 
-// Formats a byte count with binary units ("1.5 GiB").
-std::string FormatBytes(uint64_t bytes);
+// Formats a byte count with binary units ("1.5 GiB"). A double, so an
+// estimate past 2^64 bytes prints too.
+std::string FormatBytes(double bytes);
 
 // Formats a duration given in seconds ("58 s", "11 min", "1.6 h").
 std::string FormatDuration(double seconds);

@@ -60,8 +60,7 @@ struct ProbeChain {
   const TableSource* source = nullptr;
   int root_relation = -1;
   int root_width = 0;
-  // The root columns the chain reads: its filter's and its probe keys. A
-  // root block whose summary runs are keyed on none of them runs per run.
+  // The root columns the chain reads: its filter's and its probe keys.
   std::vector<int> root_live;
   kernels::BlockPredicate root_filter;
   std::vector<Step> steps;  // steps[j] joins table j + 1
@@ -73,29 +72,25 @@ struct ProbeChain {
   const RowBlock* blocks = nullptr;
   const JoinIndex* indexes = nullptr;
 
-  // Whether the chain reads root column `c`.
-  bool ReadsRootColumn(int c) const {
-    return std::find(root_live.begin(), root_live.end(), c) != root_live.end();
-  }
-
-  // Fills root ranks [begin, end), selects them through the root filter,
-  // and probes steps 0..J-1 in order, carrying row ids rather than values.
-  // Adds the rows passing the root filter to counts[0] and the rows after
-  // join j to counts[1 + j]. Over a root block with summary runs that no
-  // root column the chain reads varies in, the chain carries one head row
-  // per passing run, weighted by the run's row count, instead of every row.
-  void Run(int64_t begin, int64_t end, uint64_t* counts) const;
+  // Fills root ranks [begin, end), asking for run heads when `heads`,
+  // selects them through the root filter, and probes steps 0..J-1 in
+  // order, carrying row ids rather than values. Adds the rows passing the
+  // root filter to counts[0] and the rows after join j to counts[1 + j].
+  // Over a root block of run heads, each partial row stands for its head's
+  // weight in root rows. Returns whether the block was run heads.
+  bool Run(int64_t begin, int64_t end, bool heads, uint64_t* counts) const;
 };
 
-void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
+bool ProbeChain::Run(int64_t begin, int64_t end, bool heads,
+                     uint64_t* counts) const {
   // Per-thread scratch, reused across morsels and queries. ids[t] holds,
-  // per row of the partial join, its row in table t (root: in `root`); on
-  // the per-run path weights[i] is the number of root rows partial row i
-  // stands for.
+  // per row of the partial join, its row in table t (root: in `root`); over
+  // run heads weights[i] is the number of root rows partial row i stands
+  // for.
   thread_local RowBlock root;
   thread_local SelVector sel;
   thread_local std::vector<Scratch<uint32_t>> ids, next_ids;
-  thread_local std::vector<uint32_t> weights, next_weights;
+  thread_local std::vector<uint64_t> weights, next_weights;
   thread_local Scratch<Value> keys;
   thread_local Scratch<JoinIndex::Span> spans;
   thread_local Scratch<uint32_t> from;  // output row -> input row
@@ -107,16 +102,13 @@ void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
   }
   root.Reset(root_width);
   root.SetLiveColumns(root_live);
+  if (heads) root.RequestHeads();
   source->FillBlockRange(root_relation, begin, end, &root);
-  // A run's rows agree on every column but its key, so when the chain reads
-  // no key its first row, weighted by the run's length, joins for them all.
-  const bool per_run =
-      root.has_runs() && !ReadsRootColumn(root.run_key_column());
+  // A run's rows agree on every column the chain reads, so its head,
+  // weighted by the run's length, joins for them all.
+  const bool per_run = root.weighted();
   Scratch<uint32_t>& root_ids = ids[0];
-  if (per_run) {
-    root_filter.SelectRunHeads(root, &sel, &weights);
-    root_ids.assign(sel.begin(), sel.end());
-  } else if (root_filter.is_true()) {
+  if (root_filter.is_true()) {
     root_ids.resize(static_cast<size_t>(root.num_rows()));
     std::iota(root_ids.begin(), root_ids.end(), 0u);
   } else {
@@ -125,7 +117,14 @@ void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
   }
   int64_t n = static_cast<int64_t>(root_ids.size());
   if (per_run) {
-    counts[0] += std::accumulate(weights.begin(), weights.end(), uint64_t{0});
+    weights.resize(static_cast<size_t>(n));
+    const uint64_t* root_weights = root.weights();
+    uint64_t kept = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      weights[i] = root_weights[root_ids[i]];
+      kept += weights[i];
+    }
+    counts[0] += kept;
   } else {
     counts[0] += static_cast<uint64_t>(n);
   }
@@ -189,6 +188,7 @@ void ProbeChain::Run(int64_t begin, int64_t end, uint64_t* counts) const {
     }
     n = out_n;
   }
+  return per_run;
 }
 
 }  // namespace
@@ -263,6 +263,19 @@ StatusOr<AnnotatedQueryPlan> Executor::Run(const Query& query,
   // (may expand per duplicate). block_attrs[t] lists the attributes table
   // t's block keeps: its build key first, then those later steps probe.
   std::vector<std::vector<int>> block_attrs(num_tables);
+  // heads[t]: table t's scan asks for run heads (docs/engine.md "What a
+  // scan reads"). A head holds its run's first rank alone, so a table whose
+  // PK its filter or a probe reads is read per row, and so is an FK-side
+  // build, which indexes every row; a PK-side build indexes run starts.
+  std::vector<char> heads(num_tables, 1);
+  const auto pk_of = [&](int t) {
+    return schema_.relation(query.tables[t].relation).PrimaryKeyIndex();
+  };
+  for (int t = 0; t < num_tables; ++t) {
+    for (const int c : query.tables[t].filter.Columns()) {
+      if (c == pk_of(t)) heads[t] = 0;
+    }
+  }
   for (int k = 0; k < num_joins; ++k) {
     const JoinEdge& edge = query.joins[k];
     const int new_t = k + 1;
@@ -288,6 +301,7 @@ StatusOr<AnnotatedQueryPlan> Executor::Run(const Query& query,
       probe_t = edge.pk_table;
       probe_attr = pk_attr;
       block_attrs[new_t] = {edge.fk_attr};
+      heads[new_t] = 0;
     }
     // The root is probed through its morsel's full-width block, any other
     // table through the column its block keeps for the key.
@@ -301,6 +315,7 @@ StatusOr<AnnotatedQueryPlan> Executor::Run(const Query& query,
     chain.steps[k].probe_table = probe_t;
     chain.steps[k].probe_col = probe_col;
     chain.last_probe[probe_t] = k;
+    if (probe_attr == pk_of(probe_t)) heads[probe_t] = 0;
     if (probe_t == 0) chain.root_live.push_back(probe_attr);
   }
   // Each scan fills only what the plan reads: the table's filter columns
@@ -324,30 +339,44 @@ StatusOr<AnnotatedQueryPlan> Executor::Run(const Query& query,
   chain.indexes = indexes.data();
   std::vector<uint64_t> filtered_rows(num_tables);
   for (int t = 1; t < num_tables; ++t) {
-    // A tripped CancelScope unwinds within one morsel of the scan (and of
+    // A tripped CancelScope unwinds within one fill of the scan (and of
     // the chain below); the partial blocks are simply dropped.
     const int relation = query.tables[t].relation;
     RowBlock& block = blocks[t];
     HYDRA_RETURN_IF_ERROR(ScanFiltered(
         source, relation, schema_.relation(relation).num_attributes(),
-        query.tables[t].filter, block_attrs[t], options_.morsel_rows, cancel,
-        &block));
-    filtered_rows[t] = static_cast<uint64_t>(block.num_rows());
-    const int64_t scanned = static_cast<int64_t>(source.RowCount(relation));
-    indexes[t].Build(block.Column(0), block.num_rows(), scanned);
+        query.tables[t].filter, block_attrs[t], options_.morsel_rows,
+        heads[t] != 0, cancel, &block));
+    if (block.weighted()) {
+      // A filter step counts the rows its kept heads stand for.
+      const uint64_t* weights = block.weights();
+      filtered_rows[t] =
+          std::accumulate(weights, weights + block.num_rows(), uint64_t{0});
+      indexes[t].BuildRuns(block.Column(0), weights, block.num_rows());
+    } else {
+      filtered_rows[t] = static_cast<uint64_t>(block.num_rows());
+      const int64_t scanned = static_cast<int64_t>(source.RowCount(relation));
+      indexes[t].Build(block.Column(0), block.num_rows(), scanned);
+    }
   }
 
   // The root is never copied: the chain runs over its morsels in rank
   // order, each adding its counts. Morsel sizes are min(morsel_rows, rows
-  // left), so no sum wraps even for a morsel size near INT64_MAX.
+  // left), so no sum wraps even for a morsel size near INT64_MAX. A first
+  // morsel that comes back as run heads makes the rest of the root one
+  // more fill, as in ScanFiltered.
   const int64_t root_rows =
       static_cast<int64_t>(source.RowCount(chain.root_relation));
   std::vector<uint64_t> counts(1 + num_joins, 0);
+  bool weighted = false;
   for (int64_t begin = 0; begin < root_rows;) {
     if (cancel != nullptr) HYDRA_RETURN_IF_ERROR(cancel->Check());
     const int64_t end =
-        begin + std::min(options_.morsel_rows, root_rows - begin);
-    chain.Run(begin, end, counts.data());
+        weighted ? root_rows
+                 : begin + std::min(options_.morsel_rows, root_rows - begin);
+    const bool got_heads = chain.Run(
+        begin, end, heads[0] != 0 && (begin == 0 || weighted), counts.data());
+    if (begin == 0) weighted = got_heads;
     begin = end;
   }
   filtered_rows[0] = counts[0];

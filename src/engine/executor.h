@@ -48,16 +48,18 @@ class Executor {
   // is scanned and filtered morsel by morsel (ScanFiltered) and indexed on
   // its join key, then the joins run as a probe chain over the root
   // relation's morsels, one after another (docs/engine.md "The executor's
-  // probe chain"). The executor owns ExecuteAll's pool of
-  // options.ResolvedThreads() workers, which run whole queries. Results
-  // are byte-identical at any ExecOptions.
+  // probe chain"). Scans whose PK the plan reads at most at run starts ask
+  // for run heads, so over a generator each makes at most two fills. The
+  // executor owns ExecuteAll's pool of options.ResolvedThreads() workers,
+  // which run whole queries. Results are byte-identical at any
+  // ExecOptions.
   explicit Executor(const Schema& schema, ExecOptions options = {});
 
   // Executes `query` against `source` on the calling thread and returns
   // the annotated plan. Requires the query's relations to be distinct (no
-  // self-joins). A non-null `cancel` is checked before every morsel, and
-  // a tripped scope fails the query with its status before the next
-  // morsel runs.
+  // self-joins). A non-null `cancel` is checked before every fill, and a
+  // tripped scope fails the query with its status before the next fill
+  // runs.
   StatusOr<AnnotatedQueryPlan> Execute(
       const Query& query, const TableSource& source,
       const CancelScope* cancel = nullptr) const;

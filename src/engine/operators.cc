@@ -11,13 +11,14 @@ namespace {
 
 HYDRA_METRIC_COUNTER(g_join_index_dense, "engine/join_index_dense");
 HYDRA_METRIC_COUNTER(g_join_index_hashed, "engine/join_index_hashed");
+HYDRA_METRIC_COUNTER(g_join_index_runs, "engine/join_index_runs");
 
 }  // namespace
 
 Status ScanFiltered(const TableSource& source, int relation, int width,
                     const DnfPredicate& filter,
                     const std::vector<int>& columns, int64_t morsel_rows,
-                    const CancelScope* cancel, RowBlock* out) {
+                    bool heads, const CancelScope* cancel, RowBlock* out) {
   const kernels::BlockPredicate predicate(filter);
   std::vector<int> live = columns;
   for (const int c : filter.Columns()) live.push_back(c);
@@ -28,14 +29,23 @@ Status ScanFiltered(const TableSource& source, int relation, int width,
   // Reused across scans, so a workload loop fills one set of buffers.
   thread_local RowBlock morsel;
   thread_local SelVector sel;
-  // end - begin = min(morsel_rows, total_rows - begin): no sum can wrap,
-  // even for a morsel size near INT64_MAX.
+  thread_local std::vector<uint64_t> kept_weights;
+  kept_weights.clear();
+  // Whether the first fill came back as run heads: then the rest of the
+  // relation is one more fill, and every kept row carries a weight.
+  bool weighted = false;
+  // end - begin <= total_rows - begin: no sum can wrap, even for a morsel
+  // size near INT64_MAX.
   for (int64_t begin = 0; begin < total_rows;) {
     if (cancel != nullptr) HYDRA_RETURN_IF_ERROR(cancel->Check());
-    const int64_t end = begin + std::min(morsel_rows, total_rows - begin);
+    const int64_t end =
+        weighted ? total_rows
+                 : begin + std::min(morsel_rows, total_rows - begin);
     morsel.Reset(width);
     morsel.SetLiveColumns(live);
+    if (heads && (begin == 0 || weighted)) morsel.RequestHeads();
     source.FillBlockRange(relation, begin, end, &morsel);
+    if (begin == 0) weighted = morsel.weighted();
     // The selection is ascending, so the kept rows stay in rank order.
     const bool keep_all = predicate.is_true();
     if (!keep_all) predicate.Select(morsel, &sel);
@@ -52,8 +62,17 @@ Status ScanFiltered(const TableSource& source, int relation, int width,
         kernels::Gather(src, sel.data(), kept, dst);
       }
     }
+    if (weighted) {
+      // A rest fill the source answered per row weighs 1 a row.
+      const uint64_t* w = morsel.weighted() ? morsel.weights() : nullptr;
+      for (int64_t i = 0; i < kept; ++i) {
+        const int64_t row = keep_all ? i : sel[i];
+        kept_weights.push_back(w != nullptr ? w[row] : 1);
+      }
+    }
     begin = end;
   }
+  for (const uint64_t w : kept_weights) out->AppendWeight(w);
   return Status::OK();
 }
 
@@ -85,6 +104,8 @@ void JoinIndex::Build(const Value* keys, int64_t n, int64_t scanned_rows) {
   // An empty build has no key range; dense is then a two-entry array.
   layout_ = n == 0 ? Layout::kDense : ChooseLayout(distance, n, scanned_rows);
   row_ids_.resize(static_cast<size_t>(n));
+  run_starts_.clear();
+  run_lengths_.clear();
   if (layout_ == Layout::kDense) {
     g_join_index_dense.Inc();
     BuildDense(keys, n, min, n == 0 ? 0 : distance + 1);
@@ -154,7 +175,44 @@ void JoinIndex::BuildHashed(const Value* keys, int64_t n) {
   }
 }
 
+void JoinIndex::BuildRuns(const Value* starts, const uint64_t* lengths,
+                          int64_t n) {
+  HYDRA_CHECK_MSG(n < INT64_C(0xffffffff),
+                  "build side too large for uint32 row ids");
+  g_join_index_runs.Inc();
+  layout_ = Layout::kRuns;
+  offsets_.clear();
+  slots_ = std::vector<KeySlot>();
+  run_starts_.assign(starts, starts + n);
+  run_lengths_.assign(lengths, lengths + n);
+  row_ids_.resize(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    HYDRA_DCHECK(i == 0 || (starts[i] > starts[i - 1] &&
+                            static_cast<uint64_t>(starts[i]) -
+                                    static_cast<uint64_t>(starts[i - 1]) >=
+                                lengths[i - 1]));
+    row_ids_[i] = static_cast<uint32_t>(i);
+  }
+}
+
 void JoinIndex::Probe(const Value* keys, int64_t n, Span* spans) const {
+  if (layout_ == Layout::kRuns) {
+    // The last run starting at or before the key holds it if the key lies
+    // within its length; the unsigned distance cannot overflow.
+    const Value* const first = run_starts_.data();
+    const Value* const last = first + run_starts_.size();
+    for (int64_t i = 0; i < n; ++i) {
+      const Value* it = std::upper_bound(first, last, keys[i]);
+      spans[i] = {};
+      if (it == first) continue;
+      const size_t run = static_cast<size_t>(it - first) - 1;
+      if (static_cast<uint64_t>(keys[i]) - static_cast<uint64_t>(first[run]) <
+          run_lengths_[run]) {
+        spans[i] = {static_cast<uint32_t>(run), 1};
+      }
+    }
+    return;
+  }
   if (layout_ == Layout::kDense) {
     // Out-of-range keys clamp onto the trailing empty span: no branch.
     const uint32_t* const off = offsets_.data();

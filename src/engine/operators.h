@@ -5,13 +5,14 @@
 // oblivious to where the rows come from.
 //
 // Scans fill columnar RowBlock morsels (fixed-size rank ranges of
-// FillBlockRange); the hot loops — predicate evaluation, join-key hashing,
-// generator fills — run as per-column kernels (engine/kernels.h) over the
-// blocks' contiguous column buffers, with filters communicating through
-// selection vectors. ScanFiltered fills, filters and keeps a non-root
-// table's columns morsel by morsel on the calling thread, as the executor's
-// probe chain walks the root's morsels; JoinIndex is the key index that
-// chain probes (docs/engine.md).
+// FillBlockRange, until a source answers with run heads); the hot loops —
+// predicate evaluation, join-key hashing, generator fills — run as
+// per-column kernels (engine/kernels.h) over the blocks' contiguous column
+// buffers, with filters communicating through selection vectors.
+// ScanFiltered fills, filters and keeps a non-root table's columns morsel
+// by morsel on the calling thread, as the executor's probe chain walks the
+// root's morsels; JoinIndex is the key index that chain probes
+// (docs/engine.md).
 
 #ifndef HYDRA_ENGINE_OPERATORS_H_
 #define HYDRA_ENGINE_OPERATORS_H_
@@ -36,7 +37,10 @@ struct ExecOptions {
   // pool).
   int num_threads = 0;
   // Rows per morsel: the rank range one fill covers, and the unit at which
-  // a query checks its cancel scope.
+  // a query checks its cancel scope. A scan that asks for run heads and
+  // gets them on its first fill reads the rest of its relation as one more
+  // fill (ScanFiltered), so over a generator it makes at most two fills,
+  // each of at most one row per summary run.
   int64_t morsel_rows = 4096;
 
   int ResolvedThreads() const {
@@ -51,18 +55,26 @@ struct ExecOptions {
 // compiled filter. `out` is Reset to columns.size() columns and receives
 // the passing rows in rank order, at any morsel size: its column c holds
 // the relation's column columns[c]. A morsel size below 1 counts as 1. A
-// non-null `cancel` is checked before every morsel: a tripped scope stops
-// the scan before its next morsel, and its status is returned with `out`
+// non-null `cancel` is checked before every fill: a tripped scope stops
+// the scan before its next fill, and its status is returned with `out`
 // partial.
+//
+// With `heads` the first fill asks for run heads (RowBlock::RequestHeads),
+// so `filter` must not read the PK, and a kept PK column holds each head's
+// first rank. A source that answers gets the rest of the relation as one
+// more fill, and `out` holds the passing heads, weighted by their runs'
+// lengths (RowBlock::weighted). A source that does not answer is read per
+// row.
 Status ScanFiltered(const TableSource& source, int relation, int width,
                     const DnfPredicate& filter,
                     const std::vector<int>& columns, int64_t morsel_rows,
-                    const CancelScope* cancel, RowBlock* out);
+                    bool heads, const CancelScope* cancel, RowBlock* out);
 
 // Join-key index: maps a key to the contiguous span of build row ids holding
-// it, in build order — the table behind the executor's probe chain. Two
-// layouts share one probe interface; Build picks one from the observed key
-// range (docs/engine.md "Join index"):
+// it, in build order — the table behind the executor's probe chain. Three
+// layouts share one probe interface; Build picks dense or hashed from the
+// observed key range, and BuildRuns indexes run heads (docs/engine.md
+// "Join index"):
 //  * dense — an offsets array over [min, max]: key k's span is
 //    row_ids[off[k - min], off[k - min + 1]). Taken when
 //    max - min + 1 <= max(8 × build rows, min(scanned rows, kScanRangeCap)).
@@ -72,11 +84,14 @@ Status ScanFiltered(const TableSource& source, int relation, int width,
 //    filling the array costs no more than the scan that fed the build, and
 //    the cap holds it to 512 KiB however large the relation.
 //  * hashed — CSR over flat open-addressing {key, begin, len} slots.
-// Every build counts in the metric registry as engine/join_index_dense or
-// engine/join_index_hashed.
+//  * runs — the heads of a PK scan's kept summary runs: key k's span is the
+//    one head whose run [start, start + length) holds k, found by binary
+//    search over the run starts, so any key of a run finds it.
+// Every build counts in the metric registry as engine/join_index_dense,
+// engine/join_index_hashed or engine/join_index_runs.
 class JoinIndex {
  public:
-  enum class Layout { kDense, kHashed };
+  enum class Layout { kDense, kHashed, kRuns };
 
   // A key's build rows: row_ids()[begin, begin + len); len == 0 = no match.
   // No member initializers: Span{} is the empty span, and a default-
@@ -98,6 +113,9 @@ class JoinIndex {
   // Indexes keys[0, n). `scanned_rows` is the row count of the relation the
   // keys were scanned from, before any filter.
   void Build(const Value* keys, int64_t n, int64_t scanned_rows);
+  // Indexes n disjoint runs of keys, in ascending order: head i holds keys
+  // [starts[i], starts[i] + lengths[i]), and its span is row i.
+  void BuildRuns(const Value* starts, const uint64_t* lengths, int64_t n);
 
   Layout layout() const { return layout_; }
   const uint32_t* row_ids() const { return row_ids_.data(); }
@@ -134,6 +152,9 @@ class JoinIndex {
   // index row_ids_.
   std::vector<KeySlot> slots_;
   uint32_t mask_ = 0;
+  // Runs: head i's first key and key count.
+  std::vector<Value> run_starts_;
+  std::vector<uint64_t> run_lengths_;
   // Build row ids grouped by key, in build order within each key.
   std::vector<uint32_t> row_ids_;
 };

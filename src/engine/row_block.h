@@ -18,11 +18,12 @@
 // block. No column buffer is handed out, so every column always holds
 // num_rows() values.
 //
-// A block also carries two facts from its consumer to its producer and back
+// A block also carries three facts between its consumer and its producer
 // (docs/engine.md "What a scan reads"): the live columns, which the consumer
-// will read and a producer must fill, and the summary runs a generator
-// fill records, stretches of rows whose columns other than the key column
-// hold one value each.
+// will read and a producer must fill; the summary runs a generator fill
+// records, stretches of rows whose columns other than the key column hold
+// one value each; and run heads, one row per summary run with the run's
+// length as its weight, which a consumer may ask for instead of every row.
 
 #ifndef HYDRA_ENGINE_ROW_BLOCK_H_
 #define HYDRA_ENGINE_ROW_BLOCK_H_
@@ -79,11 +80,11 @@ class RowBlock {
   RowBlock() = default;
   explicit RowBlock(int num_columns) { Reset(num_columns); }
 
-  // Re-types the block and drops its rows and runs; every column is live
-  // again. Column buffers keep their capacity — including buffers beyond
-  // the new width, which stay pooled for a later wider Reset — so a block
-  // cycled through scans of varying widths allocates each column once and
-  // reuses it from then on.
+  // Re-types the block and drops its rows, runs, weights and heads
+  // request; every column is live again. Column buffers keep their
+  // capacity — including buffers beyond the new width, which stay pooled
+  // for a later wider Reset — so a block cycled through scans of varying
+  // widths allocates each column once and reuses it from then on.
   void Reset(int num_columns) {
     if (static_cast<size_t>(num_columns) > cols_.size()) {
       cols_.resize(num_columns);
@@ -93,6 +94,8 @@ class RowBlock {
     num_rows_ = 0;
     live_.clear();
     run_ends_.clear();
+    weights_.clear();
+    heads_requested_ = false;
   }
 
   int num_columns() const { return width_; }
@@ -108,6 +111,7 @@ class RowBlock {
     for (int c = 0; c < width_; ++c) cols_[c].resize(rows);
     num_rows_ = rows;
     run_ends_.clear();
+    weights_.clear();
   }
   // Drops all rows past the first `rows`.
   void Truncate(int64_t rows) {
@@ -115,6 +119,7 @@ class RowBlock {
     for (int c = 0; c < width_; ++c) cols_[c].resize(rows);
     num_rows_ = rows;
     run_ends_.clear();
+    weights_.clear();
   }
 
   // Live columns: the columns the consumer will read. A producer fills at
@@ -143,6 +148,24 @@ class RowBlock {
     run_ends_.push_back(end);
     run_key_column_ = key_column;
   }
+
+  // Run heads: a consumer that reads a run's key column at most at the
+  // run's first rank may ask for one row per summary run instead of one
+  // per rank; the request lasts until the next Reset. A producer that
+  // answers fills each live column with the run's value, a live key column
+  // with the run's first rank, and records the run's row count as the
+  // row's weight, after its last resize. A producer may ignore the request
+  // and fill every row.
+  void RequestHeads() { heads_requested_ = true; }
+  bool heads_requested() const { return heads_requested_; }
+  // Whether every row is a run head: weights() then holds num_rows()
+  // counts. Any resize, append, truncation or Reset drops the weights.
+  bool weighted() const {
+    return num_rows_ > 0 && weights_.size() == static_cast<size_t>(num_rows_);
+  }
+  const uint64_t* weights() const { return weights_.data(); }
+  // Records the weight of the next row.
+  void AppendWeight(uint64_t weight) { weights_.push_back(weight); }
 
   const Value* Column(int c) const { return cols_[c].data(); }
   Value* MutableColumn(int c) { return cols_[c].data(); }
@@ -185,6 +208,8 @@ class RowBlock {
   std::vector<uint8_t> live_;
   std::vector<int64_t> run_ends_;
   int run_key_column_ = -1;
+  std::vector<uint64_t> weights_;
+  bool heads_requested_ = false;
 };
 
 }  // namespace hydra

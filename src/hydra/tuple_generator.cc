@@ -158,18 +158,20 @@ void TupleGenerator::FillRange(int relation, int64_t begin, int64_t end,
 
 template <typename ColumnFn, typename LiveFn, typename RunFn>
 void TupleGenerator::FillColumns(int relation, int64_t begin, int64_t end,
-                                 ColumnFn column, LiveFn live,
-                                 RunFn run_end) const {
+                                 bool heads, ColumnFn column, LiveFn live,
+                                 RunFn run) const {
   const RelationSummary& rs = summary_.relations[relation];
   const int pk_attr = pk_attr_[relation];
+  int64_t head = 0;  // with `heads`, the row of the next run
   ForEachSummaryRun(
       relation, begin, end, [&](int i, int64_t pk, int64_t stop) {
         // One summary run = one constant splat per summary attribute, an
         // iota run for the PK (splatted attributes the PK shadows are
         // overwritten, mirroring FillRow), and zeros for uncovered columns.
+        // A head is the run's first row alone.
         const SolutionRow& srow = rs.rows[i];
-        const int64_t offset = pk - begin;
-        const int64_t n = stop - pk;
+        const int64_t offset = heads ? head++ : pk - begin;
+        const int64_t n = heads ? 1 : stop - pk;
         for (size_t a = 0; a < rs.attr_indices.size(); ++a) {
           if (!live(rs.attr_indices[a])) continue;
           kernels::FillConst(column(rs.attr_indices[a]) + offset, n,
@@ -181,7 +183,7 @@ void TupleGenerator::FillColumns(int relation, int64_t begin, int64_t end,
         for (int a : uncovered_attrs_[relation]) {
           if (live(a)) kernels::FillConst(column(a) + offset, n, 0);
         }
-        run_end(stop - begin);
+        run(pk, stop);
       });
 }
 
@@ -189,17 +191,28 @@ void TupleGenerator::FillBlockRange(int relation, int64_t begin, int64_t end,
                                     RowBlock* out) const {
   ScopedLatencyTimer timer(&g_gen_fill_us);
   const int64_t base = out->num_rows();
-  out->ResizeUninitialized(base + (end - begin));
-  // Runs describe the whole block, so only a fill into an empty block
-  // records them.
-  const bool record_runs = base == 0;
+  // Runs and weights describe the whole block, so only a fill into an empty
+  // block records them, and only such a fill answers a heads request.
+  const bool record = base == 0;
+  const bool heads = record && out->heads_requested();
+  int64_t rows = end - begin;
+  if (heads) {
+    rows = 0;
+    ForEachSummaryRun(relation, begin, end,
+                      [&rows](int, int64_t, int64_t) { ++rows; });
+  }
+  out->ResizeUninitialized(base + rows);
   const int key = pk_attr_[relation];
   FillColumns(
-      relation, begin, end,
+      relation, begin, end, heads,
       [out, base](int a) { return out->MutableColumn(a) + base; },
       [out](int a) { return out->IsLive(a); },
-      [out, record_runs, key](int64_t run_end) {
-        if (record_runs) out->AppendRun(run_end, key);
+      [out, record, heads, begin, key](int64_t pk, int64_t stop) {
+        if (heads) {
+          out->AppendWeight(static_cast<uint64_t>(stop - pk));
+        } else if (record) {
+          out->AppendRun(stop - begin, key);
+        }
       });
 }
 
@@ -209,9 +222,9 @@ void TupleGenerator::FillTableRange(int relation, int64_t begin, int64_t end,
                   "table of " << table->num_rows() << " rows cannot hold rank "
                               << end - 1);
   FillColumns(
-      relation, begin, end,
+      relation, begin, end, /*heads=*/false,
       [table, begin](int a) { return table->MutableColumn(a) + begin; },
-      [](int) { return true; }, [](int64_t) {});
+      [](int) { return true; }, [](int64_t, int64_t) {});
 }
 
 void TupleGenerator::GetTuple(int relation, int64_t r, Row* out) const {

@@ -58,7 +58,10 @@ class TupleGenerator : public TableSource {
   // plus an iota run for the PK — no row-major intermediate at all. Emits
   // exactly the ScanRange() rows on `out`'s live columns and splats no
   // other column. A fill into an empty block records its summary runs on
-  // it, keyed on the PK.
+  // it, keyed on the PK. A fill into an empty block that asks for run heads
+  // (RowBlock::RequestHeads) writes one row per summary run of the range
+  // instead: the run's values, its first rank as the PK, and its length as
+  // the row's weight, so the fill costs the same at any volume.
   void FillBlockRange(int relation, int64_t begin, int64_t end,
                       RowBlock* out) const override;
 
@@ -107,11 +110,12 @@ class TupleGenerator : public TableSource {
       const std::function<void(int, int64_t, int64_t)>& fn) const;
   // The columnar fill behind FillBlockRange and FillTableRange: writes
   // attribute a's values for ranks [begin, end) to column(a)[0, end - begin)
-  // for every a with live(a), and calls run_end(stop - begin) after each
-  // summary run [.., stop).
+  // for every a with live(a), and calls run(pk, stop) after each summary
+  // run [pk, stop). With `heads`, writes run k's first rank alone, to
+  // column(a)[k].
   template <typename ColumnFn, typename LiveFn, typename RunFn>
-  void FillColumns(int relation, int64_t begin, int64_t end, ColumnFn column,
-                   LiveFn live, RunFn run_end) const;
+  void FillColumns(int relation, int64_t begin, int64_t end, bool heads,
+                   ColumnFn column, LiveFn live, RunFn run) const;
 
   const DatabaseSummary& summary_;
   // Per-relation invariants hoisted out of the per-tuple paths.

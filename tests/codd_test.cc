@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "codd/metadata.h"
+#include "common/text_table.h"
 #include "workload/datagen.h"
 #include "workload/toy.h"
 
@@ -102,7 +103,26 @@ TEST(CoddTest, EstimatedBytes) {
   auto db = GenerateClientDatabase(env.schema, DataGenOptions{.seed = 4});
   ASSERT_TRUE(db.ok());
   const DatabaseMetadata md = CaptureMetadata(*db);
-  EXPECT_EQ(md.EstimatedBytes(env.schema), db->TotalBytes());
+  EXPECT_EQ(md.EstimatedBytes(env.schema),
+            static_cast<double>(db->TotalBytes()));
+}
+
+TEST(CoddTest, EstimatedBytesPast2To64) {
+  // CODD factor 1e12, the top of sec74_exabyte's model (~29 EiB in all):
+  // 115,000 rows of 23 values scale to 1.15e17 rows and 2.116e19 bytes,
+  // past 2^64 (~1.845e19), which a uint64 sum wraps to ~2.7e18.
+  Relation wide("wide", 115000);
+  for (int a = 0; a < 23; ++a) {
+    wide.AddDataAttribute("a" + std::to_string(a), Interval(0, 10));
+  }
+  Schema schema;
+  schema.AddRelation(std::move(wide));
+  DatabaseMetadata md;
+  md.relations.push_back(RelationMetadata{"wide", 115000, {}});
+  const DatabaseMetadata scaled = ScaleMetadata(md, 1e12);
+  ASSERT_EQ(scaled.relations[0].row_count, 115'000'000'000'000'000u);
+  EXPECT_EQ(scaled.EstimatedBytes(schema), 21'160'000'000'000'000'000.0);
+  EXPECT_EQ(FormatBytes(scaled.EstimatedBytes(schema)), "18.4 EiB");
 }
 
 }  // namespace

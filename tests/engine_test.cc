@@ -611,9 +611,34 @@ TEST_P(ExecutorPropertyTest, RootFilterKeepsNoRows) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorPropertyTest,
                          ::testing::Range<uint64_t>(0, 12));
 
+// A summary of `schema` built by hand: rows[r] are relation r's summary
+// rows, each holding a value for every non-PK attribute in attribute
+// order. The schema's row counts become the summary's.
+DatabaseSummary HandSummary(const Schema& schema,
+                            std::vector<std::vector<SolutionRow>> rows) {
+  DatabaseSummary summary;
+  summary.schema = schema;
+  for (int r = 0; r < schema.num_relations(); ++r) {
+    const Relation& rel = schema.relation(r);
+    RelationSummary rs;
+    rs.relation = r;
+    for (int a = 0; a < rel.num_attributes(); ++a) {
+      if (a != rel.PrimaryKeyIndex()) rs.attr_indices.push_back(a);
+    }
+    rs.rows = std::move(rows[r]);
+    rs.Finalize();
+    summary.schema.mutable_relation(r).set_row_count(
+        static_cast<uint64_t>(rs.TotalCount()));
+    summary.relations.push_back(std::move(rs));
+  }
+  summary.extra_tuples.assign(schema.num_relations(), 0);
+  return summary;
+}
+
 TEST(ExecutorTest, CountsJoinIndexLayouts) {
-  // S keys are ranks (dense); T's two keys lie 10^6 apart, wider than
-  // max(8 × 2 rows, 2 scanned rows) (hashed).
+  // Over the database, S keys are ranks (dense); T's two keys lie 10^6
+  // apart, wider than max(8 × 2 rows, 2 scanned rows) (hashed). Over a
+  // generator both builds key on their PK and read its run heads (runs).
   ToyEnvironment env = MakeToyEnvironment();
   Database db(env.schema);
   const int r = env.schema.RelationIndex("R");
@@ -635,16 +660,92 @@ TEST(ExecutorTest, CountsJoinIndexLayouts) {
   const Counter* dense = MetricRegistry::FindCounter("engine/join_index_dense");
   const Counter* hashed =
       MetricRegistry::FindCounter("engine/join_index_hashed");
+  const Counter* runs = MetricRegistry::FindCounter("engine/join_index_runs");
   ASSERT_NE(dense, nullptr);
   ASSERT_NE(hashed, nullptr);
-  const uint64_t dense_before = dense->value();
-  const uint64_t hashed_before = hashed->value();
-  Executor ex(env.schema);
-  auto aqp = ex.Execute(q, db);
-  ASSERT_TRUE(aqp.ok()) << aqp.status().ToString();
-  EXPECT_EQ(aqp->steps.back().cardinality, 20u);
-  EXPECT_EQ(dense->value() - dense_before, 1u);
-  EXPECT_EQ(hashed->value() - hashed_before, 1u);
+  ASSERT_NE(runs, nullptr);
+  // Per source: the builds each layout counted over one Execute.
+  const auto layouts = [&](const TableSource& source) {
+    const uint64_t dense_before = dense->value();
+    const uint64_t hashed_before = hashed->value();
+    const uint64_t runs_before = runs->value();
+    auto aqp = Executor(env.schema).Execute(q, source);
+    EXPECT_TRUE(aqp.ok()) << aqp.status().ToString();
+    if (aqp.ok()) {
+      EXPECT_EQ(aqp->steps.back().cardinality, 20u);
+    }
+    return std::vector<uint64_t>{dense->value() - dense_before,
+                                 hashed->value() - hashed_before,
+                                 runs->value() - runs_before};
+  };
+  EXPECT_EQ(layouts(db), (std::vector<uint64_t>{1, 1, 0}));
+
+  // S: 10 rows in 2 runs, T: 2 rows in 2 runs, R: 20 rows whose FKs point
+  // at run heads and off them.
+  const DatabaseSummary summary = HandSummary(
+      env.schema, {{{{1, 1}, 4}, {{2, 2}, 6}},
+                   {{{1}, 1}, {{2}, 1}},
+                   {{{0, 0}, 5}, {{3, 1}, 5}, {{9, 1}, 10}}});
+  const TupleGenerator gen(summary);
+  EXPECT_EQ(layouts(gen), (std::vector<uint64_t>{0, 0, 2}));
+}
+
+// One F run is 3 × 2^32 + 5 rows long, one D run 2^33 + 5, and every count
+// but one passes 2^32, so a root or non-root weight, a filter count, a run
+// length or a join count cut to 32 bits reads wrong. The counts are known
+// in closed form. F's FKs point into D's first run, at the head of its
+// second run and past 2^32 ranks into it.
+TEST(ExecutorTest, RunWeightsAndCountsPass32Bits) {
+  Schema schema;
+  Relation d("D", 0);
+  d.AddPrimaryKey("D_pk");
+  const int x = d.AddDataAttribute("X", Interval(0, 10));
+  const int d_rel = schema.AddRelation(std::move(d));
+  Relation f("F", 0);
+  f.AddPrimaryKey("F_pk");
+  const int fk = f.AddForeignKey("D_fk", d_rel);
+  const int y = f.AddDataAttribute("Y", Interval(0, 10));
+  const int f_rel = schema.AddRelation(std::move(f));
+  constexpr int64_t k2To32 = int64_t{1} << 32;
+  // D: ranks 0-2 hold X = 1, the 2^33 + 5 ranks from 3 on hold X = 2.
+  const DatabaseSummary summary =
+      HandSummary(schema, {{{{1}, 3}, {{2}, 2 * k2To32 + 5}},
+                           {{{0, 1}, 3 * k2To32 + 5},
+                            {{3, 1}, 2 * k2To32 + 7},
+                            {{k2To32 + 7, 1}, k2To32 + 11},
+                            {{2, 2}, 13}}});
+  const TupleGenerator gen(summary);
+  ASSERT_EQ(gen.RowCount(f_rel), static_cast<uint64_t>(6 * k2To32 + 36));
+
+  Query filtered;
+  filtered.name = "filtered";
+  filtered.tables = {QueryTable{f_rel, PredicateOf(AtomRange(y, 1, 2))},
+                     QueryTable{d_rel, PredicateOf(AtomRange(x, 2, 3))}};
+  filtered.joins = {JoinEdge{0, fk, 1}};
+  Query unfiltered = filtered;
+  unfiltered.name = "unfiltered";
+  for (QueryTable& table : unfiltered.tables) {
+    table.filter = DnfPredicate::True();
+  }
+  for (const int64_t morsel_rows : {1, 4096}) {
+    const Executor executor(schema, ExecOptions{1, morsel_rows});
+    auto aqp = executor.Execute(filtered, gen);
+    ASSERT_TRUE(aqp.ok()) << aqp.status().ToString();
+    std::vector<uint64_t> got;
+    for (const AqpStep& step : aqp->steps) got.push_back(step.cardinality);
+    // σ(F), σ(D), σ(F) ⋈ σ(D).
+    EXPECT_EQ(got, (std::vector<uint64_t>{
+                       static_cast<uint64_t>(6 * k2To32 + 23),
+                       static_cast<uint64_t>(2 * k2To32 + 5),
+                       static_cast<uint64_t>(3 * k2To32 + 18)}))
+        << morsel_rows;
+    aqp = executor.Execute(unfiltered, gen);
+    ASSERT_TRUE(aqp.ok()) << aqp.status().ToString();
+    ASSERT_EQ(aqp->steps.size(), 1u);
+    EXPECT_EQ(aqp->steps[0].cardinality,
+              static_cast<uint64_t>(6 * k2To32 + 36))
+        << morsel_rows;
+  }
 }
 
 }  // namespace

@@ -47,8 +47,9 @@ std::vector<Value> Drain(const TableSource& source, int relation, int width,
   std::vector<int> columns(width);
   std::iota(columns.begin(), columns.end(), 0);
   RowBlock block;
-  const Status status = ScanFiltered(source, relation, width, filter, columns,
-                                     morsel_rows, nullptr, &block);
+  const Status status =
+      ScanFiltered(source, relation, width, filter, columns, morsel_rows,
+                   /*heads=*/false, nullptr, &block);
   EXPECT_TRUE(status.ok()) << status.ToString();
   std::vector<Value> values(static_cast<size_t>(block.num_rows() * width));
   for (int64_t r = 0; r < block.num_rows(); ++r) {
@@ -645,7 +646,7 @@ TEST(CrossLayoutIdentityTest, ScalarVsSimdAcrossThreadsAndMorsels) {
 
 // A ForwardingSource that also counts the block fills of each relation,
 // and trips `token` inside the k-th fill (counting from 1) of
-// `trip_relation`.
+// `trip_relation`; k = 0 never trips.
 class TrippingSource : public ForwardingSource {
  public:
   TrippingSource(const TableSource& inner, int trip_relation, int64_t k,
@@ -681,37 +682,53 @@ class TrippingSource : public ForwardingSource {
 };
 
 // The cancel bound (docs/robustness.md): a lone query walks its root's
-// morsels on the calling thread and checks the scope before each, so a
-// scope that trips inside the k-th root morsel's fill stops it after
-// exactly k root fills, at any thread count.
+// fills on the calling thread and checks the scope before each, so a scope
+// that trips inside the k-th root fill stops it after exactly k root
+// fills, at any thread count. Over the database the root's 16-rank morsels
+// are many, and the scope trips inside the 5th. Over the generator the
+// first morsel comes back as run heads and the rest of the root is one
+// more fill, so the query makes two root fills, and the scope trips inside
+// the first.
 TEST(MidQueryCancelTest, RootTripStopsWithinOneMorsel) {
   const TpcdsSources& sources = SharedTpcdsSources();
   const Schema& schema = sources.site.schema;
   const Query& query = sources.site.queries[0];
   const int root = query.tables[0].relation;
   constexpr int64_t kMorselRows = 16;
-  constexpr int64_t kTripAt = 5;
   for (const TableSource* inner : sources.all()) {
+    const bool generated = inner == sources.gen.get();
+    const int64_t trip_at = generated ? 1 : 5;
     ASSERT_GT(static_cast<int64_t>(inner->RowCount(root)),
-              kMorselRows * (kTripAt + 8));
+              kMorselRows * (trip_at + 8));
     for (const int threads : {1, 2, 4}) {
       SCOPED_TRACE(std::string(sources.Name(inner)) + " at " +
                    std::to_string(threads) + " threads");
+      const Executor executor(schema, ExecOptions{threads, kMorselRows});
+      CancelToken idle;
+      const TrippingSource counted(*inner, root, 0, &idle);
+      ASSERT_TRUE(executor.Execute(query, counted).ok());
+      if (generated) {
+        EXPECT_EQ(counted.fills(root), 2);
+      } else {
+        EXPECT_GT(counted.fills(root), trip_at + 8);
+      }
+
       CancelToken token;
       const CancelScope scope(&token, Deadline::Infinite());
-      const TrippingSource source(*inner, root, kTripAt, &token);
-      auto aqp = Executor(schema, ExecOptions{threads, kMorselRows})
-                     .Execute(query, source, &scope);
+      const TrippingSource source(*inner, root, trip_at, &token);
+      auto aqp = executor.Execute(query, source, &scope);
       EXPECT_EQ(aqp.status().code(), StatusCode::kCancelled)
           << aqp.status().ToString();
-      EXPECT_EQ(source.fills(root), kTripAt);
+      EXPECT_EQ(source.fills(root), trip_at);
     }
   }
 }
 
 // A non-root scan runs on the query's thread and checks the scope before
-// every morsel, so it stops at the morsel that tripped it, and the root's
-// morsels never start.
+// every fill, so it stops at the fill that tripped it, and the root's
+// fills never start. Over the database the scope trips inside the 3rd
+// 16-rank morsel; over the generator, whose first fill comes back as run
+// heads, inside the first of the scan's two fills.
 TEST(MidQueryCancelTest, NonRootTripStopsWithinOneMorsel) {
   const TpcdsSources& sources = SharedTpcdsSources();
   const Schema& schema = sources.site.schema;
@@ -720,32 +737,48 @@ TEST(MidQueryCancelTest, NonRootTripStopsWithinOneMorsel) {
   const int root = query.tables[0].relation;
   const int scanned = query.tables[1].relation;
   const int width = schema.relation(scanned).num_attributes();
+  const int pk = schema.relation(scanned).PrimaryKeyIndex();
+  ASSERT_EQ(query.joins[0].pk_table, 1) << "table 1 joins on its PK";
   constexpr int64_t kMorselRows = 16;
-  constexpr int64_t kTripAt = 3;
   for (const TableSource* inner : sources.all()) {
+    const bool generated = inner == sources.gen.get();
+    const int64_t trip_at = generated ? 1 : 3;
     ASSERT_GT(static_cast<int64_t>(inner->RowCount(scanned)),
-              kMorselRows * (kTripAt + 1));
+              kMorselRows * (trip_at + 1));
     for (const int threads : {1, 2, 4}) {
       SCOPED_TRACE(std::string(sources.Name(inner)) + " at " +
                    std::to_string(threads) + " threads");
+      CancelToken idle;
+      const TrippingSource counted(*inner, scanned, 0, &idle);
+      RowBlock block;
+      ASSERT_TRUE(ScanFiltered(counted, scanned, width, DnfPredicate::True(),
+                               {pk}, kMorselRows, /*heads=*/true, nullptr,
+                               &block)
+                      .ok());
+      EXPECT_EQ(block.weighted(), generated);
+      if (generated) {
+        EXPECT_EQ(counted.fills(scanned), 2);
+      } else {
+        EXPECT_GT(counted.fills(scanned), trip_at + 1);
+      }
+
       CancelToken token;
       const CancelScope scope(&token, Deadline::Infinite());
-      const TrippingSource direct(*inner, scanned, kTripAt, &token);
-      RowBlock block;
+      const TrippingSource direct(*inner, scanned, trip_at, &token);
       const Status status =
-          ScanFiltered(direct, scanned, width, DnfPredicate::True(), {0},
-                       kMorselRows, &scope, &block);
+          ScanFiltered(direct, scanned, width, DnfPredicate::True(), {pk},
+                       kMorselRows, /*heads=*/true, &scope, &block);
       EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
-      EXPECT_EQ(direct.fills(scanned), kTripAt);
+      EXPECT_EQ(direct.fills(scanned), trip_at);
 
       CancelToken query_token;
       const CancelScope query_scope(&query_token, Deadline::Infinite());
-      const TrippingSource source(*inner, scanned, kTripAt, &query_token);
+      const TrippingSource source(*inner, scanned, trip_at, &query_token);
       auto aqp = Executor(schema, ExecOptions{threads, kMorselRows})
                      .Execute(query, source, &query_scope);
       EXPECT_EQ(aqp.status().code(), StatusCode::kCancelled)
           << aqp.status().ToString();
-      EXPECT_EQ(source.fills(scanned), kTripAt);
+      EXPECT_EQ(source.fills(scanned), trip_at);
       EXPECT_EQ(source.fills(root), 0);
     }
   }

@@ -283,6 +283,85 @@ TEST_F(GenerationRangeTest, TiledFillRangeMatchesGetTuple) {
   }
 }
 
+// A heads fill (RowBlock::RequestHeads) is the full fill collapsed run by
+// run: one row per non-empty summary run of the range, holding on every
+// live column the full fill's row at the run's first rank, weighted by the
+// run's length. Ranges start at every run start of the tile summary and on
+// a prime stride, and end inside runs and past several; NoPk has no PK,
+// and the zero-count summary row yields no head. The database ignores the
+// request.
+TEST_F(GenerationRangeTest, HeadsFillCollapsesTheFullFillRunByRun) {
+  const DatabaseSummary tiles = MakeTileSummary();
+  const TupleGenerator gen(tiles);
+  auto db = MaterializeDatabase(tiles);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  for (int rel = 0; rel < tiles.schema.num_relations(); ++rel) {
+    const std::string& name = tiles.schema.relation(rel).name();
+    const int width = tiles.schema.relation(rel).num_attributes();
+    const RelationSummary& rs = tiles.relations[rel];
+    const int64_t n = static_cast<int64_t>(gen.RowCount(rel));
+    std::vector<int64_t> begins = rs.prefix_counts;
+    for (int64_t b = 0; b < n; b += 613) begins.push_back(b);
+    const std::vector<std::vector<int>> projections = {{}, {width - 1}};
+    for (const int64_t begin : begins) {
+      for (const int64_t span : {int64_t{1}, int64_t{97}, int64_t{1021},
+                                 int64_t{8999}, n}) {
+        const int64_t end = std::min(n, begin + span);
+        const std::string where = name + " [" + std::to_string(begin) +
+                                  ", " + std::to_string(end) + ")";
+        RowBlock full(width);
+        gen.FillBlockRange(rel, begin, end, &full);
+        // The runs of [begin, end), from the summary's counts.
+        std::vector<std::pair<int64_t, int64_t>> runs;  // first rank, length
+        for (size_t i = 0; i < rs.rows.size(); ++i) {
+          const int64_t first = std::max(begin, rs.prefix_counts[i]);
+          const int64_t stop =
+              std::min(end, rs.prefix_counts[i] + rs.rows[i].count);
+          if (stop > first) runs.push_back({first, stop - first});
+        }
+        for (const std::vector<int>& live : projections) {
+          RowBlock heads(width);
+          if (!live.empty()) heads.SetLiveColumns(live);
+          heads.RequestHeads();
+          gen.FillBlockRange(rel, begin, end, &heads);
+          ASSERT_EQ(heads.num_rows(), static_cast<int64_t>(runs.size()))
+              << where;
+          ASSERT_TRUE(heads.weighted()) << where;
+          EXPECT_FALSE(heads.has_runs()) << where;
+          uint64_t rows = 0;
+          for (size_t k = 0; k < runs.size(); ++k) {
+            const auto [first, length] = runs[k];
+            ASSERT_EQ(heads.weights()[k], static_cast<uint64_t>(length))
+                << where << " head " << k;
+            rows += heads.weights()[k];
+            for (int c = 0; c < width; ++c) {
+              if (!heads.IsLive(c)) continue;
+              ASSERT_EQ(heads.At(static_cast<int64_t>(k), c),
+                        full.At(first - begin, c))
+                  << where << " head " << k << " column " << c;
+            }
+          }
+          EXPECT_EQ(rows, static_cast<uint64_t>(end - begin)) << where;
+        }
+      }
+    }
+
+    // A fill appended to a non-empty block, and a database fill, ignore
+    // the request and fill every row.
+    RowBlock appended(width);
+    gen.FillBlockRange(rel, 0, 1, &appended);
+    appended.RequestHeads();
+    gen.FillBlockRange(rel, 1, n, &appended);
+    EXPECT_EQ(appended.num_rows(), n) << name;
+    EXPECT_FALSE(appended.weighted()) << name;
+    RowBlock from_db(width);
+    from_db.RequestHeads();
+    db->FillBlockRange(rel, 0, n, &from_db);
+    EXPECT_EQ(from_db.num_rows(), n) << name;
+    EXPECT_FALSE(from_db.weighted()) << name;
+  }
+}
+
 // MaterializeToDisk's tiled fill against the columnar oracle
 // (WriteDiskTable over MaterializeDatabase), byte for byte.
 TEST_F(GenerationRangeTest, TiledMaterializeToDiskMatchesWrittenDatabase) {

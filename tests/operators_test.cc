@@ -26,7 +26,8 @@ std::vector<Value> Drain(const TableSource& source, int relation, int width,
   std::iota(columns.begin(), columns.end(), 0);
   RowBlock block;
   EXPECT_TRUE(ScanFiltered(source, relation, width, filter, columns,
-                           ExecOptions{}.morsel_rows, nullptr, &block)
+                           ExecOptions{}.morsel_rows, /*heads=*/false,
+                           nullptr, &block)
                   .ok());
   std::vector<Value> values(static_cast<size_t>(block.num_rows() * width));
   for (int64_t r = 0; r < block.num_rows(); ++r) {
@@ -107,7 +108,8 @@ TEST_F(ScanFilteredTest, ProjectedScanMatchesFullScanOnLiveColumns) {
     const std::vector<Value> want = Drain(*source, s_, cols_, pred);
     RowBlock block;
     ASSERT_TRUE(ScanFiltered(*source, s_, cols_, pred, {pk, a},
-                             ExecOptions{}.morsel_rows, nullptr, &block)
+                             ExecOptions{}.morsel_rows, /*heads=*/false,
+                             nullptr, &block)
                     .ok());
     ASSERT_EQ(block.num_columns(), 2);
     // The filter drops 300 of S's 700 rows.
@@ -116,6 +118,42 @@ TEST_F(ScanFilteredTest, ProjectedScanMatchesFullScanOnLiveColumns) {
     for (int64_t r = 0; r < block.num_rows(); ++r) {
       EXPECT_EQ(block.At(r, 0), want[r * cols_ + pk]) << "row " << r;
       EXPECT_EQ(block.At(r, 1), want[r * cols_ + a]) << "row " << r;
+    }
+  }
+}
+
+// A heads scan over the generator keeps one weighted row per passing run
+// stretch; expanded run by run (the PK counting up from each head's first
+// rank) it is the row scan. Over the database it is the row scan itself.
+TEST_F(ScanFilteredTest, HeadsScanExpandsToTheRowScan) {
+  const Relation& rel = env_.schema.relation(s_);
+  const int a = rel.AttrIndex("A");
+  const int pk = rel.PrimaryKeyIndex();
+  const DnfPredicate pred = PredicateOf(AtomRange(a, 20, 60));
+  for (const TableSource* source : Sources()) {
+    for (const int64_t morsel_rows : {int64_t{1}, int64_t{13}, int64_t{4096}}) {
+      RowBlock rows;
+      ASSERT_TRUE(ScanFiltered(*source, s_, cols_, pred, {pk, a}, morsel_rows,
+                               /*heads=*/false, nullptr, &rows)
+                      .ok());
+      RowBlock heads;
+      ASSERT_TRUE(ScanFiltered(*source, s_, cols_, pred, {pk, a}, morsel_rows,
+                               /*heads=*/true, nullptr, &heads)
+                      .ok());
+      ASSERT_EQ(heads.weighted(), source == gen_.get()) << morsel_rows;
+      std::vector<Value> expanded;
+      for (int64_t h = 0; h < heads.num_rows(); ++h) {
+        const uint64_t weight = heads.weighted() ? heads.weights()[h] : 1;
+        for (uint64_t i = 0; i < weight; ++i) {
+          expanded.push_back(heads.At(h, 0) + static_cast<Value>(i));
+          expanded.push_back(heads.At(h, 1));
+        }
+      }
+      std::vector<Value> want(static_cast<size_t>(rows.num_rows() * 2));
+      for (int64_t r = 0; r < rows.num_rows(); ++r) {
+        rows.CopyRowTo(r, want.data() + 2 * r);
+      }
+      EXPECT_EQ(expanded, want) << morsel_rows;
     }
   }
 }
@@ -216,6 +254,35 @@ TEST(JoinIndexTest, DenseUpToTheThresholdExactly) {
       ExpectLayoutsAgree(keys, {-4, -3, -2, hi - 4, hi - 3, hi - 2});
     }
   }
+}
+
+TEST(JoinIndexTest, RunsLayoutFindsEveryKeyOfARun) {
+  // Runs [0, 3), [3, 4), [10, 15) and one past 2^32 keys long: every key
+  // inside a run finds its head, keys in gaps and outside find nothing.
+  const Value big = Value{1} << 40;
+  const std::vector<Value> starts = {0, 3, 10, big};
+  const std::vector<uint64_t> lengths = {3, 1, 5, uint64_t{5} << 32};
+  JoinIndex index;
+  index.BuildRuns(starts.data(), lengths.data(), 4);
+  EXPECT_EQ(index.layout(), Layout::kRuns);
+  const std::vector<std::pair<Value, int>> probes = {
+      {0, 0},         {2, 0},       {3, 1},  {4, -1},
+      {9, -1},        {10, 2},      {14, 2}, {15, -1},
+      {-1, -1},       {INT64_MIN, -1},       {big - 1, -1},
+      {big, 3},       {big + (Value{5} << 32) - 1, 3},
+      {big + (Value{5} << 32), -1},          {INT64_MAX, -1}};
+  for (const auto& [key, head] : probes) {
+    const std::vector<uint32_t> want =
+        head < 0 ? std::vector<uint32_t>{}
+                 : std::vector<uint32_t>{static_cast<uint32_t>(head)};
+    EXPECT_EQ(RowsOf(index, key), want) << "key " << key;
+  }
+  // A later Build drops the runs.
+  const std::vector<Value> keys = {7};
+  index.Build(keys.data(), 1, 1);
+  EXPECT_EQ(index.layout(), Layout::kDense);
+  EXPECT_EQ(RowsOf(index, 7), (std::vector<uint32_t>{0}));
+  EXPECT_TRUE(RowsOf(index, 0).empty());
 }
 
 TEST(JoinIndexTest, FullInt64RangeTakesHashedLayout) {
