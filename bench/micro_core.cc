@@ -380,7 +380,7 @@ void BM_PredEval(benchmark::State& state) {
   const kernels::BlockPredicate pred(dnf);
   SelVector sel;
   for (auto _ : state) {
-    pred.Select(block, &sel);
+    pred.SelectRange(block, 0, n, &sel);
     benchmark::DoNotOptimize(sel.data());
   }
   state.SetItemsProcessed(state.iterations() * n);

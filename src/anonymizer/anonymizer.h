@@ -1,7 +1,11 @@
-// Anonymizer (Section 3.1): before schema, metadata and CCs leave the client
-// site, identifiers are masked and non-numeric constants are mapped to
-// numbers so the vendor-side pipeline operates on a purely numeric database.
-// The mapping is invertible at the client (the vendor never needs it).
+// Anonymizer (Section 3.1): before the schema and metadata leave the client
+// site, relation and attribute names are masked and non-numeric constants
+// are mapped to numbers, so the vendor-side pipeline operates on a purely
+// numeric database. The mapping is invertible at the client (the vendor
+// never needs it). CCs name relations and attributes by index, but their
+// provenance labels embed relation names ("<query>/filter(<relation>)",
+// "|<relation>|"), and nothing here rewrites them: the client replaces the
+// labels before the CCs leave.
 
 #ifndef HYDRA_ANONYMIZER_ANONYMIZER_H_
 #define HYDRA_ANONYMIZER_ANONYMIZER_H_

@@ -112,7 +112,7 @@ bool ProbeChain::Run(int64_t begin, int64_t end, bool heads,
     root_ids.resize(static_cast<size_t>(root.num_rows()));
     std::iota(root_ids.begin(), root_ids.end(), 0u);
   } else {
-    root_filter.Select(root, &sel);
+    root_filter.SelectRange(root, 0, root.num_rows(), &sel);
     root_ids.assign(sel.begin(), sel.end());
   }
   int64_t n = static_cast<int64_t>(root_ids.size());

@@ -1,9 +1,6 @@
 #include "engine/kernels.h"
 
-#include <algorithm>
 #include <atomic>
-
-#include "common/logging.h"
 
 #if HYDRA_SIMD_LEVEL >= 1
 #include <immintrin.h>
@@ -337,15 +334,10 @@ BlockPredicate::BlockPredicate(const DnfPredicate& dnf) {
       // An empty conjunct is TRUE, which makes the whole disjunction TRUE.
       is_true_ = true;
       conjuncts_.clear();
-      columns_.clear();
       return;
     }
-    for (const AtomPlan& atom : plan) columns_.push_back(atom.column);
     conjuncts_.push_back(std::move(plan));
   }
-  std::sort(columns_.begin(), columns_.end());
-  columns_.erase(std::unique(columns_.begin(), columns_.end()),
-                 columns_.end());
 }
 
 namespace {
@@ -360,62 +352,6 @@ void AtomMask(const Value* col, int64_t n, const std::vector<Interval>& ivs,
 
 }  // namespace
 
-bool BlockPredicate::MatchesRow(const RowBlock& block, int64_t row) const {
-  for (const std::vector<AtomPlan>& conj : conjuncts_) {
-    bool all = true;
-    for (const AtomPlan& atom : conj) {
-      const Value v = block.At(row, atom.column);
-      // The first interval ending past v is the only one that can hold it.
-      const auto it = std::upper_bound(
-          atom.intervals.begin(), atom.intervals.end(), v,
-          [](Value x, const Interval& iv) { return x < iv.hi; });
-      if (it == atom.intervals.end() || v < it->lo) {
-        all = false;
-        break;
-      }
-    }
-    if (all) return true;
-  }
-  return false;
-}
-
-void BlockPredicate::SelectRunHeads(const RowBlock& block, SelVector* heads,
-                                    std::vector<uint32_t>* weights) const {
-  HYDRA_DCHECK(block.has_runs() && !ReadsColumn(block.run_key_column()));
-  heads->clear();
-  weights->clear();
-  if (is_false()) return;
-  int64_t begin = 0;
-  for (const int64_t end : block.run_ends()) {
-    if (end > begin && (is_true_ || MatchesRow(block, begin))) {
-      heads->push_back(static_cast<int32_t>(begin));
-      weights->push_back(static_cast<uint32_t>(end - begin));
-    }
-    begin = end;
-  }
-}
-
-void BlockPredicate::Select(const RowBlock& block, SelVector* sel) const {
-  if (is_true_ || is_false() || !block.has_runs() ||
-      ReadsColumn(block.run_key_column())) {
-    SelectRange(block, 0, block.num_rows(), sel);
-    return;
-  }
-  // thread_local scratch, as in SelectRange.
-  thread_local SelVector heads;
-  thread_local std::vector<uint32_t> weights;
-  SelectRunHeads(block, &heads, &weights);
-  size_t rows = 0;
-  for (const uint32_t w : weights) rows += w;
-  sel->resize(rows);
-  int32_t* out = sel->data();
-  for (size_t i = 0; i < heads.size(); ++i) {
-    for (uint32_t r = 0; r < weights[i]; ++r) {
-      *out++ = heads[i] + static_cast<int32_t>(r);
-    }
-  }
-}
-
 void BlockPredicate::SelectRange(const RowBlock& block, int64_t begin,
                                  int64_t end, SelVector* sel) const {
   sel->clear();
@@ -428,8 +364,8 @@ void BlockPredicate::SelectRange(const RowBlock& block, int64_t begin,
     }
     return;
   }
-  // thread_local scratch: Select is const and runs concurrently on morsel
-  // workers; each thread folds into its own masks.
+  // thread_local scratch: SelectRange is const and runs concurrently on
+  // morsel workers; each thread folds into its own masks.
   thread_local std::vector<uint8_t> total_mask;
   thread_local std::vector<uint8_t> conj_mask;
   thread_local std::vector<uint8_t> atom_mask;

@@ -19,14 +19,11 @@
 //
 // BlockPredicate is the compiled form of a DnfPredicate over a columnar
 // RowBlock: atoms become interval-mask kernels, conjuncts AND masks,
-// disjuncts OR them, and the result leaves as a selection vector. Over a
-// block with summary runs it decides once per run instead, and can hand the
-// runs back as head rows weighted by their lengths.
+// disjuncts OR them, and the result leaves as a selection vector.
 
 #ifndef HYDRA_ENGINE_KERNELS_H_
 #define HYDRA_ENGINE_KERNELS_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -104,9 +101,9 @@ void FillConst(Value* dst, int64_t n, Value v);
 // columns as iota runs.
 void FillIota(Value* dst, int64_t n, Value start);
 
-// A DnfPredicate compiled to per-column kernel plans. Select() is const and
-// thread-safe (scratch masks are thread_local), so one compiled predicate
-// serves concurrent morsel workers.
+// A DnfPredicate compiled to per-column kernel plans. SelectRange() is
+// const and thread-safe (scratch masks are thread_local), so one compiled
+// predicate serves concurrent morsel workers.
 class BlockPredicate {
  public:
   // Default: matches nothing (same as DnfPredicate(), which is FALSE).
@@ -116,28 +113,13 @@ class BlockPredicate {
   bool is_true() const { return is_true_; }
   bool is_false() const { return !is_true_ && conjuncts_.empty(); }
 
-  // Clears *sel and fills it with the indices of `block`'s passing rows,
-  // ascending. Every atom's column index must be < block.num_columns().
-  // When the block has summary runs and no atom reads the run key column,
-  // the passing runs of SelectRunHeads are emitted whole; otherwise the
-  // mask kernels decide every row. Both give the same selection.
-  void Select(const RowBlock& block, SelVector* sel) const;
-
-  // The per-run selection over a block with summary runs whose run key
-  // column no atom reads: clears *heads and *weights, then appends, per
-  // passing run in block order, the run's first row to *heads and its row
-  // count to *weights. Within a run every column but the key holds one
-  // value, so the first row decides the run. Expanding each head into its
-  // run's rows gives Select()'s selection.
-  void SelectRunHeads(const RowBlock& block, SelVector* heads,
-                      std::vector<uint32_t>* weights) const;
-
-  // Select() restricted to rows [begin, end): masks are evaluated over the
-  // sub-range only, and the emitted indices stay absolute (in [begin, end)),
-  // so gathers against the full block's columns work unchanged. The passing
-  // set equals Select() intersected with [begin, end) — the shared-scan fan
-  // path filters its slice of a group chunk without copying it first.
-  // Always runs the mask kernels.
+  // Clears *sel and fills it with the indices of the passing rows among
+  // `block`'s rows [begin, end), ascending. Masks are evaluated over the
+  // sub-range only, and the emitted indices stay absolute (in [begin,
+  // end)), so gathers against the full block's columns work unchanged: a
+  // scan selects a whole morsel with [0, num_rows()), and the shared-scan
+  // fan path filters its slice of a group chunk without copying it first.
+  // Every atom's column index must be < block.num_columns().
   void SelectRange(const RowBlock& block, int64_t begin, int64_t end,
                    SelVector* sel) const;
 
@@ -147,15 +129,7 @@ class BlockPredicate {
     std::vector<Interval> intervals;  // sorted, disjoint, non-empty
   };
 
-  // Whether row `row` of `block` passes.
-  bool MatchesRow(const RowBlock& block, int64_t row) const;
-  // Whether some atom reads column `c`.
-  bool ReadsColumn(int c) const {
-    return std::binary_search(columns_.begin(), columns_.end(), c);
-  }
-
   std::vector<std::vector<AtomPlan>> conjuncts_;
-  std::vector<int> columns_;  // every atom's column, ascending, distinct
   bool is_true_ = false;
 };
 

@@ -48,7 +48,7 @@ Status ScanFiltered(const TableSource& source, int relation, int width,
     if (begin == 0) weighted = morsel.weighted();
     // The selection is ascending, so the kept rows stay in rank order.
     const bool keep_all = predicate.is_true();
-    if (!keep_all) predicate.Select(morsel, &sel);
+    if (!keep_all) predicate.SelectRange(morsel, 0, morsel.num_rows(), &sel);
     const int64_t kept =
         keep_all ? morsel.num_rows() : static_cast<int64_t>(sel.size());
     const int64_t base = out->num_rows();

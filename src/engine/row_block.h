@@ -15,15 +15,14 @@
 //
 // Rows enter a block only column by column: a source's FillBlockRange, a
 // resize followed by writes through MutableColumn, or an append of another
-// block. No column buffer is handed out, so every column always holds
-// num_rows() values.
+// block's rows. No column buffer is handed out, so every column always
+// holds num_rows() values.
 //
-// A block also carries three facts between its consumer and its producer
+// A block also carries two facts between its consumer and its producer
 // (docs/engine.md "What a scan reads"): the live columns, which the consumer
-// will read and a producer must fill; the summary runs a generator fill
-// records, stretches of rows whose columns other than the key column hold
-// one value each; and run heads, one row per summary run with the run's
-// length as its weight, which a consumer may ask for instead of every row.
+// will read and a producer must fill; and run heads, one row per summary
+// run with the run's length as its weight, which a consumer may ask for
+// instead of every row.
 
 #ifndef HYDRA_ENGINE_ROW_BLOCK_H_
 #define HYDRA_ENGINE_ROW_BLOCK_H_
@@ -80,11 +79,11 @@ class RowBlock {
   RowBlock() = default;
   explicit RowBlock(int num_columns) { Reset(num_columns); }
 
-  // Re-types the block and drops its rows, runs, weights and heads
-  // request; every column is live again. Column buffers keep their
-  // capacity — including buffers beyond the new width, which stay pooled
-  // for a later wider Reset — so a block cycled through scans of varying
-  // widths allocates each column once and reuses it from then on.
+  // Re-types the block and drops its rows, weights and heads request;
+  // every column is live again. Column buffers keep their capacity —
+  // including buffers beyond the new width, which stay pooled for a later
+  // wider Reset — so a block cycled through scans of varying widths
+  // allocates each column once and reuses it from then on.
   void Reset(int num_columns) {
     if (static_cast<size_t>(num_columns) > cols_.size()) {
       cols_.resize(num_columns);
@@ -93,7 +92,6 @@ class RowBlock {
     for (int c = 0; c < width_; ++c) cols_[c].clear();
     num_rows_ = 0;
     live_.clear();
-    run_ends_.clear();
     weights_.clear();
     heads_requested_ = false;
   }
@@ -110,15 +108,6 @@ class RowBlock {
   void ResizeUninitialized(int64_t rows) {
     for (int c = 0; c < width_; ++c) cols_[c].resize(rows);
     num_rows_ = rows;
-    run_ends_.clear();
-    weights_.clear();
-  }
-  // Drops all rows past the first `rows`.
-  void Truncate(int64_t rows) {
-    if (rows >= num_rows_) return;
-    for (int c = 0; c < width_; ++c) cols_[c].resize(rows);
-    num_rows_ = rows;
-    run_ends_.clear();
     weights_.clear();
   }
 
@@ -132,34 +121,17 @@ class RowBlock {
   }
   bool IsLive(int c) const { return live_.empty() || live_[c] != 0; }
 
-  // Summary runs: ascending block-relative run ends, the last one
-  // num_rows(). Within a run every column except run_key_column() holds
-  // one value (a generator's summary row; the key is the PK, -1 = none).
-  // Empty when no producer recorded runs. Any resize, append, truncation
-  // or Reset drops them, so a producer records them after its last resize.
-  bool has_runs() const {
-    return !run_ends_.empty() && run_ends_.back() == num_rows_;
-  }
-  const std::vector<int64_t>& run_ends() const { return run_ends_; }
-  int run_key_column() const { return run_key_column_; }
-  // Closes a run at `end`: rows from the previous run end (or 0) up to
-  // `end` hold one value in every column except `key_column`.
-  void AppendRun(int64_t end, int key_column) {
-    run_ends_.push_back(end);
-    run_key_column_ = key_column;
-  }
-
-  // Run heads: a consumer that reads a run's key column at most at the
+  // Run heads: a consumer that reads a summary run's PK at most at the
   // run's first rank may ask for one row per summary run instead of one
-  // per rank; the request lasts until the next Reset. A producer that
-  // answers fills each live column with the run's value, a live key column
-  // with the run's first rank, and records the run's row count as the
-  // row's weight, after its last resize. A producer may ignore the request
-  // and fill every row.
+  // per rank; the request lasts until the next Reset. Within a run every
+  // column but the PK holds one value. A producer that answers fills each
+  // live column with the run's value, a live PK column with the run's
+  // first rank, and records the run's row count as the row's weight, after
+  // its last resize. A producer may ignore the request and fill every row.
   void RequestHeads() { heads_requested_ = true; }
   bool heads_requested() const { return heads_requested_; }
   // Whether every row is a run head: weights() then holds num_rows()
-  // counts. Any resize, append, truncation or Reset drops the weights.
+  // counts. Any resize, append or Reset drops the weights.
   bool weighted() const {
     return num_rows_ > 0 && weights_.size() == static_cast<size_t>(num_rows_);
   }
@@ -171,17 +143,6 @@ class RowBlock {
   Value* MutableColumn(int c) { return cols_[c].data(); }
 
   Value At(int64_t row, int col) const { return cols_[col][row]; }
-
-  // Appends all rows of `other` (same width) — per-column contiguous copy.
-  void AppendBlock(const RowBlock& other) {
-    const int64_t base = num_rows_;
-    ResizeUninitialized(base + other.num_rows_);
-    for (int c = 0; c < num_columns(); ++c) {
-      Value* dst = cols_[c].data() + base;
-      const Value* src = other.cols_[c].data();
-      std::copy(src, src + other.num_rows_, dst);
-    }
-  }
 
   // Appends rows [begin, begin + n) of `other` (same width).
   void AppendRange(const RowBlock& other, int64_t begin, int64_t n) {
@@ -206,8 +167,6 @@ class RowBlock {
   int64_t num_rows_ = 0;
   // Per column, 1 = live; empty = every column live.
   std::vector<uint8_t> live_;
-  std::vector<int64_t> run_ends_;
-  int run_key_column_ = -1;
   std::vector<uint64_t> weights_;
   bool heads_requested_ = false;
 };

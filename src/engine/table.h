@@ -85,9 +85,9 @@ class TableSource {
   // relation's width) in columnar form — the engine's batch scan entry
   // point and its only read call. Fills at least `out`'s live columns
   // (RowBlock::SetLiveColumns); the other columns grow with them and hold
-  // unspecified values. A source may record summary runs on `out`, which
-  // the consumer's filters then decide once per run. Same range semantics
-  // as ScanRange.
+  // unspecified values. A source may answer `out`'s request for run heads
+  // (RowBlock::RequestHeads) with one weighted row per summary run. Same
+  // range semantics as ScanRange.
   virtual void FillBlockRange(int relation, int64_t begin, int64_t end,
                               RowBlock* out) const = 0;
 };

@@ -191,10 +191,9 @@ void TupleGenerator::FillBlockRange(int relation, int64_t begin, int64_t end,
                                     RowBlock* out) const {
   ScopedLatencyTimer timer(&g_gen_fill_us);
   const int64_t base = out->num_rows();
-  // Runs and weights describe the whole block, so only a fill into an empty
-  // block records them, and only such a fill answers a heads request.
-  const bool record = base == 0;
-  const bool heads = record && out->heads_requested();
+  // Weights describe the whole block, so only a fill into an empty block
+  // answers a heads request.
+  const bool heads = base == 0 && out->heads_requested();
   int64_t rows = end - begin;
   if (heads) {
     rows = 0;
@@ -202,17 +201,12 @@ void TupleGenerator::FillBlockRange(int relation, int64_t begin, int64_t end,
                       [&rows](int, int64_t, int64_t) { ++rows; });
   }
   out->ResizeUninitialized(base + rows);
-  const int key = pk_attr_[relation];
   FillColumns(
       relation, begin, end, heads,
       [out, base](int a) { return out->MutableColumn(a) + base; },
       [out](int a) { return out->IsLive(a); },
-      [out, record, heads, begin, key](int64_t pk, int64_t stop) {
-        if (heads) {
-          out->AppendWeight(static_cast<uint64_t>(stop - pk));
-        } else if (record) {
-          out->AppendRun(stop - begin, key);
-        }
+      [out, heads](int64_t pk, int64_t stop) {
+        if (heads) out->AppendWeight(static_cast<uint64_t>(stop - pk));
       });
 }
 

@@ -57,8 +57,7 @@ class TupleGenerator : public TableSource {
   // share their attribute values, so each run is a per-column constant splat
   // plus an iota run for the PK — no row-major intermediate at all. Emits
   // exactly the ScanRange() rows on `out`'s live columns and splats no
-  // other column. A fill into an empty block records its summary runs on
-  // it, keyed on the PK. A fill into an empty block that asks for run heads
+  // other column. A fill into an empty block that asks for run heads
   // (RowBlock::RequestHeads) writes one row per summary run of the range
   // instead: the run's values, its first rank as the PK, and its length as
   // the row's weight, so the fill costs the same at any volume.

@@ -371,8 +371,9 @@ TEST(ParallelExecutorTest, SimilarityReportIdenticalAcrossThreadCounts) {
 // Forwards to a source the way a tracing wrapper does, overriding exactly
 // the four TableSource virtuals, and records per relation the live-column
 // sets its block fills asked for. An unprojected one fills every column of
-// a scratch block instead and appends it, which drops the runs too: the
-// engine then reads full, run-less blocks, as it did before projection.
+// a scratch block instead and appends its rows, which drops the heads
+// request too: the engine then reads full blocks of every row, as it did
+// before projection.
 class ForwardingSource : public TableSource {
  public:
   ForwardingSource(const TableSource& inner, bool unprojected)
@@ -395,7 +396,7 @@ class ForwardingSource : public TableSource {
       thread_local RowBlock full;
       full.Reset(out->num_columns());
       inner_.FillBlockRange(relation, begin, end, &full);
-      out->AppendBlock(full);
+      out->AppendRange(full, 0, full.num_rows());
       return;
     }
     std::vector<int> live;

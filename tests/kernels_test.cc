@@ -1,20 +1,17 @@
 // Tests for engine/kernels: scalar-vs-SIMD bit-identity of every dispatched
 // kernel (over lengths that exercise the vector tails), selection-vector
 // mechanics, BlockPredicate compilation semantics against
-// DnfPredicate::Eval as the oracle, its per-run path and run heads, and the
-// live columns and summary runs a RowBlock carries.
+// DnfPredicate::Eval as the oracle, and the live columns a RowBlock
+// carries.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "engine/kernels.h"
 #include "engine/row_block.h"
-#include "hydra/tuple_generator.h"
 #include "query/predicate.h"
 
 namespace hydra {
@@ -194,7 +191,7 @@ TEST(BlockPredicateTest, CompilationSemantics) {
   EXPECT_TRUE(BlockPredicate(impossible).is_false());
 }
 
-TEST(BlockPredicateTest, SelectMatchesRowOracleAcrossDispatch) {
+TEST(BlockPredicateTest, SelectRangeAgreesWithRowOracleAcrossDispatch) {
   SimdGuard guard;
   // Two conjuncts, one with a multi-interval atom:
   // (c0∈[0,40) ∧ c1∈[−50,0)) ∨ c0∈[60,70)∪[80,90).
@@ -215,9 +212,19 @@ TEST(BlockPredicateTest, SelectMatchesRowOracleAcrossDispatch) {
     }
     for (const bool simd : {false, true}) {
       kernels::SetSimdEnabled(simd);
-      SelVector sel = {123};  // Select clears
-      pred.Select(block, &sel);
+      SelVector sel = {123};  // SelectRange clears
+      pred.SelectRange(block, 0, n, &sel);
       EXPECT_EQ(sel, expected) << "n=" << n << " simd=" << simd;
+      // A sub-range selects the whole block's passing rows inside it, by
+      // their absolute indices.
+      const int64_t begin = n / 3;
+      const int64_t end = n - n / 4;
+      SelVector want;
+      for (const int32_t r : expected) {
+        if (r >= begin && r < end) want.push_back(r);
+      }
+      pred.SelectRange(block, begin, end, &sel);
+      EXPECT_EQ(sel, want) << "n=" << n << " simd=" << simd << " sub-range";
     }
   }
 }
@@ -225,13 +232,15 @@ TEST(BlockPredicateTest, SelectMatchesRowOracleAcrossDispatch) {
 TEST(BlockPredicateTest, TrueAndFalseFastPaths) {
   const RowBlock block = MakeBlock({{1, 2, 3}});
   SelVector sel;
-  BlockPredicate(DnfPredicate::True()).Select(block, &sel);
+  BlockPredicate(DnfPredicate::True()).SelectRange(block, 0, 3, &sel);
   EXPECT_EQ(sel, (SelVector{0, 1, 2}));
-  BlockPredicate().Select(block, &sel);
+  BlockPredicate(DnfPredicate::True()).SelectRange(block, 1, 3, &sel);
+  EXPECT_EQ(sel, (SelVector{1, 2}));
+  BlockPredicate().SelectRange(block, 0, 3, &sel);
   EXPECT_TRUE(sel.empty());
   // Empty batch: no rows selected regardless of the predicate.
   const RowBlock empty = MakeBlock({{}});
-  BlockPredicate(DnfPredicate::True()).Select(empty, &sel);
+  BlockPredicate(DnfPredicate::True()).SelectRange(empty, 0, 0, &sel);
   EXPECT_TRUE(sel.empty());
 }
 
@@ -246,53 +255,17 @@ TEST(RowBlockTest, ColumnarRoundTrip) {
   EXPECT_EQ(row, (Row{4, 5, 6}));
 
   RowBlock other(3);
-  other.AppendBlock(block);
+  other.AppendRange(block, 0, block.num_rows());
   other.AppendRange(block, 1, 1);
   EXPECT_EQ(other.num_rows(), 3);
   other.CopyRowTo(2, row.data());
   EXPECT_EQ(row, (Row{4, 5, 6}));
 
-  other.Truncate(1);
+  other.ResizeUninitialized(1);
   EXPECT_EQ(other.num_rows(), 1);
   other.Reset(2);
   EXPECT_EQ(other.num_columns(), 2);
   EXPECT_TRUE(other.empty());
-}
-
-// A 4-row block whose rows [0, 3) and [3, 4) are runs keyed on column 0.
-RowBlock BlockWithRuns() {
-  RowBlock block = MakeBlock({{0, 1, 2, 3}, {7, 7, 7, 9}});
-  block.AppendRun(3, 0);
-  block.AppendRun(4, 0);
-  return block;
-}
-
-TEST(RowBlockTest, CompactionAppendAndResizeDropRuns) {
-  ASSERT_TRUE(BlockWithRuns().has_runs());
-  EXPECT_EQ(BlockWithRuns().run_ends(), (std::vector<int64_t>{3, 4}));
-  EXPECT_EQ(BlockWithRuns().run_key_column(), 0);
-  const std::vector<std::pair<const char*, void (*)(RowBlock*)>> edits = {
-      {"ResizeUninitialized", [](RowBlock* b) { b->ResizeUninitialized(6); }},
-      {"Truncate", [](RowBlock* b) { b->Truncate(2); }},
-      {"Reset", [](RowBlock* b) { b->Reset(2); }},
-      {"AppendBlock", [](RowBlock* b) { b->AppendBlock(BlockWithRuns()); }},
-      {"AppendRange",
-       [](RowBlock* b) { b->AppendRange(BlockWithRuns(), 0, 3); }},
-  };
-  for (const auto& [name, edit] : edits) {
-    RowBlock block = BlockWithRuns();
-    edit(&block);
-    EXPECT_FALSE(block.has_runs()) << name;
-    EXPECT_TRUE(block.run_ends().empty()) << name;
-  }
-  // A truncation that keeps every row changes nothing, so the runs stay.
-  RowBlock kept = BlockWithRuns();
-  kept.Truncate(4);
-  EXPECT_TRUE(kept.has_runs());
-  // Runs that stop short of the last row describe no block.
-  RowBlock partial = MakeBlock({{0, 1, 2, 3}});
-  partial.AppendRun(3, 0);
-  EXPECT_FALSE(partial.has_runs());
 }
 
 TEST(RowBlockTest, LiveColumnsLastUntilReset) {
@@ -303,108 +276,12 @@ TEST(RowBlockTest, LiveColumnsLastUntilReset) {
   EXPECT_FALSE(block.IsLive(1));
   EXPECT_TRUE(block.IsLive(2));
   block.ResizeUninitialized(5);
-  block.Truncate(0);
+  block.ResizeUninitialized(0);
   EXPECT_FALSE(block.IsLive(1));
   block.SetLiveColumns({});
   for (int c = 0; c < 3; ++c) EXPECT_FALSE(block.IsLive(c));
   block.Reset(4);
   for (int c = 0; c < 4; ++c) EXPECT_TRUE(block.IsLive(c));
-}
-
-TEST(BlockPredicateTest, PerRunSelectFallsBackOnKeyColumnAtoms) {
-  const RowBlock block = BlockWithRuns();
-  SelVector sel;
-  // Column 1 is constant per run, so its first row decides each run.
-  BlockPredicate(PredicateOf(AtomRange(1, 7, 8))).Select(block, &sel);
-  EXPECT_EQ(sel, (SelVector{0, 1, 2}));
-  BlockPredicate(PredicateOf(AtomRange(1, 9, 10))).Select(block, &sel);
-  EXPECT_EQ(sel, (SelVector{3}));
-  // Column 0 is the key: it varies within a run, so every row decides.
-  BlockPredicate(PredicateOf(AtomRange(0, 1, 3))).Select(block, &sel);
-  EXPECT_EQ(sel, (SelVector{1, 2}));
-  const DnfPredicate mixed =
-      PredicateAllOf({AtomRange(1, 7, 8), AtomRange(0, 2, 4)});
-  BlockPredicate(mixed).Select(block, &sel);
-  EXPECT_EQ(sel, (SelVector{2}));
-}
-
-// A block a TupleGenerator fills with every tuple of T(id, a, b), whose
-// summary row k holds lengths[k] tuples with a = k % 5 and b = k % 3.
-RowBlock GeneratedBlock(const std::vector<int64_t>& lengths) {
-  RelationSummary rs;
-  rs.relation = 0;
-  rs.attr_indices = {1, 2};
-  int64_t rows = 0;
-  for (size_t k = 0; k < lengths.size(); ++k) {
-    SolutionRow row;
-    row.values = {static_cast<Value>(k % 5), static_cast<Value>(k % 3)};
-    row.count = lengths[k];
-    rs.rows.push_back(std::move(row));
-    rows += lengths[k];
-  }
-  rs.Finalize();
-  Relation t("T", static_cast<uint64_t>(rows));
-  t.AddPrimaryKey("id");
-  t.AddDataAttribute("a", Interval(0, 5));
-  t.AddDataAttribute("b", Interval(0, 3));
-  DatabaseSummary summary;
-  summary.schema.AddRelation(std::move(t));
-  summary.relations.push_back(std::move(rs));
-  summary.extra_tuples = {0};
-  RowBlock block(3);
-  TupleGenerator(summary).FillBlockRange(0, 0, rows, &block);
-  return block;
-}
-
-TEST(BlockPredicateTest, RunHeadsAreTheSelectionGroupedByRun) {
-  const std::vector<std::pair<std::string, DnfPredicate>> filters = {
-      {"TRUE", DnfPredicate::True()},
-      {"FALSE", DnfPredicate::False()},
-      {"one atom", PredicateOf(AtomRange(1, 1, 3))},
-      {"two-conjunct DNF",
-       PredicateAllOf({AtomRange(1, 0, 2), AtomEqual(2, 1)})
-           .Or(PredicateOf(AtomEqual(1, 4)))},
-      {"no run passes", PredicateOf(AtomRange(2, 3, 10))},
-  };
-  const std::vector<std::vector<int64_t>> layouts = {
-      std::vector<int64_t>(15, 1), std::vector<int64_t>(15, 2),
-      std::vector<int64_t>(15, 4096), {1, 2, 4096, 2, 1, 4096, 1}};
-  for (const std::vector<int64_t>& lengths : layouts) {
-    const RowBlock block = GeneratedBlock(lengths);
-    ASSERT_TRUE(block.has_runs());
-    for (const auto& [name, dnf] : filters) {
-      const BlockPredicate pred(dnf);
-      // The mask kernels decide every row, runs or not.
-      SelVector masked;
-      pred.SelectRange(block, 0, block.num_rows(), &masked);
-      SelVector sel;
-      pred.Select(block, &sel);
-      EXPECT_EQ(sel, masked) << name;
-      // Group the selection by run: a run is selected whole or not at all.
-      SelVector want_heads;
-      std::vector<uint32_t> want_weights;
-      int64_t run_begin = 0;
-      size_t next = 0;
-      for (const int64_t len : lengths) {
-        size_t in_run = 0;
-        while (next < masked.size() && masked[next] < run_begin + len) {
-          ++next;
-          ++in_run;
-        }
-        if (in_run > 0) {
-          ASSERT_EQ(in_run, static_cast<size_t>(len)) << name;
-          want_heads.push_back(static_cast<int32_t>(run_begin));
-          want_weights.push_back(static_cast<uint32_t>(len));
-        }
-        run_begin += len;
-      }
-      SelVector heads = {99};  // cleared
-      std::vector<uint32_t> weights = {99};
-      pred.SelectRunHeads(block, &heads, &weights);
-      EXPECT_EQ(heads, want_heads) << name << ", " << lengths.size();
-      EXPECT_EQ(weights, want_weights) << name << ", " << lengths.size();
-    }
-  }
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ TEST_F(ScanFilteredTest, EmitsEveryRowOfEitherSource) {
   EXPECT_EQ(Drain(*db_, s_, cols_), Drain(*gen_, s_, cols_));
 }
 
-TEST_F(ScanFilteredTest, PushedFilterMatchesRowWiseEval) {
+TEST_F(ScanFilteredTest, PushedFilterAgreesWithRowWiseEval) {
   // The pushed filter runs the BlockPredicate + Gather kernels; the oracle
   // is DnfPredicate::Eval applied row by row to the unfiltered scan.
   const int a = env_.schema.relation(s_).AttrIndex("A");

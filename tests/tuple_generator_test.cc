@@ -1,7 +1,6 @@
 // Unit tests for hydra/tuple_generator: dynamic generation, random access,
-// materialization (memory + disk), and the two facts a block fill carries:
-// projected fills over live columns and the summary runs that per-run
-// filters decide on.
+// materialization (memory + disk), projected fills over live columns, and
+// filters selecting over generated blocks.
 
 #include <algorithm>
 #include <filesystem>
@@ -236,56 +235,16 @@ TEST_F(TupleGeneratorTest, ProjectedFillMatchesFullFillOnLiveColumns) {
                 << where << ", column " << c << ", row " << r;
           }
         }
-        // Only the generator records runs, and only over a non-empty fill.
-        EXPECT_EQ(projected.has_runs(), source == &gen && end > begin)
-            << where;
       }
     }
   }
 }
 
-TEST_F(TupleGeneratorTest, FillRecordsSummaryRunsKeyedOnThePk) {
-  const TupleGenerator gen(summary_);
-  const int s = env_.schema.RelationIndex("S");
-  const Relation& rel = env_.schema.relation(s);
-  const int width = rel.num_attributes();
-  const int64_t total = static_cast<int64_t>(gen.RowCount(s));
-  RowBlock block(width);
-  gen.FillBlockRange(s, 1, total, &block);
-  ASSERT_TRUE(block.has_runs());
-  EXPECT_EQ(block.run_key_column(), rel.PrimaryKeyIndex());
-  // Runs are non-empty and cover the block, every non-key column is
-  // constant within one, and consecutive runs come from different summary
-  // rows.
-  const RelationSummary& rs = summary_.relations[s];
-  int64_t begin = 0;
-  for (const int64_t end : block.run_ends()) {
-    ASSERT_GT(end, begin);
-    for (int c = 0; c < width; ++c) {
-      if (c == block.run_key_column()) continue;
-      for (int64_t r = begin; r < end; ++r) {
-        ASSERT_EQ(block.At(r, c), block.At(begin, c)) << "column " << c;
-      }
-    }
-    // Block row r holds rank 1 + r.
-    EXPECT_EQ(rs.RowIndexForTuple(1 + begin), rs.RowIndexForTuple(end))
-        << "run [" << begin << ", " << end << ") spans summary rows";
-    if (end < block.num_rows()) {
-      EXPECT_NE(rs.RowIndexForTuple(end), rs.RowIndexForTuple(1 + end))
-          << "a run ends inside a summary row";
-    }
-    begin = end;
-  }
-  EXPECT_EQ(begin, block.num_rows());
-
-  // Appending to a non-empty block records none: runs describe a whole
-  // block.
-  gen.FillBlockRange(s, 0, 1, &block);
-  EXPECT_FALSE(block.has_runs());
-  EXPECT_TRUE(block.run_ends().empty());
-}
-
-TEST(PerRunSelectTest, MatchesMaskKernelsOnGeneratorBlocks) {
+// The mask kernels select over generator blocks exactly the rows
+// DnfPredicate::Eval passes: with PK atoms, whose column counts up inside
+// a summary run, and over a projected fill that leaves the PK unfilled,
+// whose oracle reads the same range filled whole.
+TEST(GeneratorBlockSelectTest, SelectRangeAgreesWithRowOracle) {
   std::mt19937 rng(20261018);
   for (uint32_t seed = 1; seed <= 6; ++seed) {
     const DatabaseSummary summary = RandomRunSummary(seed, 60);
@@ -296,31 +255,26 @@ TEST(PerRunSelectTest, MatchesMaskKernelsOnGeneratorBlocks) {
       const int64_t begin = static_cast<int64_t>(rng() % (total / 2));
       const int64_t end =
           begin + 1 + static_cast<int64_t>(rng() % (total - begin));
+      RowBlock full(3);
+      gen.FillBlockRange(0, begin, end, &full);
       RowBlock block(3);
       if (trial % 4 == 1) block.SetLiveColumns({1, 2});  // PK not filled
       gen.FillBlockRange(0, begin, end, &block);
-      ASSERT_TRUE(block.has_runs());
       const bool with_pk = trial % 4 >= 2;
-      std::vector<DnfPredicate> predicates = {
-          RandomDnf(&rng, with_pk, total), DnfPredicate::True(),
-          DnfPredicate()};
-      if (trial % 4 == 1) predicates.resize(1);
-      for (const DnfPredicate& dnf : predicates) {
-        const kernels::BlockPredicate pred(dnf);
-        SelVector per_run;
-        SelVector masked;
-        pred.Select(block, &per_run);
-        pred.SelectRange(block, 0, block.num_rows(), &masked);
-        EXPECT_EQ(per_run, masked)
-            << dnf.ToString() << " over [" << begin << ", " << end << ")";
-        if (trial % 4 == 1) continue;  // the oracle reads every column
+      for (const DnfPredicate& dnf :
+           {RandomDnf(&rng, with_pk, total), DnfPredicate::True(),
+            DnfPredicate()}) {
         SelVector oracle;
         Row row(3);
-        for (int64_t r = 0; r < block.num_rows(); ++r) {
-          block.CopyRowTo(r, row.data());
+        for (int64_t r = 0; r < full.num_rows(); ++r) {
+          full.CopyRowTo(r, row.data());
           if (dnf.Eval(row)) oracle.push_back(static_cast<int32_t>(r));
         }
-        EXPECT_EQ(per_run, oracle) << dnf.ToString();
+        const kernels::BlockPredicate pred(dnf);
+        SelVector sel;
+        pred.SelectRange(block, 0, block.num_rows(), &sel);
+        EXPECT_EQ(sel, oracle)
+            << dnf.ToString() << " over [" << begin << ", " << end << ")";
       }
     }
   }
