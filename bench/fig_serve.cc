@@ -31,6 +31,13 @@ namespace {
 
 using namespace hydra;
 
+// A session request for `summary_id`, every other field at its default.
+OpenSessionRequest SessionRequest(std::string summary_id) {
+  OpenSessionRequest request;
+  request.summary_id = std::move(summary_id);
+  return request;
+}
+
 constexpr uint64_t kFnvSeed = 14695981039346656037ull;
 
 uint64_t HashValues(uint64_t h, const Value* v, int64_t n) {
@@ -81,7 +88,7 @@ struct WorkItem {
 // returned status; every other failure is fatal. A shed mid-stream leaves
 // the hash partial, so only fully-served items are hash-comparable.
 StatusOr<uint64_t> TryRunItem(RegenServer& server, const WorkItem& item) {
-  auto sid = server.OpenSession(OpenSessionRequest{item.summary_id});
+  auto sid = server.OpenSession(SessionRequest(item.summary_id));
   if (sid.status().code() == StatusCode::kResourceExhausted) {
     return sid.status();
   }
@@ -140,7 +147,7 @@ StatusOr<uint64_t> TryRunItem(RegenServer& server, const WorkItem& item) {
 }
 
 uint64_t RunItem(RegenServer& server, const WorkItem& item) {
-  auto sid = server.OpenSession(OpenSessionRequest{item.summary_id});
+  auto sid = server.OpenSession(SessionRequest(item.summary_id));
   HYDRA_CHECK_MSG(sid.ok(), sid.status().ToString());
   uint64_t h = kFnvSeed;
   switch (item.kind) {
@@ -382,7 +389,7 @@ int main(int argc, char** argv) {
     HYDRA_CHECK_OK(server.RegisterSummary("tpcds", tpcds_path));
     CursorSpec spec;
     spec.relation = toy.schema.RelationIndex("R");
-    auto sid = server.OpenSession(OpenSessionRequest{"toy"});
+    auto sid = server.OpenSession(SessionRequest("toy"));
     HYDRA_CHECK_OK(sid.status());
     auto cid = server.OpenCursor(*sid, spec);
     HYDRA_CHECK_OK(cid.status());
@@ -395,7 +402,7 @@ int main(int argc, char** argv) {
       block = std::move(batch->rows);
     }
     // Touch the other summary so the toy summary is evicted mid-stream.
-    auto other = server.OpenSession(OpenSessionRequest{"tpcds"});
+    auto other = server.OpenSession(SessionRequest("tpcds"));
     HYDRA_CHECK_OK(other.status());
     HYDRA_CHECK_OK(server.Lookup(*other, fact_relation, 0).status());
     HYDRA_CHECK_MSG(server.stats().evictions >= 1, "no eviction forced");
@@ -412,7 +419,7 @@ int main(int argc, char** argv) {
     ref_options.cache_bytes = big_cache;
     RegenServer ref_server(ref_options);
     HYDRA_CHECK_OK(ref_server.RegisterSummary("toy", toy_path));
-    auto ref_sid = ref_server.OpenSession(OpenSessionRequest{"toy"});
+    auto ref_sid = ref_server.OpenSession(SessionRequest("toy"));
     HYDRA_CHECK_OK(ref_sid.status());
     auto ref_cid = ref_server.OpenCursor(*ref_sid, spec);
     HYDRA_CHECK_OK(ref_cid.status());
@@ -626,7 +633,7 @@ int main(int argc, char** argv) {
     uint64_t solo_hash = kFnvSeed;
     {
       auto server = make_server(false);
-      auto sid = server->OpenSession(OpenSessionRequest{"frag"});
+      auto sid = server->OpenSession(SessionRequest("frag"));
       HYDRA_CHECK_OK(sid.status());
       auto cid = server->OpenCursor(*sid, spec);
       HYDRA_CHECK_OK(cid.status());
@@ -649,7 +656,7 @@ int main(int argc, char** argv) {
         std::vector<SessionHandle> sids(clients);
         std::vector<CursorHandle> cids(clients);
         for (int t = 0; t < clients; ++t) {
-          auto sid = server->OpenSession(OpenSessionRequest{"frag"});
+          auto sid = server->OpenSession(SessionRequest("frag"));
           HYDRA_CHECK_OK(sid.status());
           sids[t] = *sid;
           auto cid = server->OpenCursor(sids[t], spec);
@@ -772,7 +779,7 @@ int main(int argc, char** argv) {
     uint64_t net_ref_hash = kFnvSeed;
     {
       auto server = make_server();
-      auto sid = server->OpenSession(OpenSessionRequest{"toy"});
+      auto sid = server->OpenSession(SessionRequest("toy"));
       HYDRA_CHECK_OK(sid.status());
       auto cid = server->OpenCursor(*sid, spec);
       HYDRA_CHECK_OK(cid.status());
@@ -796,7 +803,7 @@ int main(int argc, char** argv) {
         Timer timer;
         for (int t = 0; t < clients; ++t) {
           threads.emplace_back([&] {
-            auto sid = server->OpenSession(OpenSessionRequest{"toy"});
+            auto sid = server->OpenSession(SessionRequest("toy"));
             HYDRA_CHECK_OK(sid.status());
             auto cid = server->OpenCursor(*sid, spec);
             HYDRA_CHECK_OK(cid.status());
@@ -833,7 +840,7 @@ int main(int argc, char** argv) {
           threads.emplace_back([&] {
             NetClient client;
             HYDRA_CHECK_OK(client.Connect("127.0.0.1", port));
-            auto sid = client.OpenSession(OpenSessionRequest{"toy"});
+            auto sid = client.OpenSession(SessionRequest("toy"));
             HYDRA_CHECK_OK(sid.status());
             auto cid = client.OpenCursor(*sid, spec);
             HYDRA_CHECK_OK(cid.status());
@@ -898,7 +905,7 @@ int main(int argc, char** argv) {
       HYDRA_CHECK_OK(net.Start());
       NetClient client;
       HYDRA_CHECK_OK(client.Connect("127.0.0.1", net.port()));
-      auto sid = client.OpenSession(OpenSessionRequest{"toy"});
+      auto sid = client.OpenSession(SessionRequest("toy"));
       HYDRA_CHECK_OK(sid.status());
       auto cid = client.OpenCursor(*sid, spec);
       HYDRA_CHECK_OK(cid.status());
@@ -914,7 +921,7 @@ int main(int argc, char** argv) {
       }
       client.Disconnect();  // abrupt: the server reaps the orphan session
       HYDRA_CHECK_OK(client.Connect("127.0.0.1", net.port()));
-      auto sid2 = client.OpenSession(OpenSessionRequest{"toy"});
+      auto sid2 = client.OpenSession(SessionRequest("toy"));
       HYDRA_CHECK_OK(sid2.status());
       CursorSpec resume = spec;
       resume.begin_rank = resume_rank;

@@ -100,9 +100,6 @@ class RowBlock {
   int64_t num_rows() const { return num_rows_; }
   bool empty() const { return num_rows_ == 0; }
 
-  void Reserve(int64_t rows) {
-    for (int c = 0; c < width_; ++c) cols_[c].reserve(rows);
-  }
   // Grows (or shrinks) every column to exactly `rows` values without
   // initializing new cells; the caller fills them through MutableColumn.
   void ResizeUninitialized(int64_t rows) {

@@ -12,8 +12,35 @@ namespace hydra {
 
 namespace {
 
-// A block's extent along some of its dimensions, one interval list each.
-using Projection = std::vector<std::vector<Interval>>;
+// A block's extent along some of its dimensions (a separator's, in the
+// block's sub-view).
+struct Projection {
+  const Block* block = nullptr;
+  const std::vector<int>* dims = nullptr;
+
+  const IntervalSet& extent(size_t i) const {
+    return block->dims[(*dims)[i]];
+  }
+  friend bool operator==(const Projection& a, const Projection& b) {
+    for (size_t i = 0; i < a.dims->size(); ++i) {
+      if (!(a.extent(i) == b.extent(i))) return false;
+    }
+    return true;
+  }
+  struct Hash {
+    size_t operator()(const Projection& p) const {
+      uint64_t h = 0;
+      for (int d : *p.dims) {
+        for (const Interval& iv : p.block->dims[d].intervals()) {
+          h = (h ^ static_cast<uint64_t>(iv.lo)) * 0x9e3779b97f4a7c15ull;
+          h = (h ^ static_cast<uint64_t>(iv.hi)) * 0x9e3779b97f4a7c15ull;
+        }
+        h = (h ^ 1) * 0x9e3779b97f4a7c15ull;  // ends a dimension's list
+      }
+      return static_cast<size_t>(h);
+    }
+  };
+};
 
 // Local dimension, in `sv`, of each of `columns` (view columns `sv` holds).
 std::vector<int> LocalDims(const SubView& sv, const std::vector<int>& columns) {
@@ -60,30 +87,35 @@ Edge BuildEdge(const View& view, const std::vector<SubViewLp>& subviews,
   std::vector<Interval> domains;
   for (int col : sv.separator) domains.push_back(view.domains[col]);
 
-  std::map<Projection, int> index;
-  const auto project = [&index](const RegionPartition& partition,
-                                const std::vector<int>& dims,
-                                std::vector<int>* out) {
+  // Distinct projections in order of first appearance, each by its first
+  // block.
+  std::vector<Projection> distinct;
+  std::unordered_map<Projection, int, Projection::Hash> index;
+  const auto project = [&](const RegionPartition& partition,
+                           const std::vector<int>& dims,
+                           std::vector<int>* out) {
     for (const Region& region : partition.regions) {
       for (const Block& b : region.blocks) {
-        Projection p;
-        p.reserve(dims.size());
-        for (int d : dims) p.push_back(b.dims[d].intervals());
-        const int next = static_cast<int>(index.size());
-        out->push_back(index.emplace(std::move(p), next).first->second);
+        const Projection p{&b, &dims};
+        const int next = static_cast<int>(distinct.size());
+        const auto [it, inserted] = index.emplace(p, next);
+        if (inserted) distinct.push_back(p);
+        out->push_back(it->second);
       }
     }
   };
   project(subviews[child].partition, e.child_dims, &e.child_projection);
   project(parent.partition, e.parent_dims, &e.parent_projection);
 
-  const int num_projections = static_cast<int>(index.size());
+  const int num_projections = static_cast<int>(distinct.size());
   std::vector<DnfPredicate> constraints(num_projections);
-  for (const auto& [p, j] : index) {
+  for (int j = 0; j < num_projections; ++j) {
     Conjunct conjunct;
-    for (size_t d = 0; d < p.size(); ++d) {
-      if (p[d] == std::vector<Interval>{domains[d]}) continue;  // cannot split
-      conjunct.atoms.push_back(Atom{static_cast<int>(d), IntervalSet(p[d])});
+    for (size_t d = 0; d < domains.size(); ++d) {
+      const IntervalSet& extent = distinct[j].extent(d);
+      const std::vector<Interval>& ivs = extent.intervals();
+      if (ivs.size() == 1 && ivs[0] == domains[d]) continue;  // cannot split
+      conjunct.atoms.push_back(Atom{static_cast<int>(d), extent});
     }
     constraints[j].AddConjunct(std::move(conjunct));
   }
@@ -118,6 +150,8 @@ struct Incident {
 struct Group {
   std::vector<int> members;  // incident indices
   std::vector<int> dims;     // sorted union of their dims
+  // Per member, the position in `dims` of each of its dims.
+  std::vector<std::vector<int>> pos;
 };
 
 std::vector<Group> GroupIncident(const std::vector<Incident>& incident) {
@@ -144,14 +178,57 @@ std::vector<Group> GroupIncident(const std::vector<Incident>& incident) {
     std::sort(joined.members.begin(), joined.members.end());
     groups.push_back(std::move(joined));
   }
+  for (Group& group : groups) {
+    for (int m : group.members) {
+      std::vector<int> pos;
+      for (int d : *incident[m].dims) {
+        pos.push_back(static_cast<int>(
+            std::lower_bound(group.dims.begin(), group.dims.end(), d) -
+            group.dims.begin()));
+      }
+      group.pos.push_back(std::move(pos));
+    }
+  }
   return groups;
 }
+
+// Intervals [begin, begin + size) of an interval arena.
+struct Span {
+  size_t begin = 0;
+  size_t size = 0;
+};
+
+// Whether the value sets a[0, na) and b share a value.
+bool Overlaps(const Interval* a, size_t na, const std::vector<Interval>& b) {
+  size_t i = 0, j = 0;
+  while (i < na && j < b.size()) {
+    if (a[i].Overlaps(b[j])) return true;
+    if (a[i].hi < b[j].hi) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
+
+// Boxes over a group's dims, kept flat: a packed key each, and per group
+// dim an extent (a span of an interval arena).
+struct Boxes {
+  std::vector<uint64_t> key;
+  std::vector<Span> extent;  // group width per box
+};
 
 // The pieces of one block cut by one group's classes: a packed key part
 // each, and the piece's smallest point over the group's dims (flattened).
 struct Pieces {
   std::vector<uint64_t> key;
   std::vector<int64_t> min;
+  // Scratch of the overlapping-separator path.
+  Boxes boxes;
+  Boxes next;
+  std::vector<Interval> intervals;
+  std::vector<int> order;
 };
 
 void GroupPieces(const Group& group, const std::vector<Incident>& incident,
@@ -170,44 +247,73 @@ void GroupPieces(const Group& group, const std::vector<Incident>& incident,
   }
   // Separators sharing dims: intersect the members' class blocks inside
   // the block's extent over the group's dims.
-  using Box = std::pair<uint64_t, std::vector<IntervalSet>>;
-  std::vector<Box> boxes(1);
-  for (int d : group.dims) boxes[0].second.push_back(block.dims[d]);
-  std::vector<Box> next;
-  for (int m : group.members) {
-    const Incident& in = incident[m];
-    std::vector<int> pos;
-    for (int d : *in.dims) {
-      pos.push_back(static_cast<int>(
-          std::lower_bound(group.dims.begin(), group.dims.end(), d) -
-          group.dims.begin()));
-    }
-    next.clear();
-    for (const Box& box : boxes) {
+  const size_t width = group.dims.size();
+  std::vector<Interval>& ivs = out->intervals;
+  Boxes& boxes = out->boxes;
+  Boxes& next = out->next;
+  ivs.clear();
+  boxes.key.assign(1, 0);
+  boxes.extent.clear();
+  for (int d : group.dims) {
+    const std::vector<Interval>& extent = block.dims[d].intervals();
+    boxes.extent.push_back(Span{ivs.size(), extent.size()});
+    ivs.insert(ivs.end(), extent.begin(), extent.end());
+  }
+  for (size_t mi = 0; mi < group.members.size(); ++mi) {
+    const Incident& in = incident[group.members[mi]];
+    const std::vector<int>& pos = group.pos[mi];
+    next.key.clear();
+    next.extent.clear();
+    for (size_t i = 0; i < boxes.key.size(); ++i) {
       for (int k : in.edge->classes_of[(*in.projection)[b]]) {
         for (const Block& cb : in.edge->classes.regions[k].blocks) {
-          Box cut = box;
-          cut.first += in.stride * static_cast<uint64_t>(k);
-          bool empty = false;
-          for (size_t i = 0; i < pos.size() && !empty; ++i) {
-            cut.second[pos[i]] = cut.second[pos[i]].Intersect(cb.dims[i]);
-            empty = cut.second[pos[i]].empty();
+          const Span* box = &boxes.extent[i * width];
+          bool meets = true;
+          for (size_t j = 0; j < pos.size() && meets; ++j) {
+            const Span e = box[pos[j]];
+            meets =
+                Overlaps(ivs.data() + e.begin, e.size, cb.dims[j].intervals());
           }
-          if (!empty) next.push_back(std::move(cut));
+          if (!meets) continue;
+          next.key.push_back(boxes.key[i] +
+                             in.stride * static_cast<uint64_t>(k));
+          const size_t first = next.extent.size();
+          next.extent.insert(next.extent.end(), box, box + width);
+          for (size_t j = 0; j < pos.size(); ++j) {
+            Span& e = next.extent[first + pos[j]];
+            const std::vector<Interval>& c = cb.dims[j].intervals();
+            const Span from = e;
+            e.begin = ivs.size();
+            for (size_t x = 0, y = 0; x < from.size && y < c.size();) {
+              const Interval iv = ivs[from.begin + x];
+              const Interval isect = iv.Intersect(c[y]);
+              if (!isect.empty()) ivs.push_back(isect);
+              if (iv.hi < c[y].hi) {
+                ++x;
+              } else {
+                ++y;
+              }
+            }
+            e.size = ivs.size() - e.begin;
+          }
         }
       }
     }
-    boxes.swap(next);
+    std::swap(boxes, next);
   }
-  std::sort(boxes.begin(), boxes.end(), [](const Box& x, const Box& y) {
-    return x.first < y.first;
+  std::vector<int>& order = out->order;
+  order.resize(boxes.key.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&boxes](int x, int y) {
+    return boxes.key[x] < boxes.key[y];
   });
-  const size_t width = group.dims.size();
   std::vector<int64_t> min(width);
-  for (size_t i = 0; i < boxes.size(); ++i) {
-    for (size_t d = 0; d < width; ++d) min[d] = boxes[i].second[d].Min();
-    if (i == 0 || boxes[i].first != boxes[i - 1].first) {
-      out->key.push_back(boxes[i].first);
+  for (size_t i = 0; i < order.size(); ++i) {
+    const Span* box = &boxes.extent[order[i] * width];
+    for (size_t d = 0; d < width; ++d) min[d] = ivs[box[d].begin].lo;
+    const uint64_t key = boxes.key[order[i]];
+    if (i == 0 || key != boxes.key[order[i - 1]]) {
+      out->key.push_back(key);
       out->min.insert(out->min.end(), min.begin(), min.end());
       continue;
     }
@@ -242,12 +348,16 @@ void SplitRegions(const std::vector<Incident>& incident, SubViewLp* sv,
   const std::vector<Group> groups = GroupIncident(incident);
   std::vector<Pieces> pieces(groups.size());
   std::vector<size_t> pick(groups.size());
-  std::unordered_map<uint64_t, int> slot;
-  std::vector<std::pair<uint64_t, Row>> found;
-  Row point;
+  const size_t width = partition.domains.size();
+  Row base(width), point(width);
+  // The pieces found in the current region: key and smallest point (width
+  // values each).
+  std::vector<uint64_t> found_key;
+  std::vector<Value> found_min;
+  std::vector<int> by_key;
   for (int r : order) {
-    slot.clear();
-    found.clear();
+    found_key.clear();
+    found_min.clear();
     int b = first_block[r];
     for (const Block& block : partition.regions[r].blocks) {
       bool met = true;
@@ -257,7 +367,7 @@ void SplitRegions(const std::vector<Incident>& incident, SubViewLp* sv,
       }
       ++b;
       if (!met) continue;
-      const Row base = block.MinPoint();
+      for (size_t d = 0; d < width; ++d) base[d] = block.dims[d].Min();
       // Every combination of one piece per group is a non-empty piece of
       // the block: the groups' dims are disjoint.
       std::fill(pick.begin(), pick.end(), 0);
@@ -266,18 +376,13 @@ void SplitRegions(const std::vector<Incident>& incident, SubViewLp* sv,
         point = base;
         for (size_t g = 0; g < groups.size(); ++g) {
           key += pieces[g].key[pick[g]];
-          const size_t width = groups[g].dims.size();
-          for (size_t d = 0; d < width; ++d) {
-            point[groups[g].dims[d]] = pieces[g].min[pick[g] * width + d];
+          const size_t n = groups[g].dims.size();
+          for (size_t d = 0; d < n; ++d) {
+            point[groups[g].dims[d]] = pieces[g].min[pick[g] * n + d];
           }
         }
-        const auto [it, inserted] =
-            slot.emplace(key, static_cast<int>(found.size()));
-        if (inserted) {
-          found.emplace_back(key, point);
-        } else if (point < found[it->second].second) {
-          found[it->second].second = point;
-        }
+        found_key.push_back(key);
+        found_min.insert(found_min.end(), point.begin(), point.end());
         size_t g = 0;
         while (g < groups.size() && ++pick[g] == pieces[g].key.size()) {
           pick[g++] = 0;
@@ -285,11 +390,23 @@ void SplitRegions(const std::vector<Incident>& incident, SubViewLp* sv,
         if (g == groups.size()) break;
       }
     }
-    std::sort(found.begin(), found.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    for (auto& [key, min_point] : found) {
-      sv->variables.push_back(RegionPiece{r, std::move(min_point)});
-      keys->push_back(key);
+    // One variable per key, at the smallest point of its pieces.
+    const auto min = [&found_min, width](int i) {
+      return found_min.begin() + i * width;
+    };
+    by_key.resize(found_key.size());
+    std::iota(by_key.begin(), by_key.end(), 0);
+    std::sort(by_key.begin(), by_key.end(), [&](int x, int y) {
+      if (found_key[x] != found_key[y]) return found_key[x] < found_key[y];
+      return std::lexicographical_compare(min(x), min(x) + width, min(y),
+                                          min(y) + width);
+    });
+    for (size_t i = 0; i < by_key.size(); ++i) {
+      const int piece = by_key[i];
+      if (i > 0 && found_key[piece] == found_key[by_key[i - 1]]) continue;
+      sv->variables.push_back(
+          RegionPiece{r, Row(min(piece), min(piece) + width)});
+      keys->push_back(found_key[piece]);
     }
   }
 }
@@ -486,23 +603,22 @@ StatusOr<ViewLp> FormulateViewLp(const View& view,
     out.problem.AddConstraint(std::move(c));
   }
 
-  // (b) One LP row per assigned CC.
+  // (b) One LP row per assigned CC, filled in one pass over the variables.
   for (const SubViewLp& sv : out.subviews) {
-    for (size_t k = 0; k < sv.assigned_constraints.size(); ++k) {
-      const int ci = sv.assigned_constraints[k];
-      LpConstraint c;
-      c.label = out.constraints[ci].label;
-      c.rhs = static_cast<double>(out.constraints[ci].cardinality);
-      for (int v = 0; v < sv.num_vars(); ++v) {
-        // Region labels index the sub-view's local predicate list, which is
-        // ordered like assigned_constraints.
-        const Region& region = sv.partition.regions[sv.variables[v].region];
-        if (region.SatisfiesConstraint(static_cast<int>(k))) {
-          c.AddTerm(sv.first_var + v, 1.0);
-        }
-      }
-      out.problem.AddConstraint(std::move(c));
+    std::vector<LpConstraint> rows(sv.assigned_constraints.size());
+    for (size_t k = 0; k < rows.size(); ++k) {
+      const ViewConstraint& vc = out.constraints[sv.assigned_constraints[k]];
+      rows[k].label = vc.label;
+      rows[k].rhs = static_cast<double>(vc.cardinality);
     }
+    for (int v = 0; v < sv.num_vars(); ++v) {
+      // Region labels index the sub-view's local predicate list, which is
+      // ordered like assigned_constraints.
+      for (int k : sv.partition.regions[sv.variables[v].region].label) {
+        rows[k].AddTerm(sv.first_var + v, 1.0);
+      }
+    }
+    for (LpConstraint& c : rows) out.problem.AddConstraint(std::move(c));
   }
 
   // (c) Consistency constraints per clique-tree edge: equal child and
@@ -513,7 +629,8 @@ StatusOr<ViewLp> FormulateViewLp(const View& view,
     if (edge.classes.num_regions() == 0) continue;
     const SubViewLp& parent = out.subviews[child.subview.parent];
     std::vector<LpConstraint> rows(edge.classes.num_regions());
-    for (LpConstraint& c : rows) c.label = "consistency sv" + std::to_string(s);
+    const std::string label = "consistency sv" + std::to_string(s);
+    for (LpConstraint& c : rows) c.label = label;
     for (int v = 0; v < parent.num_vars(); ++v) {
       rows[edge.parent_class[v]].AddTerm(parent.first_var + v, -1.0);
     }

@@ -114,7 +114,7 @@ StatusOr<RegenerationResult> HydraRegenerator::Regenerate(
     report.relation = views[v].relation;
 
     const auto tf = std::chrono::steady_clock::now();
-    auto lp_or = FormulateViewLp(views[v], view_constraints[v]);
+    auto lp_or = FormulateViewLp(views[v], std::move(view_constraints[v]));
     if (!lp_or.ok()) {
       statuses[v] = ViewError(schema_, views[v], lp_or.status());
       any_failed.store(true, std::memory_order_relaxed);

@@ -40,6 +40,13 @@
 namespace hydra {
 namespace {
 
+// A session request for `summary_id`, every other field at its default.
+OpenSessionRequest SessionRequest(std::string summary_id) {
+  OpenSessionRequest request;
+  request.summary_id = std::move(summary_id);
+  return request;
+}
+
 uint64_t ChaosSeed() {
   const char* env = std::getenv("HYDRA_CHAOS_SEED");
   if (env != nullptr && *env != '\0') {
@@ -154,8 +161,7 @@ ItemResult RunItem(RegenServer& server, const ToyEnvironment& env,
     result.error = s;
     return result;
   };
-  auto sid = server.OpenSession(
-      OpenSessionRequest{c % 2 == 0 ? "alpha" : "beta"});
+  auto sid = server.OpenSession(SessionRequest(c % 2 == 0 ? "alpha" : "beta"));
   if (!sid.ok()) return fail(sid.status());
   uint64_t h = kFnvSeed;
   if (IsCursorItem(c)) {
@@ -350,8 +356,8 @@ TEST_F(ChaosServeTest, MetricInvariantsHoldUnderFaultStorm) {
     for (int i = 0; i < kConns; ++i) {
       auto client = std::make_unique<NetClient>();
       ASSERT_TRUE(client->Connect("127.0.0.1", net.port()).ok());
-      auto first = client->OpenSession(OpenSessionRequest{"alpha"});
-      auto second = client->OpenSession(OpenSessionRequest{"beta"});
+      auto first = client->OpenSession(SessionRequest("alpha"));
+      auto second = client->OpenSession(SessionRequest("beta"));
       ASSERT_TRUE(first.ok() && second.ok());
       if (i == 0) {
         ASSERT_TRUE(client->CloseSession(*first).ok());
@@ -417,7 +423,7 @@ TEST_F(ChaosServeTest, ExhaustedRetriesSurfaceTheTransientError) {
       Failpoint::ArmFromString("serve/summary_load=error(UNAVAILABLE,times=5)")
           .ok());
   // 1 retry against 5 scheduled failures: the open fails, cleanly.
-  EXPECT_EQ(server.OpenSession(OpenSessionRequest{"alpha"}).status().code(),
+  EXPECT_EQ(server.OpenSession(SessionRequest("alpha")).status().code(),
             StatusCode::kUnavailable);
   EXPECT_EQ(server.stats().load_retries, 1u);
 }
@@ -434,7 +440,7 @@ TEST_F(ChaosServeTest, SharedChunkFaultFailsOnlyTheProducingGrant) {
   options.batch_rows = 8192;
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
-  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   CursorSpec spec;
   spec.relation = env_.schema.RelationIndex("R");
@@ -510,7 +516,7 @@ TEST_F(ChaosServeTest, SharedScanSurvivesSeededChunkFaultSchedule) {
   std::vector<std::thread> members;
   for (int t = 0; t < kMembers; ++t) {
     members.emplace_back([&, t] {
-      auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+      auto sid = server.OpenSession(SessionRequest("alpha"));
       if (!sid.ok()) {
         errors[t] = sid.status().ToString();
         return;
@@ -564,7 +570,7 @@ TEST_F(ChaosServeTest, CancelledSessionStopsWithinOneBatch) {
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
 
-  OpenSessionRequest request{"alpha"};
+  OpenSessionRequest request = SessionRequest("alpha");
   request.cancel = std::make_shared<CancelToken>();
   auto sid = server.OpenSession(request);
   ASSERT_TRUE(sid.ok());
@@ -588,7 +594,7 @@ TEST_F(ChaosServeTest, CancelledSessionStopsWithinOneBatch) {
   EXPECT_GE(server.stats().cancelled_requests, 1u);
 
   // CancelSession works the same for sessions without a client token.
-  auto sid2 = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid2 = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid2.ok());
   ASSERT_TRUE(server.CancelSession(*sid2).ok());
   EXPECT_EQ(server.Lookup(*sid2, 0, 0).status().code(),
@@ -602,7 +608,7 @@ TEST_F(ChaosServeTest, SessionDeadlineExpiresMidStream) {
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
 
-  OpenSessionRequest request{"alpha"};
+  OpenSessionRequest request = SessionRequest("alpha");
   request.deadline_ms = 30;
   auto sid = server.OpenSession(request);
   ASSERT_TRUE(sid.ok());
@@ -634,7 +640,7 @@ TEST_F(ChaosServeTest, CancelCutsShortAnEngineQuery) {
   options.max_inflight = 2;
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
-  OpenSessionRequest request{"alpha"};
+  OpenSessionRequest request = SessionRequest("alpha");
   request.cancel = std::make_shared<CancelToken>();
   request.cancel->Cancel();  // already tripped: fails immediately
   auto sid = server.OpenSession(request);
@@ -690,16 +696,16 @@ TEST_F(ChaosServeTest, SessionCapShedsOpens) {
   options.max_sessions = 2;
   RegenServer server(options);
   ASSERT_TRUE(server.RegisterSummary("alpha", path_).ok());
-  auto a = server.OpenSession(OpenSessionRequest{"alpha"});
-  auto b = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto a = server.OpenSession(SessionRequest("alpha"));
+  auto b = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(server.OpenSession(OpenSessionRequest{"alpha"}).status().code(),
+  EXPECT_EQ(server.OpenSession(SessionRequest("alpha")).status().code(),
             StatusCode::kResourceExhausted);
   EXPECT_GE(server.stats().shed_requests, 1u);
   ASSERT_TRUE(server.CloseSession(*a).ok());
   // Capacity freed.
-  EXPECT_TRUE(server.OpenSession(OpenSessionRequest{"alpha"}).ok());
+  EXPECT_TRUE(server.OpenSession(SessionRequest("alpha")).ok());
 }
 
 // ---- degradation ----------------------------------------------------------
@@ -741,7 +747,7 @@ TEST_F(ChaosServeTest, ShutdownUnderLoadDrainsCleanly) {
   std::vector<std::thread> clients;
   for (int t = 0; t < 6; ++t) {
     clients.emplace_back([&] {
-      auto sid = server->OpenSession(OpenSessionRequest{"alpha"});
+      auto sid = server->OpenSession(SessionRequest("alpha"));
       if (!sid.ok()) {
         if (sid.status().code() != StatusCode::kUnavailable) {
           unclean.fetch_add(1);
@@ -780,7 +786,7 @@ TEST_F(ChaosServeTest, ShutdownUnderLoadDrainsCleanly) {
   shutdown_started.store(true, std::memory_order_relaxed);
   ASSERT_TRUE(server->Shutdown().ok());
   // Post-drain: nothing is admitted or queued, and new opens are refused.
-  EXPECT_EQ(server->OpenSession(OpenSessionRequest{"alpha"}).status().code(),
+  EXPECT_EQ(server->OpenSession(SessionRequest("alpha")).status().code(),
             StatusCode::kUnavailable);
   EXPECT_TRUE(server->shutting_down());
   for (std::thread& th : clients) th.join();
@@ -821,7 +827,7 @@ bool StreamOverWireWithResume(int port, const CursorSpec& spec,
       }
     }
     if (!open) {
-      auto session = client.OpenSession(OpenSessionRequest{"alpha"});
+      auto session = client.OpenSession(SessionRequest("alpha"));
       if (!session.ok()) {
         if (transport_failure(session.status())) {
           ++failures;
@@ -891,7 +897,7 @@ TEST_F(ChaosServeTest, NetKillMidStreamResumesByteIdentical) {
   spec.relation = r;
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", net.port()).ok());
-  auto sid = client.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = client.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok()) << sid.status().ToString();
   auto cid = client.OpenCursor(*sid, spec);
   ASSERT_TRUE(cid.ok());
@@ -920,7 +926,7 @@ TEST_F(ChaosServeTest, NetKillMidStreamResumesByteIdentical) {
   // Reconnect, reopen at the last consumed rank: the concatenation must be
   // the one uninterrupted stream.
   ASSERT_TRUE(client.Connect("127.0.0.1", net.port()).ok());
-  auto sid2 = client.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid2 = client.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid2.ok());
   CursorSpec resumed = spec;
   resumed.begin_rank = resume_rank;

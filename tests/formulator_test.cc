@@ -1,14 +1,24 @@
 // Unit tests for hydra/formulator: LP structure, solvability, consistency.
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "hydra/formulator.h"
 #include "hydra/preprocessor.h"
+#include "hydra/regenerator.h"
 #include "hydra/summary_generator.h"
+#include "hydra/summary_io.h"
 #include "lp/integerize.h"
 #include "lp/simplex.h"
 #include "workload/toy.h"
+#include "workload/tpcds.h"
+#include "workload/workload_runner.h"
 
 namespace hydra {
 namespace {
@@ -463,6 +473,150 @@ TEST(FormulatorTest, DnfConstraintFormulated) {
     }
   }
   EXPECT_EQ(satisfied, 250);
+}
+
+// FNV-1a over the bytes of every value fed to it.
+class Fnv {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      hash_ = (hash_ ^ p[i]) * 1099511628211ull;
+    }
+  }
+  void Int(int64_t v) { Bytes(&v, sizeof v); }
+  void Double(double v) { Bytes(&v, sizeof v); }
+  void Text(const std::string& s) {
+    Int(static_cast<int64_t>(s.size()));
+    Bytes(s.data(), s.size());
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+void HashPartition(const RegionPartition& p, Fnv* f) {
+  f->Int(static_cast<int64_t>(p.domains.size()));
+  for (const Interval& d : p.domains) {
+    f->Int(d.lo);
+    f->Int(d.hi);
+  }
+  f->Int(p.num_regions());
+  for (const Region& region : p.regions) {
+    f->Int(static_cast<int64_t>(region.label.size()));
+    for (int ci : region.label) f->Int(ci);
+    f->Int(static_cast<int64_t>(region.blocks.size()));
+    for (const Block& b : region.blocks) {
+      for (const IntervalSet& s : b.dims) {
+        f->Int(static_cast<int64_t>(s.intervals().size()));
+        for (const Interval& iv : s.intervals()) {
+          f->Int(iv.lo);
+          f->Int(iv.hi);
+        }
+      }
+    }
+  }
+}
+
+// Hashes of everything a TPC-DS site's regeneration formulates and ships.
+struct FormulationPins {
+  uint64_t lps = 0;       // every view LP: rows' labels, rhs, vars, coeffs
+  uint64_t subviews = 0;  // regions, variables and edge classes
+  uint64_t summary = 0;   // WriteSummary's bytes
+  uint64_t pivots = 0;    // phase-I pivots per view
+};
+
+FormulationPins PinSite(TpcdsWorkloadKind kind, int num_queries,
+                        uint64_t query_seed) {
+  FormulationPins pins;
+  const Schema schema = TpcdsSchema(4);
+  auto site = BuildClientSite(
+      schema, DataGenOptions{.seed = 3},
+      TpcdsWorkload(schema, kind, num_queries, query_seed));
+  EXPECT_TRUE(site.ok()) << site.status().ToString();
+  if (!site.ok()) return pins;
+
+  Preprocessor pre(site->schema);
+  auto views = pre.BuildViews();
+  EXPECT_TRUE(views.ok()) << views.status().ToString();
+  if (!views.ok()) return pins;
+  auto mapped = pre.MapConstraints(*views, site->ccs);
+  EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();
+  if (!mapped.ok()) return pins;
+  Fnv lps, subviews;
+  for (size_t v = 0; v < views->size(); ++v) {
+    auto lp = FormulateViewLp((*views)[v], (*mapped)[v]);
+    EXPECT_TRUE(lp.ok()) << lp.status().ToString();
+    if (!lp.ok()) return pins;
+    lps.Int(lp->problem.num_vars());
+    for (const LpConstraint& c : lp->problem.constraints()) {
+      lps.Text(c.label);
+      lps.Double(c.rhs);
+      lps.Int(static_cast<int64_t>(c.vars.size()));
+      for (size_t i = 0; i < c.vars.size(); ++i) {
+        lps.Int(c.vars[i]);
+        lps.Double(c.coeffs[i]);
+      }
+    }
+    for (const SubViewLp& sv : lp->subviews) {
+      HashPartition(sv.partition, &subviews);
+      subviews.Int(sv.first_var);
+      for (const RegionPiece& piece : sv.variables) {
+        subviews.Int(piece.region);
+        for (Value x : piece.min_point) subviews.Int(x);
+      }
+      HashPartition(sv.parent_edge.classes, &subviews);
+      for (int k : sv.parent_edge.child_class) subviews.Int(k);
+      for (int k : sv.parent_edge.parent_class) subviews.Int(k);
+    }
+  }
+  pins.lps = lps.value();
+  pins.subviews = subviews.value();
+
+  auto result = HydraRegenerator(site->schema).Regenerate(site->ccs);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return pins;
+  Fnv pivots;
+  for (const ViewReport& report : result->views) {
+    pivots.Int(report.lp_iterations);
+  }
+  pins.pivots = pivots.value();
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("hydra_formulator_pin_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  auto written = WriteSummary(result->summary, path);
+  EXPECT_TRUE(written.ok()) << written.status().ToString();
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  Fnv summary;
+  summary.Bytes(bytes.data(), bytes.size());
+  pins.summary = summary.value();
+  return pins;
+}
+
+// The formulation of two TPC-DS sites (sf 4, client seed 3), pinned bit for
+// bit: a change to Algorithms 1-2 or to FormulateViewLp that reorders a
+// region, a block, a variable or an LP term moves these hashes. Re-record
+// them only for a change meant to alter the LPs.
+TEST(FormulatorPinTest, WlcSiteFormulationIsPinned) {
+  const FormulationPins pins =
+      PinSite(TpcdsWorkloadKind::kComplex, 200, 424242);
+  EXPECT_EQ(pins.lps, 2956621434825151470u);
+  EXPECT_EQ(pins.subviews, 13305357494259340489u);
+  EXPECT_EQ(pins.summary, 5664614842681426159u);
+  EXPECT_EQ(pins.pivots, 1416896646674844255u);
+}
+
+TEST(FormulatorPinTest, WlsSiteFormulationIsPinned) {
+  const FormulationPins pins = PinSite(TpcdsWorkloadKind::kSimple, 80, 515151);
+  EXPECT_EQ(pins.lps, 17053640631984739189u);
+  EXPECT_EQ(pins.subviews, 4585474242971945159u);
+  EXPECT_EQ(pins.summary, 9599163666319749007u);
+  EXPECT_EQ(pins.pivots, 2929734719507674429u);
 }
 
 }  // namespace

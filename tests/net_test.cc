@@ -41,6 +41,13 @@
 namespace hydra {
 namespace {
 
+// A session request for `summary_id`, every other field at its default.
+OpenSessionRequest SessionRequest(std::string summary_id) {
+  OpenSessionRequest request;
+  request.summary_id = std::move(summary_id);
+  return request;
+}
+
 constexpr uint64_t kFnvSeed = 14695981039346656037ull;
 
 uint64_t HashValues(uint64_t h, const Value* v, int64_t n) {
@@ -96,7 +103,7 @@ TEST(WireTest, ValidateRejectsBadHeaders) {
 }
 
 TEST(WireTest, OpenSessionRequestRoundTripsQosFields) {
-  OpenSessionRequest request{"alpha"};
+  OpenSessionRequest request = SessionRequest("alpha");
   request.deadline_ms = 1234;
   request.priority = 5;
   request.rate_limit_rows_per_sec = 9999;
@@ -354,7 +361,7 @@ class NetTest : public ::testing::Test {
 
   // Drains `spec` through `client`, accumulating the row-stream hash.
   uint64_t StreamHash(NetClient& client, const CursorSpec& spec) {
-    auto sid = client.OpenSession(OpenSessionRequest{"alpha"});
+    auto sid = client.OpenSession(SessionRequest("alpha"));
     EXPECT_TRUE(sid.ok()) << sid.status().ToString();
     auto cid = client.OpenCursor(*sid, spec);
     EXPECT_TRUE(cid.ok()) << cid.status().ToString();
@@ -373,7 +380,7 @@ class NetTest : public ::testing::Test {
 
   // The in-process reference for the same spec.
   uint64_t InProcessHash(const CursorSpec& spec) {
-    auto sid = server_->OpenSession(OpenSessionRequest{"alpha"});
+    auto sid = server_->OpenSession(SessionRequest("alpha"));
     EXPECT_TRUE(sid.ok());
     auto cid = server_->OpenCursor(*sid, spec);
     EXPECT_TRUE(cid.ok());
@@ -438,7 +445,7 @@ TEST_F(NetTest, PingStatsAndQosRideTheWire) {
 
   // A rate-limited session opened over the wire is paced server-side, and
   // the QoS counters come back in the GetMetrics snapshot.
-  OpenSessionRequest request{"alpha"};
+  OpenSessionRequest request = SessionRequest("alpha");
   request.rate_limit_rows_per_sec = 20000;
   request.priority = 3;
   auto sid = client.OpenSession(request);
@@ -550,7 +557,7 @@ TEST_F(NetTest, HydraStatsPrintsTheLiveSnapshotAsPrometheusText) {
 TEST_F(NetTest, DeadlineRidesTheOpenFrame) {
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", port()).ok());
-  OpenSessionRequest request{"alpha"};
+  OpenSessionRequest request = SessionRequest("alpha");
   request.deadline_ms = 30;
   auto sid = client.OpenSession(request);
   ASSERT_TRUE(sid.ok());
@@ -582,7 +589,7 @@ TEST_F(NetTest, SessionsAreConnectionScoped) {
   NetClient b;
   ASSERT_TRUE(a.Connect("127.0.0.1", port()).ok());
   ASSERT_TRUE(b.Connect("127.0.0.1", port()).ok());
-  auto sid = a.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = a.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   // Another connection can't address it — not closing, not streaming.
   EXPECT_EQ(b.CloseSession(*sid).code(), StatusCode::kNotFound);
@@ -595,7 +602,7 @@ TEST_F(NetTest, SessionsAreConnectionScoped) {
 TEST_F(NetTest, OverlongProjectionFailsTheOpenNotTheConnection) {
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", port()).ok());
-  auto sid = client.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = client.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   CursorSpec spec;
   spec.relation = env_.schema.RelationIndex("R");
@@ -617,7 +624,7 @@ TEST_F(NetTest, OverlongProjectionFailsTheOpenNotTheConnection) {
 TEST_F(NetTest, OverlongFilterFailsTheOpenNotTheConnection) {
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", port()).ok());
-  auto sid = client.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = client.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   CursorSpec spec;
   spec.relation = env_.schema.RelationIndex("R");
@@ -649,7 +656,7 @@ TEST_F(NetTest, OverlongFilterFailsTheOpenNotTheConnection) {
 TEST_F(NetTest, DisconnectReapsTheConnectionsSessions) {
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", port()).ok());
-  auto sid = client.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = client.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   CursorSpec spec;
   spec.relation = env_.schema.RelationIndex("R");
@@ -699,7 +706,7 @@ TEST_F(NetTest, DisconnectCancelsARequestParkedInAdmission) {
     return id;
   };
 
-  OpenSessionRequest request{"alpha"};
+  OpenSessionRequest request = SessionRequest("alpha");
   request.rate_limit_rows_per_sec = 1;
   std::string body;
   AppendOpenSessionRequest(request, &body);
@@ -772,7 +779,7 @@ TEST_F(NetTest, NetStatsFieldsEqualTheirSnapshotEntries) {
   spec.relation = env_.schema.RelationIndex("R");
   spec.end_rank = 3000;
   StreamHash(client, spec);
-  ASSERT_TRUE(client.OpenSession(OpenSessionRequest{"alpha"}).ok());
+  ASSERT_TRUE(client.OpenSession(SessionRequest("alpha")).ok());
   RawConn conn(port());
   ASSERT_TRUE(conn.connected());
   ASSERT_TRUE(conn.Send(Frame(static_cast<Opcode>(0x77), 1, "")));

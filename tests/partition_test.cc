@@ -264,6 +264,210 @@ TEST_P(RegionOptimalityTest, RegionCountEqualsDistinctSignatures) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RegionOptimalityTest,
                          ::testing::Range<uint64_t>(0, 30));
 
+// --- Reference oracle: Algorithms 1-2 as a plain constraint-by-constraint
+// sweep, labelled by evaluating every constraint at each block's smallest
+// point. BuildRegionPartition must return exactly its regions: the same
+// labels, the same blocks in the same order, the same interval bounds.
+
+std::vector<Block> ReferenceValidBlocks(
+    const std::vector<Interval>& domains,
+    const std::vector<Conjunct>& sub_constraints, bool lazy) {
+  const int n = static_cast<int>(domains.size());
+  const size_t m = sub_constraints.size();
+  struct PendingBlock {
+    Block block;
+    std::vector<bool> inside;
+  };
+  Block universe;
+  for (const Interval& d : domains) universe.dims.push_back(IntervalSet(d));
+  std::vector<PendingBlock> blocks;
+  if (!universe.empty()) {
+    blocks.push_back({std::move(universe), std::vector<bool>(m, true)});
+  }
+  for (int dim = 0; dim < n; ++dim) {
+    for (size_t k = 0; k < m; ++k) {
+      const Conjunct& c = sub_constraints[k];
+      if (!c.Mentions(dim)) continue;
+      const IntervalSet restriction = c.RestrictTo(dim, domains[dim]);
+      std::vector<PendingBlock> next;
+      for (PendingBlock& pb : blocks) {
+        if (lazy && !pb.inside[k]) {
+          next.push_back(std::move(pb));
+          continue;
+        }
+        const IntervalSet inside = pb.block.dims[dim].Intersect(restriction);
+        if (inside.empty()) {
+          pb.inside[k] = false;
+          next.push_back(std::move(pb));
+          continue;
+        }
+        if (inside == pb.block.dims[dim]) {
+          next.push_back(std::move(pb));
+          continue;
+        }
+        PendingBlock b_plus;
+        b_plus.block = pb.block;
+        b_plus.block.dims[dim] = inside;
+        b_plus.inside = pb.inside;
+        PendingBlock b_minus = std::move(pb);
+        b_minus.block.dims[dim] =
+            b_minus.block.dims[dim].Difference(restriction);
+        b_minus.inside[k] = false;
+        next.push_back(std::move(b_plus));
+        next.push_back(std::move(b_minus));
+      }
+      blocks = std::move(next);
+    }
+  }
+  std::vector<Block> out;
+  for (PendingBlock& pb : blocks) out.push_back(std::move(pb.block));
+  return out;
+}
+
+std::vector<Conjunct> SubConstraints(
+    const std::vector<DnfPredicate>& constraints) {
+  std::vector<Conjunct> sub_constraints;
+  for (const DnfPredicate& p : constraints) {
+    for (const Conjunct& c : p.conjuncts()) {
+      if (!c.atoms.empty()) sub_constraints.push_back(c);
+    }
+  }
+  return sub_constraints;
+}
+
+RegionPartition ReferencePartition(const std::vector<Interval>& domains,
+                                   const std::vector<DnfPredicate>& constraints,
+                                   bool lazy) {
+  std::vector<Block> blocks =
+      ReferenceValidBlocks(domains, SubConstraints(constraints), lazy);
+  RegionPartition partition;
+  partition.domains = domains;
+  std::map<std::vector<int>, int> label_to_region;
+  for (Block& b : blocks) {
+    const Row point = b.MinPoint();
+    std::vector<int> label;
+    for (size_t ci = 0; ci < constraints.size(); ++ci) {
+      if (constraints[ci].Eval(point)) label.push_back(static_cast<int>(ci));
+    }
+    auto [it, inserted] =
+        label_to_region.emplace(label, partition.num_regions());
+    if (inserted) {
+      Region region;
+      region.label = label;
+      partition.regions.push_back(std::move(region));
+    }
+    partition.regions[it->second].blocks.push_back(std::move(b));
+  }
+  return partition;
+}
+
+// A random atom on `column`: ranges, one-sided comparisons (whose sentinels
+// lie past any domain), equality, != and IN, with constants that may fall
+// outside `domain`.
+Atom RandomAtom(int column, const Interval& domain, Rng& rng) {
+  const auto value = [&] { return rng.NextInt(domain.lo - 3, domain.hi + 3); };
+  switch (rng.NextInt(0, 6)) {
+    case 0: {
+      const int64_t lo = value();
+      return AtomRange(column, lo, rng.NextInt(lo, domain.hi + 8));
+    }
+    case 1:
+      return AtomLess(column, value());
+    case 2:
+      return AtomGreaterEqual(column, value());
+    case 3:
+      return AtomEqual(column, value());
+    case 4:
+      return AtomNotEqual(column, value());
+    default: {
+      std::vector<Value> values;
+      const int count = static_cast<int>(rng.NextInt(1, 5));
+      for (int i = 0; i < count; ++i) values.push_back(value());
+      return AtomIn(column, values);
+    }
+  }
+}
+
+// Random DNF constraints over `domains`, with empty (TRUE) conjuncts like
+// the ones BuildEdge makes and, rarely, a FALSE predicate.
+std::vector<DnfPredicate> RandomConstraints(
+    const std::vector<Interval>& domains, Rng& rng) {
+  const int dims = static_cast<int>(domains.size());
+  std::vector<DnfPredicate> constraints;
+  const int count = static_cast<int>(rng.NextInt(0, 10));
+  for (int i = 0; i < count; ++i) {
+    DnfPredicate p;
+    const int conjuncts =
+        rng.NextBool(0.03) ? 0 : static_cast<int>(rng.NextInt(1, 4));
+    for (int j = 0; j < conjuncts; ++j) {
+      Conjunct c;
+      if (!rng.NextBool(0.15)) {
+        const int atoms = static_cast<int>(rng.NextInt(1, dims + 2));
+        for (int a = 0; a < atoms; ++a) {
+          const int col = static_cast<int>(rng.NextInt(0, dims));
+          c.AddAtom(RandomAtom(col, domains[col], rng));
+        }
+      }
+      p.AddConjunct(std::move(c));
+    }
+    constraints.push_back(std::move(p));
+  }
+  return constraints;
+}
+
+void ExpectSameBlocks(const std::vector<Block>& got,
+                      const std::vector<Block>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t b = 0; b < want.size(); ++b) {
+    ASSERT_EQ(got[b].dims.size(), want[b].dims.size()) << where;
+    for (size_t d = 0; d < want[b].dims.size(); ++d) {
+      ASSERT_EQ(got[b].dims[d].intervals(), want[b].dims[d].intervals())
+          << where << " block " << b << ": " << got[b].ToString() << " vs "
+          << want[b].ToString();
+    }
+  }
+}
+
+TEST(RegionPartitionOracleTest, MatchesTheReferenceSweepExactly) {
+  int cases = 0;
+  for (uint64_t seed = 0; seed < 3000; ++seed) {
+    Rng rng(seed * 7919 + 17);
+    const bool lazy = seed % 3 != 0;
+    // The naive sweep refines towards the full grid: keep it to 2 dims.
+    const int dims = static_cast<int>(rng.NextInt(1, lazy ? 5 : 3));
+    std::vector<Interval> domains;
+    for (int d = 0; d < dims; ++d) {
+      const int64_t lo = rng.NextInt(-5, 6);
+      const int64_t width = rng.NextBool(0.02) ? 0 : rng.NextInt(1, 40);
+      domains.push_back(Interval(lo, lo + width));
+    }
+    const std::vector<DnfPredicate> constraints =
+        RandomConstraints(domains, rng);
+    RegionPartitionOptions options;
+    options.lazy_constraint_tracking = lazy;
+    const std::string where = "seed " + std::to_string(seed);
+
+    ExpectSameBlocks(
+        BuildValidBlocks(domains, SubConstraints(constraints), options),
+        ReferenceValidBlocks(domains, SubConstraints(constraints), lazy),
+        where);
+    const RegionPartition got =
+        BuildRegionPartition(domains, constraints, options);
+    const RegionPartition want = ReferencePartition(domains, constraints, lazy);
+    ASSERT_EQ(got.domains.size(), want.domains.size()) << where;
+    ASSERT_EQ(got.num_regions(), want.num_regions()) << where;
+    for (int r = 0; r < want.num_regions(); ++r) {
+      ASSERT_EQ(got.regions[r].label, want.regions[r].label)
+          << where << " region " << r;
+      ExpectSameBlocks(got.regions[r].blocks, want.regions[r].blocks,
+                       where + " region " + std::to_string(r));
+    }
+    ++cases;
+  }
+  EXPECT_EQ(cases, 3000);
+}
+
 // --- Grid ---------------------------------------------------------------
 
 TEST(GridPartitionTest, BoundariesFromConstants) {

@@ -29,6 +29,13 @@
 namespace hydra {
 namespace {
 
+// A session request for `summary_id`, every other field at its default.
+OpenSessionRequest SessionRequest(std::string summary_id) {
+  OpenSessionRequest request;
+  request.summary_id = std::move(summary_id);
+  return request;
+}
+
 constexpr uint64_t kFnvSeed = 14695981039346656037ull;
 
 uint64_t HashValues(uint64_t h, const Value* v, int64_t n) {
@@ -115,8 +122,7 @@ uint64_t RunItem(RegenServer& server, const ToyEnvironment& env, int c,
     *error = "item " + std::to_string(c) + ": " + s.ToString();
     return uint64_t{0};
   };
-  auto sid = server.OpenSession(
-      OpenSessionRequest{c % 2 == 0 ? "alpha" : "beta"});
+  auto sid = server.OpenSession(SessionRequest(c % 2 == 0 ? "alpha" : "beta"));
   if (!sid.ok()) return fail(sid.status());
   uint64_t h = kFnvSeed;
   const int kind = c % 3;
@@ -228,7 +234,7 @@ TEST_F(ServeTest, StreamsByteIdenticalAcrossConfigurations) {
 TEST_F(ServeTest, CursorStreamMatchesGeneratorScan) {
   RegenServer server{ServeOptions{}};
   RegisterBoth(server);
-  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   const int r = env_.schema.RelationIndex("R");
   CursorSpec spec;
@@ -322,7 +328,7 @@ TEST_F(ServeTest, PrivateGrantsMatchTheGeneratorScan) {
       options.batch_rows = batch_rows;
       RegenServer server(options);
       RegisterBoth(server);
-      auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+      auto sid = server.OpenSession(SessionRequest("alpha"));
       ASSERT_TRUE(sid.ok());
       auto cid = server.OpenCursor(*sid, spec);
       ASSERT_TRUE(cid.ok()) << cid.status().ToString();
@@ -361,7 +367,7 @@ TEST_F(ServeTest, CursorSurvivesEvictionAndReload) {
     });
   }
 
-  auto alpha = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto alpha = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(alpha.ok());
   auto cursor = server.OpenCursor(*alpha, spec);
   ASSERT_TRUE(cursor.ok());
@@ -375,7 +381,7 @@ TEST_F(ServeTest, CursorSurvivesEvictionAndReload) {
   }
 
   // Traffic on the other summary evicts alpha's (unpinned between calls).
-  auto beta = server.OpenSession(OpenSessionRequest{"beta"});
+  auto beta = server.OpenSession(SessionRequest("beta"));
   ASSERT_TRUE(beta.ok());
   auto beta_cursor = server.OpenCursor(*beta, spec);
   ASSERT_TRUE(beta_cursor.ok());
@@ -403,7 +409,7 @@ TEST_F(ServeTest, CursorReopensAtSavedRank) {
   CursorSpec spec;
   spec.relation = r;
 
-  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   auto cid = server.OpenCursor(*sid, spec);
   ASSERT_TRUE(cid.ok());
@@ -421,7 +427,7 @@ TEST_F(ServeTest, CursorReopensAtSavedRank) {
 
   // A brand-new session resumes at the saved rank: the concatenation must
   // equal one uninterrupted stream.
-  auto sid2 = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid2 = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid2.ok());
   CursorSpec resume = spec;
   resume.begin_rank = *rank;
@@ -447,7 +453,7 @@ TEST_F(ServeTest, CursorReopensAtSavedRank) {
 TEST_F(ServeTest, ExecuteQueryMatchesDirectExecutor) {
   RegenServer server{ServeOptions{}};
   RegisterBoth(server);
-  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   auto served = server.ExecuteQuery(*sid, env_.query);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
@@ -472,7 +478,7 @@ TEST_F(ServeTest, ExecuteQueryStartsNoPoolTask) {
   options.max_inflight = 4;
   RegenServer server(options);
   RegisterBoth(server);
-  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   ASSERT_TRUE(Failpoint::ArmFromString("thread_pool/dispatch=delay(0)").ok());
   const Failpoint* point = Failpoint::Find("thread_pool/dispatch");
@@ -522,7 +528,7 @@ uint64_t RunSharedClient(RegenServer& server, const ToyEnvironment& env,
     *error = "client " + std::to_string(c) + ": " + s.ToString();
     return uint64_t{0};
   };
-  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = server.OpenSession(SessionRequest("alpha"));
   if (!sid.ok()) return fail(sid.status());
   auto cid = server.OpenCursor(*sid, SharedSpec(env, c));
   if (!cid.ok()) return fail(cid.status());
@@ -599,7 +605,7 @@ TEST_F(ServeTest, TwoCursorsShareOneGenerationPass) {
   RegenServer server(options);
   RegisterBoth(server);
   const int r = env_.schema.RelationIndex("R");
-  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   CursorSpec spec;
   spec.relation = r;
@@ -646,7 +652,7 @@ TEST_F(ServeTest, ScanGroupIntrospectionMatchesServerCounters) {
   const int r = env_.schema.RelationIndex("R");
   EXPECT_TRUE(server.scan_group_infos().empty());
 
-  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   CursorSpec spec;
   spec.relation = r;
@@ -683,7 +689,7 @@ TEST_F(ServeTest, ScanGroupFormsOnceAcrossMembershipDips) {
   // not a second group forming.
   RegenServer server{ServeOptions{}};
   RegisterBoth(server);
-  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   CursorSpec spec;
   spec.relation = env_.schema.RelationIndex("R");
@@ -724,7 +730,7 @@ TEST_F(ServeTest, ScanGroupChurnIsSafeUnderConcurrentSnapshots) {
   std::vector<std::thread> clients;
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&] {
-      auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+      auto sid = server.OpenSession(SessionRequest("alpha"));
       ASSERT_TRUE(sid.ok());
       CursorSpec spec;
       spec.relation = r;
@@ -768,9 +774,9 @@ TEST_F(ServeTest, StatsFieldsEqualTheirSnapshotEntries) {
     RunItem(server, env_, c, &error);
     EXPECT_EQ(error, "");
   }
-  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
-  EXPECT_EQ(server.OpenSession(OpenSessionRequest{"beta"}).status().code(),
+  EXPECT_EQ(server.OpenSession(SessionRequest("beta")).status().code(),
             StatusCode::kResourceExhausted);
   CursorSpec spec;
   spec.relation = env_.schema.RelationIndex("R");
@@ -847,7 +853,7 @@ TEST_F(ServeTest, SlowOpLogIsGatedAndCounted) {
     RegenServer server(ServeOptions{});
     RegisterBoth(server);
     const uint64_t before = slow_ops->value();
-    auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+    auto sid = server.OpenSession(SessionRequest("alpha"));
     ASSERT_TRUE(sid.ok());
     EXPECT_TRUE(server.CloseSession(*sid).ok());
     EXPECT_EQ(slow_ops->value(), before);
@@ -859,13 +865,13 @@ TEST_F(ServeTest, SlowOpLogIsGatedAndCounted) {
     RegenServer server(options);
     RegisterBoth(server);
     const uint64_t before = slow_ops->value();
-    auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+    auto sid = server.OpenSession(SessionRequest("alpha"));
     ASSERT_TRUE(sid.ok());
     EXPECT_GE(slow_ops->value(), before + 1);
     // A fast op under the same threshold stays quiet: the second open hits
     // the summary cache, skipping the armed load failpoint entirely.
     const uint64_t after_open = slow_ops->value();
-    auto sid2 = server.OpenSession(OpenSessionRequest{"alpha"});
+    auto sid2 = server.OpenSession(SessionRequest("alpha"));
     ASSERT_TRUE(sid2.ok());
     EXPECT_EQ(slow_ops->value(), after_open);
     EXPECT_TRUE(server.CloseSession(*sid).ok());
@@ -881,7 +887,7 @@ TEST_F(ServeTest, LateJoinerCatchesUpWithoutDisturbingTheGroup) {
   RegenServer server(options);
   RegisterBoth(server);
   const int r = env_.schema.RelationIndex("R");
-  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   CursorSpec spec;
   spec.relation = r;
@@ -957,7 +963,7 @@ TEST_F(ServeTest, MemberCancelDetachesWithoutDisturbingTheGroup) {
         hashes[c] = RunSharedClient(server, env_, c, &errors[c]);
         return;
       }
-      auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+      auto sid = server.OpenSession(SessionRequest("alpha"));
       ASSERT_TRUE(sid.ok());
       victim_sid.store(sid->id);
       auto cid = server.OpenCursor(*sid, SharedSpec(env_, 1));
@@ -1003,7 +1009,7 @@ TEST_F(ServeTest, SharedScanSurvivesEvictionMidGroup) {
   RegenServer server(options);
   RegisterBoth(server);
   const int r = env_.schema.RelationIndex("R");
-  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   CursorSpec spec;
   spec.relation = r;
@@ -1027,7 +1033,7 @@ TEST_F(ServeTest, SharedScanSurvivesEvictionMidGroup) {
     step(*b, &rows_b, &more_b);
   }
   // Foreign traffic evicts alpha's summary out from under the live group.
-  auto beta = server.OpenSession(OpenSessionRequest{"beta"});
+  auto beta = server.OpenSession(SessionRequest("beta"));
   ASSERT_TRUE(beta.ok());
   auto beta_cursor = server.OpenCursor(*beta, spec);
   ASSERT_TRUE(beta_cursor.ok());
@@ -1464,12 +1470,12 @@ TEST_F(ServeTest, RateLimitedStreamIsSlowerButByteIdentical) {
   RegisterBoth(server);
 
   std::vector<Value> unlimited;
-  auto control = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto control = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(control.ok());
   stream(server, *control, &unlimited);
   ASSERT_TRUE(server.CloseSession(*control).ok());
 
-  OpenSessionRequest limited_request{"alpha"};
+  OpenSessionRequest limited_request = SessionRequest("alpha");
   limited_request.rate_limit_rows_per_sec = 20000;
   auto limited = server.OpenSession(limited_request);
   ASSERT_TRUE(limited.ok());
@@ -1492,7 +1498,7 @@ TEST_F(ServeTest, ErrorPaths) {
   RegisterBoth(server);
   EXPECT_EQ(server.RegisterSummary("alpha", path_).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(server.OpenSession(OpenSessionRequest{"nope"}).status().code(),
+  EXPECT_EQ(server.OpenSession(SessionRequest("nope")).status().code(),
             StatusCode::kNotFound);
 
   const std::string corrupt = (dir_ / "corrupt.summary").string();
@@ -1501,10 +1507,10 @@ TEST_F(ServeTest, ErrorPaths) {
   std::fwrite("garbage!", 1, 8, f);
   std::fclose(f);
   ASSERT_TRUE(server.RegisterSummary("corrupt", corrupt).ok());
-  EXPECT_EQ(server.OpenSession(OpenSessionRequest{"corrupt"}).status().code(),
+  EXPECT_EQ(server.OpenSession(SessionRequest("corrupt")).status().code(),
             StatusCode::kIoError);
 
-  auto sid = server.OpenSession(OpenSessionRequest{"alpha"});
+  auto sid = server.OpenSession(SessionRequest("alpha"));
   ASSERT_TRUE(sid.ok());
   CursorSpec bad_rel;
   bad_rel.relation = 99;
